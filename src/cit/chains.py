@@ -10,7 +10,9 @@ conditionally independent given U^r; the per-round cardinality ceilings
 
 Three routes are provided and are meant to be cross-checked:
   * exact one-round values through minimal sufficient statistics,
-  * exhaustive search over deterministic chains in canonical form,
+  * exhaustive search over deterministic chains in canonical form, scored
+    by bincounts a block of chains at a time and pruned by prefix entropy
+    (single-threaded),
   * a penalty method over randomized chains (same engine as `wyner`).
 Only the one-round and binary-symmetric values are exact; everything else
 is an upper bound.
@@ -19,6 +21,7 @@ is an upper bound.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -266,7 +269,7 @@ def chain_objective(pmf: JointPMF, chain: "AuxiliaryChain | DeterministicChain")
     objective, residual = _objective_residual(q)
     t = chain_tensor(pmf, chain)
     terms = []
-    for j in range(1, chain_rounds(chain) + 1):
+    for j in range(1, chain.rounds + 1):
         side = speaker_of(j, chain.initiator)
         listener = "y" if side == "x" else "x"
         prior = tuple(f"u{i}" for i in range(1, j))
@@ -280,10 +283,6 @@ def chain_objective(pmf: JointPMF, chain: "AuxiliaryChain | DeterministicChain")
     )
 
 
-def chain_rounds(chain: "AuxiliaryChain | DeterministicChain") -> int:
-    return chain.rounds
-
-
 def ci1_exact(pmf: JointPMF, initiator: str = "x") -> float:
     """Exact one-round value: the entropy of the minimal sufficient statistic."""
     side = "x" if initiator == "x" else "y"
@@ -295,40 +294,70 @@ def ci1_exact(pmf: JointPMF, initiator: str = "x") -> float:
 # ---------------------------------------------------------------------------
 # deterministic search in canonical form
 # ---------------------------------------------------------------------------
+#
+# A canonical round table is a restricted growth string (RGS): its values are
+# labelled in order of first appearance, so RGS enumerate the set partitions
+# of the table's cells (Knuth, TAOCP 7.2.1.5).
 
-def _iter_rgs(cells: int, max_labels: int) -> Iterator[tuple[int, ...]]:
-    """Restricted growth strings: values labelled by first appearance."""
-    word = [0] * cells
-    maxes = [0] * cells
-
-    def rec(i: int, cur_max: int):
-        if i == cells:
-            yield tuple(word)
-            return
-        top = min(cur_max + 1, max_labels - 1)
-        for v in range(top + 1):
-            word[i] = v
-            yield from rec(i + 1, max(cur_max, v))
-
-    if cells == 0:
-        yield ()
-    else:
-        yield from rec(0, -1)
+RGS_BLOCK_ROWS = 1 << 16   # most strings held in one block
+SCORE_ROWS = 2048          # chains scored together
+TIE_TOL = 1e-12            # objectives this close count as equal
+PRUNE_SLACK = 1e-13        # float noise between a prefix's entropy and its chains'
 
 
-def _count_rgs_by_labels(cells: int, max_labels: int) -> list[int]:
-    """count[k] = number of strings over `cells` cells using exactly k+1 labels."""
-    table = np.zeros((cells + 1, max_labels + 1), dtype=object)
-    table[0, 0] = 1
-    for i in range(cells):
-        for used in range(min(i, max_labels) + 1):
-            c = table[i, used]
-            if not c:
-                continue
-            table[i + 1, used] += c * used
-            if used < max_labels:
-                table[i + 1, used + 1] += c
-    return [int(table[cells, k]) for k in range(1, max_labels + 1)]
+@lru_cache(maxsize=None)
+def _count_rgs_tails(length: int, top: int, cap: int) -> int:
+    """Number of ways to extend an RGS whose largest label is `top` by `length` cells."""
+    if length == 0:
+        return 1
+    total = (top + 1) * _count_rgs_tails(length - 1, top, cap)
+    if top + 1 < cap:
+        total += _count_rgs_tails(length - 1, top + 1, cap)
+    return total
+
+
+@lru_cache(maxsize=16)
+def _rgs_tails(length: int, top: int, cap: int) -> np.ndarray:
+    """All extensions counted by `_count_rgs_tails`, in lexicographic order,
+    as a read-only (rows, length) block; `top=-1` gives whole strings."""
+    block = np.zeros((1, length), dtype=np.min_scalar_type(cap - 1))
+    tops = np.array([top])
+    for i in range(length):
+        options = np.minimum(tops + 1, cap - 1) + 1
+        rows = np.repeat(np.arange(len(block)), options)
+        values = np.arange(rows.size) - np.repeat(np.cumsum(options) - options, options)
+        block = block[rows]
+        block[:, i] = values
+        tops = np.maximum(tops[rows], values)
+    block.setflags(write=False)
+    return block
+
+
+def _rgs_blocks(cells: int, cap: int) -> Iterator[np.ndarray]:
+    """RGS over `cells` cells with at most `cap` labels, in lexicographic order.
+
+    The strings come in blocks of at most RGS_BLOCK_ROWS rows: the first
+    `head` cells are enumerated one string at a time and each is followed
+    by the (cached) block of its extensions.
+    """
+    head = 0
+    while max(_count_rgs_tails(cells - head, top, cap)
+              for top in range(-1, min(head, cap))) > RGS_BLOCK_ROWS:
+        head += 1
+    if head == 0:
+        yield _rgs_tails(cells, -1, cap)
+        return
+    for prefix in _rgs_tails(head, -1, cap):
+        tails = _rgs_tails(cells - head, int(prefix.max()), cap)
+        yield np.hstack([np.broadcast_to(prefix, (len(tails), head)), tails])
+
+
+@lru_cache(maxsize=None)
+def _stirling2(cells: int, labels: int) -> int:
+    """Number of RGS over `cells` cells using exactly `labels` labels."""
+    if cells == 0 or labels == 0:
+        return int(cells == labels)
+    return labels * _stirling2(cells - 1, labels) + _stirling2(cells - 1, labels - 1)
 
 
 def effective_caps(
@@ -353,8 +382,6 @@ def count_canonical_chains(
     x_size: int, y_size: int, rounds: int, caps: Sequence[int], initiator: str = "x"
 ) -> int:
     """Number of canonical deterministic chains under the given caps."""
-    from functools import lru_cache
-
     caps = tuple(int(c) for c in caps)
 
     @lru_cache(maxsize=None)
@@ -363,18 +390,14 @@ def count_canonical_chains(
             return 1
         parent = x_size if speaker_of(j + 1, initiator) == "x" else y_size
         cells = parent * prod
-        total = 0
-        for used, cnt in enumerate(_count_rgs_by_labels(cells, min(caps[j], cells)), start=1):
-            if cnt:
-                total += cnt * rec(j + 1, prod * used)
-        return total
+        return sum(_stirling2(cells, used) * rec(j + 1, prod * used)
+                   for used in range(1, min(caps[j], cells) + 1))
 
     return rec(0, 1)
 
 
 def iter_canonical_chains(
-    x_size: int, y_size: int, rounds: int, caps: Sequence[int], initiator: str = "x",
-    first_round_filter=None,
+    x_size: int, y_size: int, rounds: int, caps: Sequence[int], initiator: str = "x"
 ) -> Iterator[DeterministicChain]:
     """Enumerate canonical deterministic chains (tight sizes, first-appearance labels)."""
     caps = tuple(int(c) for c in caps)
@@ -384,13 +407,11 @@ def iter_canonical_chains(
             yield DeterministicChain(initiator, sizes, tables)
             return
         parent = x_size if speaker_of(j + 1, initiator) == "x" else y_size
-        cells = parent * int(np.prod(sizes, dtype=int)) if sizes else parent
-        for idx, rgs in enumerate(_iter_rgs(cells, min(caps[j], cells))):
-            if j == 0 and first_round_filter is not None and not first_round_filter(idx):
-                continue
-            used = max(rgs) + 1
-            table = np.array(rgs, dtype=int).reshape((parent,) + sizes)
-            yield from rec(j + 1, sizes + (used,), tables + (table,))
+        cells = parent * int(np.prod(sizes, dtype=int))
+        for block in _rgs_blocks(cells, min(caps[j], cells)):
+            for word in block:
+                table = word.astype(int).reshape((parent,) + sizes)
+                yield from rec(j + 1, sizes + (int(word.max()) + 1,), tables + (table,))
 
     yield from rec(0, (), ())
 
@@ -426,6 +447,20 @@ def _encoding_to_chain(
     return DeterministicChain(initiator, sizes, tables)
 
 
+def _masses(labels: np.ndarray, size: int, weights: np.ndarray) -> np.ndarray:
+    """Per row of `labels` (values below `size`), the weight of each label."""
+    rows = labels.shape[0]
+    flat = (labels + size * np.arange(rows)[:, None]).ravel()
+    mass = np.bincount(flat, np.broadcast_to(weights, labels.shape).ravel(), rows * size)
+    return mass.reshape(rows, size)
+
+
+def _row_entropy(mass: np.ndarray) -> np.ndarray:
+    """Entropy in bits of each row of a mass array."""
+    logs = np.log2(mass, out=np.zeros_like(mass), where=mass > 0)
+    return -(mass * logs).sum(axis=1)
+
+
 def det_chain_search(
     pmf: JointPMF,
     rounds: int,
@@ -434,14 +469,23 @@ def det_chain_search(
     initiator: str = "x",
     threads: int = 1,
     feasibility_tol: float = DET_FEASIBILITY_TOL,
-    collect_feasible: bool = False,
 ) -> ChainResult:
     """Exhaustive minimum over canonical deterministic chains.
 
     Keeps chains with dependence residual at most `feasibility_tol` and
-    returns the lowest objective among them, ties broken by the
-    lexicographically smallest encoding. The result is an upper bound on
-    the r-round optimum.
+    returns the lowest objective among them; objectives within TIE_TOL
+    count as tied, and the lexicographically smallest encoding wins. The
+    result is an upper bound on the r-round optimum. `budget` bounds the
+    size of the whole canonical space, pruned or not.
+
+    A deterministic U^r is a function of (X, Y), so the objective is H(U^r)
+    and the residual H(X,U^r) + H(Y,U^r) - H(U^r) - H(X,Y): each chain is
+    scored by bincounts of per-cell atom labels, a block of last-round
+    tables at a time. Chains are enumerated in lexicographic order of
+    their encodings, and H(U^j) never decreases in j: once the best
+    objective found is no larger than a prefix's H(U^j), the rest of that
+    prefix's chains can at best tie and lose the tie, so they are skipped.
+    The search is single-threaded; `threads` is accepted and ignored.
     """
     nx, ny = pmf.shape
     caps = effective_caps(nx, ny, rounds, size_caps, initiator)
@@ -449,48 +493,62 @@ def det_chain_search(
     if total > budget:
         raise BudgetExceeded(f"{total} canonical chains exceed the budget {budget}")
 
-    def evaluate_partition(worker: int, workers: int):
-        best_key = None
-        best = None
-        feasible_encodings = []
-        for chain in iter_canonical_chains(
-            nx, ny, rounds, caps, initiator,
-            first_round_filter=(lambda idx: idx % workers == worker) if workers > 1 else None,
-        ):
-            q = _joint_array(pmf, chain)
-            objective, residual = _objective_residual(q)
-            if residual > feasibility_tol:
-                continue
-            encoding = tuple(tuple(t.ravel().tolist()) for t in chain.tables)
-            if collect_feasible:
-                feasible_encodings.append((encoding, objective, residual))
-            key = (objective, encoding)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = chain
-        return best_key, best, feasible_encodings
+    p = pmf.p.ravel()
+    xs, ys = np.divmod(np.arange(nx * ny), ny)
+    h_xy = float(_row_entropy(p[None, :])[0])
+    best = np.inf
+    # feasible chains within TIE_TOL of `best`, in enumeration order, which
+    # is the lexicographic order of encodings
+    ties: list[tuple[float, tuple]] = []
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    def score_last(words, atom, n_labels, prefix):
+        nonlocal best, ties
+        m_xu = _masses(atom * nx + xs, n_labels * nx, p)
+        m_yu = _masses(atom * ny + ys, n_labels * ny, p)
+        h_u = _row_entropy(m_xu.reshape(len(words), n_labels, nx).sum(axis=2))
+        residual = _row_entropy(m_xu) + _row_entropy(m_yu) - h_u - h_xy
+        ok = np.flatnonzero(residual <= feasibility_tol)
+        if not ok.size:
+            return
+        low = float(h_u[ok].min())
+        if low < best:
+            best = low
+            ties = [t for t in ties if t[0] <= best + TIE_TOL]
+        for i in ok[h_u[ok] <= best + TIE_TOL]:
+            ties.append((float(h_u[i]), prefix + (tuple(words[i].tolist()),)))
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda w: evaluate_partition(w, threads), range(threads)))
-    else:
-        parts = [evaluate_partition(0, 1)]
+    def search(j, atoms, n_atoms, prefix, h_prefix):
+        """Round j+1 after a prefix whose atom of each (x, y) cell is
+        `atoms` and whose entropy is `h_prefix`."""
+        speaks_x = speaker_of(j + 1, initiator) == "x"
+        cells = (nx if speaks_x else ny) * n_atoms
+        cap = min(caps[j], cells)
+        index = (xs if speaks_x else ys) * n_atoms + atoms   # table cell of each (x, y)
+        for block in _rgs_blocks(cells, cap):
+            for start in range(0, len(block), SCORE_ROWS):
+                if h_prefix >= best - PRUNE_SLACK:
+                    return
+                words = block[start:start + SCORE_ROWS]
+                atom = atoms * cap + words[:, index]
+                if j == rounds - 1:
+                    score_last(words, atom, n_atoms * cap, prefix)
+                    continue
+                h_u = _row_entropy(_masses(atom, n_atoms * cap, p))
+                for word, h in zip(words, h_u):
+                    if h >= best - PRUNE_SLACK:
+                        continue
+                    used = int(word.max()) + 1
+                    search(j + 1, atoms * used + word[index], n_atoms * used,
+                           prefix + (tuple(word.tolist()),), float(h))
 
-    best_key = None
-    best_chain = None
-    feasible: list = []
-    for key, chain, encs in parts:
-        feasible.extend(encs)
-        if key is not None and (best_key is None or key < best_key):
-            best_key, best_chain = key, chain
-    if best_chain is None:
+    search(0, np.zeros(nx * ny, dtype=np.intp), 1, (), 0.0)
+    if not ties:
         raise NoFeasibleChain(
             f"no deterministic chain with residual <= {feasibility_tol} under caps {caps}"
         )
+    encoding = ties[0][1]
+    best_chain = _encoding_to_chain(encoding, nx, ny, initiator)
     result = chain_objective(pmf, best_chain)
-    encoding = tuple(tuple(t.ravel().tolist()) for t in best_chain.tables)
     return ChainResult(
         objective=result.objective,
         residual=result.residual,
@@ -498,9 +556,6 @@ def det_chain_search(
         chain=best_chain,
         feasible=result.residual <= feasibility_tol,
         encoding=encoding,
-        candidates=tuple(
-            (f"chain{dx}", o, r) for dx, (_, o, r) in enumerate(sorted(feasible))
-        ) if collect_feasible else (),
     )
 
 
@@ -512,7 +567,9 @@ def feasible_det_encodings(
     feasibility_tol: float = DET_FEASIBILITY_TOL,
     budget: int = 2_000_000,
 ) -> list[tuple[tuple, float]]:
-    """All feasible canonical encodings with their objectives (for audits)."""
+    """All feasible canonical encodings with their objectives, in enumeration
+    order and scored on the dense joint law: the reference for audits of
+    `det_chain_search`."""
     nx, ny = pmf.shape
     caps = effective_caps(nx, ny, rounds, size_caps, initiator)
     total = count_canonical_chains(nx, ny, rounds, caps, initiator)
@@ -641,28 +698,39 @@ def continuous_chain_minimize(
     config: ChainOptConfig | None = None,
     extra_chains: Sequence["AuxiliaryChain | DeterministicChain"] = (),
     keep_traces: bool = False,
+    initiator: str = "x",
+    det_best: ChainResult | None = None,
 ) -> ChainResult | tuple[ChainResult, PenaltyOutcome]:
     """Penalty-method upper bound over randomized chains of the given sizes.
 
     Mandatory start points: the best deterministic chain at equal sizes,
     the copy chain, the constant chain, and any supplied chains; each is
     also scored exactly as a candidate. Feasibility threshold: 1e-4 bits.
+
+    `det_best` is a `det_chain_search` result at caps `sizes` and the same
+    initiator that the caller already holds; without it the search runs
+    here. Either way the start is used only when the canonical space fits
+    `config.det_seed_budget`.
     """
     config = config or ChainOptConfig()
     nx, ny = pmf.shape
     sizes = tuple(int(s) for s in sizes)
     if len(sizes) != rounds:
         raise ValueError("need one size per round")
-    shapes = _kernel_shapes(nx, ny, sizes, "x")
-    initiator = "x"
+    shapes = _kernel_shapes(nx, ny, sizes, initiator)
 
     seed_chains: list[tuple[str, DeterministicChain]] = []
-    try:
-        det = det_chain_search(pmf, rounds, sizes, budget=config.det_seed_budget,
-                               initiator=initiator)
-        seed_chains.append(("det-best", det.chain.padded(sizes)))
-    except (BudgetExceeded, NoFeasibleChain):
-        pass
+    if det_best is None:
+        try:
+            det_best = det_chain_search(pmf, rounds, sizes, budget=config.det_seed_budget,
+                                        initiator=initiator)
+        except (BudgetExceeded, NoFeasibleChain):
+            pass
+    elif count_canonical_chains(nx, ny, rounds, effective_caps(nx, ny, rounds, sizes, initiator),
+                                initiator) > config.det_seed_budget:
+        det_best = None
+    if det_best is not None:
+        seed_chains.append(("det-best", det_best.chain.padded(sizes)))
     copy_chain = _copy_chain(nx, ny, sizes, initiator)
     if copy_chain is not None:
         seed_chains.append(("copy", copy_chain))

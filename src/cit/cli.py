@@ -300,11 +300,13 @@ def _dispatch(args) -> int:
             result["det"] = det.to_json()
         if args.mode in ("cont", "all"):
             nx, ny = pmf.shape
-            sizes = args.sizes or chains.effective_caps(nx, ny, args.rounds, args.caps, "x")
+            sizes = args.sizes or chains.effective_caps(nx, ny, args.rounds, args.caps,
+                                                        args.initiator)
             cont = chains.continuous_chain_minimize(
                 pmf, args.rounds, sizes,
                 chains.ChainOptConfig(restarts=args.restarts, seed=args.seed,
                                       threads=args.threads),
+                initiator=args.initiator,
             )
             result["cont"] = cont.to_json()
         _emit(_envelope(args, config, result), args)

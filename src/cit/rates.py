@@ -139,6 +139,8 @@ def rate_report(pmf: JointPMF, rounds: int | None = None, config: RateConfig | N
                     threads=config.threads,
                 ),
                 extra_chains=list(seed_chains),
+                # the search above ran at caps `sizes` unless continuous_sizes overrides them
+                det_best=det if config.continuous_sizes is None else None,
             )
         except NoFeasiblePoint:
             cont = None

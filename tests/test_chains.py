@@ -12,12 +12,14 @@ from cit import (
     bss_closed_form,
     binary_stop_classify,
     chain_objective,
+    chains,
     ci1_exact,
     continuous_chain_minimize,
     det_chain_search,
     entropy,
     mutual_information,
     noninteractive_rate,
+    validate_pmf,
 )
 from cit.chains import (
     canonical_encoding,
@@ -25,7 +27,7 @@ from cit.chains import (
     count_canonical_chains,
     feasible_det_encodings,
 )
-from cit.sources import bss_pmf
+from cit.sources import bss_pmf, gain_pmf, random_pmf
 
 from conftest import gain_two_round_chain, random_full_pmf
 
@@ -175,6 +177,68 @@ class TestDetSearch:
         assert a.encoding == b.encoding
 
 
+def _reference_search(pmf, rounds, caps, initiator="x"):
+    """Lowest objective over the dense-scored feasible set, ties within 1e-12
+    going to the lexicographically smallest encoding."""
+    feasible = feasible_det_encodings(pmf, rounds, caps, initiator)
+    if not feasible:
+        return None
+    low = min(obj for _, obj in feasible)
+    return min(enc for enc, obj in feasible if obj <= low + 1e-12), low
+
+
+def _random3(seed):
+    return random_pmf(np.random.default_rng(seed), 3, 3)
+
+
+GAIN = gain_pmf(0.1, 0.15, 0.15)
+INDEPENDENT = validate_pmf([[0.25, 0.25], [0.25, 0.25]])
+
+
+class TestDetSearchEquivalence:
+    @pytest.mark.parametrize("pmf, rounds, caps, initiator", [
+        (bss_pmf(0.25), 2, (2, 2), "x"),
+        (GAIN, 2, (2, 3), "x"),
+        (GAIN, 2, (4, 4), "x"),
+        (_random3(5), 2, (4, 4), "x"),
+        (_random3(5), 2, (4, 4), "y"),
+        (_random3(11), 2, (3, 4), "x"),
+        (_random3(11), 2, (3, 4), "y"),
+        (GAIN, 1, (3,), "y"),
+        (INDEPENDENT, 3, (2, 2, 2), "x"),
+    ], ids=["bss", "gain-2-3", "gain-4-4", "rand5-x", "rand5-y", "rand11-x", "rand11-y",
+            "r1", "independent-r3"])
+    def test_matches_dense_reference(self, pmf, rounds, caps, initiator):
+        encoding, low = _reference_search(pmf, rounds, caps, initiator)
+        res = det_chain_search(pmf, rounds, caps, initiator=initiator)
+        assert res.encoding == encoding
+        assert abs(res.objective - low) <= 1e-12
+
+    def test_gain_winner_pinned(self):
+        # six exactly tied minima; the smallest encoding wins
+        res = det_chain_search(GAIN, 2, (4, 4))
+        assert res.encoding == ((0, 0, 1), (0, 0, 1, 0, 1, 0))
+        assert res.objective == pytest.approx(GAIN_CHAIN_OBJECTIVE, abs=1e-12)
+
+    def test_no_feasible_chain_agrees(self, bss25):
+        from cit import NoFeasibleChain
+
+        assert _reference_search(bss25, 1, (1,)) is None
+        with pytest.raises(NoFeasibleChain):
+            det_chain_search(bss25, 1, (1,))
+
+    def test_split_blocks_enumerate_the_same(self, monkeypatch):
+        whole = np.vstack(list(chains._rgs_blocks(9, 4)))
+        monkeypatch.setattr(chains, "RGS_BLOCK_ROWS", 40)
+        monkeypatch.setattr(chains, "SCORE_ROWS", 7)
+        parts = list(chains._rgs_blocks(9, 4))
+        assert len(parts) > 1
+        assert np.array_equal(np.vstack(parts), whole)
+        assert len(whole) == sum(chains._stirling2(9, k) for k in range(1, 5)) == 11051
+        res = det_chain_search(GAIN, 2, (4, 4))
+        assert res.encoding == ((0, 0, 1), (0, 0, 1, 0, 1, 0))
+
+
 class TestContinuous:
     def test_copy_source(self, uniform_copy):
         res = continuous_chain_minimize(uniform_copy, 2, (2, 2),
@@ -189,6 +253,25 @@ class TestContinuous:
                                         extra_chains=[det.chain])
         assert res.feasible
         assert res.objective <= det.objective + 1e-3
+
+    def test_handed_det_result_matches_own_search(self, gain):
+        config = ChainOptConfig(restarts=2, max_iter=300, seed=0)
+        det = det_chain_search(gain, 2, (3, 3))
+        own = continuous_chain_minimize(gain, 2, (3, 3), config)
+        handed = continuous_chain_minimize(gain, 2, (3, 3), config, det_best=det)
+        assert "det-best" in [label for label, _, _ in own.candidates]
+        assert handed.candidates == own.candidates
+        # the handed result keeps the seed budget of a search run here
+        tight = ChainOptConfig(restarts=2, max_iter=300, seed=0, det_seed_budget=10)
+        skipped = continuous_chain_minimize(gain, 2, (3, 3), tight, det_best=det)
+        assert "det-best" not in [label for label, _, _ in skipped.candidates]
+
+    def test_initiator_y(self, gain):
+        res = continuous_chain_minimize(gain, 2, (2, 3), ChainOptConfig(restarts=2, max_iter=300),
+                                        initiator="y")
+        assert res.chain.initiator == "y"
+        assert res.chain.kernels[0].shape == (3, 2)
+        assert res.feasible
 
     def test_candidate_floor(self, bss25):
         res = continuous_chain_minimize(bss25, 2, (2, 2), ChainOptConfig(restarts=4, seed=0))

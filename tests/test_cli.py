@@ -58,6 +58,20 @@ class TestBasicCommands:
         assert rep["result"]["exact1"]["value"] == pytest.approx(1.0, abs=1e-12)
         assert rep["result"]["det"]["objective"] == pytest.approx(1.0, abs=1e-9)
 
+    def test_ici_initiator_y_reaches_every_route(self, tmp_path):
+        # transposed gain source: Y carries the gain source's X
+        gain = [[0.1, 0.1, 0.1], [0.15, 0.1, 0.1], [0.1, 0.15, 0.1]]
+        path = tmp_path / "gain_t.json"
+        path.write_text(json.dumps({"x": ["0", "1", "2"], "y": ["0", "1", "2"],
+                                    "p": [list(col) for col in zip(*gain)]}))
+        code, out = run_cli(["ici", "--pmf", str(path), "--rounds", "2", "--mode", "all",
+                             "--initiator", "y", "--caps", "2,3", "--restarts", "2"])
+        rep = json.loads(out)
+        assert code == 0
+        assert rep["result"]["det"]["chain"]["initiator"] == "y"
+        assert rep["result"]["cont"]["chain"]["initiator"] == "y"
+        assert rep["result"]["cont"]["chain"]["sizes"] == [2, 3]
+
     def test_rates(self, pmf_file):
         code, out = run_cli(["rates", "--pmf", pmf_file, "--rounds", "2"])
         rep = json.loads(out)

@@ -1,6 +1,6 @@
 import pytest
 
-from cit import RateConfig, binary_entropy, rate_report
+from cit import RateConfig, binary_entropy, chains, rate_report
 from cit.sources import bss_pmf
 
 LIGHT = RateConfig(continuous_restarts=4, continuous_max_iter=1200,
@@ -40,6 +40,19 @@ class TestGain:
         assert 0.02 <= gap <= 0.03
         assert rep.cir_ub < min(rep.ci1_x, rep.ci1_y)
         assert rep.provenance["cir_ub"] == "upper bound"
+
+    def test_searches_once(self, gain, monkeypatch):
+        # the continuous route reuses the report's search for its det-best start
+        calls = []
+        search = chains.det_chain_search
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:3])
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(chains, "det_chain_search", counted)
+        rate_report(gain, 2, LIGHT)
+        assert calls == [(2, None)]
 
 
 class TestInvariants:
