@@ -34,7 +34,8 @@ from .errors import (
     NoFeasibleChain,
     SizeBudgetExceeded,
 )
-from .optim import PenaltyConfig, PenaltyOutcome, penalized_minimize, dirichlet_starts, smooth
+from .optim import (PenaltyConfig, PenaltyOutcome, dirichlet_starts, penalized_information,
+                    penalized_minimize, renormalize, smooth)
 from .pmf import (
     FiniteAlphabet,
     JointPMF,
@@ -42,6 +43,7 @@ from .pmf import (
     binary_entropy,
     conditional_mutual_information,
     mutual_information,
+    plogp_sum,
 )
 
 DET_FEASIBILITY_TOL = 1e-9
@@ -55,6 +57,11 @@ def speaker_of(round_index: int, initiator: str) -> str:
         raise ValueError("initiator must be 'x' or 'y'")
     odd = round_index % 2 == 1
     return initiator if odd else ("y" if initiator == "x" else "x")
+
+
+def speaker_size(round_index: int, initiator: str, x_size: int, y_size: int) -> int:
+    """Alphabet size of the side speaking in 1-based round `round_index`."""
+    return x_size if speaker_of(round_index, initiator) == "x" else y_size
 
 
 def _check_p3(sizes: Sequence[int], parents: Sequence[int]) -> None:
@@ -218,7 +225,6 @@ def _joint_array(pmf: JointPMF, chain: "AuxiliaryChain | DeterministicChain") ->
     if cells > TENSOR_BUDGET:
         raise SizeBudgetExceeded(f"joint tensor would hold {cells} cells (budget {TENSOR_BUDGET})")
     aux = chain.as_auxiliary() if isinstance(chain, DeterministicChain) else chain
-    q = pmf.p.copy()
     for j, k in enumerate(aux.kernels, start=1):
         side = speaker_of(j, aux.initiator)
         expected = nx if side == "x" else ny
@@ -226,7 +232,14 @@ def _joint_array(pmf: JointPMF, chain: "AuxiliaryChain | DeterministicChain") ->
             raise ValueError(
                 f"round {j} speaks {side!r} but its table covers {k.shape[0]} symbols, not {expected}"
             )
-        view = k[:, None] if side == "x" else k[None, :]
+    return _product_law(pmf.p, aux.kernels, aux.initiator)
+
+
+def _product_law(p: np.ndarray, kernels: Sequence[np.ndarray], initiator: str) -> np.ndarray:
+    """p(x, y) * prod_j K_j(u_j | speaker_j, u^{j-1}) as a dense array."""
+    q = p
+    for j, k in enumerate(kernels, start=1):
+        view = k[:, None] if speaker_of(j, initiator) == "x" else k[None, :]
         q = q[..., None] * view
     return q
 
@@ -241,19 +254,14 @@ def chain_tensor(pmf: JointPMF, chain: "AuxiliaryChain | DeterministicChain") ->
     return TensorPMF(names, alphabets, q)
 
 
-def _plogp(arr: np.ndarray) -> float:
-    pos = arr[arr > 0]
-    return float((pos * np.log2(pos)).sum())
-
-
 def _objective_residual(q: np.ndarray) -> tuple[float, float]:
     """(I(X,Y; U^r), I(X; Y | U^r)) from the dense joint array."""
     u_axes = tuple(range(2, q.ndim))
-    h_q = -_plogp(q)
-    h_xy = -_plogp(q.sum(axis=u_axes))
-    h_u = -_plogp(q.sum(axis=(0, 1)))
-    h_xu = -_plogp(q.sum(axis=1))
-    h_yu = -_plogp(q.sum(axis=0))
+    h_q = -plogp_sum(q)
+    h_xy = -plogp_sum(q.sum(axis=u_axes))
+    h_u = -plogp_sum(q.sum(axis=(0, 1)))
+    h_xu = -plogp_sum(q.sum(axis=1))
+    h_yu = -plogp_sum(q.sum(axis=0))
     objective = max(h_xy + h_u - h_q, 0.0)
     residual = max(h_xu + h_yu - h_u - h_q, 0.0)
     return objective, residual
@@ -367,8 +375,7 @@ def effective_caps(
     caps = []
     prod = 1
     for j in range(1, rounds + 1):
-        parent = x_size if speaker_of(j, initiator) == "x" else y_size
-        ceiling = parent * prod + 1
+        ceiling = speaker_size(j, initiator, x_size, y_size) * prod + 1
         user = 4 if size_caps is None else int(size_caps[j - 1])
         cap = min(user, ceiling)
         if cap < 1:
@@ -388,8 +395,7 @@ def count_canonical_chains(
     def rec(j: int, prod: int) -> int:
         if j == rounds:
             return 1
-        parent = x_size if speaker_of(j + 1, initiator) == "x" else y_size
-        cells = parent * prod
+        cells = speaker_size(j + 1, initiator, x_size, y_size) * prod
         return sum(_stirling2(cells, used) * rec(j + 1, prod * used)
                    for used in range(1, min(caps[j], cells) + 1))
 
@@ -406,7 +412,7 @@ def iter_canonical_chains(
         if j == rounds:
             yield DeterministicChain(initiator, sizes, tables)
             return
-        parent = x_size if speaker_of(j + 1, initiator) == "x" else y_size
+        parent = speaker_size(j + 1, initiator, x_size, y_size)
         cells = parent * int(np.prod(sizes, dtype=int))
         for block in _rgs_blocks(cells, min(caps[j], cells)):
             for word in block:
@@ -440,7 +446,7 @@ def _encoding_to_chain(
     sizes: tuple[int, ...] = ()
     tables: tuple[np.ndarray, ...] = ()
     for j, word in enumerate(encoding):
-        parent = x_size if speaker_of(j + 1, initiator) == "x" else y_size
+        parent = speaker_size(j + 1, initiator, x_size, y_size)
         table = np.array(word, dtype=int).reshape((parent,) + sizes)
         tables += (table,)
         sizes += (int(max(word)) + 1,)
@@ -594,7 +600,7 @@ class ChainOptConfig:
     penalty_schedule: tuple[float, ...] = (1.0, 10.0, 100.0, 1000.0)
     max_iter: int = 3000
     seed: int = 0
-    threads: int = 1
+    threads: int = 1  # accepted and ignored: everything runs in one thread
     det_seed_budget: int = 100_000
 
     def to_json(self) -> dict:
@@ -611,48 +617,21 @@ def _kernel_shapes(nx: int, ny: int, sizes: Sequence[int], initiator: str) -> li
     shapes = []
     prior: tuple[int, ...] = ()
     for j, s in enumerate(sizes, start=1):
-        parent = nx if speaker_of(j, initiator) == "x" else ny
+        parent = speaker_size(j, initiator, nx, ny)
         shapes.append((parent,) + prior + (int(s),))
         prior += (int(s),)
     return shapes
 
 
 def _chain_value_and_grad_factory(p: np.ndarray, sizes: Sequence[int], initiator: str):
-    nx, ny = p.shape
+    """Penalized value and per-slice gradients for the update rule: the
+    mean of `optim.penalized_information`'s log-derivative over each
+    kernel slice, with H(X,Y) taken from the chain's law."""
     rounds = len(sizes)
-    log2 = np.log2
 
     def value_and_grad(kernels, lam):
-        q = p.copy()
-        for j, k in enumerate(kernels, start=1):
-            view = k[:, None] if speaker_of(j, initiator) == "x" else k[None, :]
-            q = q[..., None] * view
-        u_axes = tuple(range(2, q.ndim))
-        m_xy = q.sum(axis=u_axes)
-        m_u = q.sum(axis=(0, 1))
-        m_xu = q.sum(axis=1)
-        m_yu = q.sum(axis=0)
-
-        def safe_log(a):
-            return np.where(a > 0, log2(np.where(a > 0, a, 1.0)), 0.0)
-
-        lq, lxy, lu, lxu, lyu = map(safe_log, (q, m_xy, m_u, m_xu, m_yu))
-        h_q = -(q * lq).sum()
-        h_xy = -(m_xy * lxy).sum()
-        h_u = -(m_u * lu).sum()
-        h_xu = -(m_xu * lxu).sum()
-        h_yu = -(m_yu * lyu).sum()
-        objective = h_xy + h_u - h_q
-        residual = h_xu + h_yu - h_u - h_q
-
-        shape = q.shape
-        dlog = (
-            (1.0 + lam) * lq
-            - lxy.reshape(shape[:2] + (1,) * rounds)
-            - (1.0 - lam) * lu.reshape((1, 1) + shape[2:])
-            - lam * lxu.reshape((shape[0], 1) + shape[2:])
-            - lam * lyu.reshape((1,) + shape[1:])
-        )
+        q = _product_law(p, kernels, initiator)
+        value, dlog = penalized_information(q, q.sum(axis=tuple(range(2, q.ndim))), lam)
         g_cell = q * dlog
 
         grads = []
@@ -663,19 +642,19 @@ def _chain_value_and_grad_factory(p: np.ndarray, sizes: Sequence[int], initiator
             a = g_cell.sum(axis=drop)
             m = q.sum(axis=drop)
             grads.append(np.where(m > 1e-250, a / np.where(m > 0, m, 1.0), 0.0))
-        return float(objective + lam * residual), grads
+        return value, grads
 
     return value_and_grad
 
 
 def _copy_chain(nx: int, ny: int, sizes: Sequence[int], initiator: str) -> DeterministicChain | None:
-    parent0 = nx if initiator == "x" else ny
+    parent0 = speaker_size(1, initiator, nx, ny)
     if sizes[0] < parent0:
         return None
     tables = [np.arange(parent0, dtype=int)]
     prior: tuple[int, ...] = (int(sizes[0]),)
     for j in range(2, len(sizes) + 1):
-        parent = nx if speaker_of(j, initiator) == "x" else ny
+        parent = speaker_size(j, initiator, nx, ny)
         tables.append(np.zeros((parent,) + prior, dtype=int))
         prior += (int(sizes[j - 1]),)
     return DeterministicChain(initiator, tuple(int(s) for s in sizes), tuple(tables))
@@ -685,7 +664,7 @@ def _constant_chain(nx: int, ny: int, sizes: Sequence[int], initiator: str) -> D
     tables = []
     prior: tuple[int, ...] = ()
     for j, s in enumerate(sizes, start=1):
-        parent = nx if speaker_of(j, initiator) == "x" else ny
+        parent = speaker_size(j, initiator, nx, ny)
         tables.append(np.zeros((parent,) + prior, dtype=int))
         prior += (int(s),)
     return DeterministicChain(initiator, tuple(int(s) for s in sizes), tuple(tables))
@@ -699,7 +678,7 @@ def continuous_chain_minimize(
     extra_chains: Sequence["AuxiliaryChain | DeterministicChain"] = (),
     keep_traces: bool = False,
     initiator: str = "x",
-    det_best: ChainResult | None = None,
+    det_best: "ChainResult | BudgetExceeded | NoFeasibleChain | None" = None,
 ) -> ChainResult | tuple[ChainResult, PenaltyOutcome]:
     """Penalty-method upper bound over randomized chains of the given sizes.
 
@@ -707,10 +686,10 @@ def continuous_chain_minimize(
     the copy chain, the constant chain, and any supplied chains; each is
     also scored exactly as a candidate. Feasibility threshold: 1e-4 bits.
 
-    `det_best` is a `det_chain_search` result at caps `sizes` and the same
-    initiator that the caller already holds; without it the search runs
-    here. Either way the start is used only when the canonical space fits
-    `config.det_seed_budget`.
+    `det_best` is the outcome of a `det_chain_search` at caps `sizes` and the
+    same initiator that the caller already ran: its result, or the error it
+    raised. Without it the search runs here. Either way the start is used
+    only when the canonical space fits `config.det_seed_budget`.
     """
     config = config or ChainOptConfig()
     nx, ny = pmf.shape
@@ -726,8 +705,9 @@ def continuous_chain_minimize(
                                         initiator=initiator)
         except (BudgetExceeded, NoFeasibleChain):
             pass
-    elif count_canonical_chains(nx, ny, rounds, effective_caps(nx, ny, rounds, sizes, initiator),
-                                initiator) > config.det_seed_budget:
+    elif isinstance(det_best, Exception) or count_canonical_chains(
+            nx, ny, rounds, effective_caps(nx, ny, rounds, sizes, initiator),
+            initiator) > config.det_seed_budget:
         det_best = None
     if det_best is not None:
         seed_chains.append(("det-best", det_best.chain.padded(sizes)))
@@ -749,25 +729,18 @@ def continuous_chain_minimize(
     starts += dirichlet_starts(config.seed, config.restarts, shapes)
 
     cfg = PenaltyConfig(
-        restarts=config.restarts,
         penalty_schedule=config.penalty_schedule,
         max_iter=config.max_iter,
-        seed=config.seed,
         feasibility_threshold=CONT_FEASIBILITY_TOL,
-        threads=config.threads,
     )
     vag = _chain_value_and_grad_factory(pmf.p, sizes, initiator)
 
     def evaluate(kernels):
-        q = pmf.p.copy()
-        for j, k in enumerate(kernels, start=1):
-            view = k[:, None] if speaker_of(j, initiator) == "x" else k[None, :]
-            q = q[..., None] * view
-        return _objective_residual(q)
+        return _objective_residual(_product_law(pmf.p, kernels, initiator))
 
     outcome = penalized_minimize(starts, exact, vag, evaluate, cfg, keep_traces=keep_traces)
     best = outcome.best
-    chain = AuxiliaryChain(initiator, tuple(_renormalize(k) for k in best.kernels))
+    chain = AuxiliaryChain(initiator, tuple(renormalize(k) for k in best.kernels))
     scored = chain_objective(pmf, chain)
     result = ChainResult(
         objective=scored.objective,
@@ -780,11 +753,6 @@ def continuous_chain_minimize(
     if keep_traces:
         return result, outcome
     return result
-
-
-def _renormalize(k: np.ndarray) -> np.ndarray:
-    k = np.clip(np.asarray(k, dtype=float), 0.0, None)
-    return k / k.sum(axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -854,8 +822,8 @@ def binary_stop_classify(
             continue
         px = cell.sum(axis=1) / mass
         py = cell.sum(axis=0) / mass
-        h_x = float(-_plogp(px))
-        h_y = float(-_plogp(py))
+        h_x = -plogp_sum(px)
+        h_y = -plogp_sum(py)
         vanish = tuple(s for s, h in (("x", h_x), ("y", h_y)) if h <= tol)
         if not vanish:
             raise LemmaViolation(

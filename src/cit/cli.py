@@ -193,7 +193,7 @@ def _run_check(args) -> dict:
             kernels = []
             prior: tuple[int, ...] = ()
             for j in range(1, r + 1):
-                parent = nx if chains.speaker_of(j, "x") == "x" else ny
+                parent = chains.speaker_size(j, "x", nx, ny)
                 size = int(rng.integers(2, 4))
                 flat = rng.dirichlet(np.ones(size), size=parent * int(np.prod(prior, dtype=int) or 1))
                 kernels.append(flat.reshape((parent,) + prior + (size,)))

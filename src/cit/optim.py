@@ -5,13 +5,14 @@ objective(kernels) + lambda * residual(kernels) for an increasing penalty
 schedule, with multiplicative simplex updates, backtracking so the penalized
 value never increases across accepted iterations at a fixed lambda, and
 deterministic multi-restart reduction (feasible first, then lowest value,
-then lowest start index). Restarts are independent, so running them on a
-thread pool cannot change the result.
+then lowest start index).
+
+`penalized_information` holds the entropy algebra both callers descend on:
+a Wyner splitting variable is the one-round case of an interactive chain.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -27,13 +28,10 @@ SMOOTHING = 1e-3
 class PenaltyConfig:
     """Knobs for the penalty method; defaults favour reproducibility."""
 
-    restarts: int = 32
     penalty_schedule: tuple[float, ...] = (1.0, 10.0, 100.0, 1000.0)
     max_iter: int = 5000
-    seed: int = 0
     step_size: float = 1.0
     feasibility_threshold: float = 1e-4
-    threads: int = 1
     rel_tol: float = 1e-12
     patience: int = 25
 
@@ -77,6 +75,46 @@ def smooth(kernel: np.ndarray, eps: float = SMOOTHING) -> np.ndarray:
     """Mix a kernel with the uniform one so multiplicative updates can move."""
     w = kernel.shape[-1]
     return _normalize_slices((1.0 - eps) * kernel + eps / w)
+
+
+def _safe_log2(a: np.ndarray) -> np.ndarray:
+    return np.where(a > 0, np.log2(np.where(a > 0, a, 1.0)), 0.0)
+
+
+def penalized_information(
+    q: np.ndarray, m_xy: np.ndarray, lam: float
+) -> tuple[float, np.ndarray]:
+    """I(X,Y;U) + lam * I(X;Y|U) in bits, and its per-cell log-derivative.
+
+    `q` is a dense law over (X, Y, U_1, ..., U_r); H(X,Y) is taken from the
+    caller's `m_xy`. Per cell, up to additive constants,
+    dlog = (1+lam)log q - log m_xy - (1-lam)log m_u - lam log m_xu - lam log m_yu.
+    """
+    m_u = q.sum(axis=(0, 1))
+    m_xu = q.sum(axis=1)
+    m_yu = q.sum(axis=0)
+    lq, lxy, lu, lxu, lyu = map(_safe_log2, (q, m_xy, m_u, m_xu, m_yu))
+    h_q = -(q * lq).sum()
+    h_xy = -(m_xy * lxy).sum()
+    h_u = -(m_u * lu).sum()
+    h_xu = -(m_xu * lxu).sum()
+    h_yu = -(m_yu * lyu).sum()
+    objective = h_xy + h_u - h_q
+    residual = h_xu + h_yu - h_u - h_q
+    dlog = (
+        (1.0 + lam) * lq
+        - lxy.reshape(lxy.shape + (1,) * (q.ndim - 2))
+        - (1.0 - lam) * lu[None, None]
+        - lam * lxu[:, None]
+        - lam * lyu[None]
+    )
+    return float(objective + lam * residual), dlog
+
+
+def renormalize(k: np.ndarray) -> np.ndarray:
+    """Clip a kernel at zero and rescale each slice to sum to one."""
+    k = np.clip(np.asarray(k, dtype=float), 0.0, None)
+    return k / k.sum(axis=-1, keepdims=True)
 
 
 def _eg_stage(
@@ -152,36 +190,16 @@ def penalized_minimize(
     Exact candidates are scored as given, without smoothing or optimization.
     """
     candidates: list[Candidate] = []
-    order = 0
-    for label, kernels in exact_candidates:
+    for order, (label, kernels) in enumerate(exact_candidates):
         objective, residual = evaluate(list(kernels))
         candidates.append(Candidate(objective, residual,
                                      tuple(np.asarray(k, dtype=float) for k in kernels),
                                      label, order))
-        order += 1
-
-    jobs = []
-    for label, kernels in seeded_starts:
-        jobs.append((order, label, kernels))
-        order += 1
 
     traces: list[list[np.ndarray]] = []
-    results: list = [None] * len(jobs)
-
-    def work(j):
-        idx, label, kernels = j
-        return _run_start(idx, label, kernels, value_and_grad, evaluate, cfg, keep_traces)
-
-    if cfg.threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            for pos, res in enumerate(pool.map(work, jobs)):
-                results[pos] = res
-    else:
-        for pos, j in enumerate(jobs):
-            results[pos] = work(j)
-
     iterations = 0
-    for cand, trace in results:
+    for order, (label, kernels) in enumerate(seeded_starts, start=len(candidates)):
+        cand, trace = _run_start(order, label, kernels, value_and_grad, evaluate, cfg, keep_traces)
         candidates.append(cand)
         iterations += cand.iterations
         if trace is not None:

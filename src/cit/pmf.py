@@ -253,7 +253,8 @@ class TensorPMF:
         return TensorPMF(self.names + (name,), self.alphabets + (alpha,), new_p)
 
 
-def _plogp_sum(arr: np.ndarray) -> float:
+def plogp_sum(arr: np.ndarray) -> float:
+    """Sum of p log2 p over the positive entries of `arr`: minus an entropy."""
     pos = arr[arr > 0]
     return float((pos * np.log2(pos)).sum())
 
@@ -263,7 +264,7 @@ def entropy(t: TensorPMF, subset: AxisSpec) -> float:
     idx = t.axes(subset)
     if not idx:
         raise UnknownAxis("entropy needs a nonempty axis subset")
-    return -_plogp_sum(t.marginal_array(subset)) + 0.0
+    return -plogp_sum(t.marginal_array(subset)) + 0.0
 
 
 def conditional_entropy(t: TensorPMF, target: AxisSpec, given: AxisSpec = ()) -> float:
@@ -275,10 +276,10 @@ def conditional_entropy(t: TensorPMF, target: AxisSpec, given: AxisSpec = ()) ->
     if not ti:
         raise UnknownAxis("conditional_entropy needs a nonempty target")
     names = t.names
-    joint = -_plogp_sum(t.marginal_array([names[i] for i in ti + gi]))
+    joint = -plogp_sum(t.marginal_array([names[i] for i in ti + gi]))
     if not gi:
         return joint
-    h_given = -_plogp_sum(t.marginal_array([names[i] for i in gi]))
+    h_given = -plogp_sum(t.marginal_array([names[i] for i in gi]))
     return max(joint - h_given, 0.0)
 
 
@@ -291,9 +292,9 @@ def mutual_information(t: TensorPMF, axes_a: AxisSpec, axes_b: AxisSpec) -> floa
     if not ai or not bi:
         raise UnknownAxis("mutual_information needs two nonempty groups")
     names = t.names
-    h_a = -_plogp_sum(t.marginal_array([names[i] for i in ai]))
-    h_b = -_plogp_sum(t.marginal_array([names[i] for i in bi]))
-    h_ab = -_plogp_sum(t.marginal_array([names[i] for i in ai + bi]))
+    h_a = -plogp_sum(t.marginal_array([names[i] for i in ai]))
+    h_b = -plogp_sum(t.marginal_array([names[i] for i in bi]))
+    h_ab = -plogp_sum(t.marginal_array([names[i] for i in ai + bi]))
     return max(h_a + h_b - h_ab, 0.0)
 
 
@@ -312,10 +313,10 @@ def conditional_mutual_information(
     if not ci:
         return mutual_information(t, axes_a, axes_b)
     names = t.names
-    h_ac = -_plogp_sum(t.marginal_array([names[i] for i in ai + ci]))
-    h_bc = -_plogp_sum(t.marginal_array([names[i] for i in bi + ci]))
-    h_c = -_plogp_sum(t.marginal_array([names[i] for i in ci]))
-    h_abc = -_plogp_sum(t.marginal_array([names[i] for i in ai + bi + ci]))
+    h_ac = -plogp_sum(t.marginal_array([names[i] for i in ai + ci]))
+    h_bc = -plogp_sum(t.marginal_array([names[i] for i in bi + ci]))
+    h_c = -plogp_sum(t.marginal_array([names[i] for i in ci]))
+    h_abc = -plogp_sum(t.marginal_array([names[i] for i in ai + bi + ci]))
     return max(h_ac + h_bc - h_c - h_abc, 0.0)
 
 

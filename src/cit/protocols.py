@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .chains import speaker_of, speaker_size
 from .errors import SizeBudgetExceeded
 from .pmf import FiniteAlphabet, JointPMF, TensorPMF, conditional_entropy, conditional_mutual_information, entropy, mutual_information
 
@@ -80,8 +81,7 @@ class Protocol:
         return int(np.prod(self.message_sizes, dtype=int))
 
     def speaker(self, round_index: int) -> str:
-        odd = round_index % 2 == 1
-        return self.initiator if odd else ("y" if self.initiator == "x" else "x")
+        return speaker_of(round_index, self.initiator)
 
     def transcripts(self, x_count: int, y_count: int) -> np.ndarray:
         """Transcript index for every (x block index, y block index) pair."""
@@ -194,7 +194,7 @@ def random_protocol(
     tables = []
     prefix = 1
     for i, s in enumerate(sizes, start=1):
-        own = x_size if (i % 2 == 1) == (initiator == "x") else y_size
+        own = speaker_size(i, initiator, x_size, y_size)
         tables.append(rng.integers(0, s, size=(own ** n, prefix)))
         prefix *= s
     return Protocol(n, sizes, tuple(tables), initiator)

@@ -23,7 +23,7 @@ from .sources import binary_symmetric_delta
 class RateConfig:
     rounds: int = 2
     seed: int = 0
-    threads: int = 1
+    threads: int = 1  # accepted and ignored: everything runs in one thread
     det_caps: tuple[int, ...] | None = None
     det_budget: int = 200_000
     include_continuous: bool = True
@@ -111,36 +111,39 @@ def rate_report(pmf: JointPMF, rounds: int | None = None, config: RateConfig | N
     if r >= 2:
         candidates.append(ci1_y)
     nx, ny = pmf.shape
-    try:
-        det = chains.det_chain_search(
-            pmf, r, config.det_caps, budget=config.det_budget,
-            threads=config.threads,
-        )
-        candidates.append(det.objective)
-        seed_chains.append(det.chain)
-    except (chains.BudgetExceeded, chains.NoFeasibleChain):
-        # search too large or caps too tight for an exactly splitting chain;
-        # the one-round values still bound the report
-        det = None
-
+    caps = chains.effective_caps(nx, ny, r, config.det_caps, "x")
     delta = binary_symmetric_delta(pmf)
     run_continuous = config.include_continuous and delta is None
+    cont_config = chains.ChainOptConfig(
+        restarts=config.continuous_restarts,
+        max_iter=config.continuous_max_iter,
+        seed=config.seed,
+        threads=config.threads,
+    )
+    # one search per report: at caps `caps` the continuous route starts from
+    # this search's chain, so the search also covers that route's budget
+    handed = run_continuous and config.continuous_sizes is None
+    budget = max(config.det_budget, cont_config.det_seed_budget) if handed else config.det_budget
+    try:
+        searched = chains.det_chain_search(
+            pmf, r, config.det_caps, budget=budget, threads=config.threads,
+        )
+    except (chains.BudgetExceeded, chains.NoFeasibleChain) as exc:
+        # search too large or caps too tight for an exactly splitting chain;
+        # the one-round values still bound the report
+        searched = exc
+    if (isinstance(searched, chains.ChainResult)
+            and chains.count_canonical_chains(nx, ny, r, caps) <= config.det_budget):
+        candidates.append(searched.objective)
+        seed_chains.append(searched.chain)
+
     if run_continuous:
-        sizes = config.continuous_sizes
-        if sizes is None:
-            sizes = chains.effective_caps(nx, ny, r, config.det_caps, "x")
+        sizes = caps if config.continuous_sizes is None else config.continuous_sizes
         try:
             cont = chains.continuous_chain_minimize(
-                pmf, r, sizes,
-                chains.ChainOptConfig(
-                    restarts=config.continuous_restarts,
-                    max_iter=config.continuous_max_iter,
-                    seed=config.seed,
-                    threads=config.threads,
-                ),
+                pmf, r, sizes, cont_config,
                 extra_chains=list(seed_chains),
-                # the search above ran at caps `sizes` unless continuous_sizes overrides them
-                det_best=det if config.continuous_sizes is None else None,
+                det_best=searched if handed else None,
             )
         except NoFeasiblePoint:
             cont = None

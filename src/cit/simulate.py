@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import DeterministicChain, chain_tensor
+from .chains import DeterministicChain, chain_tensor, speaker_of
 from .errors import RateInfeasible, RateOutOfRange, SizeBudgetExceeded
 from .hashing import AffineGf2Hash, pack_digits, unpack_digits
 from .pmf import JointPMF, conditional_entropy, entropy
@@ -199,7 +199,7 @@ class _Stage:
         self.j = j
         self.size = chain.sizes[j - 1]
         self.table = np.asarray(chain.tables[j - 1])
-        side = "x" if (j % 2 == 1) == (chain.initiator == "x") else "y"
+        side = speaker_of(j, chain.initiator)
         self.speaker = side
         self.listener = "y" if side == "x" else "x"
         prior = tuple(f"u{i}" for i in range(1, j))

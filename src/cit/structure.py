@@ -24,6 +24,7 @@ from .pmf import (
     TensorPMF,
     conditional_mutual_information,
     mutual_information,
+    plogp_sum,
 )
 
 ROW_TOL = 1e-9          # entrywise tolerance for conditional-row equality
@@ -177,9 +178,7 @@ def gk_common_function(pmf: JointPMF) -> tuple[Labeling, Labeling]:
 def gk_ci(pmf: JointPMF) -> float:
     """Entropy in bits of the common-component distribution."""
     lab_x, _ = gk_common_function(pmf)
-    masses = lab_x.class_masses(pmf.marginal_x)
-    pos = masses[masses > 0]
-    return float(-(pos * np.log2(pos)).sum()) + 0.0
+    return -plogp_sum(lab_x.class_masses(pmf.marginal_x)) + 0.0
 
 
 def double_markov_extract(
@@ -260,9 +259,7 @@ class NoninteractiveRate:
 
 
 def labeling_entropy(labeling: Labeling, marginal: np.ndarray) -> float:
-    masses = labeling.class_masses(marginal)
-    pos = masses[masses > 0]
-    return float(-(pos * np.log2(pos)).sum()) + 0.0
+    return -plogp_sum(labeling.class_masses(marginal)) + 0.0
 
 
 def noninteractive_rate(pmf: JointPMF) -> NoninteractiveRate:

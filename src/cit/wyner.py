@@ -18,7 +18,8 @@ import numpy as np
 
 from . import structure
 from .errors import KernelInvalid
-from .optim import PenaltyConfig, PenaltyOutcome, penalized_minimize, dirichlet_starts, smooth
+from .optim import (PenaltyConfig, PenaltyOutcome, dirichlet_starts, penalized_information,
+                    penalized_minimize, renormalize, smooth)
 from .pmf import (
     FiniteAlphabet,
     JointPMF,
@@ -65,7 +66,7 @@ class WynerConfig:
     penalty_schedule: tuple[float, ...] = (1.0, 10.0, 100.0, 1000.0)
     max_iter: int = 5000
     seed: int = 0
-    threads: int = 1
+    threads: int = 1  # accepted and ignored: everything runs in one thread
 
     def to_json(self) -> dict:
         return {
@@ -131,41 +132,15 @@ def wyner_objective(pmf: JointPMF, kernel: AuxKernel) -> tuple[float, float]:
 def _value_and_grad_factory(p: np.ndarray):
     """Penalized value and per-entry gradient for the update rule.
 
-    With q = p * k and marginals m_*, the penalized functional
-    I(X,Y;W) + lam*I(X;Y|W) has, per kernel entry and up to additive
-    constants that cancel in the per-slice normalization,
-    grad = (1+lam)log q - log m_xy - (1-lam)log m_w - lam log m_xw - lam log m_yw.
+    The gradient is `optim.penalized_information`'s log-derivative with
+    H(X,Y) taken from p, zero on the pairs p leaves out.
     """
-    log2 = np.log2
+    support = p[:, :, None] > 0
 
     def value_and_grad(kernels, lam):
         (k,) = kernels
-        q = p[:, :, None] * k
-        m_w = q.sum(axis=(0, 1))
-        m_xw = q.sum(axis=1)
-        m_yw = q.sum(axis=0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lq = np.where(q > 0, log2(np.where(q > 0, q, 1.0)), 0.0)
-            lw = np.where(m_w > 0, log2(np.where(m_w > 0, m_w, 1.0)), 0.0)
-            lxw = np.where(m_xw > 0, log2(np.where(m_xw > 0, m_xw, 1.0)), 0.0)
-            lyw = np.where(m_yw > 0, log2(np.where(m_yw > 0, m_yw, 1.0)), 0.0)
-            lp = np.where(p > 0, log2(np.where(p > 0, p, 1.0)), 0.0)
-        h_q = -(q * lq).sum()
-        h_w = -(m_w * lw).sum()
-        h_xw = -(m_xw * lxw).sum()
-        h_yw = -(m_yw * lyw).sum()
-        h_xy = -(p * lp).sum()
-        objective = h_xy + h_w - h_q
-        residual = h_xw + h_yw - h_w - h_q
-        grad = (
-            (1.0 + lam) * lq
-            - lp[:, :, None]
-            - (1.0 - lam) * lw[None, None, :]
-            - lam * lxw[:, None, :]
-            - lam * lyw[None, :, :]
-        )
-        grad = np.where(p[:, :, None] > 0, grad, 0.0)
-        return float(objective + lam * residual), [grad]
+        value, dlog = penalized_information(p[:, :, None] * k, p, lam)
+        return value, [np.where(support, dlog, 0.0)]
 
     return value_and_grad
 
@@ -230,24 +205,21 @@ def wyner_minimize(
     ]
 
     cfg = PenaltyConfig(
-        restarts=config.restarts,
         penalty_schedule=config.penalty_schedule,
         max_iter=config.max_iter,
-        seed=config.seed,
         feasibility_threshold=FEASIBILITY_TOL,
-        threads=config.threads,
     )
     vag = _value_and_grad_factory(pmf.p)
 
     def evaluate(kernels):
-        return wyner_objective(pmf, AuxKernel(w_size, _project(kernels[0])))
+        return wyner_objective(pmf, AuxKernel(w_size, renormalize(kernels[0])))
 
     outcome = penalized_minimize(starts, exact, vag, evaluate, cfg, keep_traces=keep_traces)
     best = outcome.best
     result = WynerResult(
         value=best.objective,
         residual=best.residual,
-        kernel=AuxKernel(w_size, _project(best.kernels[0])),
+        kernel=AuxKernel(w_size, renormalize(best.kernels[0])),
         restarts_used=len(starts),
         iterations=outcome.iterations,
         feasible=best.residual <= FEASIBILITY_TOL,
@@ -257,7 +229,3 @@ def wyner_minimize(
         return result, outcome
     return result
 
-
-def _project(k: np.ndarray) -> np.ndarray:
-    k = np.clip(np.asarray(k, dtype=float), 0.0, None)
-    return k / k.sum(axis=-1, keepdims=True)

@@ -19,9 +19,15 @@ import math
 import numpy as np
 import pytest
 
-from cit.chains import _chain_value_and_grad_factory
+from cit.chains import (
+    _chain_value_and_grad_factory,
+    _kernel_shapes,
+    _objective_residual,
+    _product_law,
+)
+from cit.optim import dirichlet_starts, penalized_information
 from cit.sources import random_pmf
-from cit.wyner import _value_and_grad_factory
+from cit.wyner import AuxKernel, _value_and_grad_factory, wyner_objective
 
 LN2_INV = 1.0 / math.log(2)
 
@@ -84,3 +90,27 @@ class TestChainGradient:
                 mass = slice_mass[j][idx[:-1]]
                 analytic = mass * (grads[j][idx] - LN2_INV)
                 assert numeric == pytest.approx(analytic, rel=1e-4, abs=1e-6)
+
+
+class TestPenalizedInformation:
+    """The shared routine's value is the exact penalized objective."""
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0, 17.5])
+    def test_wyner_kernel(self, lam):
+        rng = np.random.default_rng(17)
+        pmf = random_pmf(rng, 3, 2)
+        k = rng.dirichlet(np.ones(5), size=6).reshape(3, 2, 5)
+        value, _ = penalized_information(pmf.p[:, :, None] * k, pmf.p, lam)
+        objective, residual = wyner_objective(pmf, AuxKernel(5, k))
+        assert abs(value - (objective + lam * residual)) <= 1e-12
+
+    @pytest.mark.parametrize("initiator", ["x", "y"])
+    @pytest.mark.parametrize("sizes", [(2, 3), (2, 2, 3)])
+    @pytest.mark.parametrize("lam", [0.0, 3.0])
+    def test_chain(self, initiator, sizes, lam):
+        pmf = random_pmf(np.random.default_rng(19), 2, 3)
+        [(_, kernels)] = dirichlet_starts(19, 1, _kernel_shapes(2, 3, sizes, initiator))
+        q = _product_law(pmf.p, kernels, initiator)
+        value, _ = penalized_information(q, q.sum(axis=tuple(range(2, q.ndim))), lam)
+        objective, residual = _objective_residual(q)
+        assert abs(value - (objective + lam * residual)) <= 1e-12

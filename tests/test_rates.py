@@ -1,7 +1,10 @@
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from cit import RateConfig, binary_entropy, chains, rate_report
-from cit.sources import bss_pmf
+from cit.sources import bss_pmf, random_pmf
 
 LIGHT = RateConfig(continuous_restarts=4, continuous_max_iter=1200,
                    wyner_restarts=4, wyner_max_iter=1200)
@@ -41,18 +44,29 @@ class TestGain:
         assert rep.cir_ub < min(rep.ci1_x, rep.ci1_y)
         assert rep.provenance["cir_ub"] == "upper bound"
 
-    def test_searches_once(self, gain, monkeypatch):
-        # the continuous route reuses the report's search for its det-best start
+    @pytest.mark.parametrize("source, caps, raises", [
+        ("gain", None, None),
+        ("gain", (1, 2), chains.NoFeasibleChain),
+        ("random-4x4", None, chains.BudgetExceeded),
+    ], ids=["gain", "gain-caps-1-2", "random-4x4"])
+    def test_searches_once(self, gain, source, caps, raises, monkeypatch):
+        # the continuous route reuses the report's search for its det-best
+        # start, also when that search raises
+        pmf = gain if source == "gain" else random_pmf(np.random.default_rng(4), 4, 4)
         calls = []
         search = chains.det_chain_search
 
         def counted(*args, **kwargs):
             calls.append(args[1:3])
-            return search(*args, **kwargs)
+            try:
+                return search(*args, **kwargs)
+            except Exception as exc:
+                calls.append(type(exc))
+                raise
 
         monkeypatch.setattr(chains, "det_chain_search", counted)
-        rate_report(gain, 2, LIGHT)
-        assert calls == [(2, None)]
+        rate_report(pmf, 2, replace(LIGHT, det_caps=caps))
+        assert calls == [(2, caps)] + ([raises] if raises else [])
 
 
 class TestInvariants:
