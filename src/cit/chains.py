@@ -51,10 +51,15 @@ CONT_FEASIBILITY_TOL = 1e-4
 TENSOR_BUDGET = 2 ** 22
 
 
+def check_initiator(initiator: str) -> None:
+    """Raise ValueError unless `initiator` names a side, "x" or "y"."""
+    if initiator not in ("x", "y"):
+        raise ValueError(f"initiator must be 'x' or 'y', got {initiator!r}")
+
+
 def speaker_of(round_index: int, initiator: str) -> str:
     """Side speaking in 1-based round `round_index`."""
-    if initiator not in ("x", "y"):
-        raise ValueError("initiator must be 'x' or 'y'")
+    check_initiator(initiator)
     odd = round_index % 2 == 1
     return initiator if odd else ("y" if initiator == "x" else "x")
 
@@ -83,6 +88,7 @@ class AuxiliaryChain:
     kernels: tuple[np.ndarray, ...]
 
     def __post_init__(self):
+        check_initiator(self.initiator)
         kernels = tuple(np.asarray(k, dtype=float) for k in self.kernels)
         if not kernels:
             raise ValueError("a chain needs at least one round")
@@ -133,6 +139,7 @@ class DeterministicChain:
     tables: tuple[np.ndarray, ...]
 
     def __post_init__(self):
+        check_initiator(self.initiator)
         sizes = tuple(int(s) for s in self.sizes)
         tables = tuple(np.asarray(t, dtype=int) for t in self.tables)
         if len(sizes) != len(tables) or not tables:
@@ -232,14 +239,15 @@ def _joint_array(pmf: JointPMF, chain: "AuxiliaryChain | DeterministicChain") ->
             raise ValueError(
                 f"round {j} speaks {side!r} but its table covers {k.shape[0]} symbols, not {expected}"
             )
-    return _product_law(pmf.p, aux.kernels, aux.initiator)
+    return _product_law(pmf.p, [k[None] for k in aux.kernels], aux.initiator)[0]
 
 
 def _product_law(p: np.ndarray, kernels: Sequence[np.ndarray], initiator: str) -> np.ndarray:
-    """p(x, y) * prod_j K_j(u_j | speaker_j, u^{j-1}) as a dense array."""
-    q = p
+    """p(x, y) * prod_j K_j(u_j | speaker_j, u^{j-1}) as a dense array, one
+    law per start on the kernels' leading axis."""
+    q = p[None]
     for j, k in enumerate(kernels, start=1):
-        view = k[:, None] if speaker_of(j, initiator) == "x" else k[None, :]
+        view = k[:, :, None] if speaker_of(j, initiator) == "x" else k[:, None, :]
         q = q[..., None] * view
     return q
 
@@ -624,25 +632,26 @@ def _kernel_shapes(nx: int, ny: int, sizes: Sequence[int], initiator: str) -> li
 
 
 def _chain_value_and_grad_factory(p: np.ndarray, sizes: Sequence[int], initiator: str):
-    """Penalized value and per-slice gradients for the update rule: the
-    mean of `optim.penalized_information`'s log-derivative over each
-    kernel slice, with H(X,Y) taken from the chain's law."""
+    """Penalized values and per-slice gradients for the update rule, for a
+    batch of chains on the leading axis: the mean of
+    `optim.penalized_information`'s log-derivative over each kernel slice,
+    with H(X,Y) taken from the chain's law."""
     rounds = len(sizes)
 
     def value_and_grad(kernels, lam):
         q = _product_law(p, kernels, initiator)
-        value, dlog = penalized_information(q, q.sum(axis=tuple(range(2, q.ndim))), lam)
+        values, dlog = penalized_information(q, q.sum(axis=tuple(range(3, q.ndim))), lam)
         g_cell = q * dlog
 
         grads = []
         for j in range(1, rounds + 1):
             side = speaker_of(j, initiator)
-            drop = (1,) if side == "x" else (0,)
-            drop = drop + tuple(range(2 + j, q.ndim))
+            drop = (2,) if side == "x" else (1,)
+            drop = drop + tuple(range(3 + j, q.ndim))
             a = g_cell.sum(axis=drop)
             m = q.sum(axis=drop)
             grads.append(np.where(m > 1e-250, a / np.where(m > 0, m, 1.0), 0.0))
-        return value, grads
+        return values, grads
 
     return value_and_grad
 
@@ -736,7 +745,7 @@ def continuous_chain_minimize(
     vag = _chain_value_and_grad_factory(pmf.p, sizes, initiator)
 
     def evaluate(kernels):
-        return _objective_residual(_product_law(pmf.p, kernels, initiator))
+        return _objective_residual(_product_law(pmf.p, [k[None] for k in kernels], initiator)[0])
 
     outcome = penalized_minimize(starts, exact, vag, evaluate, cfg, keep_traces=keep_traces)
     best = outcome.best

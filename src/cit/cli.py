@@ -292,6 +292,7 @@ def _dispatch(args) -> int:
                 "initiator": args.initiator,
                 "value": chains.ci1_exact(pmf, args.initiator),
             }
+        det = None
         if args.mode in ("det", "all"):
             det = chains.det_chain_search(
                 pmf, args.rounds, args.caps, budget=args.budget,
@@ -307,6 +308,8 @@ def _dispatch(args) -> int:
                 chains.ChainOptConfig(restarts=args.restarts, seed=args.seed,
                                       threads=args.threads),
                 initiator=args.initiator,
+                # without --sizes the det route searched these very caps
+                det_best=None if args.sizes else det,
             )
             result["cont"] = cont.to_json()
         _emit(_envelope(args, config, result), args)

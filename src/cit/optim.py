@@ -7,6 +7,13 @@ value never increases across accepted iterations at a fixed lambda, and
 deterministic multi-restart reduction (feasible first, then lowest value,
 then lowest start index).
 
+All starts of one minimization descend together: their kernels sit on a
+leading start axis, and each iteration makes one value-and-grad call for
+the starts still running. Each start keeps its own step size, accept test,
+stall count and stop flag, and leaves the batch when it stops, so every
+start takes the same steps, to the bit, that it would take alone. Each
+candidate records why each of its stages stopped.
+
 `penalized_information` holds the entropy algebra both callers descend on:
 a Wyner splitting variable is the one-round case of an interactive chain.
 """
@@ -44,6 +51,8 @@ class Candidate:
     label: str
     order: int
     iterations: int = 0
+    # per penalty stage: "stall", "step_floor" or "max_iter"; empty for exact candidates
+    stops: tuple[str, ...] = ()
 
     @property
     def sort_key(self):
@@ -64,9 +73,14 @@ def _normalize_slices(k: np.ndarray) -> np.ndarray:
     return k / k.sum(axis=-1, keepdims=True)
 
 
-def _eg_step(k: np.ndarray, g: np.ndarray, step: float) -> np.ndarray:
-    """Multiplicative simplex step computed in log space to avoid overflow."""
-    z = np.log(np.clip(k, KERNEL_FLOOR, None)) - step * g
+def _per_start(v: np.ndarray, ndim: int) -> np.ndarray:
+    """A vector over starts, shaped to broadcast against `ndim`-axis arrays."""
+    return v.reshape((-1,) + (1,) * (ndim - 1))
+
+
+def _eg_step(k: np.ndarray, g: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """Multiplicative simplex step, one step size per start, in log space."""
+    z = np.log(np.clip(k, KERNEL_FLOOR, None)) - _per_start(step, k.ndim) * g
     z -= z.max(axis=-1, keepdims=True)
     return _normalize_slices(np.exp(z))
 
@@ -78,37 +92,41 @@ def smooth(kernel: np.ndarray, eps: float = SMOOTHING) -> np.ndarray:
 
 
 def _safe_log2(a: np.ndarray) -> np.ndarray:
-    return np.where(a > 0, np.log2(np.where(a > 0, a, 1.0)), 0.0)
+    """log2 of the positive entries; 0.0 (as log2 1) everywhere else."""
+    return np.log2(np.where(a > 0, a, 1.0))
 
 
 def penalized_information(
     q: np.ndarray, m_xy: np.ndarray, lam: float
-) -> tuple[float, np.ndarray]:
-    """I(X,Y;U) + lam * I(X;Y|U) in bits, and its per-cell log-derivative.
+) -> tuple[np.ndarray, np.ndarray]:
+    """I(X,Y;U) + lam * I(X;Y|U) in bits per start, and the per-cell log-derivative.
 
-    `q` is a dense law over (X, Y, U_1, ..., U_r); H(X,Y) is taken from the
-    caller's `m_xy`. Per cell, up to additive constants,
+    `q` holds one dense law over (X, Y, U_1, ..., U_r) per start on its
+    leading axis; H(X,Y) is taken from the caller's `m_xy`, shaped
+    (starts, X, Y). Each entropy adds a start's cells in the order of a flat
+    `.sum()` over them, so every start gets the bits it would get alone.
+    Per cell, up to additive constants,
     dlog = (1+lam)log q - log m_xy - (1-lam)log m_u - lam log m_xu - lam log m_yu.
     """
-    m_u = q.sum(axis=(0, 1))
-    m_xu = q.sum(axis=1)
-    m_yu = q.sum(axis=0)
-    lq, lxy, lu, lxu, lyu = map(_safe_log2, (q, m_xy, m_u, m_xu, m_yu))
-    h_q = -(q * lq).sum()
-    h_xy = -(m_xy * lxy).sum()
-    h_u = -(m_u * lu).sum()
-    h_xu = -(m_xu * lxu).sum()
-    h_yu = -(m_yu * lyu).sum()
+    n = len(q)
+    m_u = q.sum(axis=(1, 2))
+    m_xu = q.sum(axis=2)
+    m_yu = q.sum(axis=1)
+    laws = (q, m_xy, m_u, m_xu, m_yu)
+    lq, lxy, lu, lxu, lyu = logs = [_safe_log2(a) for a in laws]
+    h_q, h_xy, h_u, h_xu, h_yu = (
+        -(a * la).reshape(n, -1).sum(axis=1) for a, la in zip(laws, logs)
+    )
     objective = h_xy + h_u - h_q
     residual = h_xu + h_yu - h_u - h_q
     dlog = (
         (1.0 + lam) * lq
-        - lxy.reshape(lxy.shape + (1,) * (q.ndim - 2))
-        - (1.0 - lam) * lu[None, None]
-        - lam * lxu[:, None]
-        - lam * lyu[None]
+        - lxy.reshape(lxy.shape + (1,) * (q.ndim - 3))
+        - (1.0 - lam) * lu[:, None, None]
+        - lam * lxu[:, :, None]
+        - lam * lyu[:, None]
     )
-    return float(objective + lam * residual), dlog
+    return objective + lam * residual, dlog
 
 
 def renormalize(k: np.ndarray) -> np.ndarray:
@@ -122,57 +140,60 @@ def _eg_stage(
     lam: float,
     value_and_grad: Callable,
     cfg: PenaltyConfig,
-    trace: list[float] | None,
-) -> tuple[list[np.ndarray], int]:
-    """Run one penalty stage; returns updated kernels and iteration count."""
+    traces: list[list[float]] | None,
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """Run one penalty stage for every start on the kernels' leading axis.
+
+    Each start keeps its own step size, stall count and stop flag, and
+    leaves the active set when it stops: after `patience` accepted steps
+    that each gain at most `rel_tol` ("stall"), when its step falls below
+    1e-9 ("step_floor"), or after `max_iter` iterations ("max_iter").
+    Returns the kernels, the iterations each start used and its stop reason.
+    """
+    n = len(kernels[0])
+    out = [k.copy() for k in kernels]
+    used = np.full(n, cfg.max_iter)
+    stops = np.full(n, "max_iter", dtype=object)
+    rows = np.arange(n)
     val, grads = value_and_grad(kernels, lam)
-    if trace is not None:
-        trace.append(val)
-    step = cfg.step_size
-    stall = 0
-    it = 0
-    while it < cfg.max_iter:
-        it += 1
+    if traces is not None:
+        for trace, v in zip(traces, val):
+            trace.append(v)
+    step = np.full(n, cfg.step_size)
+    stall = np.zeros(n, dtype=int)
+    for it in range(1, cfg.max_iter + 1):
         proposal = [_eg_step(k, g, step) for k, g in zip(kernels, grads)]
         new_val, new_grads = value_and_grad(proposal, lam)
-        if new_val <= val:
-            improvement = val - new_val
-            kernels, val, grads = proposal, new_val, new_grads
-            if trace is not None:
-                trace.append(val)
-            step = min(step * 1.25, 64.0)
-            stall = stall + 1 if improvement <= cfg.rel_tol * (1.0 + abs(val)) else 0
-            if stall >= cfg.patience:
-                break
-        else:
-            step *= 0.5
-            if step < 1e-9:
-                break
-    return kernels, it
-
-
-def _run_start(
-    index: int,
-    label: str,
-    start: list[np.ndarray],
-    value_and_grad: Callable,
-    evaluate: Callable,
-    cfg: PenaltyConfig,
-    keep_trace: bool,
-) -> tuple[Candidate, list[np.ndarray] | None]:
-    kernels = [_normalize_slices(k) for k in start]
-    stage_traces: list[np.ndarray] | None = [] if keep_trace else None
-    total = 0
-    for lam in cfg.penalty_schedule:
-        trace: list[float] | None = [] if keep_trace else None
-        kernels, used = _eg_stage(kernels, lam, value_and_grad, cfg, trace)
-        total += used
-        if keep_trace:
-            # one trace per stage; monotonicity holds within a stage only
-            stage_traces.append(np.array(trace))
-    objective, residual = evaluate(kernels)
-    cand = Candidate(objective, residual, tuple(kernels), label, index, total)
-    return cand, stage_traces
+        accept = new_val <= val
+        small = val - new_val <= cfg.rel_tol * (1.0 + np.abs(new_val))
+        kernels = [np.where(_per_start(accept, k.ndim), p, k) for p, k in zip(proposal, kernels)]
+        grads = [np.where(_per_start(accept, g.ndim), h, g) for h, g in zip(new_grads, grads)]
+        val = np.where(accept, new_val, val)
+        step = np.where(accept, np.minimum(step * 1.25, 64.0), step * 0.5)
+        stall = np.where(accept, np.where(small, stall + 1, 0), stall)
+        if traces is not None:
+            for r, v in zip(rows[accept], val[accept]):
+                traces[r].append(v)
+        stalled = accept & (stall >= cfg.patience)
+        floored = ~accept & (step < 1e-9)
+        done = stalled | floored
+        if not done.any():
+            continue
+        stops[rows[stalled]] = "stall"
+        stops[rows[floored]] = "step_floor"
+        used[rows[done]] = it
+        for o, k in zip(out, kernels):
+            o[rows[done]] = k[done]
+        keep = ~done
+        rows = rows[keep]
+        if not rows.size:
+            return out, used, stops
+        kernels = [k[keep] for k in kernels]
+        grads = [g[keep] for g in grads]
+        val, step, stall = val[keep], step[keep], stall[keep]
+    for o, k in zip(out, kernels):
+        o[rows] = k
+    return out, used, stops
 
 
 def penalized_minimize(
@@ -185,9 +206,12 @@ def penalized_minimize(
 ) -> PenaltyOutcome:
     """Optimize from every start, add exact candidates, reduce deterministically.
 
-    `value_and_grad(kernels, lam) -> (penalized value, gradients)`;
-    `evaluate(kernels) -> (objective, residual)` in bits.
-    Exact candidates are scored as given, without smoothing or optimization.
+    All starts descend together: `value_and_grad(kernels, lam) -> (penalized
+    values, gradients)` takes and returns arrays with one row per start on
+    the leading axis, and stages run in schedule order for all of them.
+    `evaluate(kernels) -> (objective, residual)` in bits scores one
+    candidate. Exact candidates are scored as given, without smoothing or
+    optimization.
     """
     candidates: list[Candidate] = []
     for order, (label, kernels) in enumerate(exact_candidates):
@@ -198,12 +222,29 @@ def penalized_minimize(
 
     traces: list[list[np.ndarray]] = []
     iterations = 0
-    for order, (label, kernels) in enumerate(seeded_starts, start=len(candidates)):
-        cand, trace = _run_start(order, label, kernels, value_and_grad, evaluate, cfg, keep_traces)
-        candidates.append(cand)
-        iterations += cand.iterations
-        if trace is not None:
-            traces.append(trace)
+    if seeded_starts:
+        n = len(seeded_starts)
+        kernels = [_normalize_slices(np.stack(ks))
+                   for ks in zip(*(start for _, start in seeded_starts))]
+        used = np.zeros(n, dtype=int)
+        stops = []
+        traces = [[] for _ in range(n)] if keep_traces else []
+        for lam in cfg.penalty_schedule:
+            stage: list[list[float]] | None = [[] for _ in range(n)] if keep_traces else None
+            kernels, stage_used, stage_stops = _eg_stage(kernels, lam, value_and_grad, cfg, stage)
+            used += stage_used
+            stops.append(stage_stops)
+            if keep_traces:
+                # one trace per stage; monotonicity holds within a stage only
+                for trace, values in zip(traces, stage):
+                    trace.append(np.array(values))
+        for i, (label, _) in enumerate(seeded_starts):
+            final = [k[i] for k in kernels]
+            objective, residual = evaluate(final)
+            candidates.append(Candidate(objective, residual, tuple(final), label,
+                                         len(candidates), int(used[i]),
+                                         tuple(s[i] for s in stops)))
+        iterations = int(used.sum())
 
     feasible = [c for c in candidates if c.residual <= cfg.feasibility_threshold]
     if not feasible:

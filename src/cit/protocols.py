@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chains import speaker_of, speaker_size
+from .chains import check_initiator, speaker_of, speaker_size
 from .errors import SizeBudgetExceeded
 from .pmf import FiniteAlphabet, JointPMF, TensorPMF, conditional_entropy, conditional_mutual_information, entropy, mutual_information
 
@@ -49,6 +49,7 @@ class Protocol:
     initiator: str = "x"
 
     def __post_init__(self):
+        check_initiator(self.initiator)
         sizes = tuple(int(s) for s in self.message_sizes)
         tables = tuple(np.asarray(t, dtype=int) for t in self.message_tables)
         if len(sizes) != len(tables) or not tables:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import DeterministicChain, chain_tensor, speaker_of
+from .chains import DeterministicChain, _copy_chain, chain_tensor, speaker_of
 from .errors import RateInfeasible, RateOutOfRange, SizeBudgetExceeded
 from .hashing import AffineGf2Hash, pack_digits, unpack_digits
 from .pmf import JointPMF, conditional_entropy, entropy
@@ -294,8 +294,8 @@ class _Stage:
 
 def default_copy_chain(pmf: JointPMF) -> DeterministicChain:
     """One round, the first terminal reveals its symbol."""
-    nx = pmf.shape[0]
-    return DeterministicChain("x", (nx,), (np.arange(nx, dtype=int),))
+    nx, ny = pmf.shape
+    return _copy_chain(nx, ny, (nx,), "x")
 
 
 def cr_sk_simulate(

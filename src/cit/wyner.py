@@ -130,7 +130,8 @@ def wyner_objective(pmf: JointPMF, kernel: AuxKernel) -> tuple[float, float]:
 
 
 def _value_and_grad_factory(p: np.ndarray):
-    """Penalized value and per-entry gradient for the update rule.
+    """Penalized values and per-entry gradients for the update rule, for a
+    batch of kernels on the leading axis.
 
     The gradient is `optim.penalized_information`'s log-derivative with
     H(X,Y) taken from p, zero on the pairs p leaves out.
@@ -139,8 +140,9 @@ def _value_and_grad_factory(p: np.ndarray):
 
     def value_and_grad(kernels, lam):
         (k,) = kernels
-        value, dlog = penalized_information(p[:, :, None] * k, p, lam)
-        return value, [np.where(support, dlog, 0.0)]
+        m_xy = np.broadcast_to(p, (len(k),) + p.shape)
+        values, dlog = penalized_information(p[:, :, None] * k, m_xy, lam)
+        return values, [np.where(support, dlog, 0.0)]
 
     return value_and_grad
 

@@ -62,6 +62,20 @@ class TestChainTypes:
         r2 = chain_objective(bss25, padded)
         assert r1.objective == pytest.approx(r2.objective, abs=1e-12)
 
+    def test_bad_initiator_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="initiator"):
+            AuxiliaryChain("z", (np.eye(2),))
+        with pytest.raises(ValueError, match="initiator"):
+            DeterministicChain("z", (2,), (np.array([0, 1]),))
+
+    @pytest.mark.parametrize("chain", [gain_two_round_chain(),
+                                       gain_two_round_chain().as_auxiliary()],
+                             ids=["deterministic", "randomized"])
+    def test_bad_initiator_rejected_from_json(self, chain):
+        obj = {**chain.to_json(), "initiator": "z"}
+        with pytest.raises(ValueError, match="initiator"):
+            chain_from_json(obj)
+
     def test_json_round_trip(self):
         ch = gain_two_round_chain()
         again = chain_from_json(ch.to_json())

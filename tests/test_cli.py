@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cit import cli
+from cit import chains, cli
 
 
 def run_cli(argv):
@@ -71,6 +71,28 @@ class TestBasicCommands:
         assert rep["result"]["det"]["chain"]["initiator"] == "y"
         assert rep["result"]["cont"]["chain"]["initiator"] == "y"
         assert rep["result"]["cont"]["chain"]["sizes"] == [2, 3]
+
+    def test_ici_all_searches_once(self, tmp_path, monkeypatch):
+        # the cont route takes the det route's search for its det-best start
+        path = tmp_path / "gain.json"
+        path.write_text(json.dumps({"x": ["0", "1", "2"], "y": ["0", "1", "2"],
+                                    "p": [[0.1, 0.1, 0.1], [0.15, 0.1, 0.1],
+                                          [0.1, 0.15, 0.1]]}))
+        argv = ["ici", "--pmf", str(path), "--rounds", "2", "--restarts", "2"]
+        calls = []
+        search = chains.det_chain_search
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:3])
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(chains, "det_chain_search", counted)
+        code, out = run_cli(argv + ["--mode", "all"])
+        assert code == 0
+        assert calls == [(2, None)]
+        # the cont route that searches for itself lands on the same chain
+        _, alone = run_cli(argv + ["--mode", "cont"])
+        assert json.loads(out)["result"]["cont"] == json.loads(alone)["result"]["cont"]
 
     def test_rates(self, pmf_file):
         code, out = run_cli(["rates", "--pmf", pmf_file, "--rounds", "2"])

@@ -50,9 +50,10 @@ class TestWynerGradient:
         k = rng.dirichlet(np.ones(4), size=6).reshape(2, 3, 4)
 
         def value(kernels):
-            return vag(kernels, lam)[0]
+            return vag([kk[None] for kk in kernels], lam)[0][0]
 
-        _, (grad,) = vag([k], lam)
+        _, (grad,) = vag([k[None]], lam)
+        grad = grad[0]
         for _ in range(12):
             idx = tuple(int(rng.integers(s)) for s in k.shape)
             numeric = _fd(value, [k], 0, idx)
@@ -73,7 +74,7 @@ class TestChainGradient:
         kernels = [k1, k2]
 
         def value(ks):
-            return vag(ks, lam)[0]
+            return vag([kk[None] for kk in ks], lam)[0][0]
 
         q = pmf.p[:, :, None] * k1[:, None]          # (x, y, u1)
         q = q[..., None] * k2[None, :]               # (x, y, u1, u2)
@@ -82,7 +83,8 @@ class TestChainGradient:
             q.sum(axis=(0, 3)),                      # round 2 context: (y, u1)
         ]
 
-        _, grads = vag(kernels, lam)
+        _, grads = vag([k[None] for k in kernels], lam)
+        grads = [g[0] for g in grads]
         for j, k in enumerate(kernels):
             for _ in range(10):
                 idx = tuple(int(rng.integers(s)) for s in k.shape)
@@ -100,7 +102,7 @@ class TestPenalizedInformation:
         rng = np.random.default_rng(17)
         pmf = random_pmf(rng, 3, 2)
         k = rng.dirichlet(np.ones(5), size=6).reshape(3, 2, 5)
-        value, _ = penalized_information(pmf.p[:, :, None] * k, pmf.p, lam)
+        (value,), _ = penalized_information((pmf.p[:, :, None] * k)[None], pmf.p[None], lam)
         objective, residual = wyner_objective(pmf, AuxKernel(5, k))
         assert abs(value - (objective + lam * residual)) <= 1e-12
 
@@ -110,7 +112,7 @@ class TestPenalizedInformation:
     def test_chain(self, initiator, sizes, lam):
         pmf = random_pmf(np.random.default_rng(19), 2, 3)
         [(_, kernels)] = dirichlet_starts(19, 1, _kernel_shapes(2, 3, sizes, initiator))
-        q = _product_law(pmf.p, kernels, initiator)
-        value, _ = penalized_information(q, q.sum(axis=tuple(range(2, q.ndim))), lam)
-        objective, residual = _objective_residual(q)
+        q = _product_law(pmf.p, [k[None] for k in kernels], initiator)
+        (value,), _ = penalized_information(q, q.sum(axis=tuple(range(3, q.ndim))), lam)
+        objective, residual = _objective_residual(q[0])
         assert abs(value - (objective + lam * residual)) <= 1e-12

@@ -1,0 +1,165 @@
+"""The batched penalty descent against a one-start-at-a-time reference.
+
+`penalized_minimize` advances every start together on a leading axis. The
+reference below is the loop it replaced: one start, one stage at a time,
+built on the same value-and-grad routines and `_eg_step` called with a
+batch of one. Both must give the same bits: every candidate's objective and
+residual, its kernels, its iteration count, its stop reasons and its traces.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+import pytest
+
+from cit import chains, validate_pmf, wyner
+from cit.chains import ChainOptConfig, continuous_chain_minimize
+from cit.optim import _eg_step, _normalize_slices
+from cit.sources import bss_pmf, gain_pmf, random_pmf
+from cit.wyner import WynerConfig, wyner_minimize
+
+
+@dataclass
+class Reference:
+    objective: float
+    residual: float
+    kernels: list
+    stages: list  # (iterations, stop reason) per penalty stage
+    traces: list
+
+
+def _single(value_and_grad, kernels, lam):
+    values, grads = value_and_grad([k[None] for k in kernels], lam)
+    return values[0], [g[0] for g in grads]
+
+
+def _reference_stage(kernels, lam, value_and_grad, cfg, trace):
+    val, grads = _single(value_and_grad, kernels, lam)
+    trace.append(val)
+    step = cfg.step_size
+    stall = 0
+    it = 0
+    while it < cfg.max_iter:
+        it += 1
+        proposal = [_eg_step(k[None], g[None], np.array([step]))[0]
+                    for k, g in zip(kernels, grads)]
+        new_val, new_grads = _single(value_and_grad, proposal, lam)
+        if new_val <= val:
+            improvement = val - new_val
+            kernels, val, grads = proposal, new_val, new_grads
+            trace.append(val)
+            step = min(step * 1.25, 64.0)
+            stall = stall + 1 if improvement <= cfg.rel_tol * (1.0 + abs(val)) else 0
+            if stall >= cfg.patience:
+                return kernels, it, "stall"
+        else:
+            step *= 0.5
+            if step < 1e-9:
+                return kernels, it, "step_floor"
+    return kernels, it, "max_iter"
+
+
+def _reference_start(start, value_and_grad, evaluate, cfg):
+    kernels = [_normalize_slices(k) for k in start]
+    stages, traces = [], []
+    for lam in cfg.penalty_schedule:
+        trace = []
+        kernels, used, reason = _reference_stage(kernels, lam, value_and_grad, cfg, trace)
+        stages.append((used, reason))
+        traces.append(np.array(trace))
+    objective, residual = evaluate(kernels)
+    return Reference(objective, residual, kernels, stages, traces)
+
+
+def _captured(module, monkeypatch, run):
+    """Run `run()` and return the arguments `module` handed to
+    `penalized_minimize`, with the outcome it got back."""
+    seen = {}
+    minimize = module.penalized_minimize
+
+    def capture(starts, exact, vag, evaluate, cfg, keep_traces=False):
+        seen.update(starts=starts, exact=exact, vag=vag, evaluate=evaluate, cfg=cfg)
+        seen["outcome"] = minimize(starts, exact, vag, evaluate, cfg, keep_traces=keep_traces)
+        return seen["outcome"]
+
+    monkeypatch.setattr(module, "penalized_minimize", capture)
+    run()
+    return seen
+
+
+def _assert_matches_reference(seen):
+    outcome = seen["outcome"]
+    optimized = outcome.candidates[len(seen["exact"]):]
+    assert len(optimized) == len(seen["starts"])
+    assert all(c.stops == () for c in outcome.candidates[:len(seen["exact"])])
+    refs = []
+    for cand, trace, (label, start) in zip(optimized, outcome.descent_traces, seen["starts"]):
+        ref = _reference_start(start, seen["vag"], seen["evaluate"], seen["cfg"])
+        assert cand.label == label
+        assert float(cand.objective).hex() == float(ref.objective).hex()
+        assert float(cand.residual).hex() == float(ref.residual).hex()
+        assert [k.tobytes() for k in cand.kernels] == [k.tobytes() for k in ref.kernels]
+        assert cand.iterations == sum(used for used, _ in ref.stages)
+        assert cand.stops == tuple(reason for _, reason in ref.stages)
+        assert [t.tobytes() for t in trace] == [t.tobytes() for t in ref.traces]
+        refs.append(ref)
+    assert outcome.iterations == sum(c.iterations for c in optimized)
+    return refs
+
+
+def _zero_row_3x3():
+    p = np.random.default_rng(5).dirichlet(np.ones(9)).reshape(3, 3)
+    p[1] = 0.0
+    return validate_pmf((p / p.sum()).tolist())
+
+
+WYNER_CASES = {
+    "bss": (lambda: bss_pmf(0.25), WynerConfig(restarts=3, max_iter=400)),
+    "gain": (lambda: gain_pmf(0.1, 0.15, 0.15), WynerConfig(restarts=3, max_iter=300)),
+    "zero-row-3x3": (_zero_row_3x3, WynerConfig(restarts=3, max_iter=300)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WYNER_CASES))
+def test_wyner_matches_reference(case, monkeypatch):
+    make, config = WYNER_CASES[case]
+    pmf = make()
+    seen = _captured(wyner, monkeypatch,
+                     lambda: wyner_minimize(pmf, config, keep_traces=True))
+    _assert_matches_reference(seen)
+
+
+@pytest.mark.parametrize("pmf, sizes, initiator", [
+    (gain_pmf(0.1, 0.15, 0.15), (2, 3), "x"),
+    (gain_pmf(0.1, 0.15, 0.15), (2, 3), "y"),
+    (random_pmf(np.random.default_rng(3), 2, 3), (2, 2, 2), "x"),
+], ids=["gain-x", "gain-y", "random-2x3-three-rounds"])
+def test_chains_match_reference(pmf, sizes, initiator, monkeypatch):
+    config = ChainOptConfig(restarts=3, max_iter=300)
+    seen = _captured(chains, monkeypatch, lambda: continuous_chain_minimize(
+        pmf, len(sizes), sizes, config, keep_traces=True, initiator=initiator))
+    _assert_matches_reference(seen)
+
+
+def test_one_monotone_trace_per_start_and_stage(bss25):
+    config = WynerConfig(restarts=4, max_iter=300, seed=2)
+    _, outcome = wyner_minimize(bss25, config, keep_traces=True)
+    optimized = len(outcome.candidates) - len(wyner._seed_kernels(bss25, 4))
+    assert len(outcome.descent_traces) == optimized
+    for stage_traces in outcome.descent_traces:
+        assert len(stage_traces) == len(config.penalty_schedule)
+        for trace in stage_traces:
+            assert trace.size >= 1
+            assert np.all(np.diff(trace) <= 0.0)
+
+
+def test_stop_reasons_name_stages_cut_at_max_iter(bss25, monkeypatch):
+    config = WynerConfig(restarts=4, max_iter=50)
+    seen = _captured(wyner, monkeypatch,
+                     lambda: wyner_minimize(bss25, config, keep_traces=True))
+    refs = _assert_matches_reference(seen)
+    stops = [c.stops for c in seen["outcome"].candidates if c.stops]
+    assert any("max_iter" in s for s in stops)
+    for ref in refs:
+        for used, reason in ref.stages:
+            assert (reason == "max_iter") == (used == config.max_iter)

@@ -130,6 +130,10 @@ class TestProtocolBasics:
         with pytest.raises(ValueError):
             Protocol(1, (2, 2), (np.zeros((2, 1), dtype=int),))
 
+    def test_bad_initiator_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="initiator"):
+            Protocol(1, (2,), (np.array([[0], [1]]),), initiator="z")
+
 
 class TestTranscriptOracle:
     def test_vectorized_transcripts_match_reference(self):
