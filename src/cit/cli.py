@@ -9,6 +9,8 @@ object on stdout.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -128,8 +130,6 @@ def _flatten(obj, prefix="") -> list[tuple[str, str]]:
     if isinstance(obj, dict):
         for k, v in obj.items():
             rows.extend(_flatten(v, f"{prefix}{k}." if prefix else f"{k}."))
-    elif isinstance(obj, (list, tuple)):
-        rows.append((prefix.rstrip("."), json.dumps(obj)))
     else:
         rows.append((prefix.rstrip("."), json.dumps(obj)))
     return rows
@@ -137,15 +137,17 @@ def _flatten(obj, prefix="") -> list[tuple[str, str]]:
 
 def _emit(report: dict, args) -> None:
     if getattr(args, "format", "json") == "csv":
+        # every cell is a JSON value; the csv module quotes the ones holding
+        # commas (lists) or quotes (strings), so each row keeps its width
         result = report.get("result", report)
         if isinstance(result, list):
             keys = sorted({k for row in result for k in row})
-            lines = [",".join(keys)]
-            for row in result:
-                lines.append(",".join(json.dumps(row.get(k)) for k in keys))
-            text = "\n".join(lines) + "\n"
+            rows = [keys] + [[json.dumps(row.get(k)) for k in keys] for row in result]
         else:
-            text = "\n".join(f"{k},{v}" for k, v in _flatten(report)) + "\n"
+            rows = _flatten(report)
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        text = buf.getvalue()
     else:
         text = json.dumps(report, indent=2) + "\n"
     output = getattr(args, "output", None)

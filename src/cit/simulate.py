@@ -116,7 +116,7 @@ def sw_binning_simulate(
         for t in range(trials):
             rng = np.random.default_rng([seed, 1, t])
             xd, yd = _sample_block(rng, flat, ny, n)
-            word = int(pack_digits(xd[None, :], 1)[0])
+            word = int(xd @ (1 << np.arange(n)))
             h = AffineGf2Hash.sample(rng, n, k_bits)
             cands = h.coset(h.apply_int(word), cap=COSET_CAP)
             bits = unpack_digits(cands, n, 1)
@@ -176,6 +176,9 @@ class SimReport:
     uniformity_gap: float
     stage_bits: tuple[int, ...]
     decode_failures: int
+    # per stage, over the trial rows and the exact-leakage rows; not in to_json
+    stragglers: tuple[int, ...] = ()
+    pops: tuple[int, ...] = ()
 
     def to_json(self) -> dict:
         return {
@@ -222,6 +225,13 @@ class _Stage:
             self.identity = False
             self.k_bits = want
             self.hash = AffineGf2Hash.sample(np.random.default_rng([seed, 0, j]), self.m, want)
+            # linear hash part of digit d at position t, as Python ints
+            digit_words = (np.arange(self.size, dtype=np.uint64)[None, :]
+                           << (np.arange(n, dtype=np.uint64)[:, None] * np.uint64(self.bits_per)))
+            self.contrib = (self.hash.apply(digit_words) ^ np.uint64(self.hash.offset)).tolist()
+        # decoder counters, summed over every decode call of this stage
+        self.stragglers = 0
+        self.pops = 0
         # P(u_j = v | listener symbol, prior values), uniform on impossible contexts
         names = (self.listener,) + prior + (f"u{j}",)
         marg = tensor.marginal_array(names)
@@ -244,16 +254,20 @@ class _Stage:
         return words if self.identity else self.hash.apply(words)
 
     def decode(self, words_sent, listener_digits, prior_versions, pop_budget=POP_BUDGET):
-        """Listener estimates; returns (digits, straggler count, failures)."""
+        """Listener estimates; returns (digits, failures).
+
+        Adds the stragglers and the best-first pops to the stage counters.
+        """
         n = listener_digits.shape[1]
         if self.identity:
-            return unpack_digits(words_sent, n, self.bits_per) if self.bits_per else np.zeros_like(listener_digits), 0, 0
+            return unpack_digits(words_sent, n, self.bits_per) if self.bits_per else np.zeros_like(listener_digits), 0
         synd = self.hash.apply(words_sent)
         ctx = (listener_digits,) + tuple(prior_versions)
         first = self.amax[ctx]
         ok = self.hash.apply(pack_digits(first, self.bits_per)) == synd
         out = first.copy()
         stragglers = np.nonzero(~ok)[0]
+        self.stragglers += int(stragglers.size)
         failures = 0
         for row in stragglers:
             ll_row = self.ll[tuple(c[row] for c in ctx)]          # (n, size)
@@ -263,32 +277,45 @@ class _Stage:
                 failures += 1
             else:
                 out[row] = decoded
-        return out, int(stragglers.size), failures
+        return out, failures
 
     def _best_first(self, ll_row, order_row, syndrome, pop_budget):
         """ML over the bin: walk sequences in decreasing likelihood until the
-        hash matches. Returns None when the pop budget runs out."""
+        hash matches. Returns None when the pop budget runs out.
+
+        Each heap entry carries the syndrome of its sequence, so a pop is
+        pure Python: raising the rank at position t XORs the syndrome with
+        the linear hash parts of the old and the new digit there.
+        """
         n, size = ll_row.shape
         sorted_ll = np.take_along_axis(ll_row, order_row, axis=-1)
-        base = float(sorted_ll[:, 0].sum())
+        steps = (sorted_ll[:, 1:] - sorted_ll[:, :-1]).tolist()
+        order = order_row.tolist()
+        contrib = self.contrib
+        flips = [[contrib[t][order[t][r]] ^ contrib[t][order[t][r + 1]] for r in range(size - 1)]
+                 for t in range(n)]
+        syn = self.hash.offset
+        for t in range(n):
+            syn ^= contrib[t][order[t][0]]
         start = (0,) * n
-        heap = [(-base, start)]
+        heap = [(-float(sorted_ll[:, 0].sum()), start, syn)]
         seen = {start}
         pops = 0
+        last = size - 1
         while heap and pops < pop_budget:
-            neg, ranks = heapq.heappop(heap)
+            neg, ranks, syn = heapq.heappop(heap)
             pops += 1
-            digits = order_row[np.arange(n), list(ranks)]
-            word = int(pack_digits(digits[None, :], self.bits_per)[0])
-            if self.hash.apply_int(word) == syndrome:
-                return digits
+            if syn == syndrome:
+                self.pops += pops
+                return order_row[np.arange(n), list(ranks)]
             for t in range(n):
-                if ranks[t] + 1 < size:
-                    nxt = ranks[:t] + (ranks[t] + 1,) + ranks[t + 1:]
+                r = ranks[t]
+                if r < last:
+                    nxt = ranks[:t] + (r + 1,) + ranks[t + 1:]
                     if nxt not in seen:
                         seen.add(nxt)
-                        delta = sorted_ll[t, ranks[t] + 1] - sorted_ll[t, ranks[t]]
-                        heapq.heappush(heap, (neg - delta, nxt))
+                        heapq.heappush(heap, (neg - steps[t][r], nxt, syn ^ flips[t][r]))
+        self.pops += pops
         return None
 
 
@@ -351,7 +378,7 @@ def cr_sk_simulate(
             u_sent = st.send(sd, ver[st.speaker])
             words = pack_digits(u_sent, st.bits_per) if st.bits_per else np.zeros(rows, dtype=np.uint64)
             synds[:, st.j - 1] = st.syndrome(words)
-            decoded, _, fail = st.decode(words, ld, ver[st.listener])
+            decoded, fail = st.decode(words, ld, ver[st.listener])
             failures += fail
             ver[st.speaker].append(u_sent)
             ver[st.listener].append(decoded)
@@ -421,4 +448,6 @@ def cr_sk_simulate(
         uniformity_gap=uniformity_gap,
         stage_bits=tuple(st.k_bits for st in stages),
         decode_failures=failures,
+        stragglers=tuple(st.stragglers for st in stages),
+        pops=tuple(st.pops for st in stages),
     )

@@ -82,37 +82,46 @@ class Labeling:
 
 
 def _group_rows(rows: np.ndarray, active: np.ndarray, tol: float) -> tuple[list[int], int]:
-    """Group `active` rows by entrywise equality within `tol`.
+    """Group `active` rows into the connected components of entrywise
+    equality within `tol`, numbered in order of first appearance.
 
-    Returns a full-length class vector (inactive rows get fresh trailing
-    classes) and the number of active classes.
+    Rows chain: a and c share a class when a is within `tol` of b and b of c,
+    so the classes do not depend on the order of the rows. Returns a
+    full-length class vector (inactive rows get fresh trailing classes) and
+    the number of active classes.
     """
     n = rows.shape[0]
+    idx = np.flatnonzero(active)
+    parent = list(range(n))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for a, i in enumerate(idx):
+        later = idx[a + 1:]
+        for j in later[np.max(np.abs(rows[later] - rows[i]), axis=1) <= tol]:
+            parent[find(int(j))] = find(int(i))
     class_of = [-1] * n
-    reps: list[np.ndarray] = []
-    for i in range(n):
-        if not active[i]:
-            continue
-        for cid, rep in enumerate(reps):
-            if np.max(np.abs(rows[i] - rep)) <= tol:
-                class_of[i] = cid
-                break
-        else:
-            class_of[i] = len(reps)
-            reps.append(rows[i])
-    next_id = len(reps)
+    ids: dict[int, int] = {}
+    for i in idx:
+        class_of[i] = ids.setdefault(find(int(i)), len(ids))
+    next_id = len(ids)
     for i in range(n):
         if class_of[i] < 0:
             class_of[i] = next_id
             next_id += 1
-    return class_of, len(reps)
+    return class_of, len(ids)
 
 
 def minimal_sufficient_statistic(pmf: JointPMF, side: str = "x") -> Labeling:
     """Coarsest labeling of `side` preserving the conditional law of the other.
 
     Two positive-probability symbols share a class exactly when their
-    conditional rows agree entrywise within 1e-9.
+    conditional rows are linked by a chain of rows, each agreeing with the
+    next entrywise within 1e-9.
     """
     if side == "x":
         alphabet, mass = pmf.alphabet_x, pmf.marginal_x

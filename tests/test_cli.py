@@ -1,10 +1,13 @@
 import contextlib
+import csv
 import io
 import json
 
 import pytest
 
 from cit import chains, cli
+
+from conftest import gain_two_round_chain
 
 
 def run_cli(argv):
@@ -116,6 +119,31 @@ class TestBasicCommands:
         lines = out.strip().splitlines()
         assert len(lines) == 3
         assert "error_rate" in lines[0]
+
+    def test_simulate_csv_quotes_lists(self, tmp_path):
+        gain = [[0.1, 0.1, 0.1], [0.15, 0.1, 0.1], [0.1, 0.15, 0.1]]
+        pmf_path = tmp_path / "gain.json"
+        pmf_path.write_text(json.dumps({"x": ["0", "1", "2"], "y": ["0", "1", "2"], "p": gain}))
+        chain_path = tmp_path / "chain.json"
+        chain_path.write_text(json.dumps(gain_two_round_chain().to_json()))
+        argv = ["simulate", "crsk", "--pmf", str(pmf_path), "--chain", str(chain_path),
+                "--key-rate", "0.0", "--trials", "20", "--seed", "1", "--slack", "0.1"]
+        code, out = run_cli(argv + ["--n", "3,4", "--format", "csv"])
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        header, body = rows[0], rows[1:]
+        assert len(body) == 2
+        assert all(len(row) == len(header) for row in body)
+        _, js = run_cli(argv + ["--n", "3,4"])
+        reports = json.loads(js)["result"]
+        for row, rep in zip(body, reports):
+            assert len(rep["stage_bits"]) == 2
+            assert json.loads(row[header.index("stage_bits")]) == rep["stage_bits"]
+        # one report: the envelope flattens to key,value rows, lists included
+        code, out = run_cli(argv + ["--n", "4", "--format", "csv"])
+        flat = dict(csv.reader(io.StringIO(out)))
+        assert json.loads(flat["result.stage_bits"]) == reports[1]["stage_bits"]
+        assert json.loads(flat["config.n"]) == [4]
 
     def test_simulate_crsk(self, pmf_file):
         code, out = run_cli(["simulate", "crsk", "--pmf", pmf_file, "--n", "12",

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from cit.hashing import (
+    MAX_BITS,
     AffineGf2Hash,
+    _solve_structures,
     gf2_rank,
     pack_digits,
     sample_full_rank_rows,
@@ -21,6 +23,24 @@ class TestPacking:
     def test_word_limit(self):
         with pytest.raises(ValueError):
             pack_digits(np.zeros((1, 40), dtype=int), 2)
+        with pytest.raises(ValueError):
+            pack_digits(np.zeros((1, 64), dtype=int), 1)
+
+    @pytest.mark.parametrize("bits", [1, 3, 7, 9, 21, 63])
+    def test_round_trip_at_word_boundary(self, bits):
+        # n * bits == 63 fills the word up to its top usable bit
+        n = MAX_BITS // bits
+        rng = np.random.default_rng(bits)
+        digits = rng.integers(0, 1 << bits, size=(40, n))
+        digits[0] = (1 << bits) - 1
+        digits[1, -1] = 1 << (bits - 1)
+        words = pack_digits(digits, bits)
+        assert words.dtype == np.uint64
+        assert int(words[0]) == (1 << MAX_BITS) - 1
+        assert int(words[1]) >> (MAX_BITS - 1) == 1
+        expect = [sum(int(d) << (t * bits) for t, d in enumerate(row)) for row in digits]
+        assert [int(w) for w in words] == expect
+        assert np.array_equal(unpack_digits(words, n, bits), digits)
 
 
 class TestRankAndSolve:
@@ -84,6 +104,40 @@ class TestRankAndSolve:
         batch = h.apply(vals)
         for v, b in zip(vals, batch):
             assert h.apply_int(int(v)) == int(b)
+
+    def test_coset_matches_enumeration_up_to_m20(self):
+        rng = np.random.default_rng(7)
+        for m in (1, 5, 12, 16, 20):
+            domain = np.arange(1 << m, dtype=np.uint64)
+            for _ in range(3):
+                k = int(rng.integers(0, m + 1))
+                h = AffineGf2Hash.sample(rng, m, k)
+                s = int(rng.integers(0, 1 << k)) if k else 0
+                brute = domain[h.apply(domain) == np.uint64(s)]
+                assert np.array_equal(h.coset(s), brute)
+                # a hash built from its rows alone solves afresh, same words
+                plain = AffineGf2Hash(m, k, h.rows, h.offset)
+                assert plain == h
+                assert np.array_equal(plain.coset(s), brute)
+
+    def test_rank_deficient_rows_raise(self):
+        with pytest.raises(ValueError):
+            _solve_structures([0b011, 0b110, 0b101], 3)
+        with pytest.raises(ValueError):
+            _solve_structures([0b1010, 0], 4)
+        with pytest.raises(ValueError):
+            AffineGf2Hash(4, 2, (0b0110, 0b0110), 0).coset(0)
+        cols, null = _solve_structures([0b011, 0b110], 3)
+        assert len(cols) == 2 and len(null) == 1
+
+    def test_apply_int_matches_apply_over_sizes(self):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            m = int(rng.integers(1, MAX_BITS + 1))
+            k = int(rng.integers(0, min(m, 24) + 1))
+            h = AffineGf2Hash.sample(rng, m, k)
+            vals = rng.integers(0, 1 << m, size=8, dtype=np.uint64)
+            assert [h.apply_int(v) for v in vals] == [int(b) for b in h.apply(vals)]
 
     def test_zero_output_bits(self):
         rng = np.random.default_rng(6)

@@ -1,9 +1,13 @@
+import heapq
+
+import numpy as np
 import pytest
 
 from cit import RateInfeasible, RateOutOfRange, SizeBudgetExceeded, binary_entropy
-from cit.simulate import cr_sk_simulate, default_copy_chain, sw_binning_simulate
+from cit.simulate import _Stage, cr_sk_simulate, default_copy_chain, sw_binning_simulate
 from cit.sources import bss_pmf, gain_pmf
-from cit.chains import det_chain_search
+from cit.chains import DeterministicChain, chain_from_json, chain_tensor, det_chain_search
+from cit.hashing import pack_digits
 
 from conftest import gain_two_round_chain
 
@@ -210,3 +214,96 @@ class TestDecoderOracles:
             return -sum(m * np.log2(m) for m in ms if m > 0)
         mi = h(pk.values()) + h(pf.values()) - h(joint.values())
         assert rep.leakage == pytest.approx(max(mi, 0.0) / n, abs=1e-12)
+
+
+def reference_best_first(stage, ll_row, order_row, syndrome, pop_budget):
+    """The best-first loop that packs and hashes the sequence at every pop,
+    kept as the reference for the incremental-syndrome decoder.
+
+    Returns (digits or None, pops).
+    """
+    n, size = ll_row.shape
+    sorted_ll = np.take_along_axis(ll_row, order_row, axis=-1)
+    base = float(sorted_ll[:, 0].sum())
+    start = (0,) * n
+    heap = [(-base, start)]
+    seen = {start}
+    pops = 0
+    while heap and pops < pop_budget:
+        neg, ranks = heapq.heappop(heap)
+        pops += 1
+        digits = order_row[np.arange(n), list(ranks)]
+        word = int(pack_digits(digits[None, :], stage.bits_per)[0])
+        if stage.hash.apply_int(word) == syndrome:
+            return digits, pops
+        for t in range(n):
+            if ranks[t] + 1 < size:
+                nxt = ranks[:t] + (ranks[t] + 1,) + ranks[t + 1:]
+                if nxt not in seen:
+                    seen.add(nxt)
+                    delta = sorted_ll[t, ranks[t] + 1] - sorted_ll[t, ranks[t]]
+                    heapq.heappush(heap, (neg - delta, nxt))
+    return None, pops
+
+
+def _gain_chain(initiator):
+    chain = gain_two_round_chain()
+    return DeterministicChain(initiator, chain.sizes, chain.tables)
+
+
+class TestBestFirstReference:
+    @pytest.mark.parametrize("source", ["bss", "gain"])
+    @pytest.mark.parametrize("initiator", ["x", "y"])
+    def test_matches_reference(self, source, initiator):
+        if source == "bss":
+            pmf = bss_pmf(0.2)
+            chain = DeterministicChain(initiator, (2,), (np.array([0, 1]),))
+        else:
+            pmf = gain_pmf(0.1, 0.15, 0.15)
+            chain = _gain_chain(initiator)
+        tensor = chain_tensor(pmf, chain)
+        rng = np.random.default_rng([7, source == "gain", initiator == "y"])
+        found = exhausted = 0
+        for _ in range(12):
+            n = int(rng.integers(3, 10))
+            seed = int(rng.integers(1 << 20))
+            slack = float(rng.uniform(0.0, 0.2))
+            for j in range(1, chain.rounds + 1):
+                stage = _Stage(pmf, tensor, chain, j, n, slack, seed)
+                if stage.identity:
+                    continue
+                for _ in range(4):
+                    # a random listener context: its symbols and prior chain values
+                    ctx = tuple(rng.integers(0, dim, n) for dim in stage.ll.shape[:-1])
+                    ll_row = stage.ll[ctx]
+                    order_row = stage.like_order[ctx]
+                    syndrome = int(rng.integers(0, 1 << stage.k_bits))
+                    budget = int(rng.choice([1, 4, 30, 4096]))
+                    want, want_pops = reference_best_first(stage, ll_row, order_row,
+                                                           syndrome, budget)
+                    before = stage.pops
+                    got = stage._best_first(ll_row, order_row, syndrome, budget)
+                    assert stage.pops - before == want_pops
+                    if want is None:
+                        exhausted += 1
+                        assert got is None
+                    else:
+                        found += 1
+                        assert np.array_equal(got, want)
+        assert found and exhausted
+
+    def test_bench_pop_totals(self):
+        """Seed-0 decoder totals of the staged-scheme bench commands; the pops
+        equal the hash evaluations of the per-pop reference decoder."""
+        gain = gain_pmf(0.1, 0.15, 0.15)
+        chain = chain_from_json({"kind": "deterministic", "initiator": "x", "sizes": [2, 2],
+                                 "tables": [[0, 0, 1], [[0, 0], [1, 0], [1, 0]]]})
+        rep = cr_sk_simulate(gain, chain, n=4, key_rate=0.01, trials=200, seed=0, slack=0.1)
+        assert rep.pops == (0, 16675)
+        assert rep.stragglers == (0, 4273)
+        bss = bss_pmf(0.25)
+        rep = cr_sk_simulate(bss, default_copy_chain(bss), n=12, key_rate=0.1, trials=20,
+                             seed=0, slack=0.1)
+        assert rep.pops == (9125,)
+        assert rep.stragglers == (20,)
+        assert "pops" not in rep.to_json() and "stragglers" not in rep.to_json()

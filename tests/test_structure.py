@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,18 @@ class TestMinimalSufficientStatistic:
         lab = minimal_sufficient_statistic(pmf, "x")
         assert lab.num_classes == 1
         assert lab.class_of == (0, 0, 0)
+
+    @pytest.mark.parametrize("perm", list(itertools.permutations(range(3))))
+    def test_near_tolerance_rows_chain_in_every_order(self, perm):
+        # rows 0-1 and 1-2 agree within 1e-9, rows 0-2 do not: one class in
+        # every order; the distinct fourth row keeps a class of its own
+        rows = [[0.5, 0.5], [0.5 + 6e-10, 0.5 - 6e-10], [0.5 + 1.2e-9, 0.5 - 1.2e-9]]
+        p = [[r[0] / 4, r[1] / 4, 0.0] for r in (rows[i] for i in perm)]
+        p.append([0.0, 0.0, 0.25])
+        pmf = validate_pmf(p)
+        lab = minimal_sufficient_statistic(pmf, "x")
+        assert lab.class_of == (0, 0, 0, 1)
+        assert lab.num_classes == 2
 
     def test_zero_mass_symbols_get_own_class(self):
         pmf = validate_pmf([[0.5, 0.5], [0.0, 0.0]])
