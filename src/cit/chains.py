@@ -301,9 +301,9 @@ def chain_objective(pmf: JointPMF, chain: "AuxiliaryChain | DeterministicChain")
 
 def ci1_exact(pmf: JointPMF, initiator: str = "x") -> float:
     """Exact one-round value: the entropy of the minimal sufficient statistic."""
-    side = "x" if initiator == "x" else "y"
-    lab = structure.minimal_sufficient_statistic(pmf, side)
-    marginal = pmf.marginal_x if side == "x" else pmf.marginal_y
+    check_initiator(initiator)
+    lab = structure.minimal_sufficient_statistic(pmf, initiator)
+    marginal = pmf.marginal_x if initiator == "x" else pmf.marginal_y
     return structure.labeling_entropy(lab, marginal)
 
 
@@ -430,24 +430,6 @@ def iter_canonical_chains(
     yield from rec(0, (), ())
 
 
-def canonical_encoding(chain: DeterministicChain) -> tuple[tuple[int, ...], ...]:
-    """Relabel round values by first appearance and drop unused values."""
-    tables = [np.array(t) for t in chain.tables]
-    rounds = len(tables)
-    enc = []
-    for j in range(rounds):
-        flat = tables[j].ravel()
-        relabel: dict[int, int] = {}
-        for v in flat.tolist():
-            if v not in relabel:
-                relabel[v] = len(relabel)
-        enc.append(tuple(relabel[v] for v in flat.tolist()))
-        inv = sorted(relabel, key=relabel.get)
-        for jj in range(j + 1, rounds):
-            tables[jj] = np.take(tables[jj], inv, axis=1 + j)
-    return tuple(enc)
-
-
 def _encoding_to_chain(
     encoding: Sequence[Sequence[int]], x_size: int, y_size: int, initiator: str
 ) -> DeterministicChain:
@@ -481,7 +463,6 @@ def det_chain_search(
     size_caps: Sequence[int] | None = None,
     budget: int = 2_000_000,
     initiator: str = "x",
-    threads: int = 1,
     feasibility_tol: float = DET_FEASIBILITY_TOL,
 ) -> ChainResult:
     """Exhaustive minimum over canonical deterministic chains.
@@ -499,7 +480,6 @@ def det_chain_search(
     their encodings, and H(U^j) never decreases in j: once the best
     objective found is no larger than a prefix's H(U^j), the rest of that
     prefix's chains can at best tie and lose the tie, so they are skipped.
-    The search is single-threaded; `threads` is accepted and ignored.
     """
     nx, ny = pmf.shape
     caps = effective_caps(nx, ny, rounds, size_caps, initiator)
@@ -573,31 +553,6 @@ def det_chain_search(
     )
 
 
-def feasible_det_encodings(
-    pmf: JointPMF,
-    rounds: int,
-    size_caps: Sequence[int] | None = None,
-    initiator: str = "x",
-    feasibility_tol: float = DET_FEASIBILITY_TOL,
-    budget: int = 2_000_000,
-) -> list[tuple[tuple, float]]:
-    """All feasible canonical encodings with their objectives, in enumeration
-    order and scored on the dense joint law: the reference for audits of
-    `det_chain_search`."""
-    nx, ny = pmf.shape
-    caps = effective_caps(nx, ny, rounds, size_caps, initiator)
-    total = count_canonical_chains(nx, ny, rounds, caps, initiator)
-    if total > budget:
-        raise BudgetExceeded(f"{total} canonical chains exceed the budget {budget}")
-    out = []
-    for chain in iter_canonical_chains(nx, ny, rounds, caps, initiator):
-        q = _joint_array(pmf, chain)
-        objective, residual = _objective_residual(q)
-        if residual <= feasibility_tol:
-            out.append((tuple(tuple(t.ravel().tolist()) for t in chain.tables), objective))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # randomized chains by penalty descent
 # ---------------------------------------------------------------------------
@@ -608,7 +563,6 @@ class ChainOptConfig:
     penalty_schedule: tuple[float, ...] = (1.0, 10.0, 100.0, 1000.0)
     max_iter: int = 3000
     seed: int = 0
-    threads: int = 1  # accepted and ignored: everything runs in one thread
     det_seed_budget: int = 100_000
 
     def to_json(self) -> dict:
@@ -617,7 +571,6 @@ class ChainOptConfig:
             "penalty_schedule": list(self.penalty_schedule),
             "max_iter": self.max_iter,
             "seed": self.seed,
-            "threads": self.threads,
         }
 
 
@@ -656,27 +609,19 @@ def _chain_value_and_grad_factory(p: np.ndarray, sizes: Sequence[int], initiator
     return value_and_grad
 
 
-def _copy_chain(nx: int, ny: int, sizes: Sequence[int], initiator: str) -> DeterministicChain | None:
-    parent0 = speaker_size(1, initiator, nx, ny)
-    if sizes[0] < parent0:
-        return None
-    tables = [np.arange(parent0, dtype=int)]
-    prior: tuple[int, ...] = (int(sizes[0]),)
-    for j in range(2, len(sizes) + 1):
-        parent = speaker_size(j, initiator, nx, ny)
-        tables.append(np.zeros((parent,) + prior, dtype=int))
-        prior += (int(sizes[j - 1]),)
-    return DeterministicChain(initiator, tuple(int(s) for s in sizes), tuple(tables))
-
-
 def _constant_chain(nx: int, ny: int, sizes: Sequence[int], initiator: str) -> DeterministicChain:
-    tables = []
-    prior: tuple[int, ...] = ()
-    for j, s in enumerate(sizes, start=1):
-        parent = speaker_size(j, initiator, nx, ny)
-        tables.append(np.zeros((parent,) + prior, dtype=int))
-        prior += (int(s),)
-    return DeterministicChain(initiator, tuple(int(s) for s in sizes), tuple(tables))
+    shapes = _kernel_shapes(nx, ny, sizes, initiator)
+    tables = tuple(np.zeros(shape[:-1], dtype=int) for shape in shapes)
+    return DeterministicChain(initiator, tuple(shape[-1] for shape in shapes), tables)
+
+
+def _copy_chain(nx: int, ny: int, sizes: Sequence[int], initiator: str) -> DeterministicChain | None:
+    """Round 1 copies its speaker's symbol, later rounds are constant; None if round 1 is too small."""
+    parent = speaker_size(1, initiator, nx, ny)
+    if sizes[0] < parent:
+        return None
+    constant = _constant_chain(nx, ny, sizes, initiator)
+    return DeterministicChain(initiator, constant.sizes, (np.arange(parent),) + constant.tables[1:])
 
 
 def continuous_chain_minimize(

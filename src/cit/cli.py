@@ -19,8 +19,7 @@ import numpy as np
 
 from . import __version__, chains, protocols, rates, simulate, sources, structure, wyner
 from .errors import CitError
-from .pmf import JointPMF, entropy, load_pmf, mutual_information
-from .sources import ConstraintViolation
+from .pmf import IDENTITY_TOL, JointPMF, entropy, load_pmf, mutual_information
 
 
 def _threads_default() -> int:
@@ -29,6 +28,11 @@ def _threads_default() -> int:
         return max(1, int(env)) if env else 1
     except ValueError:
         return 1
+
+
+def _add_threads(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--threads", type=int, default=_threads_default(),
+                   help="accepted and ignored (default $CIT_THREADS); cit runs in one thread")
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -54,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="write the report to this path instead of stdout")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=_threads_default())
+        _add_threads(p)
 
     p = sub.add_parser("info", help="entropies and mutual information")
     common(p)
@@ -98,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=int, default=2)
     p.add_argument("--output", help="write the report to this path instead of stdout")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--threads", type=int, default=_threads_default())
+    _add_threads(p)
 
     p = sub.add_parser("simulate", help="Monte Carlo binning and key-agreement runs")
     p.add_argument("kind", choices=("sw", "crsk"))
@@ -120,7 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="write the report to this path instead of stdout")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=_threads_default())
+    _add_threads(p)
 
     return parser
 
@@ -221,7 +225,7 @@ def _run_check(args) -> dict:
         "identity": args.identity,
         "count": args.count,
         "max_violation": worst,
-        "pass": bool(worst <= 1e-9),
+        "pass": bool(worst <= IDENTITY_TOL),
     }
 
 
@@ -274,7 +278,7 @@ def _dispatch(args) -> int:
         pmf = load_pmf(args.pmf)
         config = wyner.WynerConfig(
             w_size=args.w_size, restarts=args.restarts, max_iter=args.max_iter,
-            penalty_schedule=args.penalty, seed=args.seed, threads=args.threads,
+            penalty_schedule=args.penalty, seed=args.seed,
         )
         res = wyner.wyner_minimize(pmf, config)
         _emit(_envelope(args, {"pmf": args.pmf, **config.to_json()}, res.to_json()), args)
@@ -296,10 +300,8 @@ def _dispatch(args) -> int:
             }
         det = None
         if args.mode in ("det", "all"):
-            det = chains.det_chain_search(
-                pmf, args.rounds, args.caps, budget=args.budget,
-                initiator=args.initiator, threads=args.threads,
-            )
+            det = chains.det_chain_search(pmf, args.rounds, args.caps, budget=args.budget,
+                                          initiator=args.initiator)
             result["det"] = det.to_json()
         if args.mode in ("cont", "all"):
             nx, ny = pmf.shape
@@ -307,8 +309,7 @@ def _dispatch(args) -> int:
                                                         args.initiator)
             cont = chains.continuous_chain_minimize(
                 pmf, args.rounds, sizes,
-                chains.ChainOptConfig(restarts=args.restarts, seed=args.seed,
-                                      threads=args.threads),
+                chains.ChainOptConfig(restarts=args.restarts, seed=args.seed),
                 initiator=args.initiator,
                 # without --sizes the det route searched these very caps
                 det_best=None if args.sizes else det,
@@ -320,7 +321,7 @@ def _dispatch(args) -> int:
     if cmd == "rates":
         pmf = load_pmf(args.pmf)
         config = rates.RateConfig(
-            rounds=args.rounds, seed=args.seed, threads=args.threads,
+            rounds=args.rounds, seed=args.seed,
             det_caps=args.caps, det_budget=args.budget,
             include_continuous=not args.no_continuous,
         )
@@ -370,17 +371,11 @@ def _dispatch(args) -> int:
             closed = chains.bss_closed_form(args.delta).to_json()
             config = {"which": "bss", "delta": args.delta, "rounds": args.rounds}
         else:
-            try:
-                pmf = sources.gain_pmf(args.a, args.b, args.c)
-            except ConstraintViolation:
-                raise
+            pmf = sources.gain_pmf(args.a, args.b, args.c)
             closed = None
             config = {"which": "gain", "a": args.a, "b": args.b, "c": args.c,
                       "rounds": args.rounds}
-        rep = rates.rate_report(
-            pmf, args.rounds,
-            rates.RateConfig(rounds=args.rounds, seed=args.seed, threads=args.threads),
-        )
+        rep = rates.rate_report(pmf, args.rounds, rates.RateConfig(rounds=args.rounds, seed=args.seed))
         result = {**rep.to_json(), "pmf": pmf.to_json()}
         if closed is not None:
             result["closed_form"] = closed

@@ -118,13 +118,6 @@ def _sample_solved(
             continue
 
 
-def sample_full_rank_rows(rng: np.random.Generator, k: int, m: int) -> list[int]:
-    """k random m-bit rows, resampled until they are linearly independent."""
-    if k > m:
-        raise ValueError(f"cannot have rank {k} in {m} dimensions")
-    return _sample_solved(rng, k, m)[0]
-
-
 @dataclass(frozen=True)
 class AffineGf2Hash:
     """x -> Ax xor b with full-row-rank A, over m-bit words into k bits.

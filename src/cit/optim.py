@@ -29,6 +29,9 @@ from .errors import NoFeasiblePoint
 
 KERNEL_FLOOR = 1e-30
 SMOOTHING = 1e-3
+STEP_SIZE = 1.0      # first step of every start in every stage
+REL_TOL = 1e-12      # an accepted step gaining at most this (relative) stalls
+PATIENCE = 25        # stalled accepted steps in a row that end a stage
 
 
 @dataclass(frozen=True)
@@ -37,10 +40,7 @@ class PenaltyConfig:
 
     penalty_schedule: tuple[float, ...] = (1.0, 10.0, 100.0, 1000.0)
     max_iter: int = 5000
-    step_size: float = 1.0
     feasibility_threshold: float = 1e-4
-    rel_tol: float = 1e-12
-    patience: int = 25
 
 
 @dataclass(frozen=True)
@@ -145,8 +145,8 @@ def _eg_stage(
     """Run one penalty stage for every start on the kernels' leading axis.
 
     Each start keeps its own step size, stall count and stop flag, and
-    leaves the active set when it stops: after `patience` accepted steps
-    that each gain at most `rel_tol` ("stall"), when its step falls below
+    leaves the active set when it stops: after PATIENCE accepted steps
+    that each gain at most REL_TOL ("stall"), when its step falls below
     1e-9 ("step_floor"), or after `max_iter` iterations ("max_iter").
     Returns the kernels, the iterations each start used and its stop reason.
     """
@@ -159,13 +159,13 @@ def _eg_stage(
     if traces is not None:
         for trace, v in zip(traces, val):
             trace.append(v)
-    step = np.full(n, cfg.step_size)
+    step = np.full(n, STEP_SIZE)
     stall = np.zeros(n, dtype=int)
     for it in range(1, cfg.max_iter + 1):
         proposal = [_eg_step(k, g, step) for k, g in zip(kernels, grads)]
         new_val, new_grads = value_and_grad(proposal, lam)
         accept = new_val <= val
-        small = val - new_val <= cfg.rel_tol * (1.0 + np.abs(new_val))
+        small = val - new_val <= REL_TOL * (1.0 + np.abs(new_val))
         kernels = [np.where(_per_start(accept, k.ndim), p, k) for p, k in zip(proposal, kernels)]
         grads = [np.where(_per_start(accept, g.ndim), h, g) for h, g in zip(new_grads, grads)]
         val = np.where(accept, new_val, val)
@@ -174,7 +174,7 @@ def _eg_stage(
         if traces is not None:
             for r, v in zip(rows[accept], val[accept]):
                 traces[r].append(v)
-        stalled = accept & (stall >= cfg.patience)
+        stalled = accept & (stall >= PATIENCE)
         floored = ~accept & (step < 1e-9)
         done = stalled | floored
         if not done.any():

@@ -23,11 +23,9 @@ from .sources import binary_symmetric_delta
 class RateConfig:
     rounds: int = 2
     seed: int = 0
-    threads: int = 1  # accepted and ignored: everything runs in one thread
     det_caps: tuple[int, ...] | None = None
     det_budget: int = 200_000
     include_continuous: bool = True
-    continuous_sizes: tuple[int, ...] | None = None
     continuous_restarts: int = 8
     continuous_max_iter: int = 2000
     wyner_restarts: int = 8
@@ -37,11 +35,9 @@ class RateConfig:
         return {
             "rounds": self.rounds,
             "seed": self.seed,
-            "threads": self.threads,
             "det_caps": list(self.det_caps) if self.det_caps else None,
             "det_budget": self.det_budget,
             "include_continuous": self.include_continuous,
-            "continuous_sizes": list(self.continuous_sizes) if self.continuous_sizes else None,
             "continuous_restarts": self.continuous_restarts,
             "continuous_max_iter": self.continuous_max_iter,
             "wyner_restarts": self.wyner_restarts,
@@ -118,16 +114,12 @@ def rate_report(pmf: JointPMF, rounds: int | None = None, config: RateConfig | N
         restarts=config.continuous_restarts,
         max_iter=config.continuous_max_iter,
         seed=config.seed,
-        threads=config.threads,
     )
     # one search per report: at caps `caps` the continuous route starts from
     # this search's chain, so the search also covers that route's budget
-    handed = run_continuous and config.continuous_sizes is None
-    budget = max(config.det_budget, cont_config.det_seed_budget) if handed else config.det_budget
+    budget = max(config.det_budget, cont_config.det_seed_budget) if run_continuous else config.det_budget
     try:
-        searched = chains.det_chain_search(
-            pmf, r, config.det_caps, budget=budget, threads=config.threads,
-        )
+        searched = chains.det_chain_search(pmf, r, config.det_caps, budget=budget)
     except (chains.BudgetExceeded, chains.NoFeasibleChain) as exc:
         # search too large or caps too tight for an exactly splitting chain;
         # the one-round values still bound the report
@@ -138,12 +130,10 @@ def rate_report(pmf: JointPMF, rounds: int | None = None, config: RateConfig | N
         seed_chains.append(searched.chain)
 
     if run_continuous:
-        sizes = caps if config.continuous_sizes is None else config.continuous_sizes
         try:
             cont = chains.continuous_chain_minimize(
-                pmf, r, sizes, cont_config,
-                extra_chains=list(seed_chains),
-                det_best=searched if handed else None,
+                pmf, r, caps, cont_config,
+                extra_chains=list(seed_chains), det_best=searched,
             )
         except NoFeasiblePoint:
             cont = None
@@ -172,7 +162,7 @@ def rate_report(pmf: JointPMF, rounds: int | None = None, config: RateConfig | N
         pmf,
         wyner.WynerConfig(
             restarts=config.wyner_restarts, max_iter=config.wyner_max_iter,
-            seed=config.seed, threads=config.threads,
+            seed=config.seed,
         ),
         extra_kernels=extra,
     )

@@ -241,7 +241,6 @@ class _Stage:
         marg = np.transpose(marg, order)
         tot = marg.sum(axis=-1, keepdims=True)
         cond = np.where(tot > 0, marg / np.where(tot > 0, tot, 1.0), 1.0 / self.size)
-        self.cond = cond
         self.ll = _safe_log(cond)
         self.amax = np.argmax(self.ll, axis=-1)
         self.like_order = np.argsort(-self.ll, axis=-1, kind="stable")

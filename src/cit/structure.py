@@ -12,7 +12,6 @@ gets a dedicated trailing class and is reported in `zero_mass_symbols`.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -280,8 +279,3 @@ def noninteractive_rate(pmf: JointPMF) -> NoninteractiveRate:
     t = pmf.to_tensor()
     mi = mutual_information(t, "x", "y")
     return NoninteractiveRate(min(h1, h2) - mi, h1, h2, mi)
-
-
-def save_labeling(labeling: Labeling, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(labeling.to_json(), fh, indent=2)

@@ -66,7 +66,6 @@ class WynerConfig:
     penalty_schedule: tuple[float, ...] = (1.0, 10.0, 100.0, 1000.0)
     max_iter: int = 5000
     seed: int = 0
-    threads: int = 1  # accepted and ignored: everything runs in one thread
 
     def to_json(self) -> dict:
         return {
@@ -75,7 +74,6 @@ class WynerConfig:
             "penalty_schedule": list(self.penalty_schedule),
             "max_iter": self.max_iter,
             "seed": self.seed,
-            "threads": self.threads,
         }
 
 

@@ -29,14 +29,19 @@ from cit import (
     wyner_minimize,
     wyner_objective,
 )
-from cit.chains import ChainOptConfig, canonical_encoding, feasible_det_encodings
-from cit.pmf import conditional_mutual_information
+from cit.chains import ChainOptConfig
+from cit.pmf import conditional_mutual_information, save_pmf
 from cit.protocols import decomposition_check, lemma1_check, random_cr_table, random_protocol
 from cit.simulate import cr_sk_simulate, default_copy_chain, sw_binning_simulate
 from cit.sources import bss_pmf, gain_pmf, random_pmf
 from cit.structure import gk_common_function
 
-from conftest import gain_two_round_chain
+from conftest import (
+    canonical_encoding,
+    cli_reports_across_threads,
+    feasible_det_encodings,
+    gain_two_round_chain,
+)
 
 H_BY_DELTA = {0.1: 0.468996, 0.25: 0.811278, 0.4: 0.970951}  # direct evaluation, 6 dp
 
@@ -324,26 +329,24 @@ def test_criterion_7_simulator_sanity():
         assert repa == repb
 
 
-def test_criterion_8_thread_count_invariance():
-    with _Criterion(8, "results identical across --threads {1, 4}"):
-        pmf = gain_pmf(0.1, 0.15, 0.15)
+def test_criterion_8_thread_count_invariance(tmp_path, monkeypatch):
+    with _Criterion(8, "results identical across --threads {1, 4} and CIT_THREADS"):
         bss = bss_pmf(0.25)
+        bss_path, gain_path = str(tmp_path / "bss.json"), str(tmp_path / "gain.json")
+        save_pmf(bss, bss_path)
+        save_pmf(gain_pmf(0.1, 0.15, 0.15), gain_path)
 
-        w1 = wyner_minimize(bss, WynerConfig(restarts=6, max_iter=1000, seed=3, threads=1))
-        w4 = wyner_minimize(bss, WynerConfig(restarts=6, max_iter=1000, seed=3, threads=4))
-        assert w1.value == w4.value and w1.residual == w4.residual
-        assert np.array_equal(w1.kernel.k, w4.kernel.k)
-
-        d1 = det_chain_search(pmf, 2, (2, 3), threads=1)
-        d4 = det_chain_search(pmf, 2, (2, 3), threads=4)
-        assert d1.objective == d4.objective and d1.encoding == d4.encoding
-
-        c1 = continuous_chain_minimize(pmf, 2, (2, 3),
-                                       ChainOptConfig(restarts=4, max_iter=800, seed=3, threads=1))
-        c4 = continuous_chain_minimize(pmf, 2, (2, 3),
-                                       ChainOptConfig(restarts=4, max_iter=800, seed=3, threads=4))
-        assert c1.objective == c4.objective
-        assert all(np.array_equal(a, b) for a, b in zip(c1.chain.kernels, c4.chain.kernels))
+        for argv in (
+            ["wyner", "--pmf", bss_path, "--restarts", "6", "--max-iter", "1000", "--seed", "3"],
+            ["ici", "--pmf", gain_path, "--rounds", "2", "--mode", "all", "--caps", "2,3",
+             "--restarts", "4", "--seed", "3"],
+            ["rates", "--pmf", gain_path, "--rounds", "2", "--seed", "3"],
+        ):
+            reports = cli_reports_across_threads(argv, monkeypatch)
+            results = [json.dumps(json.loads(r)["result"]) for r in reports]
+            assert results[0] == results[1] == results[2], argv[0]
+            # the thread count is read by the CLI only and goes into no report
+            assert "threads" not in json.loads(reports[0])["config"]
 
         s1 = sw_binning_simulate(bss, 12, 0.9, 300, seed=3)
         s2 = sw_binning_simulate(bss, 12, 0.9, 300, seed=3)

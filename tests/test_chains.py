@@ -21,15 +21,17 @@ from cit import (
     noninteractive_rate,
     validate_pmf,
 )
-from cit.chains import (
-    canonical_encoding,
-    chain_from_json,
-    count_canonical_chains,
-    feasible_det_encodings,
-)
+from cit.chains import chain_from_json, count_canonical_chains
+from cit.pmf import save_pmf
 from cit.sources import bss_pmf, gain_pmf, random_pmf
 
-from conftest import gain_two_round_chain, random_full_pmf
+from conftest import (
+    canonical_encoding,
+    cli_reports_across_threads,
+    feasible_det_encodings,
+    gain_two_round_chain,
+    random_full_pmf,
+)
 
 # direct evaluations of the gain-source closed forms (a=0.1, b=c=0.15)
 GAIN_H_X = 1.5812908992306927
@@ -140,6 +142,10 @@ class TestCi1:
     def test_gain(self, gain):
         assert ci1_exact(gain, "x") == pytest.approx(GAIN_H_X, abs=1e-9)
 
+    def test_unknown_initiator_raises(self, gain):
+        with pytest.raises(ValueError, match="initiator"):
+            ci1_exact(gain, "z")
+
 
 class TestDetSearch:
     def test_bss_interaction_does_not_help(self, bss25):
@@ -184,11 +190,13 @@ class TestDetSearch:
             v_x2 = det_chain_search(pmf, 2, (1, 3), initiator="x").objective
             assert v_x2 <= v_y + 1e-12
 
-    def test_thread_partition_identical(self, gain):
-        a = det_chain_search(gain, 2, (2, 3), threads=1)
-        b = det_chain_search(gain, 2, (2, 3), threads=4)
-        assert a.objective == b.objective
-        assert a.encoding == b.encoding
+    def test_thread_partition_identical(self, gain, tmp_path, monkeypatch):
+        # only the CLI reads a thread count, and the search ignores it
+        path = str(tmp_path / "gain.json")
+        save_pmf(gain, path)
+        argv = ["ici", "--pmf", path, "--rounds", "2", "--mode", "det", "--caps", "2,3"]
+        one, four, env = cli_reports_across_threads(argv, monkeypatch)
+        assert one == four == env
 
 
 def _reference_search(pmf, rounds, caps, initiator="x"):

@@ -7,7 +7,6 @@ from cit.hashing import (
     _solve_structures,
     gf2_rank,
     pack_digits,
-    sample_full_rank_rows,
     unpack_digits,
 )
 
@@ -50,12 +49,12 @@ class TestRankAndSolve:
         assert gf2_rank([0, 0]) == 0
 
     def test_sampled_rows_full_rank(self):
+        # the sampler the simulators run draws full-row-rank maps
         rng = np.random.default_rng(1)
         for _ in range(50):
             m = int(rng.integers(2, 20))
             k = int(rng.integers(1, m + 1))
-            rows = sample_full_rank_rows(rng, k, m)
-            assert gf2_rank(rows) == k
+            assert gf2_rank(AffineGf2Hash.sample(rng, m, k).rows) == k
 
     def test_affine_map_uniform_over_bins(self):
         # a full-row-rank affine map sends the whole domain onto every bin

@@ -14,7 +14,7 @@ import pytest
 
 from cit import chains, validate_pmf, wyner
 from cit.chains import ChainOptConfig, continuous_chain_minimize
-from cit.optim import _eg_step, _normalize_slices
+from cit.optim import PATIENCE, REL_TOL, STEP_SIZE, _eg_step, _normalize_slices
 from cit.sources import bss_pmf, gain_pmf, random_pmf
 from cit.wyner import WynerConfig, wyner_minimize
 
@@ -36,7 +36,7 @@ def _single(value_and_grad, kernels, lam):
 def _reference_stage(kernels, lam, value_and_grad, cfg, trace):
     val, grads = _single(value_and_grad, kernels, lam)
     trace.append(val)
-    step = cfg.step_size
+    step = STEP_SIZE
     stall = 0
     it = 0
     while it < cfg.max_iter:
@@ -49,8 +49,8 @@ def _reference_stage(kernels, lam, value_and_grad, cfg, trace):
             kernels, val, grads = proposal, new_val, new_grads
             trace.append(val)
             step = min(step * 1.25, 64.0)
-            stall = stall + 1 if improvement <= cfg.rel_tol * (1.0 + abs(val)) else 0
-            if stall >= cfg.patience:
+            stall = stall + 1 if improvement <= REL_TOL * (1.0 + abs(val)) else 0
+            if stall >= PATIENCE:
                 return kernels, it, "stall"
         else:
             step *= 0.5
