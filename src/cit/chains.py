@@ -214,6 +214,9 @@ class ChainResult:
     feasible: bool
     encoding: tuple | None = None
     candidates: tuple[tuple[str, float, float], ...] = field(default=())
+    # deterministic search only: chains scored, and chains skipped by prefix pruning
+    chains_scored: int | None = None
+    chains_skipped: int | None = None
 
     def to_json(self) -> dict:
         return {
@@ -393,21 +396,29 @@ def effective_caps(
     return tuple(caps)
 
 
+def _completions(
+    x_size: int, y_size: int, rounds: int, caps: Sequence[int], initiator: str
+):
+    """`count(j, prod)`: the canonical chains that complete a j-round prefix
+    whose round sizes multiply to `prod`."""
+    caps = tuple(int(c) for c in caps)
+
+    @lru_cache(maxsize=None)
+    def count(j: int, prod: int) -> int:
+        if j == rounds:
+            return 1
+        cells = speaker_size(j + 1, initiator, x_size, y_size) * prod
+        return sum(_stirling2(cells, used) * count(j + 1, prod * used)
+                   for used in range(1, min(caps[j], cells) + 1))
+
+    return count
+
+
 def count_canonical_chains(
     x_size: int, y_size: int, rounds: int, caps: Sequence[int], initiator: str = "x"
 ) -> int:
     """Number of canonical deterministic chains under the given caps."""
-    caps = tuple(int(c) for c in caps)
-
-    @lru_cache(maxsize=None)
-    def rec(j: int, prod: int) -> int:
-        if j == rounds:
-            return 1
-        cells = speaker_size(j + 1, initiator, x_size, y_size) * prod
-        return sum(_stirling2(cells, used) * rec(j + 1, prod * used)
-                   for used in range(1, min(caps[j], cells) + 1))
-
-    return rec(0, 1)
+    return _completions(x_size, y_size, rounds, caps, initiator)(0, 1)
 
 
 def iter_canonical_chains(
@@ -483,7 +494,8 @@ def det_chain_search(
     """
     nx, ny = pmf.shape
     caps = effective_caps(nx, ny, rounds, size_caps, initiator)
-    total = count_canonical_chains(nx, ny, rounds, caps, initiator)
+    completions = _completions(nx, ny, rounds, caps, initiator)
+    total = completions(0, 1)
     if total > budget:
         raise BudgetExceeded(f"{total} canonical chains exceed the budget {budget}")
 
@@ -491,6 +503,7 @@ def det_chain_search(
     xs, ys = np.divmod(np.arange(nx * ny), ny)
     h_xy = float(_row_entropy(p[None, :])[0])
     best = np.inf
+    scored = skipped = 0
     # feasible chains within TIE_TOL of `best`, in enumeration order, which
     # is the lexicographic order of encodings
     ties: list[tuple[float, tuple]] = []
@@ -513,25 +526,34 @@ def det_chain_search(
 
     def search(j, atoms, n_atoms, prefix, h_prefix):
         """Round j+1 after a prefix whose atom of each (x, y) cell is
-        `atoms` and whose entropy is `h_prefix`."""
+        `atoms` and whose entropy is `h_prefix`; counts every chain under
+        the prefix as scored or skipped."""
+        nonlocal scored, skipped
         speaks_x = speaker_of(j + 1, initiator) == "x"
         cells = (nx if speaks_x else ny) * n_atoms
         cap = min(caps[j], cells)
         index = (xs if speaks_x else ys) * n_atoms + atoms   # table cell of each (x, y)
+        reached = 0   # chains under the words taken so far
         for block in _rgs_blocks(cells, cap):
             for start in range(0, len(block), SCORE_ROWS):
                 if h_prefix >= best - PRUNE_SLACK:
+                    skipped += completions(j, n_atoms) - reached
                     return
                 words = block[start:start + SCORE_ROWS]
                 atom = atoms * cap + words[:, index]
                 if j == rounds - 1:
                     score_last(words, atom, n_atoms * cap, prefix)
+                    scored += len(words)
+                    reached += len(words)
                     continue
                 h_u = _row_entropy(_masses(atom, n_atoms * cap, p))
-                for word, h in zip(words, h_u):
+                for word, h, top in zip(words, h_u, words.max(axis=1).tolist()):
+                    used = top + 1
+                    below = completions(j + 1, n_atoms * used)
+                    reached += below
                     if h >= best - PRUNE_SLACK:
+                        skipped += below
                         continue
-                    used = int(word.max()) + 1
                     search(j + 1, atoms * used + word[index], n_atoms * used,
                            prefix + (tuple(word.tolist()),), float(h))
 
@@ -550,6 +572,8 @@ def det_chain_search(
         chain=best_chain,
         feasible=result.residual <= feasibility_tol,
         encoding=encoding,
+        chains_scored=scored,
+        chains_skipped=skipped,
     )
 
 
@@ -593,7 +617,7 @@ def _chain_value_and_grad_factory(p: np.ndarray, sizes: Sequence[int], initiator
 
     def value_and_grad(kernels, lam):
         q = _product_law(p, kernels, initiator)
-        values, dlog = penalized_information(q, q.sum(axis=tuple(range(3, q.ndim))), lam)
+        values, dlog = penalized_information(q, lam)
         g_cell = q * dlog
 
         grads = []

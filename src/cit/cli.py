@@ -22,17 +22,21 @@ from .errors import CitError
 from .pmf import IDENTITY_TOL, JointPMF, entropy, load_pmf, mutual_information
 
 
-def _threads_default() -> int:
-    env = os.environ.get("CIT_THREADS")
+def _thread_count(text: str) -> int:
+    """A thread count: a positive integer, or a usage error naming `text`."""
     try:
-        return max(1, int(env)) if env else 1
+        count = int(text)
     except ValueError:
-        return 1
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"thread count must be a positive integer, got {text!r}")
+    return count
 
 
 def _add_threads(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threads", type=int, default=_threads_default(),
-                   help="accepted and ignored (default $CIT_THREADS); cit runs in one thread")
+    p.add_argument("--threads", type=_thread_count, default=None,
+                   help="a positive integer, accepted and ignored (default $CIT_THREADS, "
+                        "else 1); cit runs in one thread")
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -233,6 +237,12 @@ def run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.threads is None:
+            env = os.environ.get("CIT_THREADS") or "1"
+            try:
+                args.threads = _thread_count(env)
+            except argparse.ArgumentTypeError as exc:
+                parser.error(f"$CIT_THREADS: {exc}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -69,10 +69,6 @@ def _reduce(rows: list[int], m: int) -> list[tuple[int, int]]:
     return basis
 
 
-def gf2_rank(rows: list[int]) -> int:
-    return len(_reduce(rows, max((r.bit_length() for r in rows), default=0)))
-
-
 def _solve_structures(rows: list[int], m: int) -> tuple[list[int], list[int]]:
     """Right-inverse columns and a null-space basis for full-row-rank rows.
 

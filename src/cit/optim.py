@@ -66,11 +66,14 @@ class PenaltyOutcome:
     iterations: int
     # per optimized start, one value trace per penalty stage
     descent_traces: list[list[np.ndarray]] = field(default_factory=list)
+    # value-and-grad calls per penalty stage: its slowest start's iterations + 1
+    calls: tuple[int, ...] = ()
 
 
 def _normalize_slices(k: np.ndarray) -> np.ndarray:
-    k = np.clip(k, KERNEL_FLOOR, None)
-    return k / k.sum(axis=-1, keepdims=True)
+    k = np.maximum(k, KERNEL_FLOOR)
+    k /= k.sum(axis=-1, keepdims=True)
+    return k
 
 
 def _per_start(v: np.ndarray, ndim: int) -> np.ndarray:
@@ -80,9 +83,10 @@ def _per_start(v: np.ndarray, ndim: int) -> np.ndarray:
 
 def _eg_step(k: np.ndarray, g: np.ndarray, step: np.ndarray) -> np.ndarray:
     """Multiplicative simplex step, one step size per start, in log space."""
-    z = np.log(np.clip(k, KERNEL_FLOOR, None)) - _per_start(step, k.ndim) * g
+    z = np.log(np.maximum(k, KERNEL_FLOOR))
+    z -= _per_start(step, k.ndim) * g
     z -= z.max(axis=-1, keepdims=True)
-    return _normalize_slices(np.exp(z))
+    return _normalize_slices(np.exp(z, out=z))
 
 
 def smooth(kernel: np.ndarray, eps: float = SMOOTHING) -> np.ndarray:
@@ -96,37 +100,49 @@ def _safe_log2(a: np.ndarray) -> np.ndarray:
     return np.log2(np.where(a > 0, a, 1.0))
 
 
+def fixed_xy(p: np.ndarray) -> tuple[float, np.ndarray]:
+    """(sum of p log2 p, log2 p) of a law p(x, y) that stays fixed over a
+    descent, for `penalized_information`'s `xy`."""
+    lp = _safe_log2(p)
+    return (p * lp).sum(), lp
+
+
 def penalized_information(
-    q: np.ndarray, m_xy: np.ndarray, lam: float
+    q: np.ndarray, lam: float, xy: tuple[float, np.ndarray] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """I(X,Y;U) + lam * I(X;Y|U) in bits per start, and the per-cell log-derivative.
 
     `q` holds one dense law over (X, Y, U_1, ..., U_r) per start on its
-    leading axis; H(X,Y) is taken from the caller's `m_xy`, shaped
-    (starts, X, Y). Each entropy adds a start's cells in the order of a flat
-    `.sum()` over them, so every start gets the bits it would get alone.
-    Per cell, up to additive constants,
+    leading axis. H(X,Y) and log2 p(x, y) come from `xy` (see `fixed_xy`)
+    when the (X, Y) law is fixed, and otherwise from each start's own
+    (X, Y) marginal of `q`. Each entropy adds a start's cells in the order
+    of a flat `.sum()` over them, so every start gets the bits it would get
+    alone. Where every cell of `q` is positive, so is every marginal, and
+    the logs skip the zero test. Per cell, up to additive constants,
     dlog = (1+lam)log q - log m_xy - (1-lam)log m_u - lam log m_xu - lam log m_yu.
     """
     n = len(q)
-    m_u = q.sum(axis=(1, 2))
-    m_xu = q.sum(axis=2)
-    m_yu = q.sum(axis=1)
-    laws = (q, m_xy, m_u, m_xu, m_yu)
-    lq, lxy, lu, lxu, lyu = logs = [_safe_log2(a) for a in laws]
-    h_q, h_xy, h_u, h_xu, h_yu = (
-        -(a * la).reshape(n, -1).sum(axis=1) for a, la in zip(laws, logs)
-    )
-    objective = h_xy + h_u - h_q
-    residual = h_xu + h_yu - h_u - h_q
-    dlog = (
-        (1.0 + lam) * lq
-        - lxy.reshape(lxy.shape + (1,) * (q.ndim - 3))
-        - (1.0 - lam) * lu[:, None, None]
-        - lam * lxu[:, :, None]
-        - lam * lyu[:, None]
-    )
-    return objective + lam * residual, dlog
+    log2 = np.log2 if q.min() > 0 else _safe_log2
+
+    def plogp(a):
+        # sum of a log2 a per start: the entropy negated, with the same bits,
+        # since rounding is sign-symmetric; 0.0 - v keeps an exact zero +0.0
+        la = log2(a)
+        return (a * la).reshape(n, -1).sum(axis=1), la
+
+    s_q, lq = plogp(q)
+    s_u, lu = plogp(q.sum(axis=(1, 2)))
+    s_xu, lxu = plogp(q.sum(axis=2))
+    s_yu, lyu = plogp(q.sum(axis=1))
+    s_xy, lxy = plogp(q.sum(axis=tuple(range(3, q.ndim)))) if xy is None else xy
+    neg_objective = s_xy + s_u - s_q
+    neg_residual = s_xu + s_yu - s_u - s_q
+    dlog = (1.0 + lam) * lq
+    dlog -= lxy.reshape(lxy.shape + (1,) * (q.ndim - 3))
+    dlog -= (1.0 - lam) * lu[:, None, None]
+    dlog -= lam * lxu[:, :, None]
+    dlog -= lam * lyu[:, None]
+    return 0.0 - (neg_objective + lam * neg_residual), dlog
 
 
 def renormalize(k: np.ndarray) -> np.ndarray:
@@ -141,14 +157,17 @@ def _eg_stage(
     value_and_grad: Callable,
     cfg: PenaltyConfig,
     traces: list[list[float]] | None,
-) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, int]:
     """Run one penalty stage for every start on the kernels' leading axis.
 
     Each start keeps its own step size, stall count and stop flag, and
     leaves the active set when it stops: after PATIENCE accepted steps
     that each gain at most REL_TOL ("stall"), when its step falls below
     1e-9 ("step_floor"), or after `max_iter` iterations ("max_iter").
-    Returns the kernels, the iterations each start used and its stop reason.
+    A step size shrinks only when its start rejects a step and a stall
+    count grows only when it accepts one, so neither test needs the accept
+    flags. Returns the kernels, the iterations each start used, its stop
+    reason, and the number of value-and-grad calls the stage made.
     """
     n = len(kernels[0])
     out = [k.copy() for k in kernels]
@@ -156,6 +175,7 @@ def _eg_stage(
     stops = np.full(n, "max_iter", dtype=object)
     rows = np.arange(n)
     val, grads = value_and_grad(kernels, lam)
+    calls = 1
     if traces is not None:
         for trace, v in zip(traces, val):
             trace.append(v)
@@ -164,36 +184,46 @@ def _eg_stage(
     for it in range(1, cfg.max_iter + 1):
         proposal = [_eg_step(k, g, step) for k, g in zip(kernels, grads)]
         new_val, new_grads = value_and_grad(proposal, lam)
+        calls += 1
         accept = new_val <= val
         small = val - new_val <= REL_TOL * (1.0 + np.abs(new_val))
-        kernels = [np.where(_per_start(accept, k.ndim), p, k) for p, k in zip(proposal, kernels)]
-        grads = [np.where(_per_start(accept, g.ndim), h, g) for h, g in zip(new_grads, grads)]
-        val = np.where(accept, new_val, val)
-        step = np.where(accept, np.minimum(step * 1.25, 64.0), step * 0.5)
-        stall = np.where(accept, np.where(small, stall + 1, 0), stall)
-        if traces is not None:
-            for r, v in zip(rows[accept], val[accept]):
-                traces[r].append(v)
-        stalled = accept & (stall >= PATIENCE)
-        floored = ~accept & (step < 1e-9)
-        done = stalled | floored
+        if accept.all():
+            kernels, grads, val = proposal, new_grads, new_val
+            step = np.minimum(step * 1.25, 64.0)
+            stall = np.where(small, stall + 1, 0)
+            done = stall >= PATIENCE
+            if traces is not None:
+                for r, v in zip(rows, val):
+                    traces[r].append(v)
+        else:
+            kernels = [np.where(_per_start(accept, k.ndim), p, k)
+                       for p, k in zip(proposal, kernels)]
+            grads = [np.where(_per_start(accept, g.ndim), h, g) for h, g in zip(new_grads, grads)]
+            val = np.where(accept, new_val, val)
+            step = np.where(accept, np.minimum(step * 1.25, 64.0), step * 0.5)
+            stall = np.where(accept, np.where(small, stall + 1, 0), stall)
+            done = (stall >= PATIENCE) | (step < 1e-9)
+            if traces is not None:
+                for r, v in zip(rows[accept], val[accept]):
+                    traces[r].append(v)
         if not done.any():
             continue
+        stalled = stall >= PATIENCE
         stops[rows[stalled]] = "stall"
-        stops[rows[floored]] = "step_floor"
+        stops[rows[done & ~stalled]] = "step_floor"
         used[rows[done]] = it
         for o, k in zip(out, kernels):
             o[rows[done]] = k[done]
         keep = ~done
         rows = rows[keep]
         if not rows.size:
-            return out, used, stops
+            return out, used, stops, calls
         kernels = [k[keep] for k in kernels]
         grads = [g[keep] for g in grads]
         val, step, stall = val[keep], step[keep], stall[keep]
     for o, k in zip(out, kernels):
         o[rows] = k
-    return out, used, stops
+    return out, used, stops, calls
 
 
 def penalized_minimize(
@@ -222,6 +252,7 @@ def penalized_minimize(
 
     traces: list[list[np.ndarray]] = []
     iterations = 0
+    calls: list[int] = []
     if seeded_starts:
         n = len(seeded_starts)
         kernels = [_normalize_slices(np.stack(ks))
@@ -231,8 +262,10 @@ def penalized_minimize(
         traces = [[] for _ in range(n)] if keep_traces else []
         for lam in cfg.penalty_schedule:
             stage: list[list[float]] | None = [[] for _ in range(n)] if keep_traces else None
-            kernels, stage_used, stage_stops = _eg_stage(kernels, lam, value_and_grad, cfg, stage)
+            kernels, stage_used, stage_stops, stage_calls = _eg_stage(
+                kernels, lam, value_and_grad, cfg, stage)
             used += stage_used
+            calls.append(stage_calls)
             stops.append(stage_stops)
             if keep_traces:
                 # one trace per stage; monotonicity holds within a stage only
@@ -252,7 +285,7 @@ def penalized_minimize(
             f"no candidate reached residual <= {cfg.feasibility_threshold}"
         )
     best = min(feasible, key=lambda c: c.sort_key)
-    return PenaltyOutcome(best, candidates, iterations, traces)
+    return PenaltyOutcome(best, candidates, iterations, traces, tuple(calls))
 
 
 def dirichlet_starts(

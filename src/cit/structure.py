@@ -58,18 +58,6 @@ class Labeling:
         np.add.at(out, np.asarray(self.class_of), np.asarray(marginal, dtype=float))
         return out
 
-    def is_identity(self) -> bool:
-        return self.num_classes == self.alphabet.size
-
-    def refines(self, other: "Labeling") -> bool:
-        """True when `other` is a function of this labeling."""
-        seen: dict[int, int] = {}
-        for mine, theirs in zip(self.class_of, other.class_of):
-            if mine in seen and seen[mine] != theirs:
-                return False
-            seen[mine] = theirs
-        return True
-
     def to_json(self) -> dict:
         return {"classes": self.classes()}
 

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import structure
 from .errors import KernelInvalid
-from .optim import (PenaltyConfig, PenaltyOutcome, dirichlet_starts, penalized_information,
-                    penalized_minimize, renormalize, smooth)
+from .optim import (PenaltyConfig, PenaltyOutcome, dirichlet_starts, fixed_xy,
+                    penalized_information, penalized_minimize, renormalize, smooth)
 from .pmf import (
     FiniteAlphabet,
     JointPMF,
@@ -132,15 +132,17 @@ def _value_and_grad_factory(p: np.ndarray):
     batch of kernels on the leading axis.
 
     The gradient is `optim.penalized_information`'s log-derivative with
-    H(X,Y) taken from p, zero on the pairs p leaves out.
+    H(X,Y) and log2 p taken once from p, zero on the pairs p leaves out.
     """
-    support = p[:, :, None] > 0
+    p3 = p[:, :, None]
+    xy = fixed_xy(p)
+    support = p3 > 0
+    full = bool(support.all())
 
     def value_and_grad(kernels, lam):
         (k,) = kernels
-        m_xy = np.broadcast_to(p, (len(k),) + p.shape)
-        values, dlog = penalized_information(p[:, :, None] * k, m_xy, lam)
-        return values, [np.where(support, dlog, 0.0)]
+        values, dlog = penalized_information(p3 * k, lam, xy)
+        return values, [dlog if full else np.where(support, dlog, 0.0)]
 
     return value_and_grad
 

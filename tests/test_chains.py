@@ -21,7 +21,7 @@ from cit import (
     noninteractive_rate,
     validate_pmf,
 )
-from cit.chains import chain_from_json, count_canonical_chains
+from cit.chains import chain_from_json, count_canonical_chains, effective_caps
 from cit.pmf import save_pmf
 from cit.sources import bss_pmf, gain_pmf, random_pmf
 
@@ -235,6 +235,21 @@ class TestDetSearchEquivalence:
         res = det_chain_search(pmf, rounds, caps, initiator=initiator)
         assert res.encoding == encoding
         assert abs(res.objective - low) <= 1e-12
+
+    @pytest.mark.parametrize("pmf, rounds, caps, initiator", [
+        (GAIN, 2, (4, 4), "x"),
+        (GAIN, 2, (4, 4), "y"),
+        (_random3(0), 3, (2, 2, 2), "x"),
+        (_random3(0), 3, (2, 2, 2), "y"),
+    ], ids=["gain-x", "gain-y", "rand0-r3-x", "rand0-r3-y"])
+    def test_counters_cover_the_canonical_space(self, pmf, rounds, caps, initiator):
+        res = det_chain_search(pmf, rounds, caps, initiator=initiator)
+        total = count_canonical_chains(*pmf.shape, rounds,
+                                       effective_caps(*pmf.shape, rounds, caps, initiator),
+                                       initiator)
+        assert res.chains_scored > 0 and res.chains_skipped > 0
+        assert res.chains_scored + res.chains_skipped == total
+        assert not {"chains_scored", "chains_skipped"} & set(res.to_json())
 
     def test_gain_winner_pinned(self):
         # six exactly tied minima; the smallest encoding wins

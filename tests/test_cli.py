@@ -218,3 +218,24 @@ class TestErrorsAndIO:
         monkeypatch.setenv("CIT_THREADS", "4")
         code, out = run_cli(["info", "--pmf", pmf_file])
         assert code == 0
+
+    @pytest.mark.parametrize("value", ["-3", "0", "abc", "2.5"])
+    def test_threads_rejects_what_is_no_thread_count(self, pmf_file, value, capsys):
+        code, out = run_cli(["gk", "--pmf", pmf_file, "--threads", value])
+        assert (code, out) == (2, "")
+        assert f"--threads: thread count must be a positive integer, got {value!r}" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-3", "0", "abc"])
+    def test_threads_env_rejects_what_is_no_thread_count(self, pmf_file, value, monkeypatch,
+                                                         capsys):
+        monkeypatch.setenv("CIT_THREADS", value)
+        code, out = run_cli(["gk", "--pmf", pmf_file])
+        assert (code, out) == (2, "")
+        assert f"$CIT_THREADS: thread count must be a positive integer, got {value!r}" in \
+            capsys.readouterr().err
+
+    def test_threads_flag_overrides_env(self, pmf_file, monkeypatch):
+        monkeypatch.setenv("CIT_THREADS", "abc")
+        code, _ = run_cli(["gk", "--pmf", pmf_file, "--threads", "1"])
+        assert code == 0

@@ -25,7 +25,7 @@ from cit.chains import (
     _objective_residual,
     _product_law,
 )
-from cit.optim import dirichlet_starts, penalized_information
+from cit.optim import dirichlet_starts, fixed_xy, penalized_information
 from cit.sources import random_pmf
 from cit.wyner import AuxKernel, _value_and_grad_factory, wyner_objective
 
@@ -102,7 +102,7 @@ class TestPenalizedInformation:
         rng = np.random.default_rng(17)
         pmf = random_pmf(rng, 3, 2)
         k = rng.dirichlet(np.ones(5), size=6).reshape(3, 2, 5)
-        (value,), _ = penalized_information((pmf.p[:, :, None] * k)[None], pmf.p[None], lam)
+        (value,), _ = penalized_information((pmf.p[:, :, None] * k)[None], lam, fixed_xy(pmf.p))
         objective, residual = wyner_objective(pmf, AuxKernel(5, k))
         assert abs(value - (objective + lam * residual)) <= 1e-12
 
@@ -113,6 +113,6 @@ class TestPenalizedInformation:
         pmf = random_pmf(np.random.default_rng(19), 2, 3)
         [(_, kernels)] = dirichlet_starts(19, 1, _kernel_shapes(2, 3, sizes, initiator))
         q = _product_law(pmf.p, [k[None] for k in kernels], initiator)
-        (value,), _ = penalized_information(q, q.sum(axis=tuple(range(3, q.ndim))), lam)
+        (value,), _ = penalized_information(q, lam)
         objective, residual = _objective_residual(q[0])
         assert abs(value - (objective + lam * residual)) <= 1e-12

@@ -4,11 +4,16 @@ import pytest
 from cit.hashing import (
     MAX_BITS,
     AffineGf2Hash,
+    _reduce,
     _solve_structures,
-    gf2_rank,
     pack_digits,
     unpack_digits,
 )
+
+
+def gf2_rank(rows: list[int]) -> int:
+    """Rank over GF(2) of bit rows (reference for the tests)."""
+    return len(_reduce(rows, max((r.bit_length() for r in rows), default=0)))
 
 
 class TestPacking:

@@ -5,14 +5,24 @@ reference below is the loop it replaced: one start, one stage at a time,
 built on the same value-and-grad routines and `_eg_step` called with a
 batch of one. Both must give the same bits: every candidate's objective and
 residual, its kernels, its iteration count, its stop reasons and its traces.
+
+Because the reference shares those routines, it cannot see a change inside
+them. `golden_descent.json` pins their bits independently: values recorded
+from the descent before its iteration was trimmed to fewer array calls, to
+be re-recorded only by a change that means to move a bound.
 """
 
+import contextlib
+import hashlib
+import io
+import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cit import chains, validate_pmf, wyner
+from cit import chains, cli, validate_pmf, wyner
 from cit.chains import ChainOptConfig, continuous_chain_minimize
 from cit.optim import PATIENCE, REL_TOL, STEP_SIZE, _eg_step, _normalize_slices
 from cit.sources import bss_pmf, gain_pmf, random_pmf
@@ -104,6 +114,9 @@ def _assert_matches_reference(seen):
         assert [t.tobytes() for t in trace] == [t.tobytes() for t in ref.traces]
         refs.append(ref)
     assert outcome.iterations == sum(c.iterations for c in optimized)
+    # one value-and-grad call per iteration of the stage's slowest start, plus the first
+    assert outcome.calls == tuple(max(ref.stages[s][0] for ref in refs) + 1
+                                  for s in range(len(seen["cfg"].penalty_schedule)))
     return refs
 
 
@@ -163,3 +176,67 @@ def test_stop_reasons_name_stages_cut_at_max_iter(bss25, monkeypatch):
     for ref in refs:
         for used, reason in ref.stages:
             assert (reason == "max_iter") == (used == config.max_iter)
+
+
+GOLDEN = json.loads((Path(__file__).parent / "golden_descent.json").read_text())
+
+
+def _golden_summary(outcome) -> dict:
+    digest = hashlib.sha256()
+    for cand in outcome.candidates:
+        for k in cand.kernels:
+            digest.update(np.ascontiguousarray(k, dtype=float).tobytes())
+    for stage_traces in outcome.descent_traces:
+        for trace in stage_traces:
+            digest.update(trace.tobytes())
+    return {
+        "calls": list(outcome.calls),
+        "sha256": digest.hexdigest(),
+        "candidates": [[c.label, float(c.objective).hex(), float(c.residual).hex(),
+                        c.iterations, list(c.stops)] for c in outcome.candidates],
+    }
+
+
+@pytest.mark.parametrize("case", sorted(WYNER_CASES))
+def test_wyner_golden_bits(case):
+    make, config = WYNER_CASES[case]
+    _, outcome = wyner_minimize(make(), config, keep_traces=True)
+    assert _golden_summary(outcome) == GOLDEN["descents"][f"wyner-{case}"]
+
+
+@pytest.mark.parametrize("initiator", ["x", "y"])
+def test_chain_golden_bits(initiator):
+    _, outcome = continuous_chain_minimize(
+        gain_pmf(0.1, 0.15, 0.15), 2, (2, 3), ChainOptConfig(restarts=3, max_iter=300),
+        keep_traces=True, initiator=initiator)
+    assert _golden_summary(outcome) == GOLDEN["descents"][f"chain-gain-{initiator}"]
+
+
+def _bench_source(name: str) -> np.ndarray:
+    """The benchmark's fixed sources, before any relabeling."""
+    if name == "bss":
+        return np.array([[0.375, 0.125], [0.125, 0.375]])
+    if name == "gain":
+        return np.array([[0.1, 0.1, 0.1], [0.15, 0.1, 0.1], [0.1, 0.15, 0.1]])
+    tag, side = {"rand3-0": (0, 3), "rand3-4": (4, 3), "rand4-0": (0, 4)}[name]
+    return np.random.default_rng([tag, side]).dirichlet(np.ones(side * side)).reshape(side, side)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN["bench_rates_calls"]))
+def test_report_descent_calls_per_stage(name, tmp_path, monkeypatch):
+    """`cit rates --rounds 2` makes as many value-and-grad calls per penalty
+    stage as recorded: a faster descent must not take fewer steps."""
+    p = _bench_source(name)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"x": [str(i) for i in range(p.shape[0])],
+                                "y": [str(j) for j in range(p.shape[1])], "p": p.tolist()}))
+    seen = []
+    for module in (chains, wyner):
+        def capture(*args, _minimize=module.penalized_minimize, _name=module.__name__, **kwargs):
+            outcome = _minimize(*args, **kwargs)
+            seen.append([_name.rsplit(".", 1)[-1], list(outcome.calls)])
+            return outcome
+        monkeypatch.setattr(module, "penalized_minimize", capture)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(["rates", "--pmf", str(path), "--rounds", "2", "--threads", "1"]) == 0
+    assert seen == GOLDEN["bench_rates_calls"][name]

@@ -24,6 +24,21 @@ from cit.sources import random_pmf
 from conftest import random_full_pmf
 
 
+def is_identity(lab: Labeling) -> bool:
+    """Every symbol has a class of its own."""
+    return lab.num_classes == lab.alphabet.size
+
+
+def refines(lab: Labeling, other: Labeling) -> bool:
+    """True when `other` is a function of `lab`."""
+    seen: dict[int, int] = {}
+    for mine, theirs in zip(lab.class_of, other.class_of):
+        if mine in seen and seen[mine] != theirs:
+            return False
+        seen[mine] = theirs
+    return True
+
+
 class TestMinimalSufficientStatistic:
     def test_independent_single_class(self):
         pmf = validate_pmf([[0.25, 0.25], [0.25, 0.25]])
@@ -34,7 +49,7 @@ class TestMinimalSufficientStatistic:
         for side, size in (("x", 3), ("y", 3)):
             lab = minimal_sufficient_statistic(gain, side)
             assert lab.num_classes == size
-            assert lab.is_identity()
+            assert is_identity(lab)
 
     def test_merging_identical_rows(self):
         pmf = validate_pmf([[0.2, 0.2], [0.2, 0.2], [0.1, 0.1]])
@@ -68,7 +83,7 @@ class TestMinimalSufficientStatistic:
             collapsed = np.zeros((lab.num_classes, pmf.shape[1]))
             np.add.at(collapsed, np.asarray(lab.class_of), pmf.p)
             again = minimal_sufficient_statistic(validate_pmf(collapsed.tolist()), "x")
-            assert again.is_identity()
+            assert is_identity(again)
 
     def test_sufficiency_500_random(self):
         rng = np.random.default_rng(11)
@@ -96,7 +111,7 @@ class TestMinimalSufficientStatistic:
             lifted = pmf.to_tensor().with_function_axis("x", g.class_of, "g")
             assert conditional_mutual_information(lifted, "x", "y", "g") <= 1e-9
             g_star = minimal_sufficient_statistic(pmf, "x")
-            assert g.refines(g_star)
+            assert refines(g, g_star)
 
 
 class TestGkCommonFunction:
