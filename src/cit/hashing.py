@@ -6,13 +6,18 @@ the 2^k bins and keeps every bin the same size, which is what the
 simulators assume. Messages are packed into single 64-bit words, so all
 inputs are capped at 63 bits.
 
-There are two paths. The array path (`apply`, `pack_digits`,
-`unpack_digits`) takes uint64 arrays of any shape and serves whole blocks of
-trials at once. The scalar path works on Python ints, for the loops that
-handle one word at a time: `apply_int` takes parities with `int.bit_count`,
-and one Gauss-Jordan elimination over packed rows (`_solve_structures`)
-both tests a sampled A for full rank and yields the right inverse and null
-space that `coset` needs, so a sampled hash never eliminates twice.
+There are two paths. The array path takes uint64 arrays and serves whole
+blocks of trials at once: `apply`, `pack_digits` and `unpack_digits` map
+words, and `sample_null_spaces` draws one hash per trial, eliminates all of
+them together and returns each one's null space, which is all a bin needs.
+The scalar path works on Python ints, for the loops that handle one word at
+a time: `apply_int` takes parities with `int.bit_count`, and one
+Gauss-Jordan elimination over packed rows (`_solve_structures`) both tests a
+sampled A for full rank and yields the right inverse and null space that
+`coset` needs, so a sampled hash never eliminates twice. Both paths draw
+the k rows of A as one vector draw, redraw all k until A has full row rank,
+eliminate by `_reduce`'s rule, so they give the same null basis for the same
+rows, and enumerate bins with `coset_words`.
 """
 
 from __future__ import annotations
@@ -102,16 +107,100 @@ def _solve_structures(rows: list[int], m: int) -> tuple[list[int], list[int]]:
     return cols, null_basis
 
 
+def _draw_rows(rng: np.random.Generator, k: int, m: int) -> np.ndarray:
+    """k random m-bit rows; one vector draw gives the values and leaves the
+    generator where k scalar draws would."""
+    return rng.integers(0, 1 << m, size=k, dtype=np.uint64)
+
+
 def _sample_solved(
     rng: np.random.Generator, k: int, m: int
 ) -> tuple[list[int], tuple[list[int], list[int]]]:
     """k random m-bit rows of full rank, with their `_solve_structures`."""
     while True:
-        rows = [int(rng.integers(0, 1 << m, dtype=np.uint64)) for _ in range(k)]
+        rows = _draw_rows(rng, k, m).tolist()
         try:
             return rows, _solve_structures(rows, m)
         except ValueError:
             continue
+
+
+def _null_spaces(rows: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rank test and null space of a whole block of matrices at once.
+
+    `rows` is a (T, k) uint64 array, one matrix of m-bit rows per leading
+    index, and every matrix is eliminated by `_reduce`'s rule. Returns the
+    full-row-rank flags (T,) and a (T, m - k) array with the null basis
+    `_solve_structures` gives for each full-rank matrix; the other rows are 0.
+    """
+    t, k = rows.shape
+    zero = np.uint64(0)
+    reduced = np.zeros((t, k), dtype=np.uint64)
+    pivots = np.zeros((t, k), dtype=np.uint64)
+    for i in range(k):
+        done = reduced[:, :i]
+        # a reduced row has no bit at another row's pivot, so the earlier
+        # rows reduce row i in one step, whatever their order
+        hit = (rows[:, i, None] & pivots[:, :i]) != 0
+        a = rows[:, i] ^ np.bitwise_xor.reduce(np.where(hit, done, zero), axis=1)
+        bit = a & (~a + np.uint64(1))  # lowest set bit, 0 for a dependent row
+        done ^= np.where((done & bit[:, None]) != 0, a[:, None], zero)
+        reduced[:, i] = a
+        pivots[:, i] = bit
+    full = np.all(pivots != 0, axis=1)
+    reduced, pivots = reduced[full], pivots[full]
+    cols = np.left_shift(np.uint64(1), np.arange(m, dtype=np.uint64))
+    # the null vector of free column c: bit c and the pivots of the rows holding it
+    vecs = np.empty((reduced.shape[0], m), dtype=np.uint64)
+    for c in range(m):
+        holds = (reduced & cols[c]) != 0
+        vecs[:, c] = cols[c] | np.bitwise_or.reduce(np.where(holds, pivots, zero), axis=1)
+    free = (np.bitwise_or.reduce(pivots, axis=1)[:, None] & cols) == 0
+    null = np.zeros((t, m - k), dtype=np.uint64)
+    null[full] = vecs[free].reshape(len(vecs), m - k)
+    return full, null
+
+
+def sample_null_spaces(rngs: list[np.random.Generator], m: int, k: int) -> np.ndarray:
+    """Null spaces of one random full-row-rank k x m matrix per generator.
+
+    Each generator draws and redraws its rows as `_sample_solved` does and
+    ends in the same state; all matrices are eliminated together. Returns a
+    (len(rngs), m - k) uint64 array: row i is the null basis
+    `_solve_structures` gives for the rows generator i settled on.
+    """
+    if not 0 <= k <= m <= MAX_BITS:
+        raise ValueError(f"need 0 <= k <= m <= {MAX_BITS}, got k={k}, m={m}")
+    rows = np.empty((len(rngs), k), dtype=np.uint64)
+    for i, rng in enumerate(rngs):
+        rows[i] = _draw_rows(rng, k, m)
+    full, null = _null_spaces(rows, m)
+    redo = np.flatnonzero(~full)
+    while redo.size:
+        for j, i in enumerate(redo):
+            rows[j] = _draw_rows(rngs[i], k, m)
+        full, again = _null_spaces(rows[:redo.size], m)
+        null[redo[full]] = again[full]
+        redo = redo[~full]
+    return null
+
+
+def coset_words(start: np.ndarray | int, basis: np.ndarray | list[int]) -> np.ndarray:
+    """start xor every combination of the basis words, sorted.
+
+    `start` has some shape S and `basis` the shape S + (d,); the result has
+    the shape S + (2^d,) and is ascending along its last axis.
+    """
+    start = np.asarray(start, dtype=np.uint64)
+    basis = np.asarray(basis, dtype=np.uint64)
+    out = np.empty(start.shape + (1 << basis.shape[-1],), dtype=np.uint64)
+    out[..., 0] = start
+    filled = 1
+    for j in range(basis.shape[-1]):
+        out[..., filled:2 * filled] = out[..., :filled] ^ basis[..., j, None]
+        filled *= 2
+    out.sort(axis=-1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -163,11 +252,4 @@ class AffineGf2Hash:
         for j in range(self.k):
             if (s >> j) & 1:
                 particular ^= cols[j]
-        out = np.empty(size, dtype=np.uint64)
-        out[0] = particular
-        filled = 1
-        for b in basis:
-            out[filled:2 * filled] = out[:filled] ^ np.uint64(b)
-            filled *= 2
-        out.sort()
-        return out
+        return coset_words(particular, basis)

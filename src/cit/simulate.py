@@ -11,9 +11,20 @@ common randomness. Leakage (1/n) I(K; F) is computed exactly when the
 support of the block law is enumerable, otherwise plug-in estimated and
 flagged.
 
-Randomness layout: stream [seed, 0, j] fixes the stage-j binning hash,
-[seed, 1] the key hash, [seed, 2, t] drives trial t, so results do not
-depend on execution order.
+Randomness layout, so that results do not depend on execution order:
+
+- `cr_sk_simulate`: stream [seed, 0, j] fixes the stage-j binning hash,
+  [seed, 1] the key hash, [seed, 2, t] drives trial t.
+- `sw_binning_simulate` on binary sources: [seed, 1, t] drives trial t. It
+  draws the block, then the k rows of the trial's hash A as one vector draw,
+  redrawn together until A has full row rank. The offset b of x -> Ax xor b
+  is not drawn: the bin of the sent word w is {v : Av = Aw} = w xor null(A)
+  whatever b is. It was each trial's last draw, so no other draw moves.
+  Trials are drawn one by one and decoded in blocks of SW_BLOCK: one
+  elimination for all hashes of a block, then bins and scores for chunks of
+  trials whose (chunk, bin size, n) arrays take about 256 KB.
+- `sw_binning_simulate` on other alphabets: [seed, 0] fixes the one hash of
+  all trials, and [seed, 1, t] draws the block of trial t.
 """
 
 from __future__ import annotations
@@ -26,7 +37,7 @@ import numpy as np
 
 from .chains import DeterministicChain, _copy_chain, chain_tensor, speaker_of
 from .errors import RateInfeasible, RateOutOfRange, SizeBudgetExceeded
-from .hashing import AffineGf2Hash, pack_digits, unpack_digits
+from .hashing import AffineGf2Hash, coset_words, pack_digits, sample_null_spaces, unpack_digits
 from .pmf import JointPMF, conditional_entropy, entropy
 
 LOG_FLOOR = -1e30
@@ -35,6 +46,7 @@ POP_BUDGET = 4096
 EXACT_ROWS_BUDGET = 2 ** 22
 EXACT_CELLS_BUDGET = 2 ** 25
 KF_TABLE_BUDGET = 2 ** 22
+SW_BLOCK = 256  # binary trials drawn and eliminated together; a generator holds ~5 KB
 
 
 def _safe_log(p: np.ndarray) -> np.ndarray:
@@ -86,15 +98,40 @@ def _sample_block(rng: np.random.Generator, flat: np.ndarray, ny: int, n: int):
     return cells // ny, cells % ny
 
 
+def _bin_errors(words: np.ndarray, null: np.ndarray, yd: np.ndarray, ll: np.ndarray) -> int:
+    """Decoding errors of binary words sent as their bins word xor span(null),
+    each decoded by maximum likelihood over its bin given the side block yd."""
+    n = yd.shape[1]
+    # (chunk, bin, n) score operands of about 256 KB, which stay in cache
+    chunk = max(1, (1 << 18) // ((8 << null.shape[1]) * n))
+    errors = 0
+    for lo in range(0, len(words), chunk):
+        sent = words[lo:lo + chunk]
+        cands = coset_words(sent, null[lo:lo + chunk])
+        bits = unpack_digits(cands, n, 1).astype(np.float64)
+        l0 = ll[0, yd[lo:lo + chunk]]
+        l1 = ll[1, yd[lo:lo + chunk]]
+        # one trial's `bits @ (l1 - l0) + l0.sum()`, operation for operation:
+        # on symmetric sources the rounding decides many exact ties
+        scores = (bits @ (l1 - l0)[:, :, None])[:, :, 0] + l0.sum(axis=1, keepdims=True)
+        best = np.take_along_axis(cands, np.argmax(scores, axis=1)[:, None], axis=1)[:, 0]
+        errors += int(np.count_nonzero(best != sent))
+    return errors
+
+
 def sw_binning_simulate(
     pmf: JointPMF, n: int, rate: float, trials: int, seed: int
 ) -> SwBinningReport:
     """Estimate the block error of hash binning with an ML-over-bin decoder.
 
-    Binary sources use a fresh full-row-rank affine hash per trial and
-    enumerate the bin as a coset; other alphabets use one fixed hash and
-    precomputed bin lists. Ties are broken toward the smallest sequence.
+    Binary sources use a fresh full-row-rank hash per trial and enumerate
+    the bin as the coset of the hash's null space that holds the sent word;
+    the module docstring gives the draws and the chunked decode. Other
+    alphabets use one fixed hash and precomputed bin lists. Ties are broken
+    toward the smallest sequence. Raises ValueError for fewer than one trial.
     """
+    if trials < 1:
+        raise ValueError("need at least one trial")
     nx, ny = pmf.shape
     if n < 1 or n > 24:
         raise SizeBudgetExceeded(f"blocklength must lie in [1, 24], got {n}")
@@ -113,18 +150,15 @@ def sw_binning_simulate(
             raise SizeBudgetExceeded(
                 f"bins of size 2^{n - k_bits} exceed the decoder cap {COSET_CAP}"
             )
-        for t in range(trials):
-            rng = np.random.default_rng([seed, 1, t])
-            xd, yd = _sample_block(rng, flat, ny, n)
-            word = int(xd @ (1 << np.arange(n)))
-            h = AffineGf2Hash.sample(rng, n, k_bits)
-            cands = h.coset(h.apply_int(word), cap=COSET_CAP)
-            bits = unpack_digits(cands, n, 1)
-            l0 = ll[0, yd]
-            l1 = ll[1, yd]
-            scores = bits @ (l1 - l0) + l0.sum()
-            if int(cands[int(np.argmax(scores))]) != word:
-                errors += 1
+        for first in range(0, trials, SW_BLOCK):
+            rngs = [np.random.default_rng([seed, 1, t])
+                    for t in range(first, min(first + SW_BLOCK, trials))]
+            xd = np.empty((len(rngs), n), dtype=np.int64)
+            yd = np.empty_like(xd)
+            for t, rng in enumerate(rngs):
+                xd[t], yd[t] = _sample_block(rng, flat, ny, n)
+            null = sample_null_spaces(rngs, n, k_bits)
+            errors += _bin_errors(pack_digits(xd, 1), null, yd, ll)
     else:
         count = nx ** n
         if count > 2 ** 20:
@@ -150,14 +184,14 @@ def sw_binning_simulate(
             s = hashes[x_idx]
             lo = np.searchsorted(sorted_h, s, side="left")
             hi = np.searchsorted(sorted_h, s, side="right")
-            members = np.sort(order[lo:hi])
+            members = order[lo:hi]
             cand_digits = digits[members]
             scores = ll[cand_digits, yd[None, :]].sum(axis=1)
             if int(members[int(np.argmax(scores))]) != x_idx:
                 errors += 1
     return SwBinningReport(
         n=n, rate=rate, bins_log2=k_bits, trials=trials, seed=seed,
-        errors=errors, error_rate=errors / trials if trials else 0.0,
+        errors=errors, error_rate=errors / trials,
     )
 
 

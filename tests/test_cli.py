@@ -214,6 +214,14 @@ class TestErrorsAndIO:
         for key in ("tool", "version", "command", "seed", "config", "result"):
             assert key in rep
 
+    @pytest.mark.parametrize("trials", ["-5", "0"])
+    def test_simulate_sw_needs_a_trial(self, pmf_file, trials):
+        code, out = run_cli(["simulate", "sw", "--pmf", pmf_file, "--n", "8",
+                             "--rate", "0.5", "--trials", trials])
+        assert code == 2
+        assert json.loads(out)["error"] == {"type": "ValueError",
+                                            "message": "need at least one trial"}
+
     def test_threads_env_fallback(self, pmf_file, monkeypatch):
         monkeypatch.setenv("CIT_THREADS", "4")
         code, out = run_cli(["info", "--pmf", pmf_file])

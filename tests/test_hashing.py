@@ -4,9 +4,14 @@ import pytest
 from cit.hashing import (
     MAX_BITS,
     AffineGf2Hash,
+    _draw_rows,
+    _null_spaces,
     _reduce,
+    _sample_solved,
     _solve_structures,
+    coset_words,
     pack_digits,
+    sample_null_spaces,
     unpack_digits,
 )
 
@@ -147,3 +152,83 @@ class TestRankAndSolve:
         rng = np.random.default_rng(6)
         h = AffineGf2Hash.sample(rng, 8, 0)
         assert np.all(h.apply(np.arange(256, dtype=np.uint64)) == 0)
+
+
+def _random_rows(rng, k, m, deficient):
+    rows = [int(r) for r in rng.integers(0, 1 << m, size=k, dtype=np.uint64)]
+    if deficient and k:
+        # a zero row, a repeated row or the sum of two others
+        kind = int(rng.integers(min(k, 3)))
+        i = int(rng.integers(k))
+        if kind == 0:
+            rows[i] = 0
+        else:
+            j = int(rng.integers(k - 1))
+            j += j >= i
+            rows[i] = rows[j]
+            if kind == 2:
+                l = next(x for x in range(k) if x not in (i, j))
+                rows[i] ^= rows[l]
+    return rows
+
+
+class TestBlockElimination:
+    def test_vector_draw_equals_scalar_draws(self):
+        for m in range(1, MAX_BITS + 1):
+            for k in (1, 2, 5, m):
+                seed = [m, k]
+                a = np.random.default_rng(seed)
+                b = np.random.default_rng(seed)
+                a.random()  # start both off a 64-bit boundary
+                b.random()
+                scalar = [int(a.integers(0, 1 << m, dtype=np.uint64)) for _ in range(k)]
+                assert _draw_rows(b, k, m).tolist() == scalar, (m, k)
+                assert a.bit_generator.state == b.bit_generator.state, (m, k)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 16, 24, 40, MAX_BITS])
+    def test_matches_solve_structures(self, m):
+        rng = np.random.default_rng(m)
+        blocks = {}
+        for t in range(120):
+            k = int(rng.integers(0, min(m, 30) + 1)) if t % 3 else min(m, 30)
+            blocks.setdefault(k, []).append(_random_rows(rng, k, m, deficient=t % 2 == 1))
+        seen = set()
+        for k, block in blocks.items():
+            full, null = _null_spaces(np.array(block, dtype=np.uint64).reshape(len(block), k), m)
+            assert null.shape == (len(block), m - k)
+            for rows, ok, basis in zip(block, full, null):
+                try:
+                    want = _solve_structures(rows, m)[1]
+                except ValueError:
+                    want = None
+                assert bool(ok) == (want is not None) == (len(_reduce(rows, m)) == k)
+                seen.add(bool(ok))
+                if ok:
+                    assert basis.tolist() == want
+                    if m - k <= 10:
+                        assert np.array_equal(coset_words(0, basis), coset_words(0, want))
+                else:
+                    assert not basis.any()
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("m, k", [(1, 1), (6, 6), (12, 5), (24, 18), (24, 24), (40, 33)])
+    def test_sample_null_spaces_follows_sample_solved(self, m, k):
+        seeds = [[m, k, t] for t in range(40)]
+        rngs = [np.random.default_rng(s) for s in seeds]
+        null = sample_null_spaces(rngs, m, k)
+        for seed, rng, basis in zip(seeds, rngs, null):
+            ref = np.random.default_rng(seed)
+            _, (_, want) = _sample_solved(ref, k, m)
+            assert basis.tolist() == want
+            assert ref.bit_generator.state == rng.bit_generator.state
+
+    def test_coset_words_over_a_block(self):
+        rng = np.random.default_rng(9)
+        m, k = 12, 8
+        rngs = [np.random.default_rng([9, t]) for t in range(10)]
+        null = sample_null_spaces(rngs, m, k)
+        starts = rng.integers(0, 1 << m, size=10, dtype=np.uint64)
+        block = coset_words(starts, null)
+        assert block.shape == (10, 1 << (m - k))
+        for start, basis, row in zip(starts, null, block):
+            assert np.array_equal(row, coset_words(start, basis.tolist()))

@@ -1,13 +1,31 @@
 import heapq
+import math
 
 import numpy as np
 import pytest
 
-from cit import RateInfeasible, RateOutOfRange, SizeBudgetExceeded, binary_entropy
-from cit.simulate import _Stage, cr_sk_simulate, default_copy_chain, sw_binning_simulate
+from cit import (
+    RateInfeasible,
+    RateOutOfRange,
+    SizeBudgetExceeded,
+    binary_entropy,
+    hashing,
+    validate_pmf,
+)
+from cit.simulate import (
+    COSET_CAP,
+    SW_BLOCK,
+    SwBinningReport,
+    _safe_log,
+    _sample_block,
+    _Stage,
+    cr_sk_simulate,
+    default_copy_chain,
+    sw_binning_simulate,
+)
 from cit.sources import bss_pmf, gain_pmf
 from cit.chains import DeterministicChain, chain_from_json, chain_tensor, det_chain_search
-from cit.hashing import pack_digits
+from cit.hashing import AffineGf2Hash, pack_digits, unpack_digits
 
 from conftest import gain_two_round_chain
 
@@ -48,6 +66,70 @@ class TestSwBinning:
         a = sw_binning_simulate(bss25, 10, 0.9, 200, seed=9)
         b = sw_binning_simulate(bss25, 10, 0.9, 200, seed=9)
         assert a == b
+
+
+def reference_sw_binary(pmf, n, rate, trials, seed):
+    """The binary branch of `sw_binning_simulate` as a per-trial loop: sample
+    an affine hash, enumerate the coset of the sent word's syndrome and score
+    it; kept as the reference for the batched decode."""
+    k_bits = min(math.ceil(n * rate - 1e-12), n)
+    flat = pmf.p.ravel()
+    ny = pmf.shape[1]
+    cond = np.where(pmf.marginal_y[None, :] > 0, pmf.p / np.where(pmf.marginal_y[None, :] > 0, pmf.marginal_y[None, :], 1.0), 0.0)
+    ll = _safe_log(cond)
+    errors = 0
+    for t in range(trials):
+        rng = np.random.default_rng([seed, 1, t])
+        xd, yd = _sample_block(rng, flat, ny, n)
+        word = int(xd @ (1 << np.arange(n)))
+        h = AffineGf2Hash.sample(rng, n, k_bits)
+        cands = h.coset(h.apply_int(word), cap=COSET_CAP)
+        bits = unpack_digits(cands, n, 1)
+        l0 = ll[0, yd]
+        l1 = ll[1, yd]
+        scores = bits @ (l1 - l0) + l0.sum()
+        if int(cands[int(np.argmax(scores))]) != word:
+            errors += 1
+    return SwBinningReport(n=n, rate=rate, bins_log2=k_bits, trials=trials, seed=seed,
+                           errors=errors, error_rate=errors / trials)
+
+
+SW_SOURCES = {
+    "bss 0.25": lambda: bss_pmf(0.25),
+    "bss 0.1": lambda: bss_pmf(0.1),
+    "uniform copy": lambda: validate_pmf([[0.5, 0.0], [0.0, 0.5]]),
+    "zero cell": lambda: validate_pmf([[0.4, 0.0], [0.25, 0.35]]),
+}
+
+
+@pytest.mark.parametrize("source", SW_SOURCES)
+def test_sw_binary_matches_reference(source, monkeypatch):
+    """Equal reports for seeds 0-4 at rate 1 (a bin of one), the bench's rate
+    0.72, and n = 24 at k = 12 (4,096 candidates, the decoder cap)."""
+    pmf = SW_SOURCES[source]()
+    redraws = 0
+    solve = hashing._solve_structures
+
+    def counted(rows, m):
+        nonlocal redraws
+        try:
+            return solve(rows, m)
+        except ValueError:
+            redraws += 1
+            raise
+
+    monkeypatch.setattr(hashing, "_solve_structures", counted)
+    cases = [(n, rate, 60) for n in (1, 2, 5, 8, 12, 16, 24) for rate in (1.0, 0.72)]
+    errors = 0
+    for seed in range(5):
+        # the last case spans two blocks of trials
+        for n, rate, trials in cases + [(24, 0.5, 60), (12, 0.72, SW_BLOCK + 40)]:
+            want = reference_sw_binary(pmf, n, rate, trials, seed)
+            assert sw_binning_simulate(pmf, n, rate, trials, seed) == want, (seed, n, rate)
+            errors += want.errors
+    # the reference redrew rank-deficient hashes, so the batched path had to
+    assert redraws
+    assert errors or source == "uniform copy"
 
 
 class TestCrSk:
