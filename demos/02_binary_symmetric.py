@@ -28,7 +28,8 @@ for delta in (0.05, 0.1, 0.25, 0.4):
     cf = bss_closed_form(delta)
     det = det_chain_search(pmf, 2, (2, 2))
     cont = continuous_chain_minimize(pmf, 2, (2, 2),
-                                     ChainOptConfig(restarts=4, max_iter=1500, seed=0))
+                                     ChainOptConfig(restarts=4, max_iter=1500, seed=0),
+                                     det_best=det)
     wy = wyner_minimize(pmf, WynerConfig(restarts=8, max_iter=2000, seed=0))
     # explicit binary-auxiliary construction: W flips into X and Y independently
     a0 = (1 - math.sqrt(1 - 2 * delta)) / 2

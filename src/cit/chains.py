@@ -491,7 +491,10 @@ def det_chain_search(
     their encodings, and H(U^j) never decreases in j: once the best
     objective found is no larger than a prefix's H(U^j), the rest of that
     prefix's chains can at best tie and lose the tie, so they are skipped.
+    Raises ValueError for fewer than one round.
     """
+    if rounds < 1:
+        raise ValueError("rounds must be at least 1")
     nx, ny = pmf.shape
     caps = effective_caps(nx, ny, rounds, size_caps, initiator)
     completions = _completions(nx, ny, rounds, caps, initiator)
@@ -667,8 +670,11 @@ def continuous_chain_minimize(
     `det_best` is the outcome of a `det_chain_search` at caps `sizes` and the
     same initiator that the caller already ran: its result, or the error it
     raised. Without it the search runs here. Either way the start is used
-    only when the canonical space fits `config.det_seed_budget`.
+    only when the canonical space fits `config.det_seed_budget`. Raises
+    ValueError for fewer than one round.
     """
+    if rounds < 1:
+        raise ValueError("rounds must be at least 1")
     config = config or ChainOptConfig()
     nx, ny = pmf.shape
     sizes = tuple(int(s) for s in sizes)

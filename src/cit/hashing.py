@@ -6,23 +6,18 @@ the 2^k bins and keeps every bin the same size, which is what the
 simulators assume. Messages are packed into single 64-bit words, so all
 inputs are capped at 63 bits.
 
-There are two paths. The array path takes uint64 arrays and serves whole
-blocks of trials at once: `apply`, `pack_digits` and `unpack_digits` map
-words, and `sample_null_spaces` draws one hash per trial, eliminates all of
-them together and returns each one's null space, which is all a bin needs.
-The scalar path works on Python ints, for the loops that handle one word at
-a time: `apply_int` takes parities with `int.bit_count`, and one
-Gauss-Jordan elimination over packed rows (`_solve_structures`) both tests a
-sampled A for full rank and yields the right inverse and null space that
-`coset` needs, so a sampled hash never eliminates twice. Both paths draw
-the k rows of A as one vector draw, redraw all k until A has full row rank,
-eliminate by `_reduce`'s rule, so they give the same null basis for the same
-rows, and enumerate bins with `coset_words`.
+One elimination, `_null_spaces`, serves every GF(2) solve: it takes a block
+of matrices as a uint64 array and returns each one's rank verdict and null
+basis. `sample_null_spaces` draws one hash per trial for whole blocks of
+trials, `AffineGf2Hash.sample` draws one hash, and `AffineGf2Hash.coset`
+solves for a bin; all three go through it, and `coset_words` enumerates
+the bins. `apply` maps uint64 arrays; `apply_int` is the same map on one
+Python int.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,88 +45,22 @@ def unpack_digits(words: np.ndarray, n: int, bits_per_symbol: int) -> np.ndarray
     return out.view(np.int64)  # every digit is below 2^63
 
 
-def _reduce(rows: list[int], m: int) -> list[tuple[int, int]]:
-    """Gauss-Jordan elimination of m-bit rows, each carried as row | ops << m.
-
-    `ops` records which input rows were added together. Returns one
-    (pivot bit, reduced row) pair per independent row, in input order; a row
-    that depends on earlier ones is dropped. The pivot of a reduced row is
-    its lowest set bit, and no other reduced row has that bit set.
-    """
-    mask = (1 << m) - 1
-    basis: list[tuple[int, int]] = []
-    for i, row in enumerate(rows):
-        a = row | 1 << (m + i)
-        for bit, b in basis:
-            if a & bit:
-                a ^= b
-        low = a & mask
-        if not low:
-            continue
-        bit = low & -low
-        basis = [(pb, b ^ a) if b & bit else (pb, b) for pb, b in basis]
-        basis.append((bit, a))
-    return basis
-
-
-def _solve_structures(rows: list[int], m: int) -> tuple[list[int], list[int]]:
-    """Right-inverse columns and a null-space basis for full-row-rank rows.
-
-    z(s) = XOR of cols[j] over set bits j of s satisfies rows . z = s; the
-    null basis spans all solutions. Raises ValueError when the rows are not
-    of full row rank.
-    """
-    k = len(rows)
-    basis = _reduce(rows, m)
-    if len(basis) < k:
-        raise ValueError("rows are not of full row rank")
-    cols = [0] * k
-    pivots = 0
-    for bit, a in basis:
-        pivots |= bit
-        ops = a >> m
-        while ops:
-            low = ops & -ops
-            cols[low.bit_length() - 1] ^= bit
-            ops ^= low
-    null_basis = []
-    for c in range(m):
-        free = 1 << c
-        if pivots & free:
-            continue
-        v = free
-        for bit, a in basis:
-            if a & free:
-                v ^= bit
-        null_basis.append(v)
-    return cols, null_basis
-
-
 def _draw_rows(rng: np.random.Generator, k: int, m: int) -> np.ndarray:
     """k random m-bit rows; one vector draw gives the values and leaves the
     generator where k scalar draws would."""
     return rng.integers(0, 1 << m, size=k, dtype=np.uint64)
 
 
-def _sample_solved(
-    rng: np.random.Generator, k: int, m: int
-) -> tuple[list[int], tuple[list[int], list[int]]]:
-    """k random m-bit rows of full rank, with their `_solve_structures`."""
-    while True:
-        rows = _draw_rows(rng, k, m).tolist()
-        try:
-            return rows, _solve_structures(rows, m)
-        except ValueError:
-            continue
-
-
 def _null_spaces(rows: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Rank test and null space of a whole block of matrices at once.
 
     `rows` is a (T, k) uint64 array, one matrix of m-bit rows per leading
-    index, and every matrix is eliminated by `_reduce`'s rule. Returns the
-    full-row-rank flags (T,) and a (T, m - k) array with the null basis
-    `_solve_structures` gives for each full-rank matrix; the other rows are 0.
+    index. Each matrix is brought to reduced row echelon form in row order:
+    a row's pivot is its lowest set bit after the earlier rows are
+    cleared from it, and a row that clears to 0 is dependent. Returns the
+    full-row-rank flags (T,) and a (T, m - k) array with each full-rank
+    matrix's null basis, one vector per free column in ascending order; the
+    other rows are 0.
     """
     t, k = rows.shape
     zero = np.uint64(0)
@@ -151,23 +80,22 @@ def _null_spaces(rows: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     reduced, pivots = reduced[full], pivots[full]
     cols = np.left_shift(np.uint64(1), np.arange(m, dtype=np.uint64))
     # the null vector of free column c: bit c and the pivots of the rows holding it
-    vecs = np.empty((reduced.shape[0], m), dtype=np.uint64)
-    for c in range(m):
-        holds = (reduced & cols[c]) != 0
-        vecs[:, c] = cols[c] | np.bitwise_or.reduce(np.where(holds, pivots, zero), axis=1)
+    holds = (reduced[:, :, None] & cols) != 0
+    vecs = cols | np.bitwise_or.reduce(np.where(holds, pivots[:, :, None], zero), axis=1)
     free = (np.bitwise_or.reduce(pivots, axis=1)[:, None] & cols) == 0
     null = np.zeros((t, m - k), dtype=np.uint64)
     null[full] = vecs[free].reshape(len(vecs), m - k)
     return full, null
 
 
-def sample_null_spaces(rngs: list[np.random.Generator], m: int, k: int) -> np.ndarray:
-    """Null spaces of one random full-row-rank k x m matrix per generator.
+def _sample_rows(
+    rngs: list[np.random.Generator], m: int, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """One random full-row-rank k x m matrix per generator, and its null basis.
 
-    Each generator draws and redraws its rows as `_sample_solved` does and
-    ends in the same state; all matrices are eliminated together. Returns a
-    (len(rngs), m - k) uint64 array: row i is the null basis
-    `_solve_structures` gives for the rows generator i settled on.
+    Each generator draws its k rows as one vector draw and redraws all k
+    until they have full row rank; the matrices are eliminated together.
+    Returns the (len(rngs), k) rows and the (len(rngs), m - k) null bases.
     """
     if not 0 <= k <= m <= MAX_BITS:
         raise ValueError(f"need 0 <= k <= m <= {MAX_BITS}, got k={k}, m={m}")
@@ -177,12 +105,17 @@ def sample_null_spaces(rngs: list[np.random.Generator], m: int, k: int) -> np.nd
     full, null = _null_spaces(rows, m)
     redo = np.flatnonzero(~full)
     while redo.size:
-        for j, i in enumerate(redo):
-            rows[j] = _draw_rows(rngs[i], k, m)
-        full, again = _null_spaces(rows[:redo.size], m)
+        for i in redo:
+            rows[i] = _draw_rows(rngs[i], k, m)
+        full, again = _null_spaces(rows[redo], m)
         null[redo[full]] = again[full]
         redo = redo[~full]
-    return null
+    return rows, null
+
+
+def sample_null_spaces(rngs: list[np.random.Generator], m: int, k: int) -> np.ndarray:
+    """The null bases of `_sample_rows`: a (len(rngs), m - k) uint64 array."""
+    return _sample_rows(rngs, m, k)[1]
 
 
 def coset_words(start: np.ndarray | int, basis: np.ndarray | list[int]) -> np.ndarray:
@@ -207,24 +140,21 @@ def coset_words(start: np.ndarray | int, basis: np.ndarray | list[int]) -> np.nd
 class AffineGf2Hash:
     """x -> Ax xor b with full-row-rank A, over m-bit words into k bits.
 
-    `structures` caches `_solve_structures(rows, m)`; `sample` fills it in
-    from its rank test, and `coset` solves afresh when it is empty.
+    `sample` and `coset` eliminate with `_null_spaces`; `apply_int` takes
+    the same parities as `apply` on one int, as the scalar reference.
     """
 
     m: int
     k: int
     rows: tuple[int, ...]
     offset: int
-    structures: tuple[list[int], list[int]] | None = field(
-        default=None, compare=False, repr=False)
 
     @staticmethod
     def sample(rng: np.random.Generator, m: int, k: int) -> "AffineGf2Hash":
-        if not 0 <= k <= m <= MAX_BITS:
-            raise ValueError(f"need 0 <= k <= m <= {MAX_BITS}, got k={k}, m={m}")
-        rows, structures = _sample_solved(rng, k, m)
+        """A drawn by `_sample_rows`, then b as one more draw."""
+        rows = _sample_rows([rng], m, k)[0][0]
         offset = int(rng.integers(0, 1 << k, dtype=np.uint64)) if k else 0
-        return AffineGf2Hash(m, k, tuple(rows), offset, structures)
+        return AffineGf2Hash(m, k, tuple(rows.tolist()), offset)
 
     def apply(self, words: np.ndarray) -> np.ndarray:
         words = np.asarray(words, dtype=np.uint64)
@@ -242,14 +172,20 @@ class AffineGf2Hash:
         return out
 
     def coset(self, syndrome: int, cap: int | None = None) -> np.ndarray:
-        """All m-bit words hashing to `syndrome`, as a sorted uint64 array."""
-        cols, basis = self.structures or _solve_structures(list(self.rows), self.m)
-        size = 1 << len(basis)
-        if cap is not None and size > cap:
-            raise ValueError(f"coset of size {size} exceeds the cap {cap}")
+        """All m-bit words hashing to `syndrome`, as a sorted uint64 array.
+
+        Az = s xor b exactly when z + 2^m is a null vector of the rows with
+        bit i of s xor b put at bit m of row i. A full-rank A leaves that
+        column m free, and its null vector is 2^m plus one solution z; the
+        other null vectors are A's own null basis.
+        """
+        m, k = self.m, self.k
+        if cap is not None and 1 << (m - k) > cap:
+            raise ValueError(f"coset of size {1 << (m - k)} exceeds the cap {cap}")
         s = syndrome ^ self.offset
-        particular = 0
-        for j in range(self.k):
-            if (s >> j) & 1:
-                particular ^= cols[j]
-        return coset_words(particular, basis)
+        rows = [row | (s >> i & 1) << m for i, row in enumerate(self.rows)]
+        full, null = _null_spaces(np.array([rows], dtype=np.uint64), m + 1)
+        last = int(null[0, -1])
+        if not full[0] or not last >> m:
+            raise ValueError("rows are not of full row rank")
+        return coset_words(last ^ (1 << m), null[0, :-1])

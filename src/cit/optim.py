@@ -291,7 +291,12 @@ def penalized_minimize(
 def dirichlet_starts(
     rng_seed: int, count: int, shapes: Sequence[tuple[int, ...]]
 ) -> list[tuple[str, list[np.ndarray]]]:
-    """Seeded Dirichlet(1) random kernel initializations, one rng per restart."""
+    """Seeded Dirichlet(1) random kernel initializations, one rng per restart.
+
+    Raises ValueError for a negative count.
+    """
+    if count < 0:
+        raise ValueError(f"restarts must be at least 0, got {count}")
     starts = []
     streams = np.random.SeedSequence(rng_seed).spawn(count)
     for i, ss in enumerate(streams):

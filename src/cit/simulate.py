@@ -232,7 +232,7 @@ class SimReport:
 class _Stage:
     """Per-round tables, hash, and decoder for the staged scheme."""
 
-    def __init__(self, pmf, tensor, chain, j, n, slack, seed):
+    def __init__(self, tensor, chain, j, n, slack, seed):
         self.j = j
         self.size = chain.sizes[j - 1]
         self.table = np.asarray(chain.tables[j - 1])
@@ -382,7 +382,7 @@ def cr_sk_simulate(
     tensor = chain_tensor(pmf, chain)
     rounds = chain.rounds
     u_names = tuple(f"u{j}" for j in range(1, rounds + 1))
-    stages = [_Stage(pmf, tensor, chain, j, n, slack, seed) for j in range(1, rounds + 1)]
+    stages = [_Stage(tensor, chain, j, n, slack, seed) for j in range(1, rounds + 1)]
     h_cr = entropy(tensor, u_names)
     extractable = h_cr - sum(st.cond_entropy for st in stages)
     if key_rate > max(extractable, 0.0) + 1e-12:

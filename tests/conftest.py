@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cit import chains, cli, sources, validate_pmf
+from cit.hashing import _draw_rows
 
 
 @pytest.fixture
@@ -92,3 +93,91 @@ def feasible_det_encodings(pmf, rounds, size_caps=None, initiator="x"):
         if residual <= chains.DET_FEASIBILITY_TOL:
             out.append((tuple(tuple(t.ravel().tolist()) for t in chain.tables), objective))
     return out
+
+
+# scalar GF(2) reference for `cit.hashing`: Gauss-Jordan on Python ints
+
+def _reduce(rows: list[int], m: int) -> list[tuple[int, int]]:
+    """Gauss-Jordan elimination of m-bit rows, each carried as row | ops << m.
+
+    `ops` records which input rows were added together. Returns one
+    (pivot bit, reduced row) pair per independent row, in input order; a row
+    that depends on earlier ones is dropped. The pivot of a reduced row is
+    its lowest set bit, and no other reduced row has that bit set.
+    """
+    mask = (1 << m) - 1
+    basis: list[tuple[int, int]] = []
+    for i, row in enumerate(rows):
+        a = row | 1 << (m + i)
+        for bit, b in basis:
+            if a & bit:
+                a ^= b
+        low = a & mask
+        if not low:
+            continue
+        bit = low & -low
+        basis = [(pb, b ^ a) if b & bit else (pb, b) for pb, b in basis]
+        basis.append((bit, a))
+    return basis
+
+
+def _solve_structures(rows: list[int], m: int) -> tuple[list[int], list[int]]:
+    """Right-inverse columns and a null-space basis for full-row-rank rows.
+
+    z(s) = XOR of cols[j] over set bits j of s satisfies rows . z = s; the
+    null basis spans all solutions. Raises ValueError when the rows are not
+    of full row rank.
+    """
+    k = len(rows)
+    basis = _reduce(rows, m)
+    if len(basis) < k:
+        raise ValueError("rows are not of full row rank")
+    cols = [0] * k
+    pivots = 0
+    for bit, a in basis:
+        pivots |= bit
+        ops = a >> m
+        while ops:
+            low = ops & -ops
+            cols[low.bit_length() - 1] ^= bit
+            ops ^= low
+    null_basis = []
+    for c in range(m):
+        free = 1 << c
+        if pivots & free:
+            continue
+        v = free
+        for bit, a in basis:
+            if a & free:
+                v ^= bit
+        null_basis.append(v)
+    return cols, null_basis
+
+
+def _sample_solved(
+    rng: np.random.Generator, k: int, m: int
+) -> tuple[list[int], tuple[list[int], list[int]]]:
+    """k random m-bit rows of full rank, with their `_solve_structures`."""
+    while True:
+        rows = _draw_rows(rng, k, m).tolist()
+        try:
+            return rows, _solve_structures(rows, m)
+        except ValueError:
+            continue
+
+
+@pytest.fixture
+def rejected_draws(monkeypatch) -> list[list[int]]:
+    """The rank-deficient rows `_sample_solved` draws and throws away."""
+    rejected = []
+    solve = _solve_structures
+
+    def counted(rows, m):
+        try:
+            return solve(rows, m)
+        except ValueError:
+            rejected.append(rows)
+            raise
+
+    monkeypatch.setitem(globals(), "_solve_structures", counted)
+    return rejected

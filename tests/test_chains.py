@@ -406,3 +406,10 @@ class TestDefensiveErrors:
 
         with pytest.raises(NoFeasibleChain):
             det_chain_search(bss25, 1, (1,))
+
+    @pytest.mark.parametrize("rounds", [0, -1])
+    def test_fewer_than_one_round_raises(self, bss25, rounds):
+        with pytest.raises(ValueError, match="rounds must be at least 1"):
+            det_chain_search(bss25, rounds)
+        with pytest.raises(ValueError, match="rounds must be at least 1"):
+            continuous_chain_minimize(bss25, rounds, ())

@@ -222,6 +222,25 @@ class TestErrorsAndIO:
         assert json.loads(out)["error"] == {"type": "ValueError",
                                             "message": "need at least one trial"}
 
+    @pytest.mark.parametrize("mode", ["all", "det", "cont"])
+    def test_ici_needs_a_round(self, pmf_file, mode):
+        code, out = run_cli(["ici", "--pmf", pmf_file, "--rounds", "0", "--mode", mode])
+        assert code == 2
+        assert json.loads(out)["error"] == {"type": "ValueError",
+                                            "message": "rounds must be at least 1"}
+
+    @pytest.mark.parametrize("argv, restarts", [(["wyner", "--max-iter", "50"], "-1"),
+                                                (["ici", "--rounds", "1", "--mode", "cont"], "-2")])
+    def test_negative_restarts_are_an_error(self, pmf_file, argv, restarts):
+        argv = argv[:1] + ["--pmf", pmf_file] + argv[1:]
+        code, out = run_cli(argv + ["--restarts", restarts])
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "type": "ValueError", "message": f"restarts must be at least 0, got {restarts}"}
+        # no random starts is still a valid run
+        code, out = run_cli(argv + ["--restarts", "0"])
+        assert code == 0, out
+
     def test_threads_env_fallback(self, pmf_file, monkeypatch):
         monkeypatch.setenv("CIT_THREADS", "4")
         code, out = run_cli(["info", "--pmf", pmf_file])

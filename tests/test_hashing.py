@@ -6,14 +6,13 @@ from cit.hashing import (
     AffineGf2Hash,
     _draw_rows,
     _null_spaces,
-    _reduce,
-    _sample_solved,
-    _solve_structures,
     coset_words,
     pack_digits,
     sample_null_spaces,
     unpack_digits,
 )
+
+from conftest import _reduce, _sample_solved, _solve_structures
 
 
 def gf2_rank(rows: list[int]) -> int:
@@ -232,3 +231,44 @@ class TestBlockElimination:
         assert block.shape == (10, 1 << (m - k))
         for start, basis, row in zip(starts, null, block):
             assert np.array_equal(row, coset_words(start, basis.tolist()))
+
+
+class TestOneElimination:
+    """`sample` and `coset` against the scalar reference in conftest."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8, 16, 24, 40, MAX_BITS])
+    def test_sample_equals_scalar_reference(self, m, rejected_draws):
+        for k in sorted({0, 1, m // 2, max(m - 3, 0), m - 1, m}):
+            for seed in range(12):
+                rng = np.random.default_rng([m, k, seed])
+                ref = np.random.default_rng([m, k, seed])
+                h = AffineGf2Hash.sample(rng, m, k)
+                rows, _ = _sample_solved(ref, k, m)
+                offset = int(ref.integers(0, 1 << k, dtype=np.uint64)) if k else 0
+                assert h == AffineGf2Hash(m, k, tuple(rows), offset), (k, seed)
+                assert rng.bit_generator.state == ref.bit_generator.state, (k, seed)
+        # k = m rows are rank deficient often enough to redraw at every m
+        assert rejected_draws
+
+    def test_coset_at_the_top_bit(self):
+        # m = 63 puts the syndrome bit of every row at bit 63, the word's top bit
+        m = MAX_BITS
+        rng = np.random.default_rng(63)
+        for k in (m - 6, m - 3, m):
+            for _ in range(4):
+                h = AffineGf2Hash.sample(rng, m, k)
+                s = int(rng.integers(0, 1 << k, dtype=np.uint64))
+                words = h.coset(s)
+                assert words.dtype == np.uint64 and words.size == 1 << (m - k)
+                assert np.all(words[1:] > words[:-1])
+                assert np.all(h.apply(words) == np.uint64(s))
+                assert all(h.apply_int(int(w)) == s for w in words)
+
+    def test_rank_deficient_coset_raises_for_every_syndrome(self):
+        # an inconsistent syndrome makes the appended rows independent;
+        # the pivot then sits at bit m and the coset is still refused
+        for rows in ((0b0110, 0b0110), (0b0011, 0), (0b011, 0b110, 0b101)):
+            m, k = max(rows).bit_length() + 1, len(rows)
+            for s in range(1 << k):
+                with pytest.raises(ValueError):
+                    AffineGf2Hash(m, k, rows, 0).coset(s)

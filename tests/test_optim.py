@@ -24,7 +24,7 @@ import pytest
 
 from cit import chains, cli, validate_pmf, wyner
 from cit.chains import ChainOptConfig, continuous_chain_minimize
-from cit.optim import PATIENCE, REL_TOL, STEP_SIZE, _eg_step, _normalize_slices
+from cit.optim import PATIENCE, REL_TOL, STEP_SIZE, _eg_step, _normalize_slices, dirichlet_starts
 from cit.sources import bss_pmf, gain_pmf, random_pmf
 from cit.wyner import WynerConfig, wyner_minimize
 
@@ -240,3 +240,10 @@ def test_report_descent_calls_per_stage(name, tmp_path, monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.run(["rates", "--pmf", str(path), "--rounds", "2", "--threads", "1"]) == 0
     assert seen == GOLDEN["bench_rates_calls"][name]
+
+
+def test_dirichlet_starts_count():
+    with pytest.raises(ValueError, match="restarts must be at least 0"):
+        dirichlet_starts(0, -1, [(2, 3)])
+    assert dirichlet_starts(0, 0, [(2, 3)]) == []
+    assert [label for label, _ in dirichlet_starts(0, 2, [(2, 3)])] == ["random-0", "random-1"]

@@ -9,7 +9,6 @@ from cit import (
     RateOutOfRange,
     SizeBudgetExceeded,
     binary_entropy,
-    hashing,
     validate_pmf,
 )
 from cit.simulate import (
@@ -27,7 +26,7 @@ from cit.sources import bss_pmf, gain_pmf
 from cit.chains import DeterministicChain, chain_from_json, chain_tensor, det_chain_search
 from cit.hashing import AffineGf2Hash, pack_digits, unpack_digits
 
-from conftest import gain_two_round_chain
+from conftest import _sample_solved, gain_two_round_chain
 
 
 class TestSwBinning:
@@ -69,10 +68,11 @@ class TestSwBinning:
 
 
 def reference_sw_binary(pmf, n, rate, trials, seed):
-    """The binary branch of `sw_binning_simulate` as a per-trial loop: sample
-    an affine hash, enumerate the coset of the sent word's syndrome and score
-    it; kept as the reference for the batched decode."""
+    """The binary branch of `sw_binning_simulate` as a per-trial loop on the
+    scalar GF(2) reference: draw the hash rows as `_sample_solved` does, solve
+    for the bin of the sent word's syndrome and score every word in it."""
     k_bits = min(math.ceil(n * rate - 1e-12), n)
+    assert 1 << (n - k_bits) <= COSET_CAP
     flat = pmf.p.ravel()
     ny = pmf.shape[1]
     cond = np.where(pmf.marginal_y[None, :] > 0, pmf.p / np.where(pmf.marginal_y[None, :] > 0, pmf.marginal_y[None, :], 1.0), 0.0)
@@ -82,8 +82,15 @@ def reference_sw_binary(pmf, n, rate, trials, seed):
         rng = np.random.default_rng([seed, 1, t])
         xd, yd = _sample_block(rng, flat, ny, n)
         word = int(xd @ (1 << np.arange(n)))
-        h = AffineGf2Hash.sample(rng, n, k_bits)
-        cands = h.coset(h.apply_int(word), cap=COSET_CAP)
+        rows, (cols, null) = _sample_solved(rng, k_bits, n)
+        particular = 0
+        for j, row in enumerate(rows):
+            if (word & row).bit_count() & 1:
+                particular ^= cols[j]
+        span = [0]
+        for v in null:
+            span += [w ^ v for w in span]
+        cands = np.array(sorted(particular ^ w for w in span), dtype=np.uint64)
         bits = unpack_digits(cands, n, 1)
         l0 = ll[0, yd]
         l1 = ll[1, yd]
@@ -103,22 +110,10 @@ SW_SOURCES = {
 
 
 @pytest.mark.parametrize("source", SW_SOURCES)
-def test_sw_binary_matches_reference(source, monkeypatch):
+def test_sw_binary_matches_reference(source, rejected_draws):
     """Equal reports for seeds 0-4 at rate 1 (a bin of one), the bench's rate
     0.72, and n = 24 at k = 12 (4,096 candidates, the decoder cap)."""
     pmf = SW_SOURCES[source]()
-    redraws = 0
-    solve = hashing._solve_structures
-
-    def counted(rows, m):
-        nonlocal redraws
-        try:
-            return solve(rows, m)
-        except ValueError:
-            redraws += 1
-            raise
-
-    monkeypatch.setattr(hashing, "_solve_structures", counted)
     cases = [(n, rate, 60) for n in (1, 2, 5, 8, 12, 16, 24) for rate in (1.0, 0.72)]
     errors = 0
     for seed in range(5):
@@ -128,7 +123,7 @@ def test_sw_binary_matches_reference(source, monkeypatch):
             assert sw_binning_simulate(pmf, n, rate, trials, seed) == want, (seed, n, rate)
             errors += want.errors
     # the reference redrew rank-deficient hashes, so the batched path had to
-    assert redraws
+    assert rejected_draws
     assert errors or source == "uniform copy"
 
 
@@ -244,7 +239,7 @@ class TestDecoderOracles:
         pmf = bss_pmf(0.1)
         chain = default_copy_chain(pmf)
         tensor = chain_tensor(pmf, chain)
-        stage = _Stage(pmf, tensor, chain, 1, n=7, slack=0.05, seed=9)
+        stage = _Stage(tensor, chain, 1, n=7, slack=0.05, seed=9)
         assert not stage.identity
         rng = np.random.default_rng(5)
         for _ in range(25):
@@ -276,7 +271,7 @@ class TestDecoderOracles:
         assert rep.leakage_exact
         # brute force: X = Y uniform, CR = x block; reconstruct K and F from
         # the same seeded hashes and average exactly over all 2^n blocks
-        stage = _Stage(uniform_copy, chain_tensor(uniform_copy, chain), chain,
+        stage = _Stage(chain_tensor(uniform_copy, chain), chain,
                        1, n=n, slack=0.25, seed=31)
         from cit.hashing import AffineGf2Hash
         key_hash = AffineGf2Hash.sample(np.random.default_rng([31, 1]), n, rep.key_bits)
@@ -351,7 +346,7 @@ class TestBestFirstReference:
             seed = int(rng.integers(1 << 20))
             slack = float(rng.uniform(0.0, 0.2))
             for j in range(1, chain.rounds + 1):
-                stage = _Stage(pmf, tensor, chain, j, n, slack, seed)
+                stage = _Stage(tensor, chain, j, n, slack, seed)
                 if stage.identity:
                     continue
                 for _ in range(4):
