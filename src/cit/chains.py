@@ -20,6 +20,7 @@ is an upper bound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -41,9 +42,11 @@ from .pmf import (
     JointPMF,
     TensorPMF,
     binary_entropy,
-    conditional_mutual_information,
-    mutual_information,
+    frozen_copies,
+    marginal_entropy,
+    normalized,
     plogp_sum,
+    source_information,
 )
 
 DET_FEASIBILITY_TOL = 1e-9
@@ -99,19 +102,14 @@ class AuxiliaryChain:
                 raise ValueError(f"round {j + 1} kernel must have {2 + j} axes, got {k.ndim}")
             if tuple(k.shape[1:-1]) != tuple(sizes):
                 raise ValueError(f"round {j + 1} kernel shape {k.shape} inconsistent with prior sizes {sizes}")
-            if np.any(k < 0):
+            if (k < 0).any():
                 raise ValueError(f"round {j + 1} kernel has negative entries")
-            if np.max(np.abs(k.sum(axis=-1) - 1.0)) > 1e-9:
+            if np.abs(k.sum(axis=-1) - 1.0).max() > 1e-9:
                 raise ValueError(f"round {j + 1} kernel slices must sum to 1 within 1e-9")
             parents.append(k.shape[0])
             sizes.append(k.shape[-1])
         _check_p3(sizes, parents)
-        frozen = []
-        for k in kernels:
-            k = k.copy()
-            k.setflags(write=False)
-            frozen.append(k)
-        object.__setattr__(self, "kernels", tuple(frozen))
+        object.__setattr__(self, "kernels", frozen_copies(kernels))
 
     @property
     def rounds(self) -> int:
@@ -152,13 +150,8 @@ class DeterministicChain:
                 raise ValueError(f"round {j + 1} table values must lie in [0, {sizes[j]})")
             parents.append(t.shape[0])
         _check_p3(sizes, parents)
-        frozen = []
-        for t in tables:
-            t = t.copy()
-            t.setflags(write=False)
-            frozen.append(t)
         object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "tables", tuple(frozen))
+        object.__setattr__(self, "tables", frozen_copies(tables))
 
     @property
     def rounds(self) -> int:
@@ -231,17 +224,15 @@ class ChainResult:
 def _joint_array(pmf: JointPMF, chain: "AuxiliaryChain | DeterministicChain") -> np.ndarray:
     """Dense joint law over (X, Y, U_1, ..., U_r)."""
     nx, ny = pmf.shape
-    cells = nx * ny * int(np.prod(chain.sizes, dtype=float))
+    cells = nx * ny * math.prod(chain.sizes)
     if cells > TENSOR_BUDGET:
         raise SizeBudgetExceeded(f"joint tensor would hold {cells} cells (budget {TENSOR_BUDGET})")
     aux = chain.as_auxiliary() if isinstance(chain, DeterministicChain) else chain
     for j, k in enumerate(aux.kernels, start=1):
-        side = speaker_of(j, aux.initiator)
-        expected = nx if side == "x" else ny
+        expected = speaker_size(j, aux.initiator, nx, ny)
         if k.shape[0] != expected:
-            raise ValueError(
-                f"round {j} speaks {side!r} but its table covers {k.shape[0]} symbols, not {expected}"
-            )
+            raise ValueError(f"round {j} speaks {speaker_of(j, aux.initiator)!r} but its table "
+                             f"covers {k.shape[0]} symbols, not {expected}")
     return _product_law(pmf.p, [k[None] for k in aux.kernels], aux.initiator)[0]
 
 
@@ -286,13 +277,21 @@ def chain_objective(pmf: JointPMF, chain: "AuxiliaryChain | DeterministicChain")
     """
     q = _joint_array(pmf, chain)
     objective, residual = _objective_residual(q)
-    t = chain_tensor(pmf, chain)
+    p = normalized(q)  # axes X, Y, U_1, ..., U_r
+    # round j's term I(speaker; U_j | listener, U^{j-1}) is H(X,Y,U^{j-1}) +
+    # H(listener,U^j) - H(listener,U^{j-1}) - H(X,Y,U^j): axis s is the
+    # speaker, axis j + 1 is U_j, and `later` holds the rounds after j
+    rounds = chain.rounds
+    h_ac = marginal_entropy(p, tuple(range(2, rounds + 2)))
     terms = []
-    for j in range(1, chain.rounds + 1):
-        side = speaker_of(j, chain.initiator)
-        listener = "y" if side == "x" else "x"
-        prior = tuple(f"u{i}" for i in range(1, j))
-        terms.append(conditional_mutual_information(t, side, f"u{j}", (listener,) + prior))
+    for j in range(1, rounds + 1):
+        s = 0 if speaker_of(j, chain.initiator) == "x" else 1
+        later = tuple(range(j + 2, rounds + 2))
+        h_abc = marginal_entropy(p, later)
+        h_bc = marginal_entropy(p, (s,) + later)
+        h_c = marginal_entropy(p, (s, j + 1) + later)
+        terms.append(max(h_ac + h_bc - h_c - h_abc, 0.0))
+        h_ac = h_abc
     return ChainResult(
         objective=objective,
         residual=residual,
@@ -786,8 +785,7 @@ def binary_stop_classify(
     """
     if pmf.shape != (2, 2):
         raise ValueError("binary_stop_classify needs binary alphabets on both sides")
-    t = pmf.to_tensor()
-    if mutual_information(t, "x", "y") <= 1e-9:
+    if source_information(pmf) <= 1e-9:
         raise ValueError("sources must be dependent (I(X;Y) > 1e-9)")
     scored = chain_objective(pmf, chain)
     if scored.residual > DET_FEASIBILITY_TOL:

@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -19,18 +20,26 @@ import numpy as np
 
 from . import __version__, chains, protocols, rates, simulate, sources, structure, wyner
 from .errors import CitError
-from .pmf import IDENTITY_TOL, JointPMF, entropy, load_pmf, mutual_information
+from .pmf import IDENTITY_TOL, JointPMF, entropy, load_pmf, mutual_information, source_information
 
 
-def _thread_count(text: str) -> int:
-    """A thread count: a positive integer, or a usage error naming `text`."""
-    try:
-        count = int(text)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"thread count must be a positive integer, got {text!r}")
-    return count
+def _int_at_least(low: int, rule: str):
+    """Argument type: an integer of at least `low`, or a usage error stating
+    `rule` and the text given (argparse names the flag before it)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
+        return value
+    return parse
+
+
+_thread_count = _int_at_least(1, "thread count must be a positive integer")
+_positive = _int_at_least(1, "must be a positive integer")
+_nonnegative = _int_at_least(0, "must be a nonnegative integer")
 
 
 def _add_threads(p: argparse.ArgumentParser) -> None:
@@ -77,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--w-size", type=int, default=None)
     p.add_argument("--restarts", type=int, default=32)
-    p.add_argument("--max-iter", type=int, default=5000)
+    p.add_argument("--max-iter", type=_nonnegative, default=5000)
     p.add_argument("--penalty", type=_float_list, default=(1.0, 10.0, 100.0, 1000.0))
 
     p = sub.add_parser("ici", help="r-round interactive common-information bounds")
@@ -87,23 +96,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--initiator", choices=("x", "y"), default="x")
     p.add_argument("--caps", type=_int_list, default=None, help="per-round size caps, e.g. 2,3")
     p.add_argument("--sizes", type=_int_list, default=None, help="sizes for the randomized search")
-    p.add_argument("--budget", type=int, default=2_000_000)
+    p.add_argument("--budget", type=_nonnegative, default=2_000_000)
     p.add_argument("--restarts", type=int, default=8)
 
     p = sub.add_parser("rates", help="assembled rate report")
     common(p)
     p.add_argument("--rounds", type=int, default=2)
     p.add_argument("--caps", type=_int_list, default=None)
-    p.add_argument("--budget", type=int, default=200_000)
+    p.add_argument("--budget", type=_nonnegative, default=200_000)
     p.add_argument("--no-continuous", action="store_true")
 
     p = sub.add_parser("check", help="exact identity suites over seeded random instances")
     p.add_argument("identity", choices=("lemma1", "decomp", "el5"))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--n", type=int, default=2, help="blocklength for protocol checks")
-    p.add_argument("--alphabet", type=int, default=3, help="max alphabet size")
-    p.add_argument("--rounds", type=int, default=2)
+    p.add_argument("--count", type=_positive, default=100)
+    p.add_argument("--n", type=_positive, default=2, help="largest blocklength for protocol checks")
+    p.add_argument("--alphabet", type=_int_at_least(2, "must be an integer of at least 2"),
+                   default=3, help="largest alphabet size")
+    p.add_argument("--rounds", type=_positive, default=2, help="largest number of rounds")
     p.add_argument("--output", help="write the report to this path instead of stdout")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     _add_threads(p)
@@ -193,7 +203,7 @@ def _info_result(pmf: JointPMF) -> dict:
 def _run_check(args) -> dict:
     rng = np.random.default_rng(args.seed)
     worst = 0.0
-    hi = max(2, args.alphabet)
+    hi = args.alphabet
     for _ in range(args.count):
         nx = int(rng.integers(2, hi + 1))
         ny = int(rng.integers(2, hi + 1))
@@ -205,12 +215,11 @@ def _run_check(args) -> dict:
             for j in range(1, r + 1):
                 parent = chains.speaker_size(j, "x", nx, ny)
                 size = int(rng.integers(2, 4))
-                flat = rng.dirichlet(np.ones(size), size=parent * int(np.prod(prior, dtype=int) or 1))
+                flat = rng.dirichlet(np.ones(size), size=parent * math.prod(prior))
                 kernels.append(flat.reshape((parent,) + prior + (size,)))
                 prior += (size,)
             res = chains.chain_objective(pmf, chains.AuxiliaryChain("x", tuple(kernels)))
-            t = pmf.to_tensor()
-            mi = mutual_information(t, "x", "y")
+            mi = source_information(pmf)
             violation = abs(res.objective - mi + res.residual - sum(res.per_round_terms))
         else:
             n = int(rng.integers(1, args.n + 1))

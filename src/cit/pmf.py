@@ -63,9 +63,11 @@ class FiniteAlphabet:
         return FiniteAlphabet(tuple(f"{prefix}{i}" for i in range(n)))
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
+def frozen_copies(arrays) -> tuple[np.ndarray, ...]:
+    """Read-only copies, so a frozen dataclass cannot be changed through them."""
+    out = tuple(a.copy() for a in arrays)
+    for a in out:
+        a.setflags(write=False)
     return out
 
 
@@ -129,6 +131,19 @@ class JointPMF:
         return validate_pmf(obj["p"], obj["x"], obj["y"])
 
 
+def normalized(p: np.ndarray) -> np.ndarray:
+    """`p` divided by its total, once it passes the checks every law passes:
+    no negative entry, some mass, and a total within 1e-6 of 1."""
+    if (p < 0).any():
+        raise NegativeMass(f"negative entries at {np.argwhere(p < 0).tolist()}")
+    total = float(p.sum())
+    if total == 0.0:
+        raise EmptyMatrix("array carries no mass")
+    if abs(total - 1.0) > NORMALIZATION_TOL:
+        raise NotNormalized(f"total mass {total} differs from 1 by more than {NORMALIZATION_TOL}")
+    return p / total
+
+
 def validate_pmf(
     raw_matrix: Sequence[Sequence[float]],
     labels_x: Sequence[str] | None = None,
@@ -143,16 +158,9 @@ def validate_pmf(
     p = np.asarray(raw_matrix, dtype=float)
     if p.ndim != 2 or p.size == 0:
         raise EmptyMatrix(f"expected a nonempty 2-d matrix, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise ValueError("probability entries must be finite")
-    if np.any(p < 0):
-        raise NegativeMass(f"negative entries at {np.argwhere(p < 0).tolist()}")
-    total = float(p.sum())
-    if total == 0.0:
-        raise EmptyMatrix("matrix carries no mass")
-    if abs(total - 1.0) > NORMALIZATION_TOL:
-        raise NotNormalized(f"total mass {total} differs from 1 by more than {NORMALIZATION_TOL}")
-    p = p / total
+    p = normalized(p)
     if labels_x is None:
         labels_x = [str(i) for i in range(p.shape[0])]
     if labels_y is None:
@@ -163,7 +171,8 @@ def validate_pmf(
         raise ValueError(f"label counts {(ax.size, ay.size)} do not match matrix shape {p.shape}")
     zero_x = tuple(s for s, m in zip(ax.symbols, p.sum(axis=1)) if m == 0.0)
     zero_y = tuple(s for s, m in zip(ay.symbols, p.sum(axis=0)) if m == 0.0)
-    return JointPMF(ax, ay, _readonly(p), zero_x, zero_y)
+    p.setflags(write=False)
+    return JointPMF(ax, ay, p, zero_x, zero_y)
 
 
 def load_pmf(path: str) -> JointPMF:
@@ -198,16 +207,11 @@ class TensorPMF:
         for n, a, s in zip(names, alphabets, p.shape):
             if a.size != s:
                 raise ValueError(f"axis {n!r}: alphabet size {a.size} != dim {s}")
-        if np.any(p < 0):
-            raise NegativeMass("negative entries in tensor")
-        total = float(p.sum())
-        if total == 0.0:
-            raise EmptyMatrix("tensor carries no mass")
-        if abs(total - 1.0) > NORMALIZATION_TOL:
-            raise NotNormalized(f"total mass {total} differs from 1 by more than {NORMALIZATION_TOL}")
+        p = normalized(p)
+        p.setflags(write=False)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "alphabets", alphabets)
-        object.__setattr__(self, "p", _readonly(p / total))
+        object.__setattr__(self, "p", p)
 
     @property
     def arity(self) -> int:
@@ -259,12 +263,23 @@ def plogp_sum(arr: np.ndarray) -> float:
     return float((pos * np.log2(pos)).sum())
 
 
+def marginal_entropy(p: np.ndarray, drop: tuple[int, ...] = ()) -> float:
+    """Entropy in bits of the marginal of `p` left after summing out the
+    axes `drop` (ascending; none leaves `p` itself). Every entropy below is
+    a sum of these."""
+    return -plogp_sum(p.sum(axis=drop) if drop else p)
+
+
+def _h(t: TensorPMF, keep: tuple[int, ...]) -> float:
+    return marginal_entropy(t.p, tuple(i for i in range(t.arity) if i not in keep))
+
+
 def entropy(t: TensorPMF, subset: AxisSpec) -> float:
     """Shannon entropy in bits of the marginal on `subset`."""
     idx = t.axes(subset)
     if not idx:
         raise UnknownAxis("entropy needs a nonempty axis subset")
-    return -plogp_sum(t.marginal_array(subset)) + 0.0
+    return _h(t, idx) + 0.0
 
 
 def conditional_entropy(t: TensorPMF, target: AxisSpec, given: AxisSpec = ()) -> float:
@@ -275,12 +290,10 @@ def conditional_entropy(t: TensorPMF, target: AxisSpec, given: AxisSpec = ()) ->
         raise OverlappingAxes("target and conditioning axes overlap")
     if not ti:
         raise UnknownAxis("conditional_entropy needs a nonempty target")
-    names = t.names
-    joint = -plogp_sum(t.marginal_array([names[i] for i in ti + gi]))
+    joint = _h(t, ti + gi)
     if not gi:
         return joint
-    h_given = -plogp_sum(t.marginal_array([names[i] for i in gi]))
-    return max(joint - h_given, 0.0)
+    return max(joint - _h(t, gi), 0.0)
 
 
 def mutual_information(t: TensorPMF, axes_a: AxisSpec, axes_b: AxisSpec) -> float:
@@ -291,11 +304,14 @@ def mutual_information(t: TensorPMF, axes_a: AxisSpec, axes_b: AxisSpec) -> floa
         raise OverlappingAxes("the two axis groups overlap")
     if not ai or not bi:
         raise UnknownAxis("mutual_information needs two nonempty groups")
-    names = t.names
-    h_a = -plogp_sum(t.marginal_array([names[i] for i in ai]))
-    h_b = -plogp_sum(t.marginal_array([names[i] for i in bi]))
-    h_ab = -plogp_sum(t.marginal_array([names[i] for i in ai + bi]))
-    return max(h_a + h_b - h_ab, 0.0)
+    return max(_h(t, ai) + _h(t, bi) - _h(t, ai + bi), 0.0)
+
+
+def source_information(pmf: JointPMF) -> float:
+    """I(X;Y) in bits: `mutual_information(pmf.to_tensor(), "x", "y")`, bit
+    for bit, without building the tensor."""
+    p = normalized(pmf.p)
+    return max(marginal_entropy(p, (1,)) + marginal_entropy(p, (0,)) - marginal_entropy(p), 0.0)
 
 
 def conditional_mutual_information(
@@ -305,19 +321,13 @@ def conditional_mutual_information(
     ai = t.axes(axes_a)
     bi = t.axes(axes_b)
     ci = t.axes(given)
-    groups = [set(ai), set(bi), set(ci)]
-    if (groups[0] & groups[1]) or (groups[0] & groups[2]) or (groups[1] & groups[2]):
+    if len(set(ai + bi + ci)) < len(ai + bi + ci):  # each group alone has no repeats
         raise OverlappingAxes("axis groups must be pairwise disjoint")
     if not ai or not bi:
         raise UnknownAxis("conditional_mutual_information needs two nonempty groups")
     if not ci:
         return mutual_information(t, axes_a, axes_b)
-    names = t.names
-    h_ac = -plogp_sum(t.marginal_array([names[i] for i in ai + ci]))
-    h_bc = -plogp_sum(t.marginal_array([names[i] for i in bi + ci]))
-    h_c = -plogp_sum(t.marginal_array([names[i] for i in ci]))
-    h_abc = -plogp_sum(t.marginal_array([names[i] for i in ai + bi + ci]))
-    return max(h_ac + h_bc - h_c - h_abc, 0.0)
+    return max(_h(t, ai + ci) + _h(t, bi + ci) - _h(t, ci) - _h(t, ai + bi + ci), 0.0)
 
 
 def binary_entropy(p: float) -> float:

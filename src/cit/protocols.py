@@ -9,10 +9,16 @@ machine-checkable statements:
   * H(F | X^n) + H(F | Y^n) <= H(F) for every interactive transcript;
   * n I(X;Y) = I(X^n; Y^n | J, F) + H(J, F) - H(F|X^n) - H(F|Y^n)
     - H(J|X^n, F) - H(J|Y^n, F) for every function J of the blocks.
+
+Each check is one pass over one dense array: the block law is scattered
+into the cells of (X^n, Y^n, F), or (X^n, Y^n, F, J), and normalized once,
+and every entropy is a marginal of that array, each distinct marginal
+taken once. `transcript_law` wraps the same law in a labelled TensorPMF.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -20,7 +26,9 @@ import numpy as np
 
 from .chains import check_initiator, speaker_of, speaker_size
 from .errors import SizeBudgetExceeded
-from .pmf import FiniteAlphabet, JointPMF, TensorPMF, conditional_entropy, conditional_mutual_information, entropy, mutual_information
+from .pmf import (FiniteAlphabet, JointPMF, TensorPMF, frozen_copies, marginal_entropy, normalized,
+                  source_information)
+from .pmf import entropy  # noqa: F401  (unused; perfbench/tracer.py wraps it here by name)
 
 ENUMERATION_BUDGET = 2 ** 22
 
@@ -65,13 +73,8 @@ class Protocol:
             if t.size and (t.min() < 0 or t.max() >= s):
                 raise ValueError(f"round {i + 1} messages must lie in [0, {s})")
             prefix *= s
-        frozen = []
-        for t in tables:
-            t = t.copy()
-            t.setflags(write=False)
-            frozen.append(t)
         object.__setattr__(self, "message_sizes", sizes)
-        object.__setattr__(self, "message_tables", tuple(frozen))
+        object.__setattr__(self, "message_tables", frozen_copies(tables))
 
     @property
     def rounds(self) -> int:
@@ -79,7 +82,7 @@ class Protocol:
 
     @property
     def transcript_size(self) -> int:
-        return int(np.prod(self.message_sizes, dtype=int))
+        return math.prod(self.message_sizes)
 
     def speaker(self, round_index: int) -> str:
         return speaker_of(round_index, self.initiator)
@@ -99,25 +102,45 @@ class Protocol:
 
 
 def iid_block_law(pmf: JointPMF, n: int) -> np.ndarray:
-    """Joint law of (X^n, Y^n) as a (|X|^n, |Y|^n) matrix, big-endian indexing."""
-    out = np.array([[1.0]])
+    """Joint law of (X^n, Y^n) as a (|X|^n, |Y|^n) matrix, big-endian indexing:
+    the n-th Kronecker power of p, each step one outer product (np.kron's products)."""
+    out = np.ones((1, 1))
     for _ in range(n):
-        out = np.kron(out, pmf.p)
+        out = (out[:, None, :, None] * pmf.p[None, :, None, :]).reshape(
+            len(out) * len(pmf.p), -1)
     return out
+
+
+def _dense_law(pmf: JointPMF, protocol: Protocol, j_table=None) -> np.ndarray:
+    """Unnormalized joint law of (X^n, Y^n, F), or of (X^n, Y^n, F, J) for
+    a lookup table J over (X^n index, Y^n index), within the size budgets."""
+    nx, ny = pmf.shape
+    x_count, y_count = nx ** protocol.n, ny ** protocol.n
+    f_size = protocol.transcript_size
+    j_size = 1
+    if j_table is None:
+        if x_count * y_count > ENUMERATION_BUDGET:
+            raise SizeBudgetExceeded(
+                f"{x_count * y_count} block pairs exceed the budget {ENUMERATION_BUDGET}")
+    else:
+        j_table = np.asarray(j_table, dtype=int)
+        if j_table.shape != (x_count, y_count):
+            raise ValueError(f"j_table must have shape {(x_count, y_count)}, got {j_table.shape}")
+        j_size = int(j_table.max()) + 1
+        if x_count * y_count * f_size * j_size > 4 * ENUMERATION_BUDGET:
+            raise SizeBudgetExceeded("joint law of (X^n, Y^n, F, J) exceeds the budget")
+    block = iid_block_law(pmf, protocol.n)
+    cell = protocol.transcripts(x_count, y_count)
+    if j_table is not None:
+        cell = cell * j_size + j_table
+    law = np.zeros((x_count, y_count, f_size * j_size))
+    law[np.arange(x_count)[:, None], np.arange(y_count)[None, :], cell] = block
+    return law if j_table is None else law.reshape(x_count, y_count, f_size, j_size)
 
 
 def transcript_law(pmf: JointPMF, protocol: Protocol) -> TensorPMF:
     """Exact joint law of (X^n, Y^n, F) by enumeration."""
-    nx, ny = pmf.shape
-    x_count, y_count = nx ** protocol.n, ny ** protocol.n
-    if x_count * y_count > ENUMERATION_BUDGET:
-        raise SizeBudgetExceeded(
-            f"{x_count * y_count} block pairs exceed the budget {ENUMERATION_BUDGET}"
-        )
-    block = iid_block_law(pmf, protocol.n)
-    f = protocol.transcripts(x_count, y_count)
-    law = np.zeros((x_count, y_count, protocol.transcript_size))
-    np.put_along_axis(law, f[:, :, None], block[:, :, None], axis=2)
+    law = _dense_law(pmf, protocol)
     return TensorPMF(
         ("xn", "yn", "f"),
         (
@@ -131,9 +154,10 @@ def transcript_law(pmf: JointPMF, protocol: Protocol) -> TensorPMF:
 
 def lemma1_check(pmf: JointPMF, protocol: Protocol) -> dict:
     """Both sides of H(F|X^n) + H(F|Y^n) <= H(F), computed exactly."""
-    t = transcript_law(pmf, protocol)
-    lhs = conditional_entropy(t, "f", "xn") + conditional_entropy(t, "f", "yn")
-    rhs = entropy(t, "f")
+    p = normalized(_dense_law(pmf, protocol))  # axes X^n, Y^n, F
+    lhs = (max(marginal_entropy(p, (1,)) - marginal_entropy(p, (1, 2)), 0.0)
+           + max(marginal_entropy(p, (0,)) - marginal_entropy(p, (0, 2)), 0.0))
+    rhs = marginal_entropy(p, (0, 1)) + 0.0  # + 0.0 turns -0.0 into 0.0, as entropy() does
     return {"lhs": lhs, "rhs": rhs, "slack": rhs - lhs}
 
 
@@ -142,38 +166,21 @@ def decomposition_check(pmf: JointPMF, protocol: Protocol, j_table: np.ndarray) 
 
     `j_table` is any lookup table over (X^n index, Y^n index).
     """
-    nx, ny = pmf.shape
-    x_count, y_count = nx ** protocol.n, ny ** protocol.n
-    j_table = np.asarray(j_table, dtype=int)
-    if j_table.shape != (x_count, y_count):
-        raise ValueError(f"j_table must have shape {(x_count, y_count)}, got {j_table.shape}")
-    j_size = int(j_table.max()) + 1
-    f_size = protocol.transcript_size
-    if x_count * y_count * f_size * j_size > 4 * ENUMERATION_BUDGET:
-        raise SizeBudgetExceeded("joint law of (X^n, Y^n, F, J) exceeds the budget")
-    block = iid_block_law(pmf, protocol.n)
-    f = protocol.transcripts(x_count, y_count)
-    combined = f * j_size + j_table
-    law = np.zeros((x_count, y_count, f_size * j_size))
-    np.put_along_axis(law, combined[:, :, None], block[:, :, None], axis=2)
-    t = TensorPMF(
-        ("xn", "yn", "f", "j"),
-        (
-            _product_alphabet(pmf.alphabet_x, protocol.n),
-            _product_alphabet(pmf.alphabet_y, protocol.n),
-            FiniteAlphabet.of_size(f_size, "f"),
-            FiniteAlphabet.of_size(j_size, "j"),
-        ),
-        law.reshape(x_count, y_count, f_size, j_size),
-    )
-    lhs = protocol.n * mutual_information(pmf.to_tensor(), "x", "y")
+    p = normalized(_dense_law(pmf, protocol, j_table))  # axes X^n, Y^n, F, J
+    # marginals named by the axes they keep; each of the eight is taken once
+    h_xfj = marginal_entropy(p, (1,))
+    h_yfj = marginal_entropy(p, (0,))
+    h_fj = marginal_entropy(p, (0, 1))
+    h_xf = marginal_entropy(p, (1, 3))
+    h_yf = marginal_entropy(p, (0, 3))
+    lhs = protocol.n * source_information(pmf)
     rhs = (
-        conditional_mutual_information(t, "xn", "yn", ("j", "f"))
-        + entropy(t, ("j", "f"))
-        - conditional_entropy(t, "f", "xn")
-        - conditional_entropy(t, "f", "yn")
-        - conditional_entropy(t, "j", ("xn", "f"))
-        - conditional_entropy(t, "j", ("yn", "f"))
+        max(h_xfj + h_yfj - h_fj - marginal_entropy(p), 0.0)      # I(X^n; Y^n | J, F)
+        + (h_fj + 0.0)                                            # H(J, F)
+        - max(h_xf - marginal_entropy(p, (1, 2, 3)), 0.0)         # H(F | X^n)
+        - max(h_yf - marginal_entropy(p, (0, 2, 3)), 0.0)         # H(F | Y^n)
+        - max(h_xfj - h_xf, 0.0)                                  # H(J | X^n, F)
+        - max(h_yfj - h_yf, 0.0)                                  # H(J | Y^n, F)
     )
     return {"lhs": lhs, "rhs": rhs, "difference": lhs - rhs}
 

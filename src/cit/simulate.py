@@ -371,10 +371,13 @@ def cr_sk_simulate(
 
     Raises RateInfeasible when `key_rate` exceeds the chain's net
     extractable rate H(U^r) - sum_j H(U_j | listener_j, U^{j-1}), which for
-    a feasible chain equals I(X;Y).
+    a feasible chain equals I(X;Y). Raises ValueError for a blocklength or
+    a trial count below 1.
     """
     if not isinstance(chain, DeterministicChain):
         raise ValueError("the staged scheme needs a deterministic chain")
+    if n < 1:
+        raise ValueError(f"blocklength must be at least 1, got {n}")
     if trials < 1:
         raise ValueError("need at least one trial")
     if key_rate < 0:

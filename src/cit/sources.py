@@ -64,4 +64,4 @@ def random_pmf(rng: np.random.Generator, nx: int, ny: int, zeros: float = 0.0) -
             mask.flat[int(rng.integers(nx * ny))] = False
         p = np.where(mask, 0.0, p)
         p = p / p.sum()
-    return validate_pmf(p.tolist())
+    return validate_pmf(p)

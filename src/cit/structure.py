@@ -22,8 +22,8 @@ from .pmf import (
     JointPMF,
     TensorPMF,
     conditional_mutual_information,
-    mutual_information,
     plogp_sum,
+    source_information,
 )
 
 ROW_TOL = 1e-9          # entrywise tolerance for conditional-row equality
@@ -264,6 +264,5 @@ def noninteractive_rate(pmf: JointPMF) -> NoninteractiveRate:
     g2 = minimal_sufficient_statistic(pmf, "y")
     h1 = labeling_entropy(g1, pmf.marginal_x)
     h2 = labeling_entropy(g2, pmf.marginal_y)
-    t = pmf.to_tensor()
-    mi = mutual_information(t, "x", "y")
+    mi = source_information(pmf)
     return NoninteractiveRate(min(h1, h2) - mi, h1, h2, mi)

@@ -110,6 +110,18 @@ class TestChainObjective:
         oracle = GAIN_H_X - s * (binary_entropy(3 * a / s) - binary_entropy((a + b) / s))
         assert res.objective == pytest.approx(oracle, abs=1e-9)
 
+    def test_builds_the_chain_law_once(self, gain, monkeypatch):
+        calls = []
+        build = chains._joint_array
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(chains, "_joint_array", counted)
+        chain_objective(gain, gain_two_round_chain())
+        assert len(calls) == 1
+
     def test_per_round_identity_random_chains(self):
         rng = np.random.default_rng(31)
         for _ in range(100):

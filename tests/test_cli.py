@@ -222,6 +222,54 @@ class TestErrorsAndIO:
         assert json.loads(out)["error"] == {"type": "ValueError",
                                             "message": "need at least one trial"}
 
+    def test_simulate_crsk_needs_a_positive_blocklength(self, pmf_file):
+        code, out = run_cli(["simulate", "crsk", "--pmf", pmf_file, "--n", "0"])
+        assert code == 2
+        assert json.loads(out)["error"] == {"type": "ValueError",
+                                            "message": "blocklength must be at least 1, got 0"}
+
+    @pytest.mark.parametrize("identity", ["lemma1", "decomp", "el5"])
+    @pytest.mark.parametrize("flag, value, rule", [
+        ("--count", "0", "must be a positive integer"),
+        ("--count", "-1", "must be a positive integer"),
+        ("--n", "0", "must be a positive integer"),
+        ("--rounds", "0", "must be a positive integer"),
+        ("--alphabet", "1", "must be an integer of at least 2"),
+    ])
+    def test_check_rejects_values_it_cannot_run(self, identity, flag, value, rule, capsys):
+        code, out = run_cli(["check", identity, flag, value])
+        assert (code, out) == (2, "")
+        assert f"argument {flag}: {rule}, got {value!r}" in capsys.readouterr().err
+
+    def test_check_echoes_the_smallest_values_it_runs(self):
+        code, out = run_cli(["check", "el5", "--count", "1", "--n", "1", "--rounds", "1",
+                             "--alphabet", "2"])
+        assert code == 0, out
+        assert json.loads(out)["config"] == {"identity": "el5", "count": 1, "n": 1,
+                                             "alphabet": 2, "rounds": 1}
+
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["wyner"], "--max-iter", "-1"),
+        (["rates"], "--budget", "-5"),
+        (["ici", "--rounds", "1"], "--budget", "-1"),
+    ])
+    def test_negative_counts_are_usage_errors(self, pmf_file, argv, flag, value, capsys):
+        code, out = run_cli(argv + ["--pmf", pmf_file, flag, value])
+        assert (code, out) == (2, "")
+        assert f"argument {flag}: must be a nonnegative integer, got {value!r}" in \
+            capsys.readouterr().err
+
+    def test_zero_counts_keep_their_meaning(self, pmf_file):
+        code, out = run_cli(["wyner", "--pmf", pmf_file, "--max-iter", "0", "--restarts", "2"])
+        assert code == 0, out
+        code, out = run_cli(["rates", "--pmf", pmf_file, "--rounds", "1", "--budget", "0"])
+        assert code == 0, out
+        assert json.loads(out)["config"]["det_budget"] == 0
+        code, out = run_cli(["ici", "--pmf", pmf_file, "--rounds", "1", "--mode", "det",
+                             "--budget", "0"])
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "BudgetExceeded"
+
     @pytest.mark.parametrize("mode", ["all", "det", "cont"])
     def test_ici_needs_a_round(self, pmf_file, mode):
         code, out = run_cli(["ici", "--pmf", pmf_file, "--rounds", "0", "--mode", mode])

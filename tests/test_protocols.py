@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from cit import SizeBudgetExceeded, conditional_entropy, entropy
+from cit import NegativeMass, SizeBudgetExceeded, conditional_entropy, entropy
+from cit.chains import DeterministicChain, chain_objective
+from cit.pmf import FiniteAlphabet, JointPMF
 from cit.protocols import (
     Protocol,
     decomposition_check,
@@ -46,6 +48,31 @@ class TestTranscriptLaw:
     def test_budget(self, bss25):
         with pytest.raises(SizeBudgetExceeded):
             transcript_law(bss25, identity_protocol(2, 12))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 4)])
+    def test_iid_law_is_the_kronecker_power(self, shape):
+        """The outer-product steps take the very products `np.kron` takes."""
+        pmf = random_pmf(np.random.default_rng(shape), *shape)
+        reference = np.array([[1.0]])
+        for n in range(5):
+            law = iid_block_law(pmf, n)
+            assert law.shape == reference.shape
+            assert law.tobytes() == reference.tobytes()
+            reference = np.kron(reference, pmf.p)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_negative_cell_raises_negative_mass(n):
+    """A JointPMF built around validate_pmf still meets the law's checks."""
+    ax = FiniteAlphabet.of_size(2)
+    pmf = JointPMF(ax, ax, np.array([[0.6, -0.1], [0.25, 0.25]]))
+    proto = random_protocol(4, n, 2, (2, 2), 2, 2)
+    with pytest.raises(NegativeMass):
+        lemma1_check(pmf, proto)
+    with pytest.raises(NegativeMass):
+        decomposition_check(pmf, proto, np.zeros((2 ** n, 2 ** n), dtype=int))
+    with pytest.raises(NegativeMass):
+        chain_objective(pmf, DeterministicChain("x", (2,), (np.array([0, 1]),)))
 
 
 class TestLemma1:

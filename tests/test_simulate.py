@@ -187,6 +187,12 @@ class TestCrSk:
             cr_sk_simulate(bss25, chain, n=8, key_rate=0.1, trials=10, seed=0)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_crsk_needs_a_positive_blocklength(bss25, n):
+    with pytest.raises(ValueError, match=f"blocklength must be at least 1, got {n}"):
+        cr_sk_simulate(bss25, default_copy_chain(bss25), n=n, key_rate=0.1, trials=10, seed=0)
+
+
 def test_crsk_packing_budget(bss25):
     chain = default_copy_chain(bss25)
     with pytest.raises(SizeBudgetExceeded):
