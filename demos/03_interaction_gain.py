@@ -33,7 +33,7 @@ print(f"\ntwo-round exchange: value {res.objective:.5f} bits, "
 print(f"per-round information terms: {[round(v, 5) for v in res.per_round_terms]}")
 
 best = det_chain_search(pmf, 2, (2, 3))
-print(f"exhaustive two-round search: best value {best.objective:.5f} "
+print(f"exact deterministic two-round search: best value {best.objective:.5f} "
       f"(encoding {best.encoding})")
 
 rep = rate_report(pmf, 2, RateConfig(continuous_restarts=4, wyner_restarts=6))

@@ -10,9 +10,9 @@ conditionally independent given U^r; the per-round cardinality ceilings
 
 Three routes are provided and are meant to be cross-checked:
   * exact one-round values through minimal sufficient statistics,
-  * exhaustive search over deterministic chains in canonical form, scored
-    by bincounts a block of chains at a time and pruned by prefix entropy
-    (single-threaded),
+  * an exact search over deterministic chains: a recursion over the
+    rectangles of the protocol tree, returning the smallest canonical
+    encoding among the optima (single-threaded),
   * a penalty method over randomized chains (same engine as `wyner`).
 Only the one-round and binary-symmetric values are exact; everything else
 is an upper bound.
@@ -207,9 +207,8 @@ class ChainResult:
     feasible: bool
     encoding: tuple | None = None
     candidates: tuple[tuple[str, float, float], ...] = field(default=())
-    # deterministic search only: chains scored, and chains skipped by prefix pruning
-    chains_scored: int | None = None
-    chains_skipped: int | None = None
+    # deterministic search only: rectangles solved, one per (round, A, B)
+    states: int | None = None
 
     def to_json(self) -> dict:
         return {
@@ -310,64 +309,27 @@ def ci1_exact(pmf: JointPMF, initiator: str = "x") -> float:
 
 
 # ---------------------------------------------------------------------------
-# deterministic search in canonical form
+# deterministic search over protocol rectangles
 # ---------------------------------------------------------------------------
 #
 # A canonical round table is a restricted growth string (RGS): its values are
 # labelled in order of first appearance, so RGS enumerate the set partitions
-# of the table's cells (Knuth, TAOCP 7.2.1.5).
+# of the table's cells (Knuth, TAOCP 7.2.1.5). A deterministic chain is a
+# protocol tree: the (x, y) cells that reach one history form a rectangle
+# A x B, and each round splits the speaker's side of it (Kushilevitz and
+# Nisan, Communication Complexity, 1997).
 
-RGS_BLOCK_ROWS = 1 << 16   # most strings held in one block
-SCORE_ROWS = 2048          # chains scored together
 TIE_TOL = 1e-12            # objectives this close count as equal
-PRUNE_SLACK = 1e-13        # float noise between a prefix's entropy and its chains'
 
 
-@lru_cache(maxsize=None)
-def _count_rgs_tails(length: int, top: int, cap: int) -> int:
-    """Number of ways to extend an RGS whose largest label is `top` by `length` cells."""
-    if length == 0:
-        return 1
-    total = (top + 1) * _count_rgs_tails(length - 1, top, cap)
-    if top + 1 < cap:
-        total += _count_rgs_tails(length - 1, top + 1, cap)
-    return total
-
-
-@lru_cache(maxsize=16)
-def _rgs_tails(length: int, top: int, cap: int) -> np.ndarray:
-    """All extensions counted by `_count_rgs_tails`, in lexicographic order,
-    as a read-only (rows, length) block; `top=-1` gives whole strings."""
-    block = np.zeros((1, length), dtype=np.min_scalar_type(cap - 1))
-    tops = np.array([top])
-    for i in range(length):
-        options = np.minimum(tops + 1, cap - 1) + 1
-        rows = np.repeat(np.arange(len(block)), options)
-        values = np.arange(rows.size) - np.repeat(np.cumsum(options) - options, options)
-        block = block[rows]
-        block[:, i] = values
-        tops = np.maximum(tops[rows], values)
-    block.setflags(write=False)
-    return block
-
-
-def _rgs_blocks(cells: int, cap: int) -> Iterator[np.ndarray]:
-    """RGS over `cells` cells with at most `cap` labels, in lexicographic order.
-
-    The strings come in blocks of at most RGS_BLOCK_ROWS rows: the first
-    `head` cells are enumerated one string at a time and each is followed
-    by the (cached) block of its extensions.
-    """
-    head = 0
-    while max(_count_rgs_tails(cells - head, top, cap)
-              for top in range(-1, min(head, cap))) > RGS_BLOCK_ROWS:
-        head += 1
-    if head == 0:
-        yield _rgs_tails(cells, -1, cap)
+def _rgs(length: int, cap: int, prefix: tuple[int, ...] = ()) -> Iterator[tuple[int, ...]]:
+    """The RGS of `length` cells with labels below `cap` that start with
+    `prefix`, in lexicographic order: set partitions into at most `cap` blocks."""
+    if len(prefix) == length:
+        yield prefix
         return
-    for prefix in _rgs_tails(head, -1, cap):
-        tails = _rgs_tails(cells - head, int(prefix.max()), cap)
-        yield np.hstack([np.broadcast_to(prefix, (len(tails), head)), tails])
+    for v in range(min(max(prefix, default=-1) + 2, cap)):
+        yield from _rgs(length, cap, prefix + (v,))
 
 
 @lru_cache(maxsize=None)
@@ -423,21 +385,19 @@ def count_canonical_chains(
 def iter_canonical_chains(
     x_size: int, y_size: int, rounds: int, caps: Sequence[int], initiator: str = "x"
 ) -> Iterator[DeterministicChain]:
-    """Enumerate canonical deterministic chains (tight sizes, first-appearance labels)."""
-    caps = tuple(int(c) for c in caps)
+    """Enumerate canonical deterministic chains (tight sizes, first-appearance
+    labels) in lexicographic order of their encodings."""
 
-    def rec(j: int, sizes: tuple[int, ...], tables: tuple[np.ndarray, ...]):
+    def rec(encoding: tuple[tuple[int, ...], ...], prod: int):
+        j = len(encoding)
         if j == rounds:
-            yield DeterministicChain(initiator, sizes, tables)
+            yield _encoding_to_chain(encoding, x_size, y_size, initiator)
             return
-        parent = speaker_size(j + 1, initiator, x_size, y_size)
-        cells = parent * int(np.prod(sizes, dtype=int))
-        for block in _rgs_blocks(cells, min(caps[j], cells)):
-            for word in block:
-                table = word.astype(int).reshape((parent,) + sizes)
-                yield from rec(j + 1, sizes + (int(word.max()) + 1,), tables + (table,))
+        cells = speaker_size(j + 1, initiator, x_size, y_size) * prod
+        for word in _rgs(cells, min(int(caps[j]), cells)):
+            yield from rec(encoding + (word,), prod * (max(word) + 1))
 
-    yield from rec(0, (), ())
+    yield from rec((), 1)
 
 
 def _encoding_to_chain(
@@ -453,18 +413,19 @@ def _encoding_to_chain(
     return DeterministicChain(initiator, sizes, tables)
 
 
-def _masses(labels: np.ndarray, size: int, weights: np.ndarray) -> np.ndarray:
-    """Per row of `labels` (values below `size`), the weight of each label."""
-    rows = labels.shape[0]
-    flat = (labels + size * np.arange(rows)[:, None]).ravel()
-    mass = np.bincount(flat, np.broadcast_to(weights, labels.shape).ravel(), rows * size)
-    return mass.reshape(rows, size)
+def _pareto(pairs) -> tuple[tuple[float, float], ...]:
+    """The (objective, residual) pairs that no other pair beats on both."""
+    front: list[tuple[float, float]] = []
+    for pair in sorted(pairs):
+        if not front or pair[1] < front[-1][1]:
+            front.append(pair)
+    return tuple(front)
 
 
-def _row_entropy(mass: np.ndarray) -> np.ndarray:
-    """Entropy in bits of each row of a mass array."""
-    logs = np.log2(mass, out=np.zeros_like(mass), where=mass > 0)
-    return -(mass * logs).sum(axis=1)
+def _first_appearance(labels: Sequence[int]) -> tuple[int, ...]:
+    """The RGS of the partition that `labels` induce."""
+    first: dict[int, int] = {}
+    return tuple(first.setdefault(v, len(first)) for v in labels)
 
 
 def det_chain_search(
@@ -475,96 +436,114 @@ def det_chain_search(
     initiator: str = "x",
     feasibility_tol: float = DET_FEASIBILITY_TOL,
 ) -> ChainResult:
-    """Exhaustive minimum over canonical deterministic chains.
+    """Exact minimum over canonical deterministic chains.
 
     Keeps chains with dependence residual at most `feasibility_tol` and
     returns the lowest objective among them; objectives within TIE_TOL
     count as tied, and the lexicographically smallest encoding wins. The
     result is an upper bound on the r-round optimum. `budget` bounds the
-    size of the whole canonical space, pruned or not.
+    size of the canonical space, `count_canonical_chains`.
 
-    A deterministic U^r is a function of (X, Y), so the objective is H(U^r)
-    and the residual H(X,U^r) + H(Y,U^r) - H(U^r) - H(X,Y): each chain is
-    scored by bincounts of per-cell atom labels, a block of last-round
-    tables at a time. Chains are enumerated in lexicographic order of
-    their encodings, and H(U^j) never decreases in j: once the best
-    objective found is no larger than a prefix's H(U^j), the rest of that
-    prefix's chains can at best tie and lose the tie, so they are skipped.
+    A chain's histories are rectangles A x B and U^r names the leaf, so the
+    objective H(U^r) sums -m log2 m and the residual I(X;Y|U^r) sums
+    m I(X;Y | A x B) over leaves of mass m. `best(j, A, B)` solves the
+    subtree of a rectangle after j rounds: the speaker splits its live
+    symbols (those with mass in it) into at most caps[j] blocks, and the
+    children add. Leaf residuals are nonnegative, so each inner state keeps
+    the Pareto front of its (objective, residual) pairs with residual at
+    most `feasibility_tol`; the root's lowest objective is the optimum over
+    chains whose total residual is within the tolerance.
+
+    The winner is rebuilt round by round, cell by cell in table order
+    (speaker symbol major, history minor): a cell takes the smallest RGS
+    label for which the histories' best consistent splits still sum to a
+    feasible pair within TIE_TOL of the optimum; cells without mass take 0.
     Raises ValueError for fewer than one round.
     """
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
     nx, ny = pmf.shape
     caps = effective_caps(nx, ny, rounds, size_caps, initiator)
-    completions = _completions(nx, ny, rounds, caps, initiator)
-    total = completions(0, 1)
+    total = count_canonical_chains(nx, ny, rounds, caps, initiator)
     if total > budget:
         raise BudgetExceeded(f"{total} canonical chains exceed the budget {budget}")
 
-    p = pmf.p.ravel()
-    xs, ys = np.divmod(np.arange(nx * ny), ny)
-    h_xy = float(_row_entropy(p[None, :])[0])
-    best = np.inf
-    scored = skipped = 0
-    # feasible chains within TIE_TOL of `best`, in enumeration order, which
-    # is the lexicographic order of encodings
-    ties: list[tuple[float, tuple]] = []
+    p = pmf.p
+    positive = (p > 0).tolist()
+    x_speaks = [speaker_of(j, initiator) == "x" for j in range(1, rounds + 1)]
 
-    def score_last(words, atom, n_labels, prefix):
-        nonlocal best, ties
-        m_xu = _masses(atom * nx + xs, n_labels * nx, p)
-        m_yu = _masses(atom * ny + ys, n_labels * ny, p)
-        h_u = _row_entropy(m_xu.reshape(len(words), n_labels, nx).sum(axis=2))
-        residual = _row_entropy(m_xu) + _row_entropy(m_yu) - h_u - h_xy
-        ok = np.flatnonzero(residual <= feasibility_tol)
-        if not ok.size:
-            return
-        low = float(h_u[ok].min())
-        if low < best:
-            best = low
-            ties = [t for t in ties if t[0] <= best + TIE_TOL]
-        for i in ok[h_u[ok] <= best + TIE_TOL]:
-            ties.append((float(h_u[i]), prefix + (tuple(words[i].tolist()),)))
+    def live(xs, ys):
+        """The rectangle xs x ys without its symbols of zero mass."""
+        return (tuple(x for x in xs if any(positive[x][y] for y in ys)),
+                tuple(y for y in ys if any(positive[x][y] for x in xs)))
 
-    def search(j, atoms, n_atoms, prefix, h_prefix):
-        """Round j+1 after a prefix whose atom of each (x, y) cell is
-        `atoms` and whose entropy is `h_prefix`; counts every chain under
-        the prefix as scored or skipped."""
-        nonlocal scored, skipped
-        speaks_x = speaker_of(j + 1, initiator) == "x"
-        cells = (nx if speaks_x else ny) * n_atoms
-        cap = min(caps[j], cells)
-        index = (xs if speaks_x else ys) * n_atoms + atoms   # table cell of each (x, y)
-        reached = 0   # chains under the words taken so far
-        for block in _rgs_blocks(cells, cap):
-            for start in range(0, len(block), SCORE_ROWS):
-                if h_prefix >= best - PRUNE_SLACK:
-                    skipped += completions(j, n_atoms) - reached
-                    return
-                words = block[start:start + SCORE_ROWS]
-                atom = atoms * cap + words[:, index]
-                if j == rounds - 1:
-                    score_last(words, atom, n_atoms * cap, prefix)
-                    scored += len(words)
-                    reached += len(words)
-                    continue
-                h_u = _row_entropy(_masses(atom, n_atoms * cap, p))
-                for word, h, top in zip(words, h_u, words.max(axis=1).tolist()):
-                    used = top + 1
-                    below = completions(j + 1, n_atoms * used)
-                    reached += below
-                    if h >= best - PRUNE_SLACK:
-                        skipped += below
-                        continue
-                    search(j + 1, atoms * used + word[index], n_atoms * used,
-                           prefix + (tuple(word.tolist()),), float(h))
+    def child(j, rect, part):
+        """The rectangle of the round-j speaker's block `part` of `rect`."""
+        return live(part, rect[1]) if x_speaks[j] else live(rect[0], part)
 
-    search(0, np.zeros(nx * ny, dtype=np.intp), 1, (), 0.0)
-    if not ties:
+    def add(front, other):
+        return _pareto((a + b, r + s) for a, r in front for b, s in other
+                       if r + s <= feasibility_tol)
+
+    def split(j, rect, words):
+        """Front of `rect` after j rounds over the speaker's splits `words`."""
+        speaker = rect[0] if x_speaks[j] else rect[1]
+        pairs = []
+        for word in words:
+            front = ((0.0, 0.0),)
+            for block in range(max(word) + 1):
+                part = [s for s, w in zip(speaker, word) if w == block]
+                front = add(front, best(j + 1, *child(j, rect, part)))
+            pairs.extend(front)
+        return _pareto(pairs)
+
+    @lru_cache(maxsize=None)
+    def best(j, xs, ys):
+        if j == rounds:
+            q = p[np.ix_(xs, ys)]
+            m = float(q.sum())
+            m_log_m = m * math.log2(m)
+            residual = max(plogp_sum(q) - plogp_sum(q.sum(axis=1))
+                           - plogp_sum(q.sum(axis=0)) + m_log_m, 0.0)
+            return ((-m_log_m, residual),)
+        return split(j, (xs, ys), _rgs(len(xs if x_speaks[j] else ys), caps[j]))
+
+    nodes = [live(range(nx), range(ny))]   # the rectangle of each history
+    root = best(0, *nodes[0])
+    if not root:
         raise NoFeasibleChain(
             f"no deterministic chain with residual <= {feasibility_tol} under caps {caps}"
         )
-    encoding = ties[0][1]
+    target = root[0][0] + TIE_TOL
+    encoding = []
+    for j in range(rounds):
+        speakers = [() if rect is None else rect[0] if x_speaks[j] else rect[1]
+                    for rect in nodes]
+        labels = [[] for _ in nodes]   # labels of each history's live symbols so far
+        fronts = [((0.0, 0.0),) if rect is None else best(j, *rect) for rect in nodes]
+        word = []
+        for s in range(nx if x_speaks[j] else ny):
+            for a, rect in enumerate(nodes):
+                if s not in speakers[a]:
+                    word.append(0)
+                    continue
+                others = ((0.0, 0.0),)
+                for front in fronts[:a] + fronts[a + 1:]:
+                    others = add(others, front)
+                for label in range(min(max(word, default=-1) + 2, caps[j])):
+                    prefix = _first_appearance(labels[a] + [label])
+                    fronts[a] = split(j, rect, _rgs(len(speakers[a]), caps[j], prefix))
+                    total = add(others, fronts[a])
+                    if total and total[0][0] <= target:
+                        break
+                labels[a].append(label)
+                word.append(label)
+        encoding.append(tuple(word))
+        nodes = [None if label not in labels[a] else
+                 child(j, rect, [s for s, v in zip(speakers[a], labels[a]) if v == label])
+                 for a, rect in enumerate(nodes) for label in range(max(word) + 1)]
+
+    encoding = tuple(encoding)
     best_chain = _encoding_to_chain(encoding, nx, ny, initiator)
     result = chain_objective(pmf, best_chain)
     return ChainResult(
@@ -574,8 +553,7 @@ def det_chain_search(
         chain=best_chain,
         feasible=result.residual <= feasibility_tol,
         encoding=encoding,
-        chains_scored=scored,
-        chains_skipped=skipped,
+        states=best.cache_info().currsize,
     )
 
 

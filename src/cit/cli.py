@@ -42,6 +42,17 @@ _positive = _int_at_least(1, "must be a positive integer")
 _nonnegative = _int_at_least(0, "must be a nonnegative integer")
 
 
+def _finite(text: str) -> float:
+    """Argument type: a finite float, or a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _add_threads(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threads", type=_thread_count, default=None,
                    help="a positive integer, accepted and ignored (default $CIT_THREADS, "
@@ -70,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--pmf", required=True, help="path to a pmf JSON file")
         p.add_argument("--output", help="write the report to this path instead of stdout")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_nonnegative, default=0)
         _add_threads(p)
 
     p = sub.add_parser("info", help="entropies and mutual information")
@@ -108,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="exact identity suites over seeded random instances")
     p.add_argument("identity", choices=("lemma1", "decomp", "el5"))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative, default=0)
     p.add_argument("--count", type=_positive, default=100)
     p.add_argument("--n", type=_positive, default=2, help="largest blocklength for protocol checks")
     p.add_argument("--alphabet", type=_int_at_least(2, "must be an integer of at least 2"),
@@ -126,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--chain", default="copy", help="chain JSON path, or 'copy'")
     p.add_argument("--key-rate", type=float, default=0.1)
-    p.add_argument("--slack", type=float, default=0.25)
+    p.add_argument("--slack", type=_finite, default=0.25)
 
     p = sub.add_parser("example", help="built-in sources run through the rate report")
     p.add_argument("which", choices=("bss", "gain"))
@@ -137,7 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=int, default=2)
     p.add_argument("--output", help="write the report to this path instead of stdout")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative, default=0)
     _add_threads(p)
 
     return parser

@@ -64,7 +64,7 @@ class BudgetExceeded(CitError):
 
 
 class NoFeasibleChain(CitError):
-    """No enumerated chain met the feasibility threshold (defensive)."""
+    """No chain under the caps met the feasibility threshold."""
 
 
 class DeltaOutOfRange(CitError):

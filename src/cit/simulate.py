@@ -136,7 +136,7 @@ def sw_binning_simulate(
     if n < 1 or n > 24:
         raise SizeBudgetExceeded(f"blocklength must lie in [1, 24], got {n}")
     log_alpha = math.log2(nx)
-    if rate <= 0 or rate > log_alpha + 1e-12:
+    if not 0 < rate <= log_alpha + 1e-12:   # NaN fails too
         raise RateOutOfRange(f"rate must lie in (0, log2 |X|] = (0, {log_alpha:.4f}], got {rate}")
     k_bits = min(math.ceil(n * rate - 1e-12), math.ceil(n * log_alpha - 1e-12))
     flat = pmf.p.ravel()
@@ -255,6 +255,9 @@ class _Stage:
             self.identity = True
             self.k_bits = raw_bits
             self.hash = None
+        elif want < 0:
+            raise ValueError(f"stage {j}: slack {slack} would leave its hash {want} "
+                             "output bits; it needs at least 0")
         else:
             self.identity = False
             self.k_bits = want
@@ -372,7 +375,8 @@ def cr_sk_simulate(
     Raises RateInfeasible when `key_rate` exceeds the chain's net
     extractable rate H(U^r) - sum_j H(U_j | listener_j, U^{j-1}), which for
     a feasible chain equals I(X;Y). Raises ValueError for a blocklength or
-    a trial count below 1.
+    a trial count below 1, and for a `slack` that would leave a stage's hash
+    fewer than 0 output bits.
     """
     if not isinstance(chain, DeterministicChain):
         raise ValueError("the staged scheme needs a deterministic chain")

@@ -1,11 +1,16 @@
 import contextlib
 import io
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cit import chains, cli, sources, validate_pmf
 from cit.hashing import _draw_rows
+
+# the bench's input draws (`workloads`) and its tracer import by module name
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 
 @pytest.fixture
@@ -84,7 +89,8 @@ def canonical_encoding(chain: chains.DeterministicChain) -> tuple[tuple[int, ...
 
 def feasible_det_encodings(pmf, rounds, size_caps=None, initiator="x"):
     """All canonical encodings with residual at most DET_FEASIBILITY_TOL, with
-    their objectives, in enumeration order and scored on the dense joint law."""
+    their objectives, in enumeration order and scored on the dense joint law:
+    the dense reference for the search over rectangles."""
     nx, ny = pmf.shape
     caps = chains.effective_caps(nx, ny, rounds, size_caps, initiator)
     out = []

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -21,9 +23,11 @@ from cit import (
     noninteractive_rate,
     validate_pmf,
 )
-from cit.chains import chain_from_json, count_canonical_chains, effective_caps
+from cit.chains import (chain_from_json, count_canonical_chains, effective_caps,
+                        iter_canonical_chains)
 from cit.pmf import save_pmf
 from cit.sources import bss_pmf, gain_pmf, random_pmf
+from workloads import random_base
 
 from conftest import (
     canonical_encoding,
@@ -36,6 +40,17 @@ from conftest import (
 # direct evaluations of the gain-source closed forms (a=0.1, b=c=0.15)
 GAIN_H_X = 1.5812908992306927
 GAIN_CHAIN_OBJECTIVE = 1.5588718484453603
+# the bench's 4x4 draw, whose det optimum at two and three rounds is its ci1
+BENCH4_CI1 = 1.751104634249
+LIFTED = 10 ** 200   # a budget above every canonical space searched here
+
+
+def _random3(seed):
+    return random_pmf(np.random.default_rng(seed), 3, 3)
+
+
+GAIN = gain_pmf(0.1, 0.15, 0.15)
+INDEPENDENT = validate_pmf([[0.25, 0.25], [0.25, 0.25]])
 
 
 def copy_chain_r1(pmf):
@@ -193,6 +208,35 @@ class TestDetSearch:
             v_r = det_chain_search(pmf, 1, (3,)).objective
             v_r1 = det_chain_search(pmf, 2, (3, 2)).objective
             assert v_r1 <= v_r + 1e-12
+        # at default caps, up to four rounds
+        for pmf in [GAIN, bss_pmf(0.25)] + [_random3(seed) for seed in range(6)]:
+            values = [det_chain_search(pmf, r, budget=LIFTED).objective for r in range(1, 5)]
+            assert all(b <= a + 1e-12 for a, b in zip(values, values[1:])), values
+
+    def test_gain_gains_nothing_past_two_rounds(self):
+        for rounds in (3, 4):
+            res = det_chain_search(GAIN, rounds, budget=LIFTED)
+            assert res.objective == pytest.approx(GAIN_CHAIN_OBJECTIVE, abs=1e-12)
+
+    def test_bench_4x4_draw_stays_at_ci1(self):
+        pmf = validate_pmf(random_base(0, 4))
+        assert ci1_exact(pmf, "x") == pytest.approx(BENCH4_CI1, abs=1e-12)
+        for rounds in (2, 3):
+            res = det_chain_search(pmf, rounds, budget=LIFTED)
+            assert res.objective == pytest.approx(BENCH4_CI1, abs=1e-12)
+
+    @pytest.mark.parametrize("rounds", [2, 3])
+    @pytest.mark.parametrize("name", ["gain", "rand0", "rand1", "rand2"])
+    def test_value_is_label_blind(self, name, rounds):
+        p = GAIN.p if name == "gain" else _random3(int(name[4:])).p
+        values = [det_chain_search(validate_pmf(p[list(rows)][:, list(cols)]), rounds,
+                                   budget=LIFTED).objective
+                  for rows in itertools.permutations(range(3))
+                  for cols in itertools.permutations(range(3))]
+        assert len(values) == 36
+        assert max(values) - min(values) <= 1e-12
+        swapped = det_chain_search(validate_pmf(p.T), rounds, budget=LIFTED, initiator="y")
+        assert abs(swapped.objective - values[0]) <= 1e-12
 
     def test_initiator_symmetry_embedding(self):
         rng = np.random.default_rng(41)
@@ -221,14 +265,6 @@ def _reference_search(pmf, rounds, caps, initiator="x"):
     return min(enc for enc, obj in feasible if obj <= low + 1e-12), low
 
 
-def _random3(seed):
-    return random_pmf(np.random.default_rng(seed), 3, 3)
-
-
-GAIN = gain_pmf(0.1, 0.15, 0.15)
-INDEPENDENT = validate_pmf([[0.25, 0.25], [0.25, 0.25]])
-
-
 class TestDetSearchEquivalence:
     @pytest.mark.parametrize("pmf, rounds, caps, initiator", [
         (bss_pmf(0.25), 2, (2, 2), "x"),
@@ -254,14 +290,17 @@ class TestDetSearchEquivalence:
         (_random3(0), 3, (2, 2, 2), "x"),
         (_random3(0), 3, (2, 2, 2), "y"),
     ], ids=["gain-x", "gain-y", "rand0-r3-x", "rand0-r3-y"])
-    def test_counters_cover_the_canonical_space(self, pmf, rounds, caps, initiator):
+    def test_states_count_the_rectangles(self, pmf, rounds, caps, initiator):
         res = det_chain_search(pmf, rounds, caps, initiator=initiator)
-        total = count_canonical_chains(*pmf.shape, rounds,
-                                       effective_caps(*pmf.shape, rounds, caps, initiator),
-                                       initiator)
-        assert res.chains_scored > 0 and res.chains_skipped > 0
-        assert res.chains_scored + res.chains_skipped == total
-        assert not {"chains_scored", "chains_skipped"} & set(res.to_json())
+        nx, ny = pmf.shape
+        # one state per (round, live rectangle), leaves included
+        assert 0 < res.states <= (rounds + 1) * (2 ** nx - 1) * (2 ** ny - 1)
+        assert res.states == det_chain_search(pmf, rounds, caps, initiator=initiator).states
+        assert "states" not in res.to_json()
+
+    def test_one_round_states_are_the_root_and_its_blocks(self):
+        # on full support every nonempty set of x symbols is a leaf's side
+        assert det_chain_search(GAIN, 1, (3,)).states == 1 + (2 ** 3 - 1)
 
     def test_gain_winner_pinned(self):
         # six exactly tied minima; the smallest encoding wins
@@ -276,16 +315,21 @@ class TestDetSearchEquivalence:
         with pytest.raises(NoFeasibleChain):
             det_chain_search(bss25, 1, (1,))
 
-    def test_split_blocks_enumerate_the_same(self, monkeypatch):
-        whole = np.vstack(list(chains._rgs_blocks(9, 4)))
-        monkeypatch.setattr(chains, "RGS_BLOCK_ROWS", 40)
-        monkeypatch.setattr(chains, "SCORE_ROWS", 7)
-        parts = list(chains._rgs_blocks(9, 4))
-        assert len(parts) > 1
-        assert np.array_equal(np.vstack(parts), whole)
-        assert len(whole) == sum(chains._stirling2(9, k) for k in range(1, 5)) == 11051
-        res = det_chain_search(GAIN, 2, (4, 4))
-        assert res.encoding == ((0, 0, 1), (0, 0, 1, 0, 1, 0))
+    @pytest.mark.parametrize("shape, rounds, caps, initiator", [
+        ((2, 2), 2, (2, 2), "x"),
+        ((3, 3), 1, (4,), "y"),
+        ((2, 3), 2, (2, 3), "y"),
+        ((3, 3), 2, (4, 4), "x"),
+    ])
+    def test_canonical_chains_are_counted_and_ordered(self, shape, rounds, caps, initiator):
+        caps = effective_caps(*shape, rounds, caps, initiator)
+        encodings = []
+        for chain in iter_canonical_chains(*shape, rounds, caps, initiator):
+            encoding = tuple(tuple(t.ravel().tolist()) for t in chain.tables)
+            assert canonical_encoding(chain) == encoding
+            encodings.append(encoding)
+        assert len(encodings) == count_canonical_chains(*shape, rounds, caps, initiator)
+        assert encodings == sorted(set(encodings))
 
 
 class TestContinuous:

@@ -228,6 +228,44 @@ class TestErrorsAndIO:
         assert json.loads(out)["error"] == {"type": "ValueError",
                                             "message": "blocklength must be at least 1, got 0"}
 
+    @pytest.mark.parametrize("argv", [["check", "lemma1"], ["simulate", "sw", "--rate", "0.5"],
+                                      ["simulate", "crsk"], ["rates"], ["wyner"],
+                                      ["example", "bss"]])
+    def test_negative_seed_is_a_usage_error(self, pmf_file, argv, capsys):
+        if argv[0] in ("simulate", "rates", "wyner"):
+            argv = argv + ["--pmf", pmf_file]
+        code, out = run_cli(argv + ["--seed", "-1"])
+        assert (code, out) == (2, "")
+        assert "argument --seed: must be a nonnegative integer, got '-1'" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "abc"])
+    def test_simulate_crsk_needs_a_finite_slack(self, pmf_file, value, capsys):
+        code, out = run_cli(["simulate", "crsk", "--pmf", pmf_file, "--slack", value])
+        assert (code, out) == (2, "")
+        assert f"argument --slack: must be a finite number, got {value!r}" in \
+            capsys.readouterr().err
+
+    def test_simulate_crsk_names_the_slack_that_empties_a_stage(self, pmf_file):
+        code, out = run_cli(["simulate", "crsk", "--pmf", pmf_file, "--slack", "-1"])
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "type": "ValueError",
+            "message": "stage 1: slack -1.0 would leave its hash -16 output bits; "
+                       "it needs at least 0"}
+        # a negative slack that leaves the hash no bits still runs
+        code, out = run_cli(["simulate", "crsk", "--pmf", pmf_file, "--slack", "-0.2",
+                             "--n", "4", "--trials", "5"])
+        assert code == 0, out
+
+    def test_simulate_sw_rejects_a_nan_rate(self, pmf_file):
+        code, out = run_cli(["simulate", "sw", "--pmf", pmf_file, "--n", "8",
+                             "--rate", "nan", "--trials", "5"])
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "type": "RateOutOfRange",
+            "message": "rate must lie in (0, log2 |X|] = (0, 1.0000], got nan"}
+
     @pytest.mark.parametrize("identity", ["lemma1", "decomp", "el5"])
     @pytest.mark.parametrize("flag, value, rule", [
         ("--count", "0", "must be a positive integer"),
