@@ -35,8 +35,8 @@ from .errors import (
     NoFeasibleChain,
     SizeBudgetExceeded,
 )
-from .optim import (PenaltyConfig, PenaltyOutcome, dirichlet_starts, penalized_information,
-                    penalized_minimize, renormalize, smooth)
+from .optim import (PenaltyConfig, PenaltyOutcome, dirichlet_starts, distinct_seeds,
+                    penalized_information, penalized_minimize, renormalize, smooth)
 from .pmf import (
     FiniteAlphabet,
     JointPMF,
@@ -207,8 +207,10 @@ class ChainResult:
     feasible: bool
     encoding: tuple | None = None
     candidates: tuple[tuple[str, float, float], ...] = field(default=())
-    # deterministic search only: rectangles solved, one per (round, A, B)
+    # deterministic search only: rectangles solved, one per (round, A, B),
+    # and set partitions scored, the rebuild's included
     states: int | None = None
+    moves: int | None = None
 
     def to_json(self) -> dict:
         return {
@@ -332,14 +334,6 @@ def _rgs(length: int, cap: int, prefix: tuple[int, ...] = ()) -> Iterator[tuple[
         yield from _rgs(length, cap, prefix + (v,))
 
 
-@lru_cache(maxsize=None)
-def _stirling2(cells: int, labels: int) -> int:
-    """Number of RGS over `cells` cells using exactly `labels` labels."""
-    if cells == 0 or labels == 0:
-        return int(cells == labels)
-    return labels * _stirling2(cells - 1, labels) + _stirling2(cells - 1, labels - 1)
-
-
 def effective_caps(
     x_size: int, y_size: int, rounds: int, size_caps: Sequence[int] | None, initiator: str
 ) -> tuple[int, ...]:
@@ -355,31 +349,6 @@ def effective_caps(
         caps.append(cap)
         prod *= cap
     return tuple(caps)
-
-
-def _completions(
-    x_size: int, y_size: int, rounds: int, caps: Sequence[int], initiator: str
-):
-    """`count(j, prod)`: the canonical chains that complete a j-round prefix
-    whose round sizes multiply to `prod`."""
-    caps = tuple(int(c) for c in caps)
-
-    @lru_cache(maxsize=None)
-    def count(j: int, prod: int) -> int:
-        if j == rounds:
-            return 1
-        cells = speaker_size(j + 1, initiator, x_size, y_size) * prod
-        return sum(_stirling2(cells, used) * count(j + 1, prod * used)
-                   for used in range(1, min(caps[j], cells) + 1))
-
-    return count
-
-
-def count_canonical_chains(
-    x_size: int, y_size: int, rounds: int, caps: Sequence[int], initiator: str = "x"
-) -> int:
-    """Number of canonical deterministic chains under the given caps."""
-    return _completions(x_size, y_size, rounds, caps, initiator)(0, 1)
 
 
 def iter_canonical_chains(
@@ -441,8 +410,13 @@ def det_chain_search(
     Keeps chains with dependence residual at most `feasibility_tol` and
     returns the lowest objective among them; objectives within TIE_TOL
     count as tied, and the lexicographically smallest encoding wins. The
-    result is an upper bound on the r-round optimum. `budget` bounds the
-    size of the canonical space, `count_canonical_chains`.
+    result is an upper bound on the r-round optimum.
+
+    `budget` bounds the search's own work: the set partitions it scores,
+    one per speaker split tried at a rectangle, the rebuild's splits
+    included. The search raises BudgetExceeded as soon as that count
+    passes `budget`; `ChainResult.moves` holds the count of a finished
+    search.
 
     A chain's histories are rectangles A x B and U^r names the leaf, so the
     objective H(U^r) sums -m log2 m and the residual I(X;Y|U^r) sums
@@ -464,10 +438,7 @@ def det_chain_search(
         raise ValueError("rounds must be at least 1")
     nx, ny = pmf.shape
     caps = effective_caps(nx, ny, rounds, size_caps, initiator)
-    total = count_canonical_chains(nx, ny, rounds, caps, initiator)
-    if total > budget:
-        raise BudgetExceeded(f"{total} canonical chains exceed the budget {budget}")
-
+    moves = 0   # set partitions scored
     p = pmf.p
     positive = (p > 0).tolist()
     x_speaks = [speaker_of(j, initiator) == "x" for j in range(1, rounds + 1)]
@@ -487,9 +458,13 @@ def det_chain_search(
 
     def split(j, rect, words):
         """Front of `rect` after j rounds over the speaker's splits `words`."""
+        nonlocal moves
         speaker = rect[0] if x_speaks[j] else rect[1]
         pairs = []
         for word in words:
+            moves += 1
+            if moves > budget:
+                raise BudgetExceeded(f"{moves} set partitions scored exceed the budget {budget}")
             front = ((0.0, 0.0),)
             for block in range(max(word) + 1):
                 part = [s for s, w in zip(speaker, word) if w == block]
@@ -554,6 +529,7 @@ def det_chain_search(
         feasible=result.residual <= feasibility_tol,
         encoding=encoding,
         states=best.cache_info().currsize,
+        moves=moves,
     )
 
 
@@ -567,7 +543,6 @@ class ChainOptConfig:
     penalty_schedule: tuple[float, ...] = (1.0, 10.0, 100.0, 1000.0)
     max_iter: int = 3000
     seed: int = 0
-    det_seed_budget: int = 100_000
 
     def to_json(self) -> dict:
         return {
@@ -642,13 +617,15 @@ def continuous_chain_minimize(
 
     Mandatory start points: the best deterministic chain at equal sizes,
     the copy chain, the constant chain, and any supplied chains; each is
-    also scored exactly as a candidate. Feasibility threshold: 1e-4 bits.
+    also scored exactly as a candidate, and a chain whose kernels equal an
+    earlier one's, byte for byte, is skipped. Feasibility threshold: 1e-4
+    bits.
 
     `det_best` is the outcome of a `det_chain_search` at caps `sizes` and the
-    same initiator that the caller already ran: its result, or the error it
-    raised. Without it the search runs here. Either way the start is used
-    only when the canonical space fits `config.det_seed_budget`. Raises
-    ValueError for fewer than one round.
+    same initiator that the caller already ran: its result, which seeds the
+    descent, or the error it raised, which seeds nothing. Without it the
+    search runs here at its default budget. Raises ValueError for fewer
+    than one round.
     """
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
@@ -662,15 +639,10 @@ def continuous_chain_minimize(
     seed_chains: list[tuple[str, DeterministicChain]] = []
     if det_best is None:
         try:
-            det_best = det_chain_search(pmf, rounds, sizes, budget=config.det_seed_budget,
-                                        initiator=initiator)
-        except (BudgetExceeded, NoFeasibleChain):
-            pass
-    elif isinstance(det_best, Exception) or count_canonical_chains(
-            nx, ny, rounds, effective_caps(nx, ny, rounds, sizes, initiator),
-            initiator) > config.det_seed_budget:
-        det_best = None
-    if det_best is not None:
+            det_best = det_chain_search(pmf, rounds, sizes, initiator=initiator)
+        except (BudgetExceeded, NoFeasibleChain) as exc:
+            det_best = exc
+    if isinstance(det_best, ChainResult):
         seed_chains.append(("det-best", det_best.chain.padded(sizes)))
     copy_chain = _copy_chain(nx, ny, sizes, initiator)
     if copy_chain is not None:
@@ -681,12 +653,8 @@ def continuous_chain_minimize(
         if det_ch is not None and det_ch.sizes == sizes and det_ch.initiator == initiator:
             seed_chains.append((f"supplied-{i}", det_ch))
 
-    exact = []
-    starts = []
-    for label, ch in seed_chains:
-        kernels = [np.asarray(k) for k in ch.as_auxiliary().kernels]
-        exact.append((label, kernels))
-        starts.append((label, [smooth(k) for k in kernels]))
+    exact = distinct_seeds((label, list(ch.as_auxiliary().kernels)) for label, ch in seed_chains)
+    starts = [(label, [smooth(k) for k in kernels]) for label, kernels in exact]
     starts += dirichlet_starts(config.seed, config.restarts, shapes)
 
     cfg = PenaltyConfig(

@@ -63,8 +63,13 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(",") if v.strip())
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(",") if v.strip())
+def _finite_list(text: str) -> tuple[float, ...]:
+    """Argument type: a nonempty comma-separated list of finite floats, or a
+    usage error."""
+    values = tuple(_finite(v) for v in text.split(",") if v.strip())
+    if not values:
+        raise argparse.ArgumentTypeError(f"must list at least one number, got {text!r}")
+    return values
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -98,7 +103,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w-size", type=int, default=None)
     p.add_argument("--restarts", type=int, default=32)
     p.add_argument("--max-iter", type=_nonnegative, default=5000)
-    p.add_argument("--penalty", type=_float_list, default=(1.0, 10.0, 100.0, 1000.0))
+    p.add_argument("--penalty", type=_finite_list, default=(1.0, 10.0, 100.0, 1000.0),
+                   help="penalty schedule, comma-separated finite numbers")
 
     p = sub.add_parser("ici", help="r-round interactive common-information bounds")
     common(p)
@@ -107,14 +113,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--initiator", choices=("x", "y"), default="x")
     p.add_argument("--caps", type=_int_list, default=None, help="per-round size caps, e.g. 2,3")
     p.add_argument("--sizes", type=_int_list, default=None, help="sizes for the randomized search")
-    p.add_argument("--budget", type=_nonnegative, default=2_000_000)
+    p.add_argument("--budget", type=_nonnegative, default=2_000_000,
+                   help="most set partitions the det search may score, its rebuild "
+                        "included, before it stops with BudgetExceeded")
     p.add_argument("--restarts", type=int, default=8)
 
     p = sub.add_parser("rates", help="assembled rate report")
     common(p)
     p.add_argument("--rounds", type=int, default=2)
     p.add_argument("--caps", type=_int_list, default=None)
-    p.add_argument("--budget", type=_nonnegative, default=200_000)
+    p.add_argument("--budget", type=_nonnegative, default=200_000,
+                   help="most set partitions the det search may score, its rebuild "
+                        "included; a search that runs out is left out of the report")
     p.add_argument("--no-continuous", action="store_true")
 
     p = sub.add_parser("check", help="exact identity suites over seeded random instances")
@@ -136,7 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", type=float, default=None, help="binning rate for sw")
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--chain", default="copy", help="chain JSON path, or 'copy'")
-    p.add_argument("--key-rate", type=float, default=0.1)
+    p.add_argument("--key-rate", type=_finite, default=0.1)
     p.add_argument("--slack", type=_finite, default=0.25)
 
     p = sub.add_parser("example", help="built-in sources run through the rate report")

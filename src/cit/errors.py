@@ -60,7 +60,7 @@ class SizeBudgetExceeded(CitError):
 
 
 class BudgetExceeded(CitError):
-    """An exhaustive search space is larger than the allowed budget."""
+    """An exact search scored more set partitions than its budget allows."""
 
 
 class NoFeasibleChain(CitError):

@@ -21,7 +21,7 @@ a Wyner splitting variable is the one-round case of an interactive chain.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -286,6 +286,22 @@ def penalized_minimize(
         )
     best = min(feasible, key=lambda c: c.sort_key)
     return PenaltyOutcome(best, candidates, iterations, traces, tuple(calls))
+
+
+def distinct_seeds(
+    seeds: Iterable[tuple[str, list[np.ndarray]]]
+) -> list[tuple[str, list[np.ndarray]]]:
+    """The seeds in order, less each one whose kernels equal an earlier
+    seed's byte for byte: a twin would descend to the same bits at a
+    higher order, so it could never win."""
+    seen = set()
+    out = []
+    for label, kernels in seeds:
+        key = tuple((k.shape, k.tobytes()) for k in kernels)
+        if key not in seen:
+            seen.add(key)
+            out.append((label, kernels))
+    return out
 
 
 def dirichlet_starts(

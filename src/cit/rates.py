@@ -115,17 +115,14 @@ def rate_report(pmf: JointPMF, rounds: int | None = None, config: RateConfig | N
         max_iter=config.continuous_max_iter,
         seed=config.seed,
     )
-    # one search per report: at caps `caps` the continuous route starts from
-    # this search's chain, so the search also covers that route's budget
-    budget = max(config.det_budget, cont_config.det_seed_budget) if run_continuous else config.det_budget
+    # one search per report, which the continuous route also starts from
     try:
-        searched = chains.det_chain_search(pmf, r, config.det_caps, budget=budget)
+        searched = chains.det_chain_search(pmf, r, config.det_caps, budget=config.det_budget)
     except (chains.BudgetExceeded, chains.NoFeasibleChain) as exc:
-        # search too large or caps too tight for an exactly splitting chain;
-        # the one-round values still bound the report
+        # search over its budget or caps too tight for an exactly splitting
+        # chain; the one-round values still bound the report
         searched = exc
-    if (isinstance(searched, chains.ChainResult)
-            and chains.count_canonical_chains(nx, ny, r, caps) <= config.det_budget):
+    else:
         candidates.append(searched.objective)
         seed_chains.append(searched.chain)
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import structure
 from .errors import KernelInvalid
-from .optim import (PenaltyConfig, PenaltyOutcome, dirichlet_starts, fixed_xy,
+from .optim import (PenaltyConfig, PenaltyOutcome, dirichlet_starts, distinct_seeds, fixed_xy,
                     penalized_information, penalized_minimize, renormalize, smooth)
 from .pmf import (
     FiniteAlphabet,
@@ -186,7 +186,8 @@ def wyner_minimize(
     Mandatory start points: the pair-copy kernel, the constant kernel, the
     kernels induced by both minimal sufficient statistics, and any caller
     supplied kernels (for instance chain-induced ones). Each is evaluated
-    exactly as a candidate and also used, slightly smoothed, as a start.
+    exactly as a candidate and also used, slightly smoothed, as a start;
+    a kernel equal to an earlier one, byte for byte, is skipped.
     """
     config = config or WynerConfig()
     nx, ny = pmf.shape
@@ -194,13 +195,13 @@ def wyner_minimize(
     if w_size < 1 or w_size > nx * ny:
         raise KernelInvalid(f"w_size must lie in [1, |X||Y|] = [1, {nx * ny}], got {w_size}")
 
-    seeds = _seed_kernels(pmf, w_size)
+    seeds = [(label, [k]) for label, k in _seed_kernels(pmf, w_size)]
     for label, k in extra_kernels:
         k = np.asarray(k, dtype=float)
         if k.shape == (nx, ny, w_size):
-            seeds.append((label, k))
-    exact = [(label, [k]) for label, k in seeds]
-    starts = [(label, [smooth(k)]) for label, k in seeds]
+            seeds.append((label, [k]))
+    exact = distinct_seeds(seeds)
+    starts = [(label, [smooth(k)]) for label, (k,) in exact]
     starts += [
         (label, kernels)
         for label, kernels in dirichlet_starts(config.seed, config.restarts, [(nx, ny, w_size)])

@@ -1,6 +1,8 @@
 import contextlib
 import io
+import math
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -87,18 +89,76 @@ def canonical_encoding(chain: chains.DeterministicChain) -> tuple[tuple[int, ...
     return tuple(enc)
 
 
+@lru_cache(maxsize=None)
+def _stirling2(cells: int, labels: int) -> int:
+    """Number of RGS over `cells` cells using exactly `labels` labels."""
+    if cells == 0 or labels == 0:
+        return int(cells == labels)
+    return labels * _stirling2(cells - 1, labels) + _stirling2(cells - 1, labels - 1)
+
+
+def count_canonical_chains(x_size, y_size, rounds, caps, initiator="x") -> int:
+    """Number of canonical deterministic chains under the given caps: the
+    reference count for `chains.iter_canonical_chains`."""
+    caps = tuple(int(c) for c in caps)
+
+    @lru_cache(maxsize=None)
+    def completions(j: int, prod: int) -> int:
+        """The canonical chains that complete a j-round prefix whose round
+        sizes multiply to `prod`."""
+        if j == rounds:
+            return 1
+        cells = chains.speaker_size(j + 1, initiator, x_size, y_size) * prod
+        return sum(_stirling2(cells, used) * completions(j + 1, prod * used)
+                   for used in range(1, min(caps[j], cells) + 1))
+
+    return completions(0, 1)
+
+
+@lru_cache(maxsize=None)
+def _canonical_batch(shape, rounds, caps, initiator):
+    """The encoding of every canonical chain in enumeration order, and their
+    one-hot kernels padded to `caps`, one chain per row on a leading axis."""
+    nx, ny = shape
+    encodings = []
+    tables: list[list[np.ndarray]] = [[] for _ in range(rounds)]
+    for chain in chains.iter_canonical_chains(nx, ny, rounds, caps, initiator):
+        encodings.append(tuple(tuple(t.ravel().tolist()) for t in chain.tables))
+        for j, t in enumerate(chain.tables):
+            # histories past a round's tight size are unreachable; they say 0
+            full = np.zeros((t.shape[0],) + caps[:j], dtype=int)
+            full[(slice(None),) + tuple(slice(0, s) for s in chain.sizes[:j])] = t
+            tables[j].append(full)
+    kernels = [(np.stack(ts)[..., None] == np.arange(caps[j])).astype(float)
+               for j, ts in enumerate(tables)]
+    return encodings, kernels
+
+
 def feasible_det_encodings(pmf, rounds, size_caps=None, initiator="x"):
     """All canonical encodings with residual at most DET_FEASIBILITY_TOL, with
-    their objectives, in enumeration order and scored on the dense joint law:
-    the dense reference for the search over rectangles."""
+    their objectives, in enumeration order and scored on the dense joint law
+    of all chains at once: the dense reference for the search over
+    rectangles."""
     nx, ny = pmf.shape
-    caps = chains.effective_caps(nx, ny, rounds, size_caps, initiator)
-    out = []
-    for chain in chains.iter_canonical_chains(nx, ny, rounds, caps, initiator):
-        objective, residual = chains._objective_residual(chains._joint_array(pmf, chain))
-        if residual <= chains.DET_FEASIBILITY_TOL:
-            out.append((tuple(tuple(t.ravel().tolist()) for t in chain.tables), objective))
-    return out
+    # a round's table has `cells` cells and so never uses more labels; caps
+    # cut to that give the same chains, and cases that share them share a batch
+    caps = []
+    for j, cap in enumerate(chains.effective_caps(nx, ny, rounds, size_caps, initiator), start=1):
+        caps.append(min(cap, chains.speaker_size(j, initiator, nx, ny) * math.prod(caps)))
+    encodings, kernels = _canonical_batch(pmf.shape, rounds, tuple(caps), initiator)
+    q = chains._product_law(pmf.p, kernels, initiator)
+    n = len(q)
+
+    def h(a):
+        a = a.reshape(n, -1)
+        return -np.where(a > 0, a * np.log2(np.where(a > 0, a, 1.0)), 0.0).sum(axis=1)
+
+    h_q = h(q)
+    h_u = h(q.sum(axis=(1, 2)))
+    objective = np.maximum(h(q.sum(axis=tuple(range(3, q.ndim)))) + h_u - h_q, 0.0)
+    residual = np.maximum(h(q.sum(axis=2)) + h(q.sum(axis=1)) - h_u - h_q, 0.0)
+    return [(enc, float(obj)) for enc, obj, res in zip(encodings, objective, residual)
+            if res <= chains.DET_FEASIBILITY_TOL]
 
 
 # scalar GF(2) reference for `cit.hashing`: Gauss-Jordan on Python ints

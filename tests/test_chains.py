@@ -23,8 +23,7 @@ from cit import (
     noninteractive_rate,
     validate_pmf,
 )
-from cit.chains import (chain_from_json, count_canonical_chains, effective_caps,
-                        iter_canonical_chains)
+from cit.chains import chain_from_json, effective_caps, iter_canonical_chains
 from cit.pmf import save_pmf
 from cit.sources import bss_pmf, gain_pmf, random_pmf
 from workloads import random_base
@@ -32,6 +31,7 @@ from workloads import random_base
 from conftest import (
     canonical_encoding,
     cli_reports_across_threads,
+    count_canonical_chains,
     feasible_det_encodings,
     gain_two_round_chain,
     random_full_pmf,
@@ -42,7 +42,6 @@ GAIN_H_X = 1.5812908992306927
 GAIN_CHAIN_OBJECTIVE = 1.5588718484453603
 # the bench's 4x4 draw, whose det optimum at two and three rounds is its ci1
 BENCH4_CI1 = 1.751104634249
-LIFTED = 10 ** 200   # a budget above every canonical space searched here
 
 
 def _random3(seed):
@@ -199,7 +198,15 @@ class TestDetSearch:
     def test_budget_exceeded_reports_count(self, gain):
         with pytest.raises(BudgetExceeded) as err:
             det_chain_search(gain, 2, (4, 4), budget=10)
-        assert str(count_canonical_chains(3, 3, 2, (4, 4))) in str(err.value)
+        assert str(err.value) == "11 set partitions scored exceed the budget 10"
+        # a budget of exactly the moves a search makes lets it finish
+        res = det_chain_search(gain, 2, (4, 4))
+        assert "moves" not in res.to_json()
+        assert det_chain_search(gain, 2, (4, 4), budget=res.moves).moves == res.moves
+        with pytest.raises(BudgetExceeded) as err:
+            det_chain_search(gain, 2, (4, 4), budget=res.moves - 1)
+        assert str(err.value) == (f"{res.moves} set partitions scored exceed "
+                                  f"the budget {res.moves - 1}")
 
     def test_monotone_in_rounds(self):
         rng = np.random.default_rng(37)
@@ -210,32 +217,31 @@ class TestDetSearch:
             assert v_r1 <= v_r + 1e-12
         # at default caps, up to four rounds
         for pmf in [GAIN, bss_pmf(0.25)] + [_random3(seed) for seed in range(6)]:
-            values = [det_chain_search(pmf, r, budget=LIFTED).objective for r in range(1, 5)]
+            values = [det_chain_search(pmf, r).objective for r in range(1, 5)]
             assert all(b <= a + 1e-12 for a, b in zip(values, values[1:])), values
 
     def test_gain_gains_nothing_past_two_rounds(self):
         for rounds in (3, 4):
-            res = det_chain_search(GAIN, rounds, budget=LIFTED)
+            res = det_chain_search(GAIN, rounds)
             assert res.objective == pytest.approx(GAIN_CHAIN_OBJECTIVE, abs=1e-12)
 
     def test_bench_4x4_draw_stays_at_ci1(self):
         pmf = validate_pmf(random_base(0, 4))
         assert ci1_exact(pmf, "x") == pytest.approx(BENCH4_CI1, abs=1e-12)
         for rounds in (2, 3):
-            res = det_chain_search(pmf, rounds, budget=LIFTED)
+            res = det_chain_search(pmf, rounds)
             assert res.objective == pytest.approx(BENCH4_CI1, abs=1e-12)
 
     @pytest.mark.parametrize("rounds", [2, 3])
     @pytest.mark.parametrize("name", ["gain", "rand0", "rand1", "rand2"])
     def test_value_is_label_blind(self, name, rounds):
         p = GAIN.p if name == "gain" else _random3(int(name[4:])).p
-        values = [det_chain_search(validate_pmf(p[list(rows)][:, list(cols)]), rounds,
-                                   budget=LIFTED).objective
+        values = [det_chain_search(validate_pmf(p[list(rows)][:, list(cols)]), rounds).objective
                   for rows in itertools.permutations(range(3))
                   for cols in itertools.permutations(range(3))]
         assert len(values) == 36
         assert max(values) - min(values) <= 1e-12
-        swapped = det_chain_search(validate_pmf(p.T), rounds, budget=LIFTED, initiator="y")
+        swapped = det_chain_search(validate_pmf(p.T), rounds, initiator="y")
         assert abs(swapped.objective - values[0]) <= 1e-12
 
     def test_initiator_symmetry_embedding(self):
@@ -354,10 +360,24 @@ class TestContinuous:
         handed = continuous_chain_minimize(gain, 2, (3, 3), config, det_best=det)
         assert "det-best" in [label for label, _, _ in own.candidates]
         assert handed.candidates == own.candidates
-        # the handed result keeps the seed budget of a search run here
-        tight = ChainOptConfig(restarts=2, max_iter=300, seed=0, det_seed_budget=10)
-        skipped = continuous_chain_minimize(gain, 2, (3, 3), tight, det_best=det)
-        assert "det-best" not in [label for label, _, _ in skipped.candidates]
+        # a handed error seeds nothing
+        failed = continuous_chain_minimize(gain, 2, (3, 3), config,
+                                           det_best=BudgetExceeded("over budget"))
+        assert "det-best" not in [label for label, _, _ in failed.candidates]
+
+    def test_a_start_that_repeats_an_earlier_one_is_skipped(self):
+        # on the bench's 4x4 draw the det winner is the copy of X, so its
+        # padded start equals the copy start; a supplied copy repeats it too
+        pmf = validate_pmf(random_base(0, 4))
+        config = ChainOptConfig(restarts=2, max_iter=300, seed=0)
+        plain = continuous_chain_minimize(pmf, 2, (4, 4), config)
+        labels = [label for label, _, _ in plain.candidates]
+        assert "det-best" in labels and "copy" not in labels
+        copy = chains._copy_chain(4, 4, (4, 4), "x")
+        supplied = continuous_chain_minimize(pmf, 2, (4, 4), config, extra_chains=[copy])
+        assert supplied.candidates == plain.candidates
+        assert supplied.objective.hex() == plain.objective.hex()
+        assert supplied.residual.hex() == plain.residual.hex()
 
     def test_initiator_y(self, gain):
         res = continuous_chain_minimize(gain, 2, (2, 3), ChainOptConfig(restarts=2, max_iter=300),

@@ -97,6 +97,15 @@ class TestBasicCommands:
         _, alone = run_cli(argv + ["--mode", "cont"])
         assert json.loads(out)["result"]["cont"] == json.loads(alone)["result"]["cont"]
 
+    def test_ici_det_reaches_three_rounds_at_default_caps(self, tmp_path):
+        p = [[0.2, 0.05, 0.1], [0.05, 0.15, 0.05], [0.1, 0.05, 0.25]]
+        path = tmp_path / "rand3.json"
+        path.write_text(json.dumps({"x": ["0", "1", "2"], "y": ["0", "1", "2"], "p": p}))
+        code, out = run_cli(["ici", "--pmf", str(path), "--rounds", "3", "--mode", "det"])
+        assert code == 0, out
+        det = json.loads(out)["result"]["det"]
+        assert det["feasible"] and len(det["chain"]["sizes"]) == 3
+
     def test_rates(self, pmf_file):
         code, out = run_cli(["rates", "--pmf", pmf_file, "--rounds", "2"])
         rep = json.loads(out)
@@ -245,6 +254,24 @@ class TestErrorsAndIO:
         assert (code, out) == (2, "")
         assert f"argument --slack: must be a finite number, got {value!r}" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_simulate_crsk_needs_a_finite_key_rate(self, pmf_file, value, capsys):
+        code, out = run_cli(["simulate", "crsk", "--pmf", pmf_file, "--key-rate", value])
+        assert (code, out) == (2, "")
+        assert f"argument --key-rate: must be a finite number, got {value!r}" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("value, rule", [
+        ("nan", "must be a finite number, got 'nan'"),
+        ("1,inf", "must be a finite number, got 'inf'"),
+        ("", "must list at least one number, got ''"),
+        (" , ", "must list at least one number, got ' , '"),
+    ])
+    def test_wyner_needs_a_finite_penalty_schedule(self, pmf_file, value, rule, capsys):
+        code, out = run_cli(["wyner", "--pmf", pmf_file, "--penalty", value])
+        assert (code, out) == (2, "")
+        assert f"argument --penalty: {rule}" in capsys.readouterr().err
 
     def test_simulate_crsk_names_the_slack_that_empties_a_stage(self, pmf_file):
         code, out = run_cli(["simulate", "crsk", "--pmf", pmf_file, "--slack", "-1"])

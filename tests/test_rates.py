@@ -44,12 +44,13 @@ class TestGain:
         assert rep.cir_ub < min(rep.ci1_x, rep.ci1_y)
         assert rep.provenance["cir_ub"] == "upper bound"
 
-    @pytest.mark.parametrize("source, caps, raises", [
-        ("gain", None, None),
-        ("gain", (1, 2), chains.NoFeasibleChain),
-        ("random-4x4", None, chains.BudgetExceeded),
-    ], ids=["gain", "gain-caps-1-2", "random-4x4"])
-    def test_searches_once(self, gain, source, caps, raises, monkeypatch):
+    @pytest.mark.parametrize("source, caps, budget, raises", [
+        ("gain", None, 200_000, None),
+        ("gain", (1, 2), 200_000, chains.NoFeasibleChain),
+        ("random-4x4", None, 200_000, None),
+        ("random-4x4", None, 10, chains.BudgetExceeded),
+    ], ids=["gain", "gain-caps-1-2", "random-4x4", "random-4x4-budget-10"])
+    def test_searches_once(self, gain, source, caps, budget, raises, monkeypatch):
         # the continuous route reuses the report's search for its det-best
         # start, also when that search raises
         pmf = gain if source == "gain" else random_pmf(np.random.default_rng(4), 4, 4)
@@ -57,7 +58,7 @@ class TestGain:
         search = chains.det_chain_search
 
         def counted(*args, **kwargs):
-            calls.append(args[1:3])
+            calls.append((*args[1:3], kwargs["budget"]))
             try:
                 return search(*args, **kwargs)
             except Exception as exc:
@@ -65,8 +66,15 @@ class TestGain:
                 raise
 
         monkeypatch.setattr(chains, "det_chain_search", counted)
-        rate_report(pmf, 2, replace(LIGHT, det_caps=caps))
-        assert calls == [(2, caps)] + ([raises] if raises else [])
+        rate_report(pmf, 2, replace(LIGHT, det_caps=caps, det_budget=budget))
+        assert calls == [(2, caps, budget)] + ([raises] if raises else [])
+
+    def test_three_rounds_keep_the_two_round_chain(self, gain):
+        # an r-round chain followed by a constant round is an (r+1)-round
+        # chain, so the det route finds gain's two-round value at r = 3
+        rep = rate_report(gain, 3, LIGHT)
+        assert rep.cir_ub <= 1.558871848445 + 1e-9
+        assert rep.wyner_ub <= 1.558871848445 + 1e-9
 
 
 class TestInvariants:

@@ -11,7 +11,7 @@ from cit import (
     wyner_objective,
 )
 from cit.chains import chain_to_aux_kernel, det_chain_search
-from cit.wyner import deterministic_kernel
+from cit.wyner import _seed_kernels, deterministic_kernel
 
 LIGHT = WynerConfig(restarts=6, max_iter=1500, seed=0)
 
@@ -95,6 +95,15 @@ class TestMinimize:
         assert k is not None
         res = wyner_minimize(gain, LIGHT, extra_kernels=[("chain", k)])
         assert res.value <= det.objective + 1e-9
+
+    def test_a_kernel_that_repeats_a_seed_is_skipped(self, gain):
+        config = WynerConfig(restarts=2, max_iter=300, seed=0)
+        suffstat_x = dict(_seed_kernels(gain, 9))["suffstat-x"]
+        plain = wyner_minimize(gain, config)
+        dup = wyner_minimize(gain, config, extra_kernels=[("dup", suffstat_x.copy())])
+        assert dup.value.hex() == plain.value.hex()
+        assert dup.candidates == plain.candidates
+        assert dup.restarts_used == plain.restarts_used
 
     def test_report_serializes(self, independent):
         res = wyner_minimize(independent, LIGHT)
