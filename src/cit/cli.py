@@ -114,8 +114,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--caps", type=_int_list, default=None, help="per-round size caps, e.g. 2,3")
     p.add_argument("--sizes", type=_int_list, default=None, help="sizes for the randomized search")
     p.add_argument("--budget", type=_nonnegative, default=2_000_000,
-                   help="most set partitions the det search may score, its rebuild "
-                        "included, before it stops with BudgetExceeded")
+                   help="most set partitions a det search may score, its rebuild "
+                        "included: the det mode stops with BudgetExceeded, the cont "
+                        "mode starts without the det chain")
     p.add_argument("--restarts", type=int, default=8)
 
     p = sub.add_parser("rates", help="assembled rate report")
@@ -347,12 +348,17 @@ def _dispatch(args) -> int:
             nx, ny = pmf.shape
             sizes = args.sizes or chains.effective_caps(nx, ny, args.rounds, args.caps,
                                                         args.initiator)
+            # without --sizes the det route searched these very caps
+            if det is None or args.sizes:
+                try:
+                    det = chains.det_chain_search(pmf, args.rounds, sizes, budget=args.budget,
+                                                  initiator=args.initiator)
+                except (chains.BudgetExceeded, chains.NoFeasibleChain) as exc:
+                    det = exc
             cont = chains.continuous_chain_minimize(
                 pmf, args.rounds, sizes,
                 chains.ChainOptConfig(restarts=args.restarts, seed=args.seed),
-                initiator=args.initiator,
-                # without --sizes the det route searched these very caps
-                det_best=None if args.sizes else det,
+                initiator=args.initiator, det_best=det,
             )
             result["cont"] = cont.to_json()
         _emit(_envelope(args, config, result), args)

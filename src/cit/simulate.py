@@ -24,7 +24,14 @@ Randomness layout, so that results do not depend on execution order:
   elimination for all hashes of a block, then bins and scores for chunks of
   trials whose (chunk, bin size, n) arrays take about 256 KB.
 - `sw_binning_simulate` on other alphabets: [seed, 0] fixes the one hash of
-  all trials, and [seed, 1, t] draws the block of trial t.
+  all trials, and [seed, 1, t] draws the block of trial t. All blocks are
+  drawn first; the trials are then decoded in chunks, each bin padded to the
+  widest bin of its chunk, with (chunk, widest bin, n) arrays of about 256 KB.
+
+Every trial's block of n cells of P is the draw `Generator.choice` makes
+with p = P, cell for cell and with the same generator state after it: the
+uniforms of one `random(n)` looked up in the CDF of P that `choice` builds
+on every call, built here once for a whole stack of blocks.
 """
 
 from __future__ import annotations
@@ -93,17 +100,27 @@ class SwBinningReport:
         }
 
 
-def _sample_block(rng: np.random.Generator, flat: np.ndarray, ny: int, n: int):
-    cells = rng.choice(flat.size, size=n, p=flat)
-    return cells // ny, cells % ny
+def _draw_blocks(pmf: JointPMF, n: int, rngs) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) blocks of n symbols, one row per generator in `rngs`: each row
+    is the generator's `choice(pmf.p.size, size=n, p=pmf.p.ravel())` draw,
+    looked up in the CDF that `choice` builds, built here once."""
+    cdf = pmf.p.ravel().cumsum()
+    cdf /= cdf[-1]
+    u = np.array([rng.random(n) for rng in rngs])
+    return np.divmod(cdf.searchsorted(u, side="right"), pmf.shape[1])
+
+
+def _chunk_rows(row_bytes: int) -> int:
+    """Rows per chunk so that a score operand of `row_bytes` per row takes
+    about 256 KB, which stays in cache."""
+    return max(1, (1 << 18) // row_bytes)
 
 
 def _bin_errors(words: np.ndarray, null: np.ndarray, yd: np.ndarray, ll: np.ndarray) -> int:
     """Decoding errors of binary words sent as their bins word xor span(null),
     each decoded by maximum likelihood over its bin given the side block yd."""
     n = yd.shape[1]
-    # (chunk, bin, n) score operands of about 256 KB, which stay in cache
-    chunk = max(1, (1 << 18) // ((8 << null.shape[1]) * n))
+    chunk = _chunk_rows((8 << null.shape[1]) * n)
     errors = 0
     for lo in range(0, len(words), chunk):
         sent = words[lo:lo + chunk]
@@ -132,14 +149,13 @@ def sw_binning_simulate(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    nx, ny = pmf.shape
+    nx = pmf.shape[0]
     if n < 1 or n > 24:
         raise SizeBudgetExceeded(f"blocklength must lie in [1, 24], got {n}")
     log_alpha = math.log2(nx)
     if not 0 < rate <= log_alpha + 1e-12:   # NaN fails too
         raise RateOutOfRange(f"rate must lie in (0, log2 |X|] = (0, {log_alpha:.4f}], got {rate}")
     k_bits = min(math.ceil(n * rate - 1e-12), math.ceil(n * log_alpha - 1e-12))
-    flat = pmf.p.ravel()
     # log P(x | y) per (x value, y value)
     cond = np.where(pmf.marginal_y[None, :] > 0, pmf.p / np.where(pmf.marginal_y[None, :] > 0, pmf.marginal_y[None, :], 1.0), 0.0)
     ll = _safe_log(cond)
@@ -153,10 +169,7 @@ def sw_binning_simulate(
         for first in range(0, trials, SW_BLOCK):
             rngs = [np.random.default_rng([seed, 1, t])
                     for t in range(first, min(first + SW_BLOCK, trials))]
-            xd = np.empty((len(rngs), n), dtype=np.int64)
-            yd = np.empty_like(xd)
-            for t, rng in enumerate(rngs):
-                xd[t], yd[t] = _sample_block(rng, flat, ny, n)
+            xd, yd = _draw_blocks(pmf, n, rngs)
             null = sample_null_spaces(rngs, n, k_bits)
             errors += _bin_errors(pack_digits(xd, 1), null, yd, ll)
     else:
@@ -175,20 +188,27 @@ def sw_binning_simulate(
         words = pack_digits(digits, bits_per)
         h = AffineGf2Hash.sample(np.random.default_rng([seed, 0]), n * bits_per, k_bits)
         hashes = h.apply(words)
+        # the members of each bin, in a row of `order`: by hash, and within a
+        # bin by sequence, so that the first best member is the smallest
         order = np.argsort(hashes, kind="stable")
         sorted_h = hashes[order]
-        for t in range(trials):
-            rng = np.random.default_rng([seed, 1, t])
-            xd, yd = _sample_block(rng, flat, ny, n)
-            x_idx = int((xd * nx ** np.arange(n)).sum())
-            s = hashes[x_idx]
-            lo = np.searchsorted(sorted_h, s, side="left")
-            hi = np.searchsorted(sorted_h, s, side="right")
-            members = order[lo:hi]
-            cand_digits = digits[members]
-            scores = ll[cand_digits, yd[None, :]].sum(axis=1)
-            if int(members[int(np.argmax(scores))]) != x_idx:
-                errors += 1
+        xd, yd = _draw_blocks(pmf, n, (np.random.default_rng([seed, 1, t])
+                                       for t in range(trials)))
+        x_idx = xd @ nx ** np.arange(n)
+        sent = hashes[x_idx]
+        lo = np.searchsorted(sorted_h, sent, side="left")
+        width = np.searchsorted(sorted_h, sent, side="right") - lo
+        chunk = _chunk_rows(8 * int(width.max()) * n)
+        for first in range(0, trials, chunk):
+            rows = slice(first, first + chunk)
+            slots = np.arange(int(width[rows].max()))
+            cand = order[np.minimum(lo[rows, None] + slots, count - 1)]
+            # one trial's scores summed over its contiguous length-n rows, as
+            # a loop over trials sums them; padded slots never win
+            scores = ll[digits[cand], yd[rows, None, :]].sum(axis=-1)
+            scores[slots >= width[rows, None]] = -np.inf
+            best = np.take_along_axis(cand, np.argmax(scores, axis=1)[:, None], axis=1)[:, 0]
+            errors += int(np.count_nonzero(best != x_idx[rows]))
     return SwBinningReport(
         n=n, rate=rate, bins_log2=k_bits, trials=trials, seed=seed,
         errors=errors, error_rate=errors / trials,
@@ -440,13 +460,7 @@ def cr_sk_simulate(
         return err, keys, synds, failures
 
     # Monte Carlo trials, one seeded stream per trial index
-    flat = pmf.p.ravel()
-    ny = pmf.shape[1]
-    xd = np.empty((trials, n), dtype=np.int64)
-    yd = np.empty((trials, n), dtype=np.int64)
-    for t in range(trials):
-        rng = np.random.default_rng([seed, 2, t])
-        xd[t], yd[t] = _sample_block(rng, flat, ny, n)
+    xd, yd = _draw_blocks(pmf, n, (np.random.default_rng([seed, 2, t]) for t in range(trials)))
     err, keys, synds, failures = run_rows(xd, yd)
     cr_error_rate = float(err.mean()) if trials else 0.0
 

@@ -25,6 +25,14 @@ def pmf_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def gain_file(tmp_path):
+    path = tmp_path / "gain.json"
+    path.write_text(json.dumps({"x": ["0", "1", "2"], "y": ["0", "1", "2"],
+                                "p": [[0.1, 0.1, 0.1], [0.15, 0.1, 0.1], [0.1, 0.15, 0.1]]}))
+    return str(path)
+
+
 class TestBasicCommands:
     def test_info(self, pmf_file):
         code, out = run_cli(["info", "--pmf", pmf_file])
@@ -96,6 +104,41 @@ class TestBasicCommands:
         # the cont route that searches for itself lands on the same chain
         _, alone = run_cli(argv + ["--mode", "cont"])
         assert json.loads(out)["result"]["cont"] == json.loads(alone)["result"]["cont"]
+
+    @pytest.mark.parametrize("mode, sizes, want", [
+        ("cont", [], [((4, 4), 100_000)]),
+        ("all", ["--sizes", "3,3"], [(None, 100_000), ((3, 3), 100_000)]),
+    ])
+    def test_ici_budget_binds_the_cont_search(self, gain_file, monkeypatch, mode, sizes, want):
+        # the cont route's det-best start comes from one search at --budget
+        # for its own sizes, not from a second search at the default budget
+        calls = []
+        search = chains.det_chain_search
+
+        def counted(*args, **kwargs):
+            calls.append((args[2], kwargs.get("budget")))
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(chains, "det_chain_search", counted)
+        code, out = run_cli(["ici", "--pmf", gain_file, "--rounds", "2", "--restarts", "2",
+                             "--mode", mode, "--budget", "100000"] + sizes)
+        assert code == 0, out
+        assert calls == want
+
+    def test_ici_cont_over_budget_starts_without_det_best(self, gain_file, monkeypatch):
+        results = []
+        minimize = chains.continuous_chain_minimize
+
+        def kept(*args, **kwargs):
+            results.append(minimize(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(chains, "continuous_chain_minimize", kept)
+        code, out = run_cli(["ici", "--pmf", gain_file, "--rounds", "2", "--restarts", "2",
+                             "--mode", "cont", "--budget", "0"])
+        assert code == 0, out
+        labels = [label for label, _, _ in results[0].candidates]
+        assert "det-best" not in labels and "copy" in labels
 
     def test_ici_det_reaches_three_rounds_at_default_caps(self, tmp_path):
         p = [[0.2, 0.05, 0.1], [0.05, 0.15, 0.05], [0.1, 0.05, 0.25]]

@@ -15,8 +15,8 @@ from cit.simulate import (
     COSET_CAP,
     SW_BLOCK,
     SwBinningReport,
+    _draw_blocks,
     _safe_log,
-    _sample_block,
     _Stage,
     cr_sk_simulate,
     default_copy_chain,
@@ -24,6 +24,7 @@ from cit.simulate import (
 )
 from cit.sources import bss_pmf, gain_pmf
 from cit.chains import DeterministicChain, chain_from_json, chain_tensor, det_chain_search
+from cit import simulate
 from cit.hashing import AffineGf2Hash, pack_digits, unpack_digits
 
 from conftest import _sample_solved, gain_two_round_chain
@@ -80,7 +81,8 @@ def reference_sw_binary(pmf, n, rate, trials, seed):
     errors = 0
     for t in range(trials):
         rng = np.random.default_rng([seed, 1, t])
-        xd, yd = _sample_block(rng, flat, ny, n)
+        cells = rng.choice(flat.size, size=n, p=flat)
+        xd, yd = cells // ny, cells % ny
         word = int(xd @ (1 << np.arange(n)))
         rows, (cols, null) = _sample_solved(rng, k_bits, n)
         particular = 0
@@ -125,6 +127,128 @@ def test_sw_binary_matches_reference(source, rejected_draws):
     # the reference redrew rank-deficient hashes, so the batched path had to
     assert rejected_draws
     assert errors or source == "uniform copy"
+
+
+def _zero_cell_source(rng, nx, ny):
+    """A random nx x ny source with one cell of zero mass."""
+    p = rng.dirichlet(np.ones(nx * ny))
+    p[rng.integers(p.size)] = 0.0
+    return validate_pmf((p / p.sum()).reshape(nx, ny))
+
+
+def test_block_draws_are_choice_draws():
+    """Each row of `_draw_blocks` is the cells of `Generator.choice` with p,
+    and every generator ends in the state `choice` leaves it in."""
+    for seed in range(60):
+        rng = np.random.default_rng([5, seed])
+        pmf = _zero_cell_source(rng, int(rng.integers(2, 5)), int(rng.integers(2, 5)))
+        flat = pmf.p.ravel()
+        ny = pmf.shape[1]
+        for n in range(1, 25):
+            ours = [np.random.default_rng([seed, n, t]) for t in range(3)]
+            theirs = [np.random.default_rng([seed, n, t]) for t in range(3)]
+            xd, yd = _draw_blocks(pmf, n, iter(ours))
+            cells = np.array([g.choice(flat.size, size=n, p=flat) for g in theirs])
+            assert xd.dtype == cells.dtype
+            assert np.array_equal(xd, cells // ny) and np.array_equal(yd, cells % ny)
+            for a, b in zip(ours, theirs):
+                assert a.bit_generator.state == b.bit_generator.state
+
+
+def reference_sw_nonbinary(pmf, n, rate, trials, seed):
+    """The non-binary branch of `sw_binning_simulate` as a per-trial loop:
+    draw the block with `Generator.choice`, look up its bin in the hash-sorted
+    sequences and take the first best member."""
+    nx, ny = pmf.shape
+    k_bits = min(math.ceil(n * rate - 1e-12), math.ceil(n * math.log2(nx) - 1e-12))
+    count = nx ** n
+    bits_per = math.ceil(math.log2(nx))
+    flat = pmf.p.ravel()
+    cond = np.where(pmf.marginal_y[None, :] > 0, pmf.p / np.where(pmf.marginal_y[None, :] > 0, pmf.marginal_y[None, :], 1.0), 0.0)
+    ll = _safe_log(cond)
+    idx = np.arange(count)
+    digits = np.empty((count, n), dtype=np.int64)
+    for t in range(n):
+        digits[:, t] = (idx // nx ** t) % nx
+    h = AffineGf2Hash.sample(np.random.default_rng([seed, 0]), n * bits_per, k_bits)
+    hashes = h.apply(pack_digits(digits, bits_per))
+    order = np.argsort(hashes, kind="stable")
+    sorted_h = hashes[order]
+    errors = 0
+    for t in range(trials):
+        rng = np.random.default_rng([seed, 1, t])
+        cells = rng.choice(flat.size, size=n, p=flat)
+        xd, yd = cells // ny, cells % ny
+        x_idx = int((xd * nx ** np.arange(n)).sum())
+        s = hashes[x_idx]
+        lo = np.searchsorted(sorted_h, s, side="left")
+        hi = np.searchsorted(sorted_h, s, side="right")
+        members = order[lo:hi]
+        scores = ll[digits[members], yd[None, :]].sum(axis=1)
+        if int(members[int(np.argmax(scores))]) != x_idx:
+            errors += 1
+    return SwBinningReport(n=n, rate=rate, bins_log2=k_bits, trials=trials, seed=seed,
+                           errors=errors, error_rate=errors / trials)
+
+
+def _recorded_chunks(monkeypatch, rows=None):
+    """Record (row bytes, rows) of every chunk size the decoders ask for;
+    with `rows`, every chunk holds that many trials."""
+    asked = []
+    chunk_rows = simulate._chunk_rows
+
+    def recorded(row_bytes):
+        asked.append((row_bytes, rows or chunk_rows(row_bytes)))
+        return asked[-1][1]
+
+    monkeypatch.setattr(simulate, "_chunk_rows", recorded)
+    return asked
+
+
+NONBINARY_SOURCES = {
+    "gain": lambda: gain_pmf(0.1, 0.15, 0.15),
+    "random 3x3": lambda: _zero_cell_source(np.random.default_rng(33), 3, 3),
+    "random 4x3": lambda: _zero_cell_source(np.random.default_rng(43), 4, 3),
+    "random 3x2": lambda: _zero_cell_source(np.random.default_rng(32), 3, 2),
+}
+
+
+@pytest.mark.parametrize("source", NONBINARY_SOURCES)
+def test_sw_nonbinary_matches_reference(source, monkeypatch):
+    """Equal reports at seeds 0-1 for bins of about one sequence (full
+    rate), the bench's rate 1.3, and bins near the decoder cap, with trial
+    counts that span more than one chunk."""
+    pmf = NONBINARY_SOURCES[source]()
+    nx = pmf.shape[0]
+    asked = _recorded_chunks(monkeypatch)
+    cap_n = 8 if nx == 3 else 6
+    cases = [(5, math.log2(nx), 300), (8, 1.3, 700), (6, 0.9, 400), (cap_n, 0.1, 5)]
+    errors = crossed = 0
+    for seed in (0, 1):
+        for n, rate, trials in cases:
+            want = reference_sw_nonbinary(pmf, n, rate, trials, seed)
+            assert sw_binning_simulate(pmf, n, rate, trials, seed) == want, (seed, n, rate)
+            errors += want.errors
+            crossed += asked[-1][1] < trials
+            if rate == 0.1:
+                assert nx ** n >> want.bins_log2 >= COSET_CAP // 2
+    assert errors
+    # every case but the full rate spans several chunks
+    assert crossed == 6
+
+
+def test_sw_nonbinary_one_trial_chunks(gain, monkeypatch):
+    _recorded_chunks(monkeypatch, rows=1)
+    for n, rate in ((6, 0.9), (8, 1.3)):
+        assert sw_binning_simulate(gain, n, rate, 300, 3) == reference_sw_nonbinary(gain, n, rate, 300, 3)
+
+
+def test_sw_nonbinary_decode_memory_is_bounded(gain, monkeypatch):
+    """20,000 trials decode in chunks whose score operands stay under 1 MB."""
+    asked = _recorded_chunks(monkeypatch)
+    got = sw_binning_simulate(gain, 8, 1.3, 20_000, 0)
+    assert asked and max(row_bytes * rows for row_bytes, rows in asked) < 1 << 20
+    assert got == reference_sw_nonbinary(gain, 8, 1.3, 20_000, 0)
 
 
 class TestCrSk:
