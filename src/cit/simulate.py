@@ -11,7 +11,9 @@ common randomness. Leakage (1/n) I(K; F) is computed exactly when the
 support of the block law is enumerable, otherwise plug-in estimated and
 flagged.
 
-Randomness layout, so that results do not depend on execution order:
+Randomness layout, so that results do not depend on execution order. The
+trial streams [seed, k, t] are those of `np.random.default_rng([seed, k, t])`,
+built for a whole range of t from one batched `SeedSequence` expansion:
 
 - `cr_sk_simulate`: stream [seed, 0, j] fixes the stage-j binning hash,
   [seed, 1] the key hash, [seed, 2, t] drives trial t.
@@ -66,20 +68,95 @@ def _plugin_entropy(masses: np.ndarray) -> float:
     return float(-(masses * np.log2(masses)).sum()) + 0.0
 
 
+def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`np.unique(a, axis=0, return_inverse=True)` of a 2-d integer array:
+    the distinct rows in lexicographic order, and each row's index among them."""
+    order = np.lexsort(a.T[::-1])
+    rows = a[order]
+    new = np.ones(len(a), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    inv = np.empty(len(a), dtype=np.intp)
+    inv[order] = np.cumsum(new) - 1
+    return rows[new], inv
+
+
 def _key_transcript_entropies(
     keys: np.ndarray, synds: np.ndarray, weights: np.ndarray
 ) -> tuple[float, float, float]:
     """(H(K), H(F), H(K, F)) in bits from (possibly weighted) rows."""
     pairs = np.concatenate([keys[:, None].astype(np.uint64), synds.astype(np.uint64)], axis=1)
-    uniq, inv = np.unique(pairs, axis=0, return_inverse=True)
+    uniq, inv = _distinct_rows(pairs)
     joint = np.bincount(inv, weights=weights)
     joint = joint / joint.sum()
-    _, k_inv = np.unique(uniq[:, 0], return_inverse=True)
-    _, f_inv = np.unique(uniq[:, 1:], axis=0, return_inverse=True)
-    h_k = _plugin_entropy(np.bincount(k_inv, weights=joint))
-    h_f = _plugin_entropy(np.bincount(f_inv, weights=joint))
+    h_k = _plugin_entropy(np.bincount(_distinct_rows(uniq[:, :1])[1], weights=joint))
+    h_f = _plugin_entropy(np.bincount(_distinct_rows(uniq[:, 1:])[1], weights=joint))
     h_kf = _plugin_entropy(joint)
     return h_k, h_f, h_kf
+
+
+class _PresetState(np.random.bit_generator.ISeedSequence):
+    """Hands `PCG64` the state words a `SeedSequence` would generate."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        assert n_words == 4 and np.dtype(dtype) == np.uint64
+        return self.words
+
+
+def _trial_rngs(prefix: tuple[int, ...], ts: range) -> list[np.random.Generator]:
+    """`np.random.default_rng(list(prefix) + [t])` for every t of `ts`.
+
+    `SeedSequence` hashes its entropy words into a pool of 4 and the pool
+    into PCG64's state with fixed uint32 arithmetic. With t < 2^32 every
+    trial has the same words but its last, so the hash runs once, as array
+    arithmetic over all t; numpy then seeds PCG64 from each state as usual.
+    """
+    if ts.start < 0 or ts.stop > 1 << 32:
+        raise ValueError(f"trial indices must lie in [0, 2^32), got {ts}")
+    if not ts:
+        return []
+    mask = 0xFFFFFFFF
+    entropy = []
+    for v in prefix:  # uint32 words, least significant first; 0 is one word 0
+        if v < 0:
+            raise ValueError("expected non-negative integer")
+        entropy += [np.full(1, v >> s & mask, dtype=np.uint32)
+                    for s in range(0, max(v.bit_length(), 1), 32)]
+    entropy.append(np.arange(ts.start, ts.stop, dtype=np.uint32))
+    const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * 0x931E8875 & mask
+        value = value * const
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = x * 0xCA01F9DD - y * 0x4973F715
+        return value ^ value >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros(1, dtype=np.uint32))
+            for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const = 0x8B51F9DD
+    state = np.empty((len(ts), 8), dtype=np.uint64)
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * 0x58F38DED & mask
+        value = value * const
+        state[:, i] = value ^ value >> 16
+    # pairs of uint32 words, the first least significant, as generate_state's uint64 view
+    words = state[:, 0::2] | state[:, 1::2] << np.uint64(32)
+    return [np.random.Generator(np.random.PCG64(_PresetState(row))) for row in words]
 
 
 @dataclass(frozen=True)
@@ -167,8 +244,7 @@ def sw_binning_simulate(
                 f"bins of size 2^{n - k_bits} exceed the decoder cap {COSET_CAP}"
             )
         for first in range(0, trials, SW_BLOCK):
-            rngs = [np.random.default_rng([seed, 1, t])
-                    for t in range(first, min(first + SW_BLOCK, trials))]
+            rngs = _trial_rngs((seed, 1), range(first, min(first + SW_BLOCK, trials)))
             xd, yd = _draw_blocks(pmf, n, rngs)
             null = sample_null_spaces(rngs, n, k_bits)
             errors += _bin_errors(pack_digits(xd, 1), null, yd, ll)
@@ -181,20 +257,20 @@ def sw_binning_simulate(
             raise SizeBudgetExceeded("packed sequences exceed the 63-bit word")
         if count / (1 << k_bits) > COSET_CAP:
             raise SizeBudgetExceeded("average bin size exceeds the decoder cap")
+        # sequence c has digit c // nx^t % nx at position t; no (count, n) table
         idx = np.arange(count)
-        digits = np.empty((count, n), dtype=np.int64)
+        powers = nx ** np.arange(n)
+        words = np.zeros(count, dtype=np.uint64)
         for t in range(n):
-            digits[:, t] = (idx // nx ** t) % nx
-        words = pack_digits(digits, bits_per)
+            words |= (idx // powers[t] % nx).astype(np.uint64) << np.uint64(t * bits_per)
         h = AffineGf2Hash.sample(np.random.default_rng([seed, 0]), n * bits_per, k_bits)
         hashes = h.apply(words)
         # the members of each bin, in a row of `order`: by hash, and within a
         # bin by sequence, so that the first best member is the smallest
         order = np.argsort(hashes, kind="stable")
         sorted_h = hashes[order]
-        xd, yd = _draw_blocks(pmf, n, (np.random.default_rng([seed, 1, t])
-                                       for t in range(trials)))
-        x_idx = xd @ nx ** np.arange(n)
+        xd, yd = _draw_blocks(pmf, n, _trial_rngs((seed, 1), range(trials)))
+        x_idx = xd @ powers
         sent = hashes[x_idx]
         lo = np.searchsorted(sorted_h, sent, side="left")
         width = np.searchsorted(sorted_h, sent, side="right") - lo
@@ -205,7 +281,7 @@ def sw_binning_simulate(
             cand = order[np.minimum(lo[rows, None] + slots, count - 1)]
             # one trial's scores summed over its contiguous length-n rows, as
             # a loop over trials sums them; padded slots never win
-            scores = ll[digits[cand], yd[rows, None, :]].sum(axis=-1)
+            scores = ll[cand[..., None] // powers % nx, yd[rows, None, :]].sum(axis=-1)
             scores[slots >= width[rows, None]] = -np.inf
             best = np.take_along_axis(cand, np.argmax(scores, axis=1)[:, None], axis=1)[:, 0]
             errors += int(np.count_nonzero(best != x_idx[rows]))
@@ -282,10 +358,10 @@ class _Stage:
             self.identity = False
             self.k_bits = want
             self.hash = AffineGf2Hash.sample(np.random.default_rng([seed, 0, j]), self.m, want)
-            # linear hash part of digit d at position t, as Python ints
+            # linear hash part of digit d at position t, an (n, size) array
             digit_words = (np.arange(self.size, dtype=np.uint64)[None, :]
                            << (np.arange(n, dtype=np.uint64)[:, None] * np.uint64(self.bits_per)))
-            self.contrib = (self.hash.apply(digit_words) ^ np.uint64(self.hash.offset)).tolist()
+            self.contrib = self.hash.apply(digit_words) ^ np.uint64(self.hash.offset)
         # decoder counters, summed over every decode call of this stage
         self.stragglers = 0
         self.pops = 0
@@ -301,6 +377,7 @@ class _Stage:
         self.ll = _safe_log(cond)
         self.amax = np.argmax(self.ll, axis=-1)
         self.like_order = np.argsort(-self.ll, axis=-1, kind="stable")
+        self.sorted_ll = np.take_along_axis(self.ll, self.like_order, axis=-1)
 
     def send(self, speaker_digits, prior_versions):
         """Chain values computed by the speaker from its own information."""
@@ -312,7 +389,9 @@ class _Stage:
     def decode(self, words_sent, listener_digits, prior_versions, pop_budget=POP_BUDGET):
         """Listener estimates; returns (digits, failures).
 
-        Adds the stragglers and the best-first pops to the stage counters.
+        A row whose most likely sequence misses the sent syndrome is a
+        straggler; all of them go to `_search` at once. Adds the stragglers
+        and the best-first pops to the stage counters.
         """
         n = listener_digits.shape[1]
         if self.identity:
@@ -322,48 +401,56 @@ class _Stage:
         first = self.amax[ctx]
         ok = self.hash.apply(pack_digits(first, self.bits_per)) == synd
         out = first.copy()
-        stragglers = np.nonzero(~ok)[0]
+        stragglers = np.flatnonzero(~ok)
         self.stragglers += int(stragglers.size)
-        failures = 0
-        for row in stragglers:
-            ll_row = self.ll[tuple(c[row] for c in ctx)]          # (n, size)
-            order_row = self.like_order[tuple(c[row] for c in ctx)]
-            decoded = self._best_first(ll_row, order_row, int(synd[row]), pop_budget)
-            if decoded is None:
-                failures += 1
-            else:
-                out[row] = decoded
-        return out, failures
+        digits, found = self._search(tuple(c[stragglers] for c in ctx), synd[stragglers], pop_budget)
+        out[stragglers[found]] = digits[found]
+        return out, int(np.count_nonzero(~found))
 
-    def _best_first(self, ll_row, order_row, syndrome, pop_budget):
-        """ML over the bin: walk sequences in decreasing likelihood until the
-        hash matches. Returns None when the pop budget runs out.
-
-        Each heap entry carries the syndrome of its sequence, so a pop is
-        pure Python: raising the rank at position t XORs the syndrome with
-        the linear hash parts of the old and the new digit there.
+    def _search(self, ctx, syndromes, pop_budget):
+        """Best-first decode of rows with contexts `ctx` ((rows, n) arrays of
+        listener digits and prior values); returns the (rows, n) digits and
+        the found flags. One gather builds every row's `_best_first` tables.
         """
-        n, size = ll_row.shape
-        sorted_ll = np.take_along_axis(ll_row, order_row, axis=-1)
-        steps = (sorted_ll[:, 1:] - sorted_ll[:, :-1]).tolist()
-        order = order_row.tolist()
-        contrib = self.contrib
-        flips = [[contrib[t][order[t][r]] ^ contrib[t][order[t][r + 1]] for r in range(size - 1)]
-                 for t in range(n)]
-        syn = self.hash.offset
-        for t in range(n):
-            syn ^= contrib[t][order[t][0]]
+        order = self.like_order[ctx]                      # (rows, n, size)
+        sorted_ll = self.sorted_ll[ctx]
+        c = self.contrib[np.arange(order.shape[1])[:, None], order]
+        steps = (sorted_ll[..., 1:] - sorted_ll[..., :-1]).tolist()
+        flips = (c[..., :-1] ^ c[..., 1:]).tolist()
+        syns = (np.bitwise_xor.reduce(c[..., 0], axis=-1) ^ np.uint64(self.hash.offset)).tolist()
+        # a contiguous copy, so each row is summed alone, in one row's pairwise order
+        scores = np.ascontiguousarray(sorted_ll[..., 0]).sum(axis=-1).tolist()
+        ranks = np.zeros(order.shape[:2], dtype=np.intp)
+        found = np.zeros(len(order), dtype=bool)
+        for i, syndrome in enumerate(syndromes.tolist()):
+            got = self._best_first(steps[i], flips[i], scores[i], syns[i], syndrome, pop_budget)
+            if got is not None:
+                ranks[i] = got
+                found[i] = True
+        return np.take_along_axis(order, ranks[..., None], axis=-1)[..., 0], found
+
+    def _best_first(self, steps, flips, score, syn, syndrome, pop_budget):
+        """ML over the bin: walk rank tuples in decreasing likelihood until
+        the syndrome matches. Returns the ranks, or None when the pop budget
+        runs out.
+
+        The tables are plain lists: raising position t from rank r adds
+        `steps[t][r]` to the log-likelihood and XORs `flips[t][r]` into the
+        syndrome; `score` and `syn` are those of the all-zero ranks. So a
+        pop is pure Python.
+        """
+        n = len(steps)
+        last = len(steps[0])
         start = (0,) * n
-        heap = [(-float(sorted_ll[:, 0].sum()), start, syn)]
+        heap = [(-score, start, syn)]
         seen = {start}
         pops = 0
-        last = size - 1
         while heap and pops < pop_budget:
             neg, ranks, syn = heapq.heappop(heap)
             pops += 1
             if syn == syndrome:
                 self.pops += pops
-                return order_row[np.arange(n), list(ranks)]
+                return ranks
             for t in range(n):
                 r = ranks[t]
                 if r < last:
@@ -460,7 +547,7 @@ def cr_sk_simulate(
         return err, keys, synds, failures
 
     # Monte Carlo trials, one seeded stream per trial index
-    xd, yd = _draw_blocks(pmf, n, (np.random.default_rng([seed, 2, t]) for t in range(trials)))
+    xd, yd = _draw_blocks(pmf, n, _trial_rngs((seed, 2), range(trials)))
     err, keys, synds, failures = run_rows(xd, yd)
     cr_error_rate = float(err.mean()) if trials else 0.0
 

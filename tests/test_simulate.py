@@ -1,5 +1,8 @@
 import heapq
+import json
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -376,9 +379,9 @@ class TestDecoderOracles:
             yd = rng.integers(0, 2, 7)
             syndrome = int(rng.integers(0, 1 << stage.k_bits))
             ll_row = stage.ll[yd]
-            order_row = stage.like_order[yd]
-            got = stage._best_first(ll_row, order_row, syndrome, 4096)
-            assert got is not None
+            digits, found = stage._search((yd[None],), np.array([syndrome], dtype=np.uint64), 4096)
+            assert found[0]
+            got = digits[0]
             got_ll = sum(ll_row[t, got[t]] for t in range(7))
             best_ll = -np.inf
             for v in range(1 << 7):
@@ -489,14 +492,15 @@ class TestBestFirstReference:
                     want, want_pops = reference_best_first(stage, ll_row, order_row,
                                                            syndrome, budget)
                     before = stage.pops
-                    got = stage._best_first(ll_row, order_row, syndrome, budget)
+                    got, hit = stage._search(tuple(c[None] for c in ctx),
+                                             np.array([syndrome], dtype=np.uint64), budget)
                     assert stage.pops - before == want_pops
                     if want is None:
                         exhausted += 1
-                        assert got is None
+                        assert not hit[0]
                     else:
                         found += 1
-                        assert np.array_equal(got, want)
+                        assert hit[0] and np.array_equal(got[0], want)
         assert found and exhausted
 
     def test_bench_pop_totals(self):
@@ -514,3 +518,113 @@ class TestBestFirstReference:
         assert rep.pops == (9125,)
         assert rep.stragglers == (20,)
         assert "pops" not in rep.to_json() and "stragglers" not in rep.to_json()
+
+
+def test_batched_search_matches_single_rows():
+    """One `_search` over a stack of straggler rows gives every row the digits,
+    the verdict and the pops of its own single-row search."""
+    gain = gain_pmf(0.1, 0.15, 0.15)
+    bss = bss_pmf(0.2)
+    rng = np.random.default_rng(41)
+    hits = misses = 0
+    for pmf, chain, n in ((bss, default_copy_chain(bss), 12), (gain, _gain_chain("x"), 9),
+                          (gain, _gain_chain("y"), 6)):
+        tensor = chain_tensor(pmf, chain)
+        for j in range(1, chain.rounds + 1):
+            stage = _Stage(tensor, chain, j, n, 0.05, seed=3)
+            if stage.identity:
+                continue
+            ctx = tuple(rng.integers(0, dim, (40, n)) for dim in stage.ll.shape[:-1])
+            synd = rng.integers(0, 1 << stage.k_bits, 40, dtype=np.uint64)
+            digits, found = stage._search(ctx, synd, 300)
+            pops, stage.pops = stage.pops, 0
+            for i in range(40):
+                one, hit = stage._search(tuple(c[i:i + 1] for c in ctx), synd[i:i + 1], 300)
+                assert hit[0] == found[i] and np.array_equal(one[0], digits[i])
+            assert stage.pops == pops
+            hits += int(found.sum())
+            misses += int((~found).sum())
+    assert hits and misses
+
+
+class TestTrialRngs:
+    """`_trial_rngs` against numpy's own seeding: a numpy whose `SeedSequence`
+    hashes differently fails here."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3, 10 ** 30])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_equal_to_default_rng(self, seed, k):
+        for ts in (range(0, 5), range(SW_BLOCK, SW_BLOCK + 3), range(3 * SW_BLOCK, 3 * SW_BLOCK + 2),
+                   range(7, 7), range(11, 12), range(2 ** 32 - 2, 2 ** 32)):
+            got = simulate._trial_rngs((seed, k), ts)
+            assert len(got) == len(ts)
+            for rng, t in zip(got, ts):
+                want = np.random.default_rng([seed, k, t])
+                assert rng.bit_generator.state == want.bit_generator.state
+                assert np.array_equal(rng.random(8), want.random(8))
+                assert np.array_equal(rng.integers(0, 1 << 40, 4, dtype=np.uint64),
+                                      want.integers(0, 1 << 40, 4, dtype=np.uint64))
+
+    def test_negative_entropy_raises_as_numpy_does(self):
+        with pytest.raises(ValueError):
+            np.random.default_rng([-1, 1, 0])
+        with pytest.raises(ValueError):
+            simulate._trial_rngs((-1, 1), range(3))
+        with pytest.raises(ValueError):
+            simulate._trial_rngs((0, 1), range(-1, 2))
+
+    def test_trial_index_below_two_to_the_32(self):
+        with pytest.raises(ValueError):
+            simulate._trial_rngs((0, 1), range(2 ** 32, 2 ** 32 + 2))
+
+
+@pytest.mark.parametrize("cols", [1, 2, 3])
+def test_distinct_rows_match_unique(cols):
+    """`_distinct_rows` gives `np.unique(axis=0)`'s rows and inverse, also for
+    words at and above 2^63 and for a single row."""
+    values = np.array([0, 1, 7, 2 ** 63 - 1, 2 ** 63, 2 ** 63 + 5, 2 ** 64 - 1], dtype=np.uint64)
+    rng = np.random.default_rng([13, cols])
+    for rows in (1, 2, 3, 60, 2000):
+        a = values[rng.integers(0, len(values), (rows, cols))]
+        want_rows, want_inv = np.unique(a, axis=0, return_inverse=True)
+        got_rows, got_inv = simulate._distinct_rows(a)
+        assert got_rows.dtype == a.dtype and np.array_equal(got_rows, want_rows)
+        assert np.array_equal(got_inv, want_inv.reshape(-1))
+
+
+def reference_key_transcript_entropies(keys, synds, weights):
+    """The entropies as taken with `np.unique(axis=0)`, the reference for the
+    lexsort helper."""
+    pairs = np.concatenate([keys[:, None].astype(np.uint64), synds.astype(np.uint64)], axis=1)
+    uniq, inv = np.unique(pairs, axis=0, return_inverse=True)
+    joint = np.bincount(inv.reshape(-1), weights=weights)
+    joint = joint / joint.sum()
+    _, k_inv = np.unique(uniq[:, 0], return_inverse=True)
+    _, f_inv = np.unique(uniq[:, 1:], axis=0, return_inverse=True)
+    return tuple(simulate._plugin_entropy(m) for m in (
+        np.bincount(k_inv, weights=joint), np.bincount(f_inv.reshape(-1), weights=joint), joint))
+
+
+def test_key_transcript_entropies_bits():
+    rng = np.random.default_rng(17)
+    for rows, stages in ((1, 1), (40, 1), (2000, 2), (6561, 3)):
+        keys = rng.integers(0, 4, rows, dtype=np.uint64)
+        synds = rng.integers(0, 1 << 4, (rows, stages), dtype=np.uint64)
+        synds[:, 0] |= np.uint64(1 << 63) * rng.integers(0, 2, rows, dtype=np.uint64)
+        for weights in (np.ones(rows), rng.dirichlet(np.ones(rows))):
+            got = simulate._key_transcript_entropies(keys, synds, weights)
+            assert got == reference_key_transcript_entropies(keys, synds, weights)
+
+
+def test_sw_nonbinary_memory_without_digit_table(gain):
+    """gain at n = 12 (531,441 sequences) for 10 trials builds no (|X|^n, n)
+    digit table: the traced peak stays under 35 MB (69.5 MB with the table)."""
+    tracemalloc.start()
+    try:
+        rep = sw_binning_simulate(gain, 12, 1.3, 10, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 35_000_000
+    golden = json.loads((Path(__file__).parent / "golden_lab.json").read_text())
+    assert rep.to_json() == golden["sw:gain-n12@0"]["report"]
