@@ -11,14 +11,13 @@ shows the strict gap between the splitting rate and the interactive rate.
 import math
 
 from cit import (
-    WynerConfig,
+    PenaltyConfig,
     binary_entropy,
     bss_closed_form,
     continuous_chain_minimize,
     det_chain_search,
     wyner_minimize,
 )
-from cit.chains import ChainOptConfig
 from cit.sources import bss_pmf
 
 print(f"{'delta':>6} {'h(delta)':>9} {'closed r_sk':>11} {'det r=2':>8} "
@@ -28,9 +27,9 @@ for delta in (0.05, 0.1, 0.25, 0.4):
     cf = bss_closed_form(delta)
     det = det_chain_search(pmf, 2, (2, 2))
     cont = continuous_chain_minimize(pmf, 2, (2, 2),
-                                     ChainOptConfig(restarts=4, max_iter=1500, seed=0),
+                                     PenaltyConfig(restarts=4, max_iter=1500, seed=0),
                                      det_best=det)
-    wy = wyner_minimize(pmf, WynerConfig(restarts=8, max_iter=2000, seed=0))
+    wy = wyner_minimize(pmf, PenaltyConfig(restarts=8, max_iter=2000, seed=0))
     # explicit binary-auxiliary construction: W flips into X and Y independently
     a0 = (1 - math.sqrt(1 - 2 * delta)) / 2
     oracle = 1 + binary_entropy(delta) - 2 * binary_entropy(a0)

@@ -51,11 +51,11 @@ from .structure import (
     minimal_sufficient_statistic,
     noninteractive_rate,
 )
-from .wyner import AuxKernel, WynerConfig, WynerResult, wyner_minimize, wyner_objective
+from .optim import PenaltyConfig
+from .wyner import AuxKernel, WynerResult, wyner_minimize, wyner_objective
 from .chains import (
     AuxiliaryChain,
     BssClosedForm,
-    ChainOptConfig,
     ChainResult,
     DeterministicChain,
     binary_stop_classify,

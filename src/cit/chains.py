@@ -35,8 +35,8 @@ from .errors import (
     NoFeasibleChain,
     SizeBudgetExceeded,
 )
-from .optim import (PenaltyConfig, PenaltyOutcome, dirichlet_starts, distinct_seeds,
-                    penalized_information, penalized_minimize, renormalize, smooth)
+from .optim import (FEASIBILITY_TOL, PenaltyConfig, PenaltyOutcome, descent_starts,
+                    penalized_information, penalized_minimize, renormalize)
 from .pmf import (
     FiniteAlphabet,
     JointPMF,
@@ -50,7 +50,7 @@ from .pmf import (
 )
 
 DET_FEASIBILITY_TOL = 1e-9
-CONT_FEASIBILITY_TOL = 1e-4
+CONT_CONFIG = PenaltyConfig(restarts=8, max_iter=3000)
 TENSOR_BUDGET = 2 ** 22
 
 
@@ -211,6 +211,8 @@ class ChainResult:
     # and set partitions scored, the rebuild's included
     states: int | None = None
     moves: int | None = None
+    # penalty descent only: the descent itself, its traces filled only when asked for
+    outcome: PenaltyOutcome | None = field(default=None, compare=False, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -298,7 +300,7 @@ def chain_objective(pmf: JointPMF, chain: "AuxiliaryChain | DeterministicChain")
         residual=residual,
         per_round_terms=tuple(terms),
         chain=chain,
-        feasible=residual <= CONT_FEASIBILITY_TOL,
+        feasible=residual <= FEASIBILITY_TOL,
     )
 
 
@@ -537,22 +539,6 @@ def det_chain_search(
 # randomized chains by penalty descent
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChainOptConfig:
-    restarts: int = 8
-    penalty_schedule: tuple[float, ...] = (1.0, 10.0, 100.0, 1000.0)
-    max_iter: int = 3000
-    seed: int = 0
-
-    def to_json(self) -> dict:
-        return {
-            "restarts": self.restarts,
-            "penalty_schedule": list(self.penalty_schedule),
-            "max_iter": self.max_iter,
-            "seed": self.seed,
-        }
-
-
 def _kernel_shapes(nx: int, ny: int, sizes: Sequence[int], initiator: str) -> list[tuple[int, ...]]:
     shapes = []
     prior: tuple[int, ...] = ()
@@ -607,19 +593,20 @@ def continuous_chain_minimize(
     pmf: JointPMF,
     rounds: int,
     sizes: Sequence[int],
-    config: ChainOptConfig | None = None,
+    config: PenaltyConfig = CONT_CONFIG,
     extra_chains: Sequence["AuxiliaryChain | DeterministicChain"] = (),
     keep_traces: bool = False,
     initiator: str = "x",
     det_best: "ChainResult | BudgetExceeded | NoFeasibleChain | None" = None,
-) -> ChainResult | tuple[ChainResult, PenaltyOutcome]:
+) -> ChainResult:
     """Penalty-method upper bound over randomized chains of the given sizes.
 
     Mandatory start points: the best deterministic chain at equal sizes,
     the copy chain, the constant chain, and any supplied chains; each is
     also scored exactly as a candidate, and a chain whose kernels equal an
-    earlier one's, byte for byte, is skipped. Feasibility threshold: 1e-4
-    bits.
+    earlier one's, byte for byte, is skipped. Feasibility threshold:
+    `optim.FEASIBILITY_TOL` bits. `keep_traces` records the descent's value
+    traces in the result's `outcome`.
 
     `det_best` is the outcome of a `det_chain_search` at caps `sizes` and the
     same initiator that the caller already ran: its result, which seeds the
@@ -629,7 +616,6 @@ def continuous_chain_minimize(
     """
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
-    config = config or ChainOptConfig()
     nx, ny = pmf.shape
     sizes = tuple(int(s) for s in sizes)
     if len(sizes) != rounds:
@@ -653,35 +639,26 @@ def continuous_chain_minimize(
         if det_ch is not None and det_ch.sizes == sizes and det_ch.initiator == initiator:
             seed_chains.append((f"supplied-{i}", det_ch))
 
-    exact = distinct_seeds((label, list(ch.as_auxiliary().kernels)) for label, ch in seed_chains)
-    starts = [(label, [smooth(k) for k in kernels]) for label, kernels in exact]
-    starts += dirichlet_starts(config.seed, config.restarts, shapes)
-
-    cfg = PenaltyConfig(
-        penalty_schedule=config.penalty_schedule,
-        max_iter=config.max_iter,
-        feasibility_threshold=CONT_FEASIBILITY_TOL,
-    )
+    starts, exact = descent_starts(
+        ((label, list(ch.as_auxiliary().kernels)) for label, ch in seed_chains), shapes, config)
     vag = _chain_value_and_grad_factory(pmf.p, sizes, initiator)
 
     def evaluate(kernels):
         return _objective_residual(_product_law(pmf.p, [k[None] for k in kernels], initiator)[0])
 
-    outcome = penalized_minimize(starts, exact, vag, evaluate, cfg, keep_traces=keep_traces)
+    outcome = penalized_minimize(starts, exact, vag, evaluate, config, keep_traces=keep_traces)
     best = outcome.best
     chain = AuxiliaryChain(initiator, tuple(renormalize(k) for k in best.kernels))
     scored = chain_objective(pmf, chain)
-    result = ChainResult(
+    return ChainResult(
         objective=scored.objective,
         residual=scored.residual,
         per_round_terms=scored.per_round_terms,
         chain=chain,
-        feasible=scored.residual <= CONT_FEASIBILITY_TOL,
+        feasible=scored.residual <= FEASIBILITY_TOL,
         candidates=tuple((c.label, c.objective, c.residual) for c in outcome.candidates),
+        outcome=outcome,
     )
-    if keep_traces:
-        return result, outcome
-    return result
 
 
 # ---------------------------------------------------------------------------

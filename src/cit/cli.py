@@ -15,10 +15,11 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict, replace
 
 import numpy as np
 
-from . import __version__, chains, protocols, rates, simulate, sources, structure, wyner
+from . import __version__, chains, optim, protocols, rates, simulate, sources, structure, wyner
 from .errors import CitError
 from .pmf import IDENTITY_TOL, JointPMF, entropy, load_pmf, mutual_information, source_information
 
@@ -101,9 +102,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("wyner", help="upper bound on the splitting-variable rate")
     common(p)
     p.add_argument("--w-size", type=int, default=None)
-    p.add_argument("--restarts", type=int, default=32)
-    p.add_argument("--max-iter", type=_nonnegative, default=5000)
-    p.add_argument("--penalty", type=_finite_list, default=(1.0, 10.0, 100.0, 1000.0),
+    p.add_argument("--restarts", type=int, default=wyner.WYNER_CONFIG.restarts)
+    p.add_argument("--max-iter", type=_nonnegative, default=wyner.WYNER_CONFIG.max_iter)
+    p.add_argument("--penalty", type=_finite_list, default=optim.PENALTY_SCHEDULE,
                    help="penalty schedule, comma-separated finite numbers")
 
     p = sub.add_parser("ici", help="r-round interactive common-information bounds")
@@ -117,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="most set partitions a det search may score, its rebuild "
                         "included: the det mode stops with BudgetExceeded, the cont "
                         "mode starts without the det chain")
-    p.add_argument("--restarts", type=int, default=8)
+    p.add_argument("--restarts", type=int, default=chains.CONT_CONFIG.restarts)
 
     p = sub.add_parser("rates", help="assembled rate report")
     common(p)
@@ -317,12 +318,11 @@ def _dispatch(args) -> int:
 
     if cmd == "wyner":
         pmf = load_pmf(args.pmf)
-        config = wyner.WynerConfig(
-            w_size=args.w_size, restarts=args.restarts, max_iter=args.max_iter,
-            penalty_schedule=args.penalty, seed=args.seed,
-        )
-        res = wyner.wyner_minimize(pmf, config)
-        _emit(_envelope(args, {"pmf": args.pmf, **config.to_json()}, res.to_json()), args)
+        config = optim.PenaltyConfig(restarts=args.restarts, penalty_schedule=args.penalty,
+                                     max_iter=args.max_iter, seed=args.seed)
+        res = wyner.wyner_minimize(pmf, config, w_size=args.w_size)
+        echo = {"pmf": args.pmf, "w_size": args.w_size, **asdict(config)}
+        _emit(_envelope(args, echo, res.to_json()), args)
         return 0
 
     if cmd == "ici":
@@ -357,7 +357,7 @@ def _dispatch(args) -> int:
                     det = exc
             cont = chains.continuous_chain_minimize(
                 pmf, args.rounds, sizes,
-                chains.ChainOptConfig(restarts=args.restarts, seed=args.seed),
+                replace(chains.CONT_CONFIG, restarts=args.restarts, seed=args.seed),
                 initiator=args.initiator, det_best=det,
             )
             result["cont"] = cont.to_json()

@@ -14,14 +14,17 @@ stall count and stop flag, and leaves the batch when it stops, so every
 start takes the same steps, to the bit, that it would take alone. Each
 candidate records why each of its stages stopped.
 
-`penalized_information` holds the entropy algebra both callers descend on:
-a Wyner splitting variable is the one-round case of an interactive chain.
+Both callers, the Wyner and the interactive-chain routes, take one
+`PenaltyConfig`, build their starts with `descent_starts`, and hand both
+to `penalized_minimize`. `penalized_information` holds the entropy algebra
+they descend on: a Wyner splitting variable is the one-round case of an
+interactive chain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -32,15 +35,23 @@ SMOOTHING = 1e-3
 STEP_SIZE = 1.0      # first step of every start in every stage
 REL_TOL = 1e-12      # an accepted step gaining at most this (relative) stalls
 PATIENCE = 25        # stalled accepted steps in a row that end a stage
+PENALTY_SCHEDULE = (1.0, 10.0, 100.0, 1000.0)
+FEASIBILITY_TOL = 1e-4  # most bits of I(X;Y|U) a feasible randomized candidate keeps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class PenaltyConfig:
-    """Knobs for the penalty method; defaults favour reproducibility."""
+    """One descent: `restarts` seeded Dirichlet starts after the seeded ones,
+    one stage per penalty of `penalty_schedule`, each of at most `max_iter`
+    iterations, and the restarts drawn from `seed`. Each route names its
+    own restarts and iteration cap."""
 
-    penalty_schedule: tuple[float, ...] = (1.0, 10.0, 100.0, 1000.0)
-    max_iter: int = 5000
-    feasibility_threshold: float = 1e-4
+    restarts: int
+    penalty_schedule: tuple[float, ...] = PENALTY_SCHEDULE
+    max_iter: int
+    seed: int = 0
+    # not a setting: the benchmark's tracer reads the threshold off the config
+    feasibility_threshold: ClassVar[float] = FEASIBILITY_TOL
 
 
 @dataclass(frozen=True)
@@ -87,12 +98,6 @@ def _eg_step(k: np.ndarray, g: np.ndarray, step: np.ndarray) -> np.ndarray:
     z -= _per_start(step, k.ndim) * g
     z -= z.max(axis=-1, keepdims=True)
     return _normalize_slices(np.exp(z, out=z))
-
-
-def smooth(kernel: np.ndarray, eps: float = SMOOTHING) -> np.ndarray:
-    """Mix a kernel with the uniform one so multiplicative updates can move."""
-    w = kernel.shape[-1]
-    return _normalize_slices((1.0 - eps) * kernel + eps / w)
 
 
 def _safe_log2(a: np.ndarray) -> np.ndarray:
@@ -279,29 +284,37 @@ def penalized_minimize(
                                          tuple(s[i] for s in stops)))
         iterations = int(used.sum())
 
-    feasible = [c for c in candidates if c.residual <= cfg.feasibility_threshold]
+    feasible = [c for c in candidates if c.residual <= FEASIBILITY_TOL]
     if not feasible:
-        raise NoFeasiblePoint(
-            f"no candidate reached residual <= {cfg.feasibility_threshold}"
-        )
+        raise NoFeasiblePoint(f"no candidate reached residual <= {FEASIBILITY_TOL}")
     best = min(feasible, key=lambda c: c.sort_key)
     return PenaltyOutcome(best, candidates, iterations, traces, tuple(calls))
 
 
-def distinct_seeds(
-    seeds: Iterable[tuple[str, list[np.ndarray]]]
-) -> list[tuple[str, list[np.ndarray]]]:
-    """The seeds in order, less each one whose kernels equal an earlier
-    seed's byte for byte: a twin would descend to the same bits at a
-    higher order, so it could never win."""
+def descent_starts(
+    seeds: Iterable[tuple[str, list[np.ndarray]]],
+    shapes: Sequence[tuple[int, ...]],
+    cfg: PenaltyConfig,
+) -> tuple[list[tuple[str, list[np.ndarray]]], list[tuple[str, list[np.ndarray]]]]:
+    """(starts, exact candidates) for `penalized_minimize` from labelled seed kernels.
+
+    The exact candidates are the seeds in order, less each one whose
+    kernels equal an earlier seed's byte for byte: a twin would descend to
+    the same bits at a higher order, so it could never win. Each is also a
+    start, mixed with the uniform kernel so multiplicative updates can
+    move; `cfg.restarts` Dirichlet starts of the given shapes follow.
+    """
     seen = set()
-    out = []
+    exact = []
     for label, kernels in seeds:
         key = tuple((k.shape, k.tobytes()) for k in kernels)
         if key not in seen:
             seen.add(key)
-            out.append((label, kernels))
-    return out
+            exact.append((label, kernels))
+    starts = [(label, [_normalize_slices((1.0 - SMOOTHING) * k + SMOOTHING / k.shape[-1])
+                       for k in kernels])
+              for label, kernels in exact]
+    return starts + dirichlet_starts(cfg.seed, cfg.restarts, shapes), exact
 
 
 def dirichlet_starts(

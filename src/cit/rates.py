@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from . import chains, structure, wyner
 from .errors import NoFeasiblePoint
+from .optim import PenaltyConfig
 from .pmf import JointPMF, entropy, mutual_information
 from .sources import binary_symmetric_delta
 
@@ -110,7 +111,7 @@ def rate_report(pmf: JointPMF, rounds: int | None = None, config: RateConfig | N
     caps = chains.effective_caps(nx, ny, r, config.det_caps, "x")
     delta = binary_symmetric_delta(pmf)
     run_continuous = config.include_continuous and delta is None
-    cont_config = chains.ChainOptConfig(
+    cont_config = PenaltyConfig(
         restarts=config.continuous_restarts,
         max_iter=config.continuous_max_iter,
         seed=config.seed,
@@ -128,10 +129,8 @@ def rate_report(pmf: JointPMF, rounds: int | None = None, config: RateConfig | N
 
     if run_continuous:
         try:
-            cont = chains.continuous_chain_minimize(
-                pmf, r, caps, cont_config,
-                extra_chains=list(seed_chains), det_best=searched,
-            )
+            cont = chains.continuous_chain_minimize(pmf, r, caps, cont_config,
+                                                    det_best=searched)
         except NoFeasiblePoint:
             cont = None
         if cont is not None and cont.feasible:
@@ -157,7 +156,7 @@ def rate_report(pmf: JointPMF, rounds: int | None = None, config: RateConfig | N
             extra.append((f"chain-induced-{i}", k))
     wr = wyner.wyner_minimize(
         pmf,
-        wyner.WynerConfig(
+        PenaltyConfig(
             restarts=config.wyner_restarts, max_iter=config.wyner_max_iter,
             seed=config.seed,
         ),

@@ -366,12 +366,8 @@ class _Stage:
         self.stragglers = 0
         self.pops = 0
         # P(u_j = v | listener symbol, prior values), uniform on impossible contexts
-        names = (self.listener,) + prior + (f"u{j}",)
-        marg = tensor.marginal_array(names)
-        axes = sorted(tensor.axes(names))
-        # marginal_array orders axes as in the tensor: listener axis first, then u axes
-        order = [axes.index(tensor.axis(nm)) for nm in names]
-        marg = np.transpose(marg, order)
+        # marginal_array keeps the tensor's axis order: the listener, then u_1..u_j
+        marg = tensor.marginal_array((self.listener,) + prior + (f"u{j}",))
         tot = marg.sum(axis=-1, keepdims=True)
         cond = np.where(tot > 0, marg / np.where(tot > 0, tot, 1.0), 1.0 / self.size)
         self.ll = _safe_log(cond)

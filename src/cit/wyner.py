@@ -6,7 +6,8 @@ minimizer below reports an upper bound: a penalty method over the
 conditional tables P(W | X=x, Y=y), one simplex per source pair, with
 multiplicative updates, an increasing penalty on I(X; Y | W), seeded
 deterministic start points, and Dirichlet random restarts. A candidate is
-feasible when its conditional-dependence residual is at most 1e-4 bits.
+feasible when its conditional-dependence residual is at most
+`optim.FEASIBILITY_TOL` bits.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import numpy as np
 
 from . import structure
 from .errors import KernelInvalid
-from .optim import (PenaltyConfig, PenaltyOutcome, dirichlet_starts, distinct_seeds, fixed_xy,
-                    penalized_information, penalized_minimize, renormalize, smooth)
+from .optim import (FEASIBILITY_TOL, PenaltyConfig, PenaltyOutcome, descent_starts, fixed_xy,
+                    penalized_information, penalized_minimize, renormalize)
 from .pmf import (
     FiniteAlphabet,
     JointPMF,
@@ -28,7 +29,7 @@ from .pmf import (
     mutual_information,
 )
 
-FEASIBILITY_TOL = 1e-4
+WYNER_CONFIG = PenaltyConfig(restarts=32, max_iter=5000)
 
 
 @dataclass(frozen=True)
@@ -60,24 +61,6 @@ class AuxKernel:
 
 
 @dataclass(frozen=True)
-class WynerConfig:
-    w_size: int | None = None          # default |X||Y|
-    restarts: int = 32
-    penalty_schedule: tuple[float, ...] = (1.0, 10.0, 100.0, 1000.0)
-    max_iter: int = 5000
-    seed: int = 0
-
-    def to_json(self) -> dict:
-        return {
-            "w_size": self.w_size,
-            "restarts": self.restarts,
-            "penalty_schedule": list(self.penalty_schedule),
-            "max_iter": self.max_iter,
-            "seed": self.seed,
-        }
-
-
-@dataclass(frozen=True)
 class WynerResult:
     """Best feasible point found; `value` is an upper bound, not a certificate."""
 
@@ -88,6 +71,8 @@ class WynerResult:
     iterations: int
     feasible: bool
     candidates: tuple[tuple[str, float, float], ...] = field(default=())
+    # the descent itself, its traces filled only when asked for
+    outcome: PenaltyOutcome | None = field(default=None, compare=False, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -177,21 +162,24 @@ def _seed_kernels(pmf: JointPMF, w_size: int) -> list[tuple[str, np.ndarray]]:
 
 def wyner_minimize(
     pmf: JointPMF,
-    config: WynerConfig | None = None,
+    config: PenaltyConfig = WYNER_CONFIG,
+    *,
+    w_size: int | None = None,
     extra_kernels: Sequence[tuple[str, np.ndarray]] = (),
     keep_traces: bool = False,
-) -> WynerResult | tuple[WynerResult, PenaltyOutcome]:
-    """Penalty-method upper bound on the splitting rate.
+) -> WynerResult:
+    """Penalty-method upper bound on the splitting rate over |W| = `w_size`,
+    by default |X||Y|.
 
     Mandatory start points: the pair-copy kernel, the constant kernel, the
     kernels induced by both minimal sufficient statistics, and any caller
     supplied kernels (for instance chain-induced ones). Each is evaluated
     exactly as a candidate and also used, slightly smoothed, as a start;
     a kernel equal to an earlier one, byte for byte, is skipped.
+    `keep_traces` records the descent's value traces in `outcome`.
     """
-    config = config or WynerConfig()
     nx, ny = pmf.shape
-    w_size = config.w_size if config.w_size is not None else nx * ny
+    w_size = w_size if w_size is not None else nx * ny
     if w_size < 1 or w_size > nx * ny:
         raise KernelInvalid(f"w_size must lie in [1, |X||Y|] = [1, {nx * ny}], got {w_size}")
 
@@ -200,26 +188,15 @@ def wyner_minimize(
         k = np.asarray(k, dtype=float)
         if k.shape == (nx, ny, w_size):
             seeds.append((label, [k]))
-    exact = distinct_seeds(seeds)
-    starts = [(label, [smooth(k)]) for label, (k,) in exact]
-    starts += [
-        (label, kernels)
-        for label, kernels in dirichlet_starts(config.seed, config.restarts, [(nx, ny, w_size)])
-    ]
-
-    cfg = PenaltyConfig(
-        penalty_schedule=config.penalty_schedule,
-        max_iter=config.max_iter,
-        feasibility_threshold=FEASIBILITY_TOL,
-    )
+    starts, exact = descent_starts(seeds, [(nx, ny, w_size)], config)
     vag = _value_and_grad_factory(pmf.p)
 
     def evaluate(kernels):
         return wyner_objective(pmf, AuxKernel(w_size, renormalize(kernels[0])))
 
-    outcome = penalized_minimize(starts, exact, vag, evaluate, cfg, keep_traces=keep_traces)
+    outcome = penalized_minimize(starts, exact, vag, evaluate, config, keep_traces=keep_traces)
     best = outcome.best
-    result = WynerResult(
+    return WynerResult(
         value=best.objective,
         residual=best.residual,
         kernel=AuxKernel(w_size, renormalize(best.kernels[0])),
@@ -227,8 +204,6 @@ def wyner_minimize(
         iterations=outcome.iterations,
         feasible=best.residual <= FEASIBILITY_TOL,
         candidates=tuple((c.label, c.objective, c.residual) for c in outcome.candidates),
+        outcome=outcome,
     )
-    if keep_traces:
-        return result, outcome
-    return result
 

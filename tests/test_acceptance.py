@@ -15,7 +15,7 @@ import numpy as np
 
 from cit import (
     AuxKernel,
-    WynerConfig,
+    PenaltyConfig,
     binary_entropy,
     chain_objective,
     ci1_exact,
@@ -29,7 +29,6 @@ from cit import (
     wyner_minimize,
     wyner_objective,
 )
-from cit.chains import ChainOptConfig
 from cit.pmf import conditional_mutual_information, save_pmf
 from cit.protocols import decomposition_check, lemma1_check, random_cr_table, random_protocol
 from cit.simulate import cr_sk_simulate, default_copy_chain, sw_binning_simulate
@@ -91,7 +90,7 @@ def test_criterion_1_bss_interaction_does_not_help():
             assert abs(det.objective - 1.0) <= 1e-9
 
             cont = continuous_chain_minimize(
-                pmf, 2, (2, 2), ChainOptConfig(restarts=3, max_iter=1200, seed=0))
+                pmf, 2, (2, 2), PenaltyConfig(restarts=3, max_iter=1200, seed=0))
             assert cont.feasible
             assert cont.objective >= 0.98
 
@@ -127,7 +126,7 @@ def test_criterion_3_wyner_bracket_on_bss():
         assert abs(oracle - 0.6095) < 1e-3
 
         pmf = bss_pmf(delta)
-        res = wyner_minimize(pmf, WynerConfig(restarts=32, seed=0))
+        res = wyner_minimize(pmf, PenaltyConfig(restarts=32, max_iter=5000, seed=0))
         assert res.feasible
         assert res.value >= 0.1887 - 1e-3
         assert res.value <= 0.6094 + 0.01
@@ -237,9 +236,9 @@ def test_criterion_5_sufficient_statistic_invariance():
             orig = random_pmf(rng, 2, 2)
             split, class_of = _split_rows(rng, orig)
             w_size = orig.shape[0] * orig.shape[1]
-            cfg = WynerConfig(restarts=4, max_iter=1200, seed=seed, w_size=w_size)
-            r_o = wyner_minimize(orig, cfg)
-            r_s = wyner_minimize(split, cfg)
+            cfg = PenaltyConfig(restarts=4, max_iter=1200, seed=seed)
+            r_o = wyner_minimize(orig, cfg, w_size=w_size)
+            r_s = wyner_minimize(split, cfg, w_size=w_size)
 
             proj = _project_kernel(r_s.kernel.k, split, orig, class_of)
             lift1 = _lift_kernel(r_o.kernel.k, class_of, split.shape[0])
@@ -297,7 +296,7 @@ def test_criterion_6_structure_exactness():
             t = pmf.to_tensor()
             mi = mutual_information(t, "x", "y")
             assert gk_ci(pmf) <= mi + 1e-9
-            res = wyner_minimize(pmf, WynerConfig(restarts=4, max_iter=1200, seed=0))
+            res = wyner_minimize(pmf, PenaltyConfig(restarts=4, max_iter=1200, seed=0))
             for _, obj, resid in res.candidates:
                 if resid <= 1e-4:
                     assert mi <= obj + 1e-6

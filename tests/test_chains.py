@@ -6,10 +6,10 @@ import pytest
 from cit import (
     AuxiliaryChain,
     BudgetExceeded,
-    ChainOptConfig,
     DeltaOutOfRange,
     DeterministicChain,
     LemmaViolation,
+    PenaltyConfig,
     binary_entropy,
     bss_closed_form,
     binary_stop_classify,
@@ -341,20 +341,20 @@ class TestDetSearchEquivalence:
 class TestContinuous:
     def test_copy_source(self, uniform_copy):
         res = continuous_chain_minimize(uniform_copy, 2, (2, 2),
-                                        ChainOptConfig(restarts=4, seed=0))
+                                        PenaltyConfig(restarts=4, max_iter=3000, seed=0))
         assert res.feasible
         assert res.objective == pytest.approx(1.0, abs=1e-3)
 
     def test_gain_seeded_by_det(self, gain):
         det = det_chain_search(gain, 2, (2, 3))
         res = continuous_chain_minimize(gain, 2, (2, 3),
-                                        ChainOptConfig(restarts=4, seed=0),
+                                        PenaltyConfig(restarts=4, max_iter=3000, seed=0),
                                         extra_chains=[det.chain])
         assert res.feasible
         assert res.objective <= det.objective + 1e-3
 
     def test_handed_det_result_matches_own_search(self, gain):
-        config = ChainOptConfig(restarts=2, max_iter=300, seed=0)
+        config = PenaltyConfig(restarts=2, max_iter=300, seed=0)
         det = det_chain_search(gain, 2, (3, 3))
         own = continuous_chain_minimize(gain, 2, (3, 3), config)
         handed = continuous_chain_minimize(gain, 2, (3, 3), config, det_best=det)
@@ -369,7 +369,7 @@ class TestContinuous:
         # on the bench's 4x4 draw the det winner is the copy of X, so its
         # padded start equals the copy start; a supplied copy repeats it too
         pmf = validate_pmf(random_base(0, 4))
-        config = ChainOptConfig(restarts=2, max_iter=300, seed=0)
+        config = PenaltyConfig(restarts=2, max_iter=300, seed=0)
         plain = continuous_chain_minimize(pmf, 2, (4, 4), config)
         labels = [label for label, _, _ in plain.candidates]
         assert "det-best" in labels and "copy" not in labels
@@ -380,14 +380,14 @@ class TestContinuous:
         assert supplied.residual.hex() == plain.residual.hex()
 
     def test_initiator_y(self, gain):
-        res = continuous_chain_minimize(gain, 2, (2, 3), ChainOptConfig(restarts=2, max_iter=300),
+        res = continuous_chain_minimize(gain, 2, (2, 3), PenaltyConfig(restarts=2, max_iter=300),
                                         initiator="y")
         assert res.chain.initiator == "y"
         assert res.chain.kernels[0].shape == (3, 2)
         assert res.feasible
 
     def test_candidate_floor(self, bss25):
-        res = continuous_chain_minimize(bss25, 2, (2, 2), ChainOptConfig(restarts=4, seed=0))
+        res = continuous_chain_minimize(bss25, 2, (2, 2), PenaltyConfig(restarts=4, max_iter=3000, seed=0))
         mi = mutual_information(bss25.to_tensor(), "x", "y")
         for _, obj, resid in res.candidates:
             if resid <= 1e-4:

@@ -61,6 +61,20 @@ class TestBasicCommands:
         assert code == 0
         assert rep["result"]["value"] == pytest.approx(1.0, abs=1e-3)
 
+    @pytest.mark.parametrize("penalty, schedule", [
+        (["--penalty", "5,50"], [5.0, 50.0]),
+        ([], [1.0, 10.0, 100.0, 1000.0]),
+    ])
+    def test_wyner_echoes_its_penalty_schedule(self, pmf_file, penalty, schedule):
+        code, out = run_cli(["wyner", "--pmf", pmf_file, "--restarts", "1",
+                             "--max-iter", "20"] + penalty)
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert list(config) == ["pmf", "w_size", "restarts", "penalty_schedule",
+                                "max_iter", "seed"]
+        assert config["penalty_schedule"] == schedule
+        assert (config["w_size"], config["restarts"], config["max_iter"]) == (None, 1, 20)
+
     def test_ici_all_modes(self, pmf_file):
         code, out = run_cli(["ici", "--pmf", pmf_file, "--rounds", "2",
                              "--mode", "all", "--caps", "2,2", "--restarts", "2"])

@@ -23,10 +23,11 @@ import numpy as np
 import pytest
 
 from cit import chains, cli, validate_pmf, wyner
-from cit.chains import ChainOptConfig, continuous_chain_minimize
-from cit.optim import PATIENCE, REL_TOL, STEP_SIZE, _eg_step, _normalize_slices, dirichlet_starts
+from cit.chains import continuous_chain_minimize
+from cit.optim import (PATIENCE, REL_TOL, STEP_SIZE, PenaltyConfig, _eg_step, _normalize_slices,
+                       dirichlet_starts)
 from cit.sources import bss_pmf, gain_pmf, random_pmf
-from cit.wyner import WynerConfig, wyner_minimize
+from cit.wyner import wyner_minimize
 
 
 @dataclass
@@ -127,9 +128,9 @@ def _zero_row_3x3():
 
 
 WYNER_CASES = {
-    "bss": (lambda: bss_pmf(0.25), WynerConfig(restarts=3, max_iter=400)),
-    "gain": (lambda: gain_pmf(0.1, 0.15, 0.15), WynerConfig(restarts=3, max_iter=300)),
-    "zero-row-3x3": (_zero_row_3x3, WynerConfig(restarts=3, max_iter=300)),
+    "bss": (lambda: bss_pmf(0.25), PenaltyConfig(restarts=3, max_iter=400)),
+    "gain": (lambda: gain_pmf(0.1, 0.15, 0.15), PenaltyConfig(restarts=3, max_iter=300)),
+    "zero-row-3x3": (_zero_row_3x3, PenaltyConfig(restarts=3, max_iter=300)),
 }
 
 
@@ -148,15 +149,15 @@ def test_wyner_matches_reference(case, monkeypatch):
     (random_pmf(np.random.default_rng(3), 2, 3), (2, 2, 2), "x"),
 ], ids=["gain-x", "gain-y", "random-2x3-three-rounds"])
 def test_chains_match_reference(pmf, sizes, initiator, monkeypatch):
-    config = ChainOptConfig(restarts=3, max_iter=300)
+    config = PenaltyConfig(restarts=3, max_iter=300)
     seen = _captured(chains, monkeypatch, lambda: continuous_chain_minimize(
         pmf, len(sizes), sizes, config, keep_traces=True, initiator=initiator))
     _assert_matches_reference(seen)
 
 
 def test_one_monotone_trace_per_start_and_stage(bss25):
-    config = WynerConfig(restarts=4, max_iter=300, seed=2)
-    _, outcome = wyner_minimize(bss25, config, keep_traces=True)
+    config = PenaltyConfig(restarts=4, max_iter=300, seed=2)
+    outcome = wyner_minimize(bss25, config, keep_traces=True).outcome
     optimized = len(outcome.candidates) - len(wyner._seed_kernels(bss25, 4))
     assert len(outcome.descent_traces) == optimized
     for stage_traces in outcome.descent_traces:
@@ -167,7 +168,7 @@ def test_one_monotone_trace_per_start_and_stage(bss25):
 
 
 def test_stop_reasons_name_stages_cut_at_max_iter(bss25, monkeypatch):
-    config = WynerConfig(restarts=4, max_iter=50)
+    config = PenaltyConfig(restarts=4, max_iter=50)
     seen = _captured(wyner, monkeypatch,
                      lambda: wyner_minimize(bss25, config, keep_traces=True))
     refs = _assert_matches_reference(seen)
@@ -200,15 +201,15 @@ def _golden_summary(outcome) -> dict:
 @pytest.mark.parametrize("case", sorted(WYNER_CASES))
 def test_wyner_golden_bits(case):
     make, config = WYNER_CASES[case]
-    _, outcome = wyner_minimize(make(), config, keep_traces=True)
+    outcome = wyner_minimize(make(), config, keep_traces=True).outcome
     assert _golden_summary(outcome) == GOLDEN["descents"][f"wyner-{case}"]
 
 
 @pytest.mark.parametrize("initiator", ["x", "y"])
 def test_chain_golden_bits(initiator):
-    _, outcome = continuous_chain_minimize(
-        gain_pmf(0.1, 0.15, 0.15), 2, (2, 3), ChainOptConfig(restarts=3, max_iter=300),
-        keep_traces=True, initiator=initiator)
+    outcome = continuous_chain_minimize(
+        gain_pmf(0.1, 0.15, 0.15), 2, (2, 3), PenaltyConfig(restarts=3, max_iter=300),
+        keep_traces=True, initiator=initiator).outcome
     assert _golden_summary(outcome) == GOLDEN["descents"][f"chain-gain-{initiator}"]
 
 

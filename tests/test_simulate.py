@@ -314,6 +314,40 @@ class TestCrSk:
             cr_sk_simulate(bss25, chain, n=8, key_rate=0.1, trials=10, seed=0)
 
 
+class TestSizeOneRound:
+    """A round whose chain variable takes one value sends nothing and is
+    never decoded: its stage is the identity with no bits."""
+
+    @pytest.mark.parametrize("sizes, tables, stage_bits, leakage, gap", [
+        ([3, 1], [[0, 1, 2], [[0, 0, 0]] * 3], [7, 0],
+         0.24986851843667113, 0.00013148156332920546),
+        ([1, 3], [[0, 0, 0], [[0], [1], [2]]], [0, 7],
+         0.24976623289440303, 0.00023376710559736003),
+    ], ids=["second-round", "first-round"])
+    def test_gain(self, gain, sizes, tables, stage_bits, leakage, gap):
+        chain = chain_from_json({"kind": "deterministic", "initiator": "x", "sizes": sizes,
+                                 "tables": tables})
+        rep = cr_sk_simulate(gain, chain, n=4, key_rate=0.01, trials=100, seed=0)
+        assert rep.to_json() == {
+            "trials": 100, "n": 4, "seed": 0, "slack": 0.25, "cr_error_rate": 0.0,
+            "comm_rate": 1.75, "key_rate": 0.25, "key_bits": 1, "leakage": leakage,
+            "leakage_basis": "exact", "uniformity_gap": gap, "stage_bits": stage_bits,
+            "decode_failures": 0,
+        }
+        assert rep.pops == (0, 0) and rep.stragglers == (0, 0)
+
+    def test_bss_constant_chain(self, bss25):
+        chain = chain_from_json({"kind": "deterministic", "initiator": "x", "sizes": [1],
+                                 "tables": [[0, 0]]})
+        rep = cr_sk_simulate(bss25, chain, n=8, key_rate=0.0, trials=50, seed=0)
+        assert rep.to_json() == {
+            "trials": 50, "n": 8, "seed": 0, "slack": 0.25, "cr_error_rate": 0.0,
+            "comm_rate": 0.0, "key_rate": 0.0, "key_bits": 0, "leakage": 0.0,
+            "leakage_basis": "exact", "uniformity_gap": 0.0, "stage_bits": [0],
+            "decode_failures": 0,
+        }
+
+
 @pytest.mark.parametrize("n", [0, -1])
 def test_crsk_needs_a_positive_blocklength(bss25, n):
     with pytest.raises(ValueError, match=f"blocklength must be at least 1, got {n}"):

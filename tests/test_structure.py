@@ -214,6 +214,30 @@ class TestDoubleMarkov:
             )
             assert mism <= 1e-9
 
+    @pytest.mark.parametrize("p, u_of_x, f_want, g_want", [
+        # gain: U is the sufficient statistic of X, one symbol per x
+        ([[0.1, 0.1, 0.1], [0.15, 0.1, 0.1], [0.1, 0.15, 0.1]], [0, 1, 2],
+         (0, 1, 2, 3), (0, 1, 2)),
+        # a 3x2 source with two proportional rows, U naming their classes swapped
+        ([[0.2, 0.1], [0.1, 0.05], [0.15, 0.4]], [1, 1, 0], (1, 0, 2), (0, 0, 1)),
+    ], ids=["gain", "3x2-merged-rows"])
+    def test_any_axis_order_and_a_zero_mass_symbol(self, p, u_of_x, f_want, g_want):
+        """The last U symbol carries no mass: it gets a class of its own after
+        g's classes, in every order of the (u, x, y) axes."""
+        pmf = validate_pmf(p)
+        n_u = max(u_of_x) + 2
+        q = np.zeros((n_u,) + pmf.shape)
+        for x, u in enumerate(u_of_x):
+            q[u, x] = pmf.p[x]
+        names = ("u", "x", "y")
+        alphabets = (FiniteAlphabet.of_size(n_u, "u"),) + pmf.to_tensor().alphabets
+        for order in itertools.permutations(range(3)):
+            t = TensorPMF(tuple(names[i] for i in order), tuple(alphabets[i] for i in order),
+                          np.transpose(q, order))
+            f, g = double_markov_extract(t)
+            assert (f.class_of, g.class_of) == (f_want, g_want), order
+            assert f.zero_mass_symbols == (f"u{n_u - 1}",)
+
 
 class TestNoninteractiveRate:
     def test_bss(self, bss25):

@@ -4,7 +4,7 @@ import pytest
 from cit import (
     AuxKernel,
     KernelInvalid,
-    WynerConfig,
+    PenaltyConfig,
     entropy,
     mutual_information,
     wyner_minimize,
@@ -13,7 +13,7 @@ from cit import (
 from cit.chains import chain_to_aux_kernel, det_chain_search
 from cit.wyner import _seed_kernels, deterministic_kernel
 
-LIGHT = WynerConfig(restarts=6, max_iter=1500, seed=0)
+LIGHT = PenaltyConfig(restarts=6, max_iter=1500, seed=0)
 
 
 class TestObjective:
@@ -64,7 +64,7 @@ class TestMinimize:
 
     def test_w_size_rejected_above_bound(self, bss25):
         with pytest.raises(KernelInvalid):
-            wyner_minimize(bss25, WynerConfig(w_size=5))
+            wyner_minimize(bss25, w_size=5)
 
     def test_feasible_candidates_dominate_mi(self, bss25, gain):
         for pmf in (bss25, gain):
@@ -75,8 +75,8 @@ class TestMinimize:
                     assert obj >= mi - 1e-6
 
     def test_monotone_descent_within_stages(self, bss25):
-        _, outcome = wyner_minimize(bss25, WynerConfig(restarts=2, max_iter=500, seed=1),
-                                    keep_traces=True)
+        outcome = wyner_minimize(bss25, PenaltyConfig(restarts=2, max_iter=500, seed=1),
+                                 keep_traces=True).outcome
         assert outcome.descent_traces
         for stage_list in outcome.descent_traces:
             for trace in stage_list:
@@ -97,7 +97,7 @@ class TestMinimize:
         assert res.value <= det.objective + 1e-9
 
     def test_a_kernel_that_repeats_a_seed_is_skipped(self, gain):
-        config = WynerConfig(restarts=2, max_iter=300, seed=0)
+        config = PenaltyConfig(restarts=2, max_iter=300, seed=0)
         suffstat_x = dict(_seed_kernels(gain, 9))["suffstat-x"]
         plain = wyner_minimize(gain, config)
         dup = wyner_minimize(gain, config, extra_kernels=[("dup", suffstat_x.copy())])
@@ -116,4 +116,4 @@ def test_no_feasible_point_with_constant_w(bss25):
     from cit import NoFeasiblePoint
 
     with pytest.raises(NoFeasiblePoint):
-        wyner_minimize(bss25, WynerConfig(w_size=1, restarts=2, max_iter=200, seed=0))
+        wyner_minimize(bss25, PenaltyConfig(restarts=2, max_iter=200, seed=0), w_size=1)
