@@ -594,7 +594,6 @@ def continuous_chain_minimize(
     rounds: int,
     sizes: Sequence[int],
     config: PenaltyConfig = CONT_CONFIG,
-    extra_chains: Sequence["AuxiliaryChain | DeterministicChain"] = (),
     keep_traces: bool = False,
     initiator: str = "x",
     det_best: "ChainResult | BudgetExceeded | NoFeasibleChain | None" = None,
@@ -602,10 +601,9 @@ def continuous_chain_minimize(
     """Penalty-method upper bound over randomized chains of the given sizes.
 
     Mandatory start points: the best deterministic chain at equal sizes,
-    the copy chain, the constant chain, and any supplied chains; each is
-    also scored exactly as a candidate, and a chain whose kernels equal an
-    earlier one's, byte for byte, is skipped. Feasibility threshold:
-    `optim.FEASIBILITY_TOL` bits. `keep_traces` records the descent's value
+    the copy chain and the constant chain; each is also scored exactly as a
+    candidate, and a chain whose kernels equal an earlier one's, byte for
+    byte, is skipped. Feasibility threshold: `optim.FEASIBILITY_TOL` bits. `keep_traces` records the descent's value
     traces in the result's `outcome`.
 
     `det_best` is the outcome of a `det_chain_search` at caps `sizes` and the
@@ -634,10 +632,6 @@ def continuous_chain_minimize(
     if copy_chain is not None:
         seed_chains.append(("copy", copy_chain))
     seed_chains.append(("constant", _constant_chain(nx, ny, sizes, initiator)))
-    for i, ch in enumerate(extra_chains):
-        det_ch = ch if isinstance(ch, DeterministicChain) else None
-        if det_ch is not None and det_ch.sizes == sizes and det_ch.initiator == initiator:
-            seed_chains.append((f"supplied-{i}", det_ch))
 
     starts, exact = descent_starts(
         ((label, list(ch.as_auxiliary().kernels)) for label, ch in seed_chains), shapes, config)

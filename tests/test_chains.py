@@ -348,8 +348,7 @@ class TestContinuous:
     def test_gain_seeded_by_det(self, gain):
         det = det_chain_search(gain, 2, (2, 3))
         res = continuous_chain_minimize(gain, 2, (2, 3),
-                                        PenaltyConfig(restarts=4, max_iter=3000, seed=0),
-                                        extra_chains=[det.chain])
+                                        PenaltyConfig(restarts=4, max_iter=3000, seed=0))
         assert res.feasible
         assert res.objective <= det.objective + 1e-3
 
@@ -367,17 +366,12 @@ class TestContinuous:
 
     def test_a_start_that_repeats_an_earlier_one_is_skipped(self):
         # on the bench's 4x4 draw the det winner is the copy of X, so its
-        # padded start equals the copy start; a supplied copy repeats it too
+        # padded start equals the copy start
         pmf = validate_pmf(random_base(0, 4))
         config = PenaltyConfig(restarts=2, max_iter=300, seed=0)
-        plain = continuous_chain_minimize(pmf, 2, (4, 4), config)
-        labels = [label for label, _, _ in plain.candidates]
+        res = continuous_chain_minimize(pmf, 2, (4, 4), config)
+        labels = [label for label, _, _ in res.candidates]
         assert "det-best" in labels and "copy" not in labels
-        copy = chains._copy_chain(4, 4, (4, 4), "x")
-        supplied = continuous_chain_minimize(pmf, 2, (4, 4), config, extra_chains=[copy])
-        assert supplied.candidates == plain.candidates
-        assert supplied.objective.hex() == plain.objective.hex()
-        assert supplied.residual.hex() == plain.residual.hex()
 
     def test_initiator_y(self, gain):
         res = continuous_chain_minimize(gain, 2, (2, 3), PenaltyConfig(restarts=2, max_iter=300),
