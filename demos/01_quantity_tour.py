@@ -9,6 +9,7 @@ values, and the assembled communication rates for key generation.
 import numpy as np
 
 from cit import (
+    PenaltyConfig,
     RateConfig,
     entropy,
     gk_ci,
@@ -58,7 +59,7 @@ print(f"H(g1*) = {ni.h_g1:.4f}, H(g2*) = {ni.h_g2:.4f}")
 print(f"one-way rate for a capacity key: R_NI = min(...) - I = {ni.r_ni:.4f} bits/symbol")
 
 print("\n=== full report (2 rounds) ===")
-rep = rate_report(pmf, 2, RateConfig(continuous_restarts=4, wyner_restarts=6))
+rep = rate_report(pmf, RateConfig(descent=PenaltyConfig(restarts=6, max_iter=2000)))
 for field in ("h_x", "h_y", "mi", "gk_ci", "wyner_ub", "ci1_x", "ci1_y",
               "cir_ub", "r_ni", "r_sk_r"):
     tag = rep.provenance.get(field, "")

@@ -11,7 +11,8 @@ revelation.
 
 import numpy as np
 
-from cit import RateConfig, chain_objective, ci1_exact, det_chain_search, rate_report
+from cit import (PenaltyConfig, RateConfig, chain_objective, ci1_exact, det_chain_search,
+                 rate_report)
 from cit.chains import DeterministicChain
 from cit.sources import gain_pmf
 
@@ -36,7 +37,7 @@ best = det_chain_search(pmf, 2, (2, 3))
 print(f"exact deterministic two-round search: best value {best.objective:.5f} "
       f"(encoding {best.encoding})")
 
-rep = rate_report(pmf, 2, RateConfig(continuous_restarts=4, wyner_restarts=6))
+rep = rate_report(pmf, RateConfig(descent=PenaltyConfig(restarts=6, max_iter=2000)))
 print(f"\ncommunication for a capacity key: one-way {rep.r_ni:.5f} vs "
       f"two-round {rep.r_sk_r:.5f} bits/symbol")
 print(f"interaction saves {rep.r_ni - rep.r_sk_r:.5f} bits/symbol")

@@ -339,7 +339,10 @@ def _rgs(length: int, cap: int, prefix: tuple[int, ...] = ()) -> Iterator[tuple[
 def effective_caps(
     x_size: int, y_size: int, rounds: int, size_caps: Sequence[int] | None, initiator: str
 ) -> tuple[int, ...]:
-    """User caps clamped by the per-round cardinality ceiling; default cap 4."""
+    """User caps, one per round, clamped by the per-round cardinality
+    ceiling; default cap 4."""
+    if size_caps is not None and len(size_caps) != rounds:
+        raise ValueError(f"need one size cap per round: {len(size_caps)} given for {rounds} rounds")
     caps = []
     prod = 1
     for j in range(1, rounds + 1):

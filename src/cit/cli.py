@@ -54,12 +54,6 @@ def _finite(text: str) -> float:
     return value
 
 
-def _add_threads(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threads", type=_thread_count, default=None,
-                   help="a positive integer, accepted and ignored (default $CIT_THREADS, "
-                        "else 1); cit runs in one thread")
-
-
 def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(",") if v.strip())
 
@@ -88,7 +82,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="write the report to this path instead of stdout")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--seed", type=_nonnegative, default=0)
-        _add_threads(p)
+        p.add_argument("--threads", type=_thread_count, default=None,
+                       help="a positive integer, accepted and ignored (default $CIT_THREADS, "
+                            "else 1); cit runs in one thread")
 
     p = sub.add_parser("info", help="entropies and mutual information")
     common(p)
@@ -122,24 +118,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rates", help="assembled rate report")
     common(p)
-    p.add_argument("--rounds", type=int, default=2)
+    p.add_argument("--rounds", type=int, default=rates.RateConfig.rounds)
     p.add_argument("--caps", type=_int_list, default=None)
-    p.add_argument("--budget", type=_nonnegative, default=200_000,
+    p.add_argument("--budget", type=_nonnegative, default=rates.RateConfig.det_budget,
                    help="most set partitions the det search may score, its rebuild "
                         "included; a search that runs out is left out of the report")
     p.add_argument("--no-continuous", action="store_true")
 
     p = sub.add_parser("check", help="exact identity suites over seeded random instances")
     p.add_argument("identity", choices=("lemma1", "decomp", "el5"))
-    p.add_argument("--seed", type=_nonnegative, default=0)
+    common(p, pmf_required=False)
     p.add_argument("--count", type=_positive, default=100)
     p.add_argument("--n", type=_positive, default=2, help="largest blocklength for protocol checks")
     p.add_argument("--alphabet", type=_int_at_least(2, "must be an integer of at least 2"),
                    default=3, help="largest alphabet size")
     p.add_argument("--rounds", type=_positive, default=2, help="largest number of rounds")
-    p.add_argument("--output", help="write the report to this path instead of stdout")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_threads(p)
 
     p = sub.add_parser("simulate", help="Monte Carlo binning and key-agreement runs")
     p.add_argument("kind", choices=("sw", "crsk"))
@@ -153,15 +146,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("example", help="built-in sources run through the rate report")
     p.add_argument("which", choices=("bss", "gain"))
+    common(p, pmf_required=False)
     p.add_argument("--delta", type=float, default=0.25)
     p.add_argument("--a", type=float, default=0.1)
     p.add_argument("--b", type=float, default=0.15)
     p.add_argument("--c", type=float, default=0.15)
-    p.add_argument("--rounds", type=int, default=2)
-    p.add_argument("--output", help="write the report to this path instead of stdout")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--seed", type=_nonnegative, default=0)
-    _add_threads(p)
+    p.add_argument("--rounds", type=int, default=rates.RateConfig.rounds)
 
     return parser
 
@@ -346,10 +336,10 @@ def _dispatch(args) -> int:
             result["det"] = det.to_json()
         if args.mode in ("cont", "all"):
             nx, ny = pmf.shape
-            sizes = args.sizes or chains.effective_caps(nx, ny, args.rounds, args.caps,
-                                                        args.initiator)
+            sizes = args.sizes if args.sizes is not None else chains.effective_caps(
+                nx, ny, args.rounds, args.caps, args.initiator)
             # without --sizes the det route searched these very caps
-            if det is None or args.sizes:
+            if det is None or args.sizes is not None:
                 try:
                     det = chains.det_chain_search(pmf, args.rounds, sizes, budget=args.budget,
                                                   initiator=args.initiator)
@@ -367,11 +357,11 @@ def _dispatch(args) -> int:
     if cmd == "rates":
         pmf = load_pmf(args.pmf)
         config = rates.RateConfig(
-            rounds=args.rounds, seed=args.seed,
-            det_caps=args.caps, det_budget=args.budget,
+            rounds=args.rounds, det_caps=args.caps, det_budget=args.budget,
             include_continuous=not args.no_continuous,
+            descent=replace(rates.REPORT_DESCENT, seed=args.seed),
         )
-        rep = rates.rate_report(pmf, args.rounds, config)
+        rep = rates.rate_report(pmf, config)
         result = {**rep.to_json(), "pmf": pmf.to_json()}
         _emit(_envelope(args, config.to_json(), result), args)
         return 0
@@ -415,17 +405,18 @@ def _dispatch(args) -> int:
         if args.which == "bss":
             pmf = sources.bss_pmf(args.delta)
             closed = chains.bss_closed_form(args.delta).to_json()
-            config = {"which": "bss", "delta": args.delta, "rounds": args.rounds}
+            echo = {"which": "bss", "delta": args.delta}
         else:
             pmf = sources.gain_pmf(args.a, args.b, args.c)
             closed = None
-            config = {"which": "gain", "a": args.a, "b": args.b, "c": args.c,
-                      "rounds": args.rounds}
-        rep = rates.rate_report(pmf, args.rounds, rates.RateConfig(rounds=args.rounds, seed=args.seed))
+            echo = {"which": "gain", "a": args.a, "b": args.b, "c": args.c}
+        config = rates.RateConfig(rounds=args.rounds,
+                                  descent=replace(rates.REPORT_DESCENT, seed=args.seed))
+        rep = rates.rate_report(pmf, config)
         result = {**rep.to_json(), "pmf": pmf.to_json()}
         if closed is not None:
             result["closed_form"] = closed
-        _emit(_envelope(args, config, result), args)
+        _emit(_envelope(args, {**echo, **config.to_json()}, result), args)
         return 0
 
     raise ValueError(f"unknown command {cmd!r}")

@@ -11,7 +11,7 @@ deterministic-chain search, and the randomized-chain descent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import chains, structure, wyner
 from .errors import NoFeasiblePoint
@@ -20,30 +20,22 @@ from .pmf import JointPMF, entropy, mutual_information
 from .sources import binary_symmetric_delta
 
 
+REPORT_DESCENT = PenaltyConfig(restarts=8, max_iter=2000)
+
+
 @dataclass(frozen=True)
 class RateConfig:
+    """One report's settings; `descent` runs both the Wyner and the
+    randomized-chain descents."""
+
     rounds: int = 2
-    seed: int = 0
     det_caps: tuple[int, ...] | None = None
     det_budget: int = 200_000
     include_continuous: bool = True
-    continuous_restarts: int = 8
-    continuous_max_iter: int = 2000
-    wyner_restarts: int = 8
-    wyner_max_iter: int = 2000
+    descent: PenaltyConfig = REPORT_DESCENT
 
     def to_json(self) -> dict:
-        return {
-            "rounds": self.rounds,
-            "seed": self.seed,
-            "det_caps": list(self.det_caps) if self.det_caps else None,
-            "det_budget": self.det_budget,
-            "include_continuous": self.include_continuous,
-            "continuous_restarts": self.continuous_restarts,
-            "continuous_max_iter": self.continuous_max_iter,
-            "wyner_restarts": self.wyner_restarts,
-            "wyner_max_iter": self.wyner_max_iter,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -65,28 +57,13 @@ class RateReport:
     provenance: dict[str, str] = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        out = {
-            "h_x": self.h_x,
-            "h_y": self.h_y,
-            "mi": self.mi,
-            "sk_capacity": self.sk_capacity,
-            "gk_ci": self.gk_ci,
-            "wyner_ub": self.wyner_ub,
-            "ci1_x": self.ci1_x,
-            "ci1_y": self.ci1_y,
-            "cir_ub": self.cir_ub,
-            "r_ni": self.r_ni,
-            "r_sk_r": self.r_sk_r,
-            "rounds": self.rounds,
-        }
-        out["provenance"] = dict(self.provenance)
-        return out
+        return asdict(self)
 
 
-def rate_report(pmf: JointPMF, rounds: int | None = None, config: RateConfig | None = None) -> RateReport:
+def rate_report(pmf: JointPMF, config: RateConfig | None = None) -> RateReport:
     """Compute the full quantity family for one source."""
     config = config or RateConfig()
-    r = config.rounds if rounds is None else int(rounds)
+    r = config.rounds
     if r < 1:
         raise ValueError("rounds must be at least 1")
     t = pmf.to_tensor()
@@ -111,11 +88,6 @@ def rate_report(pmf: JointPMF, rounds: int | None = None, config: RateConfig | N
     caps = chains.effective_caps(nx, ny, r, config.det_caps, "x")
     delta = binary_symmetric_delta(pmf)
     run_continuous = config.include_continuous and delta is None
-    cont_config = PenaltyConfig(
-        restarts=config.continuous_restarts,
-        max_iter=config.continuous_max_iter,
-        seed=config.seed,
-    )
     # one search per report, which the continuous route also starts from
     try:
         searched = chains.det_chain_search(pmf, r, config.det_caps, budget=config.det_budget)
@@ -129,7 +101,7 @@ def rate_report(pmf: JointPMF, rounds: int | None = None, config: RateConfig | N
 
     if run_continuous:
         try:
-            cont = chains.continuous_chain_minimize(pmf, r, caps, cont_config,
+            cont = chains.continuous_chain_minimize(pmf, r, caps, config.descent,
                                                     det_best=searched)
         except NoFeasiblePoint:
             cont = None
@@ -154,14 +126,7 @@ def rate_report(pmf: JointPMF, rounds: int | None = None, config: RateConfig | N
         k = chains.chain_to_aux_kernel(pmf, ch, nx * ny)
         if k is not None:
             extra.append((f"chain-induced-{i}", k))
-    wr = wyner.wyner_minimize(
-        pmf,
-        PenaltyConfig(
-            restarts=config.wyner_restarts, max_iter=config.wyner_max_iter,
-            seed=config.seed,
-        ),
-        extra_kernels=extra,
-    )
+    wr = wyner.wyner_minimize(pmf, config.descent, extra_kernels=extra)
 
     return RateReport(
         h_x=h_x, h_y=h_y, mi=mi, sk_capacity=mi, gk_ci=gk,

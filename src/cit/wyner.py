@@ -67,7 +67,7 @@ class WynerResult:
     value: float
     residual: float
     kernel: AuxKernel
-    restarts_used: int
+    starts: int  # every descended start: the seeded ones, then the restarts
     iterations: int
     feasible: bool
     candidates: tuple[tuple[str, float, float], ...] = field(default=())
@@ -80,7 +80,7 @@ class WynerResult:
             "residual": self.residual,
             "feasible": self.feasible,
             "provenance": "upper bound",
-            "restarts_used": self.restarts_used,
+            "starts": self.starts,
             "iterations": self.iterations,
             "kernel": self.kernel.to_json(),
             "candidates": [
@@ -200,7 +200,7 @@ def wyner_minimize(
         value=best.objective,
         residual=best.residual,
         kernel=AuxKernel(w_size, renormalize(best.kernels[0])),
-        restarts_used=len(starts),
+        starts=len(starts),
         iterations=outcome.iterations,
         feasible=best.residual <= FEASIBILITY_TOL,
         candidates=tuple((c.label, c.objective, c.residual) for c in outcome.candidates),

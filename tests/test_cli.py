@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from cit import chains, cli
+from cit import chains, cli, optim
 
 from conftest import gain_two_round_chain
 
@@ -74,6 +74,28 @@ class TestBasicCommands:
                                 "max_iter", "seed"]
         assert config["penalty_schedule"] == schedule
         assert (config["w_size"], config["restarts"], config["max_iter"]) == (None, 1, 20)
+
+    def test_wyner_counts_every_descended_start(self, gain_file):
+        # gain's four seeded kernels descend before the three restarts
+        code, out = run_cli(["wyner", "--pmf", gain_file, "--restarts", "3",
+                             "--max-iter", "20"])
+        assert code == 0
+        rep = json.loads(out)
+        assert (rep["result"]["starts"], rep["config"]["restarts"]) == (7, 3)
+
+    @pytest.mark.parametrize("argv", [
+        ["rates", "--caps"],
+        ["ici", "--mode", "det", "--caps"],
+        ["ici", "--mode", "cont", "--sizes"],
+    ], ids=["rates", "ici-det", "ici-cont"])
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_caps_need_one_entry_per_round(self, gain_file, argv, count):
+        code, out = run_cli(argv[:1] + ["--pmf", gain_file, "--rounds", "2"] + argv[1:]
+                            + [",".join(["3"] * count)])
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "type": "ValueError",
+            "message": f"need one size cap per round: {count} given for 2 rounds"}
 
     def test_ici_all_modes(self, pmf_file):
         code, out = run_cli(["ici", "--pmf", pmf_file, "--rounds", "2",
@@ -168,6 +190,18 @@ class TestBasicCommands:
         rep = json.loads(out)
         assert rep["result"]["r_sk_r"] == pytest.approx(0.0, abs=1e-9)
         assert rep["config"]["rounds"] == 2
+
+    @pytest.mark.parametrize("command", ["rates", "example"])
+    def test_rate_reports_echo_their_descent(self, pmf_file, command):
+        argv = ["rates", "--pmf", pmf_file] if command == "rates" else ["example", "bss"]
+        code, out = run_cli(argv + ["--seed", "5"])
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert list(config)[-5:] == ["rounds", "det_caps", "det_budget",
+                                     "include_continuous", "descent"]
+        assert config["descent"] == {"restarts": 8,
+                                     "penalty_schedule": list(optim.PENALTY_SCHEDULE),
+                                     "max_iter": 2000, "seed": 5}
 
     def test_check_commands(self):
         for identity in ("lemma1", "decomp", "el5"):

@@ -3,16 +3,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cit import RateConfig, binary_entropy, chains, rate_report
+from cit import PenaltyConfig, RateConfig, binary_entropy, chains, rate_report, wyner
 from cit.sources import bss_pmf, random_pmf
 
-LIGHT = RateConfig(continuous_restarts=4, continuous_max_iter=1200,
-                   wyner_restarts=4, wyner_max_iter=1200)
+LIGHT = RateConfig(descent=PenaltyConfig(restarts=4, max_iter=1200))
 
 
 class TestBss:
     def test_quarter_report(self):
-        rep = rate_report(bss_pmf(0.25), 2, LIGHT)
+        rep = rate_report(bss_pmf(0.25), LIGHT)
         h = binary_entropy(0.25)
         assert rep.mi == pytest.approx(1 - h, abs=1e-9)
         assert rep.sk_capacity == rep.mi
@@ -22,7 +21,7 @@ class TestBss:
         assert rep.provenance["cir_ub"].startswith("exact")
 
     def test_copy_source(self, uniform_copy):
-        rep = rate_report(uniform_copy, 2, LIGHT)
+        rep = rate_report(uniform_copy, LIGHT)
         assert rep.mi == pytest.approx(1.0, abs=1e-12)
         assert rep.cir_ub == pytest.approx(1.0, abs=1e-9)
         assert rep.r_sk_r == pytest.approx(0.0, abs=1e-9)
@@ -30,14 +29,14 @@ class TestBss:
         assert rep.gk_ci == pytest.approx(1.0, abs=1e-12)
 
     def test_independent(self, independent):
-        rep = rate_report(independent, 2, LIGHT)
+        rep = rate_report(independent, LIGHT)
         assert rep.mi == 0.0
         assert rep.cir_ub == pytest.approx(0.0, abs=1e-9)
 
 
 class TestGain:
     def test_interaction_gap(self, gain):
-        rep = rate_report(gain, 2, LIGHT)
+        rep = rate_report(gain, LIGHT)
         assert rep.r_sk_r < rep.r_ni
         gap = rep.r_ni - rep.r_sk_r
         assert 0.02 <= gap <= 0.03
@@ -66,13 +65,32 @@ class TestGain:
                 raise
 
         monkeypatch.setattr(chains, "det_chain_search", counted)
-        rate_report(pmf, 2, replace(LIGHT, det_caps=caps, det_budget=budget))
+        rate_report(pmf, replace(LIGHT, det_caps=caps, det_budget=budget))
         assert calls == [(2, caps, budget)] + ([raises] if raises else [])
+
+    def test_both_descents_run_the_report_descent(self, gain, monkeypatch):
+        config = RateConfig(descent=PenaltyConfig(restarts=1, max_iter=50, seed=3))
+        seen = []
+        cont, wyn = chains.continuous_chain_minimize, wyner.wyner_minimize
+
+        def cont_spy(pmf, rounds, sizes, descent, **kwargs):
+            seen.append(descent)
+            return cont(pmf, rounds, sizes, descent, **kwargs)
+
+        def wyner_spy(pmf, descent, **kwargs):
+            seen.append(descent)
+            return wyn(pmf, descent, **kwargs)
+
+        monkeypatch.setattr(chains, "continuous_chain_minimize", cont_spy)
+        monkeypatch.setattr(wyner, "wyner_minimize", wyner_spy)
+        rate_report(gain, config)
+        assert len(seen) == 2
+        assert all(descent is config.descent for descent in seen)
 
     def test_three_rounds_keep_the_two_round_chain(self, gain):
         # an r-round chain followed by a constant round is an (r+1)-round
         # chain, so the det route finds gain's two-round value at r = 3
-        rep = rate_report(gain, 3, LIGHT)
+        rep = rate_report(gain, replace(LIGHT, rounds=3))
         assert rep.cir_ub <= 1.558871848445 + 1e-9
         assert rep.wyner_ub <= 1.558871848445 + 1e-9
 
@@ -80,7 +98,7 @@ class TestGain:
 class TestInvariants:
     @pytest.mark.parametrize("delta", [0.1, 0.4])
     def test_orderings(self, delta):
-        rep = rate_report(bss_pmf(delta), 2, LIGHT)
+        rep = rate_report(bss_pmf(delta), LIGHT)
         assert rep.sk_capacity == rep.mi
         assert rep.r_sk_r == rep.cir_ub - rep.mi
         assert rep.gk_ci <= rep.mi + 1e-9
@@ -88,12 +106,12 @@ class TestInvariants:
         assert rep.cir_ub <= min(rep.ci1_x, rep.ci1_y) + 1e-9
 
     def test_round_one_exact(self, gain):
-        rep = rate_report(gain, 1, LIGHT)
+        rep = rate_report(gain, replace(LIGHT, rounds=1))
         assert rep.cir_ub == rep.ci1_x
         assert rep.provenance["cir_ub"].startswith("exact")
 
     def test_json_fields(self, gain):
-        blob = rate_report(gain, 2, LIGHT).to_json()
+        blob = rate_report(gain, LIGHT).to_json()
         for key in ("h_x", "h_y", "mi", "sk_capacity", "gk_ci", "wyner_ub",
                     "ci1_x", "ci1_y", "cir_ub", "r_ni", "r_sk_r", "rounds",
                     "provenance"):

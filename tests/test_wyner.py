@@ -103,7 +103,7 @@ class TestMinimize:
         dup = wyner_minimize(gain, config, extra_kernels=[("dup", suffstat_x.copy())])
         assert dup.value.hex() == plain.value.hex()
         assert dup.candidates == plain.candidates
-        assert dup.restarts_used == plain.restarts_used
+        assert dup.starts == plain.starts
 
     def test_report_serializes(self, independent):
         res = wyner_minimize(independent, LIGHT)
