@@ -26,9 +26,9 @@ for delta in (0.05, 0.1, 0.25, 0.4):
     pmf = bss_pmf(delta)
     cf = bss_closed_form(delta)
     det = det_chain_search(pmf, 2, (2, 2))
-    cont = continuous_chain_minimize(pmf, 2, (2, 2),
+    cont = continuous_chain_minimize(pmf, (2, 2),
                                      PenaltyConfig(restarts=4, max_iter=1500, seed=0),
-                                     det_best=det)
+                                     start=det.chain)
     wy = wyner_minimize(pmf, PenaltyConfig(restarts=8, max_iter=2000, seed=0))
     # explicit binary-auxiliary construction: W flips into X and Y independently
     a0 = (1 - math.sqrt(1 - 2 * delta)) / 2

@@ -21,7 +21,7 @@ is an upper bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -50,6 +50,8 @@ from .pmf import (
 )
 
 DET_FEASIBILITY_TOL = 1e-9
+PINNED_TOL = 1e-6          # bits of H(X|u) or H(Y|u) that still count as pinned
+ATOM_DUST = 1e-12          # chain atoms this light are dropped from a Wyner seed
 CONT_CONFIG = PenaltyConfig(restarts=8, max_iter=3000)
 TENSOR_BUDGET = 2 ** 22
 
@@ -408,11 +410,10 @@ def det_chain_search(
     size_caps: Sequence[int] | None = None,
     budget: int = 2_000_000,
     initiator: str = "x",
-    feasibility_tol: float = DET_FEASIBILITY_TOL,
 ) -> ChainResult:
     """Exact minimum over canonical deterministic chains.
 
-    Keeps chains with dependence residual at most `feasibility_tol` and
+    Keeps chains with dependence residual at most DET_FEASIBILITY_TOL and
     returns the lowest objective among them; objectives within TIE_TOL
     count as tied, and the lexicographically smallest encoding wins. The
     result is an upper bound on the r-round optimum.
@@ -430,7 +431,7 @@ def det_chain_search(
     symbols (those with mass in it) into at most caps[j] blocks, and the
     children add. Leaf residuals are nonnegative, so each inner state keeps
     the Pareto front of its (objective, residual) pairs with residual at
-    most `feasibility_tol`; the root's lowest objective is the optimum over
+    most DET_FEASIBILITY_TOL; the root's lowest objective is the optimum over
     chains whose total residual is within the tolerance.
 
     The winner is rebuilt round by round, cell by cell in table order
@@ -459,7 +460,7 @@ def det_chain_search(
 
     def add(front, other):
         return _pareto((a + b, r + s) for a, r in front for b, s in other
-                       if r + s <= feasibility_tol)
+                       if r + s <= DET_FEASIBILITY_TOL)
 
     def split(j, rect, words):
         """Front of `rect` after j rounds over the speaker's splits `words`."""
@@ -492,7 +493,7 @@ def det_chain_search(
     root = best(0, *nodes[0])
     if not root:
         raise NoFeasibleChain(
-            f"no deterministic chain with residual <= {feasibility_tol} under caps {caps}"
+            f"no deterministic chain with residual <= {DET_FEASIBILITY_TOL} under caps {caps}"
         )
     target = root[0][0] + TIE_TOL
     encoding = []
@@ -524,18 +525,9 @@ def det_chain_search(
                  for a, rect in enumerate(nodes) for label in range(max(word) + 1)]
 
     encoding = tuple(encoding)
-    best_chain = _encoding_to_chain(encoding, nx, ny, initiator)
-    result = chain_objective(pmf, best_chain)
-    return ChainResult(
-        objective=result.objective,
-        residual=result.residual,
-        per_round_terms=result.per_round_terms,
-        chain=best_chain,
-        feasible=result.residual <= feasibility_tol,
-        encoding=encoding,
-        states=best.cache_info().currsize,
-        moves=moves,
-    )
+    scored = chain_objective(pmf, _encoding_to_chain(encoding, nx, ny, initiator))
+    return replace(scored, feasible=scored.residual <= DET_FEASIBILITY_TOL, encoding=encoding,
+                   states=best.cache_info().currsize, moves=moves)
 
 
 # ---------------------------------------------------------------------------
@@ -594,43 +586,37 @@ def _copy_chain(nx: int, ny: int, sizes: Sequence[int], initiator: str) -> Deter
 
 def continuous_chain_minimize(
     pmf: JointPMF,
-    rounds: int,
     sizes: Sequence[int],
     config: PenaltyConfig = CONT_CONFIG,
-    keep_traces: bool = False,
+    *,
+    start: DeterministicChain | None = None,
     initiator: str = "x",
-    det_best: "ChainResult | BudgetExceeded | NoFeasibleChain | None" = None,
+    keep_traces: bool = False,
 ) -> ChainResult:
-    """Penalty-method upper bound over randomized chains of the given sizes.
+    """Penalty-method upper bound over randomized chains of the given sizes,
+    one round per size.
 
-    Mandatory start points: the best deterministic chain at equal sizes,
+    Mandatory start points: `start` padded to `sizes` (labelled "det-best";
+    callers hand it the winner of a `det_chain_search` at caps `sizes`),
     the copy chain and the constant chain; each is also scored exactly as a
     candidate, and a chain whose kernels equal an earlier one's, byte for
-    byte, is skipped. Feasibility threshold: `optim.FEASIBILITY_TOL` bits. `keep_traces` records the descent's value
-    traces in the result's `outcome`.
-
-    `det_best` is the outcome of a `det_chain_search` at caps `sizes` and the
-    same initiator that the caller already ran: its result, which seeds the
-    descent, or the error it raised, which seeds nothing. Without it the
-    search runs here at its default budget. Raises ValueError for fewer
-    than one round.
+    byte, is skipped. Feasibility threshold: `optim.FEASIBILITY_TOL` bits.
+    `keep_traces` records the descent's value traces in the result's
+    `outcome`. Raises ValueError for empty `sizes` and for a `start` spoken
+    first by another side than `initiator`.
     """
-    if rounds < 1:
+    sizes = tuple(int(s) for s in sizes)
+    if not sizes:
         raise ValueError("rounds must be at least 1")
     nx, ny = pmf.shape
-    sizes = tuple(int(s) for s in sizes)
-    if len(sizes) != rounds:
-        raise ValueError("need one size per round")
     shapes = _kernel_shapes(nx, ny, sizes, initiator)
 
     seed_chains: list[tuple[str, DeterministicChain]] = []
-    if det_best is None:
-        try:
-            det_best = det_chain_search(pmf, rounds, sizes, initiator=initiator)
-        except (BudgetExceeded, NoFeasibleChain) as exc:
-            det_best = exc
-    if isinstance(det_best, ChainResult):
-        seed_chains.append(("det-best", det_best.chain.padded(sizes)))
+    if start is not None:
+        if start.initiator != initiator:
+            raise ValueError(f"start chain has initiator {start.initiator!r}, "
+                             f"the descent {initiator!r}")
+        seed_chains.append(("det-best", start.padded(sizes)))
     copy_chain = _copy_chain(nx, ny, sizes, initiator)
     if copy_chain is not None:
         seed_chains.append(("copy", copy_chain))
@@ -644,18 +630,9 @@ def continuous_chain_minimize(
         return _objective_residual(_product_law(pmf.p, [k[None] for k in kernels], initiator)[0])
 
     outcome = penalized_minimize(starts, exact, vag, evaluate, config, keep_traces=keep_traces)
-    best = outcome.best
-    chain = AuxiliaryChain(initiator, tuple(renormalize(k) for k in best.kernels))
-    scored = chain_objective(pmf, chain)
-    return ChainResult(
-        objective=scored.objective,
-        residual=scored.residual,
-        per_round_terms=scored.per_round_terms,
-        chain=chain,
-        feasible=scored.residual <= FEASIBILITY_TOL,
-        candidates=tuple((c.label, c.objective, c.residual) for c in outcome.candidates),
-        outcome=outcome,
-    )
+    chain = AuxiliaryChain(initiator, tuple(renormalize(k) for k in outcome.best.kernels))
+    return replace(chain_objective(pmf, chain), outcome=outcome,
+                   candidates=tuple((c.label, c.objective, c.residual) for c in outcome.candidates))
 
 
 # ---------------------------------------------------------------------------
@@ -695,13 +672,14 @@ class AtomClassification:
 
 
 def binary_stop_classify(
-    pmf: JointPMF, chain: "AuxiliaryChain | DeterministicChain", tol: float = 1e-6
+    pmf: JointPMF, chain: "AuxiliaryChain | DeterministicChain"
 ) -> tuple[AtomClassification, ...]:
     """Per-atom dichotomy check for binary sources.
 
     For a feasible chain on dependent binary sources, every positive
-    probability chain value must pin down at least one side; an atom
-    pinning neither is reported as a LemmaViolation.
+    probability chain value must pin down at least one side, leaving it at
+    most PINNED_TOL bits; an atom pinning neither is reported as a
+    LemmaViolation.
     """
     if pmf.shape != (2, 2):
         raise ValueError("binary_stop_classify needs binary alphabets on both sides")
@@ -726,7 +704,7 @@ def binary_stop_classify(
         py = cell.sum(axis=0) / mass
         h_x = -plogp_sum(px)
         h_y = -plogp_sum(py)
-        vanish = tuple(s for s, h in (("x", h_x), ("y", h_y)) if h <= tol)
+        vanish = tuple(s for s, h in (("x", h_x), ("y", h_y)) if h <= PINNED_TOL)
         if not vanish:
             raise LemmaViolation(
                 f"atom {np.unravel_index(a, sizes)} leaves both sides uncertain "
@@ -740,17 +718,16 @@ def binary_stop_classify(
 
 
 def chain_to_aux_kernel(
-    pmf: JointPMF, chain: "AuxiliaryChain | DeterministicChain", w_size: int,
-    dust: float = 1e-12,
+    pmf: JointPMF, chain: "AuxiliaryChain | DeterministicChain", w_size: int
 ) -> np.ndarray | None:
     """Collapse a chain into a P(W | X, Y) table over its significant atoms.
 
-    Atoms carrying less than `dust` mass are dropped and the slices
+    Atoms carrying at most ATOM_DUST mass are dropped and the slices
     renormalized. Returns None when more than `w_size` atoms remain.
     """
     q = _joint_array(pmf, chain).reshape(pmf.shape + (-1,))
     mass = q.sum(axis=(0, 1))
-    atoms = np.nonzero(mass > dust)[0]
+    atoms = np.nonzero(mass > ATOM_DUST)[0]
     if atoms.size > w_size or atoms.size == 0:
         return None
     nx, ny = pmf.shape

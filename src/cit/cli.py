@@ -58,13 +58,19 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(",") if v.strip())
 
 
-def _finite_list(text: str) -> tuple[float, ...]:
-    """Argument type: a nonempty comma-separated list of finite floats, or a
-    usage error."""
-    values = tuple(_finite(v) for v in text.split(",") if v.strip())
-    if not values:
-        raise argparse.ArgumentTypeError(f"must list at least one number, got {text!r}")
-    return values
+def _nonempty_list(item, what: str):
+    """Argument type: a nonempty comma-separated list of `item` values, or a
+    usage error naming `what` one entry is."""
+    def parse(text: str) -> tuple:
+        values = tuple(item(v) for v in text.split(",") if v.strip())
+        if not values:
+            raise argparse.ArgumentTypeError(f"must list at least one {what}, got {text!r}")
+        return values
+    return parse
+
+
+_finite_list = _nonempty_list(_finite, "number")
+_blocklengths = _nonempty_list(int, "integer")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -137,7 +143,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo binning and key-agreement runs")
     p.add_argument("kind", choices=("sw", "crsk"))
     common(p)
-    p.add_argument("--n", type=_int_list, default=(16,), help="blocklength(s), e.g. 8,16,24")
+    p.add_argument("--n", type=_blocklengths, default=(16,),
+                   help="blocklength(s), e.g. 8,16,24")
     p.add_argument("--rate", type=float, default=None, help="binning rate for sw")
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--chain", default="copy", help="chain JSON path, or 'copy'")
@@ -343,12 +350,11 @@ def _dispatch(args) -> int:
                 try:
                     det = chains.det_chain_search(pmf, args.rounds, sizes, budget=args.budget,
                                                   initiator=args.initiator)
-                except (chains.BudgetExceeded, chains.NoFeasibleChain) as exc:
-                    det = exc
+                except (chains.BudgetExceeded, chains.NoFeasibleChain):
+                    det = None
             cont = chains.continuous_chain_minimize(
-                pmf, args.rounds, sizes,
-                replace(chains.CONT_CONFIG, restarts=args.restarts, seed=args.seed),
-                initiator=args.initiator, det_best=det,
+                pmf, sizes, replace(chains.CONT_CONFIG, restarts=args.restarts, seed=args.seed),
+                start=det.chain if det else None, initiator=args.initiator,
             )
             result["cont"] = cont.to_json()
         _emit(_envelope(args, config, result), args)

@@ -112,9 +112,10 @@ class JointPMF:
         out[pos] = table[pos] / mass[pos, None]
         return out
 
-    def to_tensor(self, name_x: str = "x", name_y: str = "y") -> "TensorPMF":
+    def to_tensor(self) -> "TensorPMF":
+        """The same law as a tensor with axes "x" and "y"."""
         return TensorPMF(
-            names=(name_x, name_y),
+            names=("x", "y"),
             alphabets=(self.alphabet_x, self.alphabet_y),
             p=self.p,
         )

@@ -88,21 +88,21 @@ def rate_report(pmf: JointPMF, config: RateConfig | None = None) -> RateReport:
     caps = chains.effective_caps(nx, ny, r, config.det_caps, "x")
     delta = binary_symmetric_delta(pmf)
     run_continuous = config.include_continuous and delta is None
-    # one search per report, which the continuous route also starts from
+    # one search per report, whose winner the continuous route starts from
     try:
         searched = chains.det_chain_search(pmf, r, config.det_caps, budget=config.det_budget)
-    except (chains.BudgetExceeded, chains.NoFeasibleChain) as exc:
+    except (chains.BudgetExceeded, chains.NoFeasibleChain):
         # search over its budget or caps too tight for an exactly splitting
         # chain; the one-round values still bound the report
-        searched = exc
+        searched = None
     else:
         candidates.append(searched.objective)
         seed_chains.append(searched.chain)
 
     if run_continuous:
         try:
-            cont = chains.continuous_chain_minimize(pmf, r, caps, config.descent,
-                                                    det_best=searched)
+            cont = chains.continuous_chain_minimize(
+                pmf, caps, config.descent, start=searched.chain if searched else None)
         except NoFeasiblePoint:
             cont = None
         if cont is not None and cont.feasible:

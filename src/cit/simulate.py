@@ -382,12 +382,13 @@ class _Stage:
     def syndrome(self, words):
         return words if self.identity else self.hash.apply(words)
 
-    def decode(self, words_sent, listener_digits, prior_versions, pop_budget=POP_BUDGET):
+    def decode(self, words_sent, listener_digits, prior_versions):
         """Listener estimates; returns (digits, failures).
 
         A row whose most likely sequence misses the sent syndrome is a
-        straggler; all of them go to `_search` at once. Adds the stragglers
-        and the best-first pops to the stage counters.
+        straggler; all of them go to `_search` at once, at POP_BUDGET pops
+        each. Adds the stragglers and the best-first pops to the stage
+        counters.
         """
         n = listener_digits.shape[1]
         if self.identity:
@@ -399,7 +400,7 @@ class _Stage:
         out = first.copy()
         stragglers = np.flatnonzero(~ok)
         self.stragglers += int(stragglers.size)
-        digits, found = self._search(tuple(c[stragglers] for c in ctx), synd[stragglers], pop_budget)
+        digits, found = self._search(tuple(c[stragglers] for c in ctx), synd[stragglers], POP_BUDGET)
         out[stragglers[found]] = digits[found]
         return out, int(np.count_nonzero(~found))
 

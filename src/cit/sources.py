@@ -7,6 +7,8 @@ import numpy as np
 from .errors import CitError, DeltaOutOfRange
 from .pmf import JointPMF, validate_pmf
 
+SYMMETRY_TOL = 1e-12
+
 
 class ConstraintViolation(CitError):
     """A built-in source's parameter constraint was violated."""
@@ -21,12 +23,13 @@ def bss_pmf(delta: float) -> JointPMF:
     return validate_pmf([[same, diff], [diff, same]], ["0", "1"], ["0", "1"])
 
 
-def binary_symmetric_delta(pmf: JointPMF, tol: float = 1e-12) -> float | None:
-    """The crossover probability when the pmf is doubly symmetric binary, else None."""
+def binary_symmetric_delta(pmf: JointPMF) -> float | None:
+    """The crossover probability when the pmf is doubly symmetric binary,
+    its mirrored entries equal within SYMMETRY_TOL, else None."""
     if pmf.shape != (2, 2):
         return None
     p = pmf.p
-    if abs(p[0, 0] - p[1, 1]) > tol or abs(p[0, 1] - p[1, 0]) > tol:
+    if abs(p[0, 0] - p[1, 1]) > SYMMETRY_TOL or abs(p[0, 1] - p[1, 0]) > SYMMETRY_TOL:
         return None
     delta = float(p[0, 1] + p[1, 0])
     if not 0.0 < delta < 0.5:

@@ -177,35 +177,33 @@ def gk_ci(pmf: JointPMF) -> float:
     return -plogp_sum(lab_x.class_masses(pmf.marginal_x)) + 0.0
 
 
-def double_markov_extract(
-    t: TensorPMF, u_axis: str = "u", x_axis: str = "x", y_axis: str = "y"
-) -> tuple[Labeling, Labeling]:
-    """Extract the common refinement (f on U, g on X) of a doubly Markov triple.
+def double_markov_extract(t: TensorPMF) -> tuple[Labeling, Labeling]:
+    """Extract the common refinement (f on U, g on X) of a doubly Markov
+    triple, the axes of `t` named "u", "x" and "y" in any order.
 
     Requires both chains U - X - Y and X - U - Y to hold within 1e-9. The
     construction takes g as the minimal sufficient statistic of X for Y and
     reads f off the almost-sure equality f(U) = g(X); postconditions
     Pr[f(U) != g(X)] <= 1e-9 and I(X; Y | g(X)) <= 1e-6 are verified.
     """
-    res_uy = conditional_mutual_information(t, u_axis, y_axis, x_axis)
-    res_xy = conditional_mutual_information(t, x_axis, y_axis, u_axis)
+    res_uy = conditional_mutual_information(t, "u", "y", "x")
+    res_xy = conditional_mutual_information(t, "x", "y", "u")
     if res_uy > MARKOV_TOL or res_xy > MARKOV_TOL:
         raise MarkovViolation(
             f"chain residuals I(U;Y|X)={res_uy:.3g}, I(X;Y|U)={res_xy:.3g} exceed {MARKOV_TOL}"
         )
-    names = (x_axis, y_axis)
-    p_xy = t.marginal_array(names)
-    if t.axis(x_axis) > t.axis(y_axis):
+    p_xy = t.marginal_array(("x", "y"))
+    if t.axis("x") > t.axis("y"):
         p_xy = p_xy.T
-    ax = t.alphabets[t.axis(x_axis)]
-    ay = t.alphabets[t.axis(y_axis)]
+    ax = t.alphabets[t.axis("x")]
+    ay = t.alphabets[t.axis("y")]
     pmf_xy = JointPMF(ax, ay, p_xy / p_xy.sum())
     g = minimal_sufficient_statistic(pmf_xy, "x")
 
-    p_ux = t.marginal_array((u_axis, x_axis))
-    if t.axis(u_axis) > t.axis(x_axis):
+    p_ux = t.marginal_array(("u", "x"))
+    if t.axis("u") > t.axis("x"):
         p_ux = p_ux.T
-    au = t.alphabets[t.axis(u_axis)]
+    au = t.alphabets[t.axis("u")]
     f_of: list[int] = [-1] * au.size
     for u in range(au.size):
         linked = np.nonzero(p_ux[u] > 0)[0]
@@ -232,8 +230,8 @@ def double_markov_extract(
         for x in range(ax.size)
         if p_ux[u, x] > 0 and f.class_of[u] != g.class_of[x]
     ))
-    lifted = t.with_function_axis(x_axis, g.class_of, "_g")
-    res_g = conditional_mutual_information(lifted, x_axis, y_axis, "_g")
+    lifted = t.with_function_axis("x", g.class_of, "_g")
+    res_g = conditional_mutual_information(lifted, "x", "y", "_g")
     if mismatch > MARKOV_TOL or res_g > 1e-6:
         raise ExtractionFailure(
             f"postconditions failed: Pr[f!=g]={mismatch:.3g}, I(X;Y|g)={res_g:.3g}"

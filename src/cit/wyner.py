@@ -134,11 +134,8 @@ def _value_and_grad_factory(p: np.ndarray):
 
 def deterministic_kernel(pmf: JointPMF, w_size: int, w_of_xy: np.ndarray) -> np.ndarray:
     """One-hot kernel from a map (x, y) -> w."""
-    nx, ny = pmf.shape
-    k = np.zeros((nx, ny, w_size))
-    for x in range(nx):
-        for y in range(ny):
-            k[x, y, int(w_of_xy[x, y])] = 1.0
+    k = np.zeros(pmf.shape + (w_size,))
+    k[(*np.indices(pmf.shape), np.asarray(w_of_xy, dtype=int))] = 1.0
     return k
 
 
@@ -173,7 +170,8 @@ def wyner_minimize(
 
     Mandatory start points: the pair-copy kernel, the constant kernel, the
     kernels induced by both minimal sufficient statistics, and any caller
-    supplied kernels (for instance chain-induced ones). Each is evaluated
+    supplied kernels (for instance chain-induced ones), each of shape
+    (|X|, |Y|, `w_size`) or KernelInvalid is raised. Each is evaluated
     exactly as a candidate and also used, slightly smoothed, as a start;
     a kernel equal to an earlier one, byte for byte, is skipped.
     `keep_traces` records the descent's value traces in `outcome`.
@@ -186,8 +184,10 @@ def wyner_minimize(
     seeds = [(label, [k]) for label, k in _seed_kernels(pmf, w_size)]
     for label, k in extra_kernels:
         k = np.asarray(k, dtype=float)
-        if k.shape == (nx, ny, w_size):
-            seeds.append((label, [k]))
+        if k.shape != (nx, ny, w_size):
+            raise KernelInvalid(f"seed kernel {label!r} has shape {k.shape}, "
+                                f"not {(nx, ny, w_size)}")
+        seeds.append((label, [k]))
     starts, exact = descent_starts(seeds, [(nx, ny, w_size)], config)
     vag = _value_and_grad_factory(pmf.p)
 

@@ -45,6 +45,15 @@ def gain_two_round_chain() -> chains.DeterministicChain:
     return chains.DeterministicChain("x", (2, 3), (f1, f2))
 
 
+def det_start(pmf, sizes, initiator="x") -> chains.DeterministicChain | None:
+    """The `start` a report hands `continuous_chain_minimize`: the det winner
+    at caps `sizes`, or None when that search is over budget or infeasible."""
+    try:
+        return chains.det_chain_search(pmf, len(sizes), sizes, initiator=initiator).chain
+    except (chains.BudgetExceeded, chains.NoFeasibleChain):
+        return None
+
+
 def random_full_pmf(rng: np.random.Generator, max_side: int = 4):
     nx = int(rng.integers(2, max_side + 1))
     ny = int(rng.integers(2, max_side + 1))

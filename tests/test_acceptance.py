@@ -90,7 +90,7 @@ def test_criterion_1_bss_interaction_does_not_help():
             assert abs(det.objective - 1.0) <= 1e-9
 
             cont = continuous_chain_minimize(
-                pmf, 2, (2, 2), PenaltyConfig(restarts=3, max_iter=1200, seed=0))
+                pmf, (2, 2), PenaltyConfig(restarts=3, max_iter=1200, seed=0), start=det.chain)
             assert cont.feasible
             assert cont.objective >= 0.98
 

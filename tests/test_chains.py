@@ -32,6 +32,7 @@ from conftest import (
     canonical_encoding,
     cli_reports_across_threads,
     count_canonical_chains,
+    det_start,
     feasible_det_encodings,
     gain_two_round_chain,
     random_full_pmf,
@@ -340,48 +341,74 @@ class TestDetSearchEquivalence:
 
 class TestContinuous:
     def test_copy_source(self, uniform_copy):
-        res = continuous_chain_minimize(uniform_copy, 2, (2, 2),
-                                        PenaltyConfig(restarts=4, max_iter=3000, seed=0))
+        res = continuous_chain_minimize(uniform_copy, (2, 2),
+                                        PenaltyConfig(restarts=4, max_iter=3000, seed=0),
+                                        start=det_start(uniform_copy, (2, 2)))
         assert res.feasible
         assert res.objective == pytest.approx(1.0, abs=1e-3)
 
     def test_gain_seeded_by_det(self, gain):
         det = det_chain_search(gain, 2, (2, 3))
-        res = continuous_chain_minimize(gain, 2, (2, 3),
-                                        PenaltyConfig(restarts=4, max_iter=3000, seed=0))
+        res = continuous_chain_minimize(gain, (2, 3),
+                                        PenaltyConfig(restarts=4, max_iter=3000, seed=0),
+                                        start=det.chain)
         assert res.feasible
         assert res.objective <= det.objective + 1e-3
 
-    def test_handed_det_result_matches_own_search(self, gain):
+    def test_handed_start_is_the_det_best_candidate(self, gain):
         config = PenaltyConfig(restarts=2, max_iter=300, seed=0)
         det = det_chain_search(gain, 2, (3, 3))
-        own = continuous_chain_minimize(gain, 2, (3, 3), config)
-        handed = continuous_chain_minimize(gain, 2, (3, 3), config, det_best=det)
-        assert "det-best" in [label for label, _, _ in own.candidates]
-        assert handed.candidates == own.candidates
-        # a handed error seeds nothing
-        failed = continuous_chain_minimize(gain, 2, (3, 3), config,
-                                           det_best=BudgetExceeded("over budget"))
-        assert "det-best" not in [label for label, _, _ in failed.candidates]
+        handed = continuous_chain_minimize(gain, (3, 3), config, start=det.chain)
+        scored = chain_objective(gain, det.chain.padded((3, 3)))
+        assert handed.candidates[0] == ("det-best", scored.objective, scored.residual)
+        # without a start the same candidates run, less the det-best ones
+        alone = continuous_chain_minimize(gain, (3, 3), config)
+        labels = [label for label, _, _ in handed.candidates]
+        assert labels.count("det-best") == 2
+        assert [label for label, _, _ in alone.candidates] == \
+            [label for label in labels if label != "det-best"]
+
+    @pytest.mark.parametrize("start", [False, True])
+    def test_the_descent_never_searches(self, gain, monkeypatch, start):
+        det = det_chain_search(gain, 2, (3, 3))
+        calls = []
+        search = chains.det_chain_search
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(chains, "det_chain_search", counted)
+        continuous_chain_minimize(gain, (3, 3), PenaltyConfig(restarts=1, max_iter=50),
+                                  start=det.chain if start else None)
+        assert calls == []
+
+    def test_a_start_spoken_by_the_other_side_raises(self, gain):
+        det = det_chain_search(gain, 2, (3, 3), initiator="y")
+        with pytest.raises(ValueError, match="initiator 'y'"):
+            continuous_chain_minimize(gain, (3, 3), PenaltyConfig(restarts=1, max_iter=50),
+                                      start=det.chain)
 
     def test_a_start_that_repeats_an_earlier_one_is_skipped(self):
         # on the bench's 4x4 draw the det winner is the copy of X, so its
         # padded start equals the copy start
         pmf = validate_pmf(random_base(0, 4))
         config = PenaltyConfig(restarts=2, max_iter=300, seed=0)
-        res = continuous_chain_minimize(pmf, 2, (4, 4), config)
+        res = continuous_chain_minimize(pmf, (4, 4), config, start=det_start(pmf, (4, 4)))
         labels = [label for label, _, _ in res.candidates]
         assert "det-best" in labels and "copy" not in labels
 
     def test_initiator_y(self, gain):
-        res = continuous_chain_minimize(gain, 2, (2, 3), PenaltyConfig(restarts=2, max_iter=300),
-                                        initiator="y")
+        res = continuous_chain_minimize(gain, (2, 3), PenaltyConfig(restarts=2, max_iter=300),
+                                        start=det_start(gain, (2, 3), "y"), initiator="y")
         assert res.chain.initiator == "y"
         assert res.chain.kernels[0].shape == (3, 2)
         assert res.feasible
 
     def test_candidate_floor(self, bss25):
-        res = continuous_chain_minimize(bss25, 2, (2, 2), PenaltyConfig(restarts=4, max_iter=3000, seed=0))
+        res = continuous_chain_minimize(bss25, (2, 2),
+                                        PenaltyConfig(restarts=4, max_iter=3000, seed=0),
+                                        start=det_start(bss25, (2, 2)))
         mi = mutual_information(bss25.to_tensor(), "x", "y")
         for _, obj, resid in res.candidates:
             if resid <= 1e-4:
@@ -482,4 +509,4 @@ class TestDefensiveErrors:
         with pytest.raises(ValueError, match="rounds must be at least 1"):
             det_chain_search(bss25, rounds)
         with pytest.raises(ValueError, match="rounds must be at least 1"):
-            continuous_chain_minimize(bss25, rounds, ())
+            continuous_chain_minimize(bss25, ())

@@ -364,6 +364,14 @@ class TestErrorsAndIO:
         assert (code, out) == (2, "")
         assert f"argument --penalty: {rule}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["sw", "--rate", "0.7"], ["crsk"]], ids=["sw", "crsk"])
+    @pytest.mark.parametrize("value", [",", ""])
+    def test_simulate_needs_a_blocklength(self, pmf_file, argv, value, capsys):
+        code, out = run_cli(["simulate", argv[0], "--pmf", pmf_file, "--n", value] + argv[1:])
+        assert (code, out) == (2, "")
+        assert f"argument --n: must list at least one integer, got {value!r}" in \
+            capsys.readouterr().err
+
     def test_simulate_crsk_names_the_slack_that_empties_a_stage(self, pmf_file):
         code, out = run_cli(["simulate", "crsk", "--pmf", pmf_file, "--slack", "-1"])
         assert code == 2

@@ -29,6 +29,8 @@ from cit.optim import (PATIENCE, REL_TOL, STEP_SIZE, PenaltyConfig, _eg_step, _n
 from cit.sources import bss_pmf, gain_pmf, random_pmf
 from cit.wyner import wyner_minimize
 
+from conftest import det_start
+
 
 @dataclass
 class Reference:
@@ -150,8 +152,9 @@ def test_wyner_matches_reference(case, monkeypatch):
 ], ids=["gain-x", "gain-y", "random-2x3-three-rounds"])
 def test_chains_match_reference(pmf, sizes, initiator, monkeypatch):
     config = PenaltyConfig(restarts=3, max_iter=300)
+    start = det_start(pmf, sizes, initiator)
     seen = _captured(chains, monkeypatch, lambda: continuous_chain_minimize(
-        pmf, len(sizes), sizes, config, keep_traces=True, initiator=initiator))
+        pmf, sizes, config, start=start, initiator=initiator, keep_traces=True))
     _assert_matches_reference(seen)
 
 
@@ -207,9 +210,10 @@ def test_wyner_golden_bits(case):
 
 @pytest.mark.parametrize("initiator", ["x", "y"])
 def test_chain_golden_bits(initiator):
+    gain = gain_pmf(0.1, 0.15, 0.15)
     outcome = continuous_chain_minimize(
-        gain_pmf(0.1, 0.15, 0.15), 2, (2, 3), PenaltyConfig(restarts=3, max_iter=300),
-        keep_traces=True, initiator=initiator).outcome
+        gain, (2, 3), PenaltyConfig(restarts=3, max_iter=300),
+        start=det_start(gain, (2, 3), initiator), initiator=initiator, keep_traces=True).outcome
     assert _golden_summary(outcome) == GOLDEN["descents"][f"chain-gain-{initiator}"]
 
 

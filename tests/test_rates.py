@@ -73,9 +73,9 @@ class TestGain:
         seen = []
         cont, wyn = chains.continuous_chain_minimize, wyner.wyner_minimize
 
-        def cont_spy(pmf, rounds, sizes, descent, **kwargs):
+        def cont_spy(pmf, sizes, descent, **kwargs):
             seen.append(descent)
-            return cont(pmf, rounds, sizes, descent, **kwargs)
+            return cont(pmf, sizes, descent, **kwargs)
 
         def wyner_spy(pmf, descent, **kwargs):
             seen.append(descent)

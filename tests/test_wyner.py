@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,15 @@ class TestMinimize:
         assert dup.value.hex() == plain.value.hex()
         assert dup.candidates == plain.candidates
         assert dup.starts == plain.starts
+
+    @pytest.mark.parametrize("shape", [(3, 3, 4), (3, 3, 10), (9, 1, 9)])
+    def test_a_misshaped_seed_kernel_raises(self, gain, shape):
+        k = np.zeros(shape)
+        k[..., 0] = 1.0
+        message = f"seed kernel 'odd' has shape {shape}, not (3, 3, 9)"
+        with pytest.raises(KernelInvalid, match=re.escape(message)):
+            wyner_minimize(gain, PenaltyConfig(restarts=1, max_iter=10),
+                           extra_kernels=[("odd", k)])
 
     def test_report_serializes(self, independent):
         res = wyner_minimize(independent, LIGHT)
