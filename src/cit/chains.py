@@ -45,6 +45,8 @@ from .pmf import (
     frozen_copies,
     marginal_entropy,
     normalized,
+    objective_residual,
+    one_hot,
     plogp_sum,
     source_information,
 )
@@ -160,13 +162,8 @@ class DeterministicChain:
         return len(self.tables)
 
     def as_auxiliary(self) -> AuxiliaryChain:
-        kernels = []
-        for j, t in enumerate(self.tables):
-            k = np.zeros(t.shape + (self.sizes[j],))
-            grid = np.indices(t.shape)
-            k[(*grid, t)] = 1.0
-            kernels.append(k)
-        return AuxiliaryChain(self.initiator, tuple(kernels))
+        return AuxiliaryChain(self.initiator,
+                              tuple(one_hot(t, s) for t, s in zip(self.tables, self.sizes)))
 
     def padded(self, sizes: Sequence[int]) -> "DeterministicChain":
         """Same functions redeclared with (weakly larger) round sizes."""
@@ -261,27 +258,16 @@ def chain_tensor(pmf: JointPMF, chain: "AuxiliaryChain | DeterministicChain") ->
     return TensorPMF(names, alphabets, q)
 
 
-def _objective_residual(q: np.ndarray) -> tuple[float, float]:
-    """(I(X,Y; U^r), I(X; Y | U^r)) from the dense joint array."""
-    u_axes = tuple(range(2, q.ndim))
-    h_q = -plogp_sum(q)
-    h_xy = -plogp_sum(q.sum(axis=u_axes))
-    h_u = -plogp_sum(q.sum(axis=(0, 1)))
-    h_xu = -plogp_sum(q.sum(axis=1))
-    h_yu = -plogp_sum(q.sum(axis=0))
-    objective = max(h_xy + h_u - h_q, 0.0)
-    residual = max(h_xu + h_yu - h_u - h_q, 0.0)
-    return objective, residual
-
-
 def chain_objective(pmf: JointPMF, chain: "AuxiliaryChain | DeterministicChain") -> ChainResult:
     """Score a chain: objective, dependence residual, per-round terms.
 
-    For every chain built here the identity
-    objective - I(X;Y) + residual = sum(per_round_terms) holds to 1e-9.
+    A deterministic chain is feasible at residual DET_FEASIBILITY_TOL, a
+    randomized one at `optim.FEASIBILITY_TOL`. For every chain built here
+    the identity objective - I(X;Y) + residual = sum(per_round_terms)
+    holds to 1e-9.
     """
     q = _joint_array(pmf, chain)
-    objective, residual = _objective_residual(q)
+    objective, residual = objective_residual(q)
     p = normalized(q)  # axes X, Y, U_1, ..., U_r
     # round j's term I(speaker; U_j | listener, U^{j-1}) is H(X,Y,U^{j-1}) +
     # H(listener,U^j) - H(listener,U^{j-1}) - H(X,Y,U^j): axis s is the
@@ -302,7 +288,8 @@ def chain_objective(pmf: JointPMF, chain: "AuxiliaryChain | DeterministicChain")
         residual=residual,
         per_round_terms=tuple(terms),
         chain=chain,
-        feasible=residual <= FEASIBILITY_TOL,
+        feasible=residual <= (DET_FEASIBILITY_TOL if isinstance(chain, DeterministicChain)
+                              else FEASIBILITY_TOL),
     )
 
 
@@ -526,8 +513,7 @@ def det_chain_search(
 
     encoding = tuple(encoding)
     scored = chain_objective(pmf, _encoding_to_chain(encoding, nx, ny, initiator))
-    return replace(scored, feasible=scored.residual <= DET_FEASIBILITY_TOL, encoding=encoding,
-                   states=best.cache_info().currsize, moves=moves)
+    return replace(scored, encoding=encoding, states=best.cache_info().currsize, moves=moves)
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +613,7 @@ def continuous_chain_minimize(
     vag = _chain_value_and_grad_factory(pmf.p, sizes, initiator)
 
     def evaluate(kernels):
-        return _objective_residual(_product_law(pmf.p, [k[None] for k in kernels], initiator)[0])
+        return objective_residual(_product_law(pmf.p, [k[None] for k in kernels], initiator)[0])
 
     outcome = penalized_minimize(starts, exact, vag, evaluate, config, keep_traces=keep_traces)
     chain = AuxiliaryChain(initiator, tuple(renormalize(k) for k in outcome.best.kernels))
@@ -685,13 +671,13 @@ def binary_stop_classify(
         raise ValueError("binary_stop_classify needs binary alphabets on both sides")
     if source_information(pmf) <= 1e-9:
         raise ValueError("sources must be dependent (I(X;Y) > 1e-9)")
-    scored = chain_objective(pmf, chain)
-    if scored.residual > DET_FEASIBILITY_TOL:
+    q = _joint_array(pmf, chain)
+    _, residual = objective_residual(q)
+    if residual > DET_FEASIBILITY_TOL:
         raise LemmaViolation(
-            f"chain residual {scored.residual:.3g} exceeds {DET_FEASIBILITY_TOL}; "
+            f"chain residual {residual:.3g} exceeds {DET_FEASIBILITY_TOL}; "
             "the dichotomy is only guaranteed for feasible chains"
         )
-    q = _joint_array(pmf, chain)
     flat = q.reshape(2, 2, -1)
     sizes = chain.sizes
     out = []

@@ -54,15 +54,25 @@ def _finite(text: str) -> float:
     return value
 
 
+def _listed(item, what: str, text: str) -> tuple:
+    """The comma-separated `item` values in `text`, blanks skipped; an entry
+    `item` rejects with ValueError is a usage error naming `what` one entry is."""
+    try:
+        return tuple(item(v) for v in text.split(",") if v.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must list {what}s, got {text!r}") from None
+
+
 def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(",") if v.strip())
+    """Argument type: comma-separated integers, possibly none."""
+    return _listed(int, "integer", text)
 
 
 def _nonempty_list(item, what: str):
     """Argument type: a nonempty comma-separated list of `item` values, or a
     usage error naming `what` one entry is."""
     def parse(text: str) -> tuple:
-        values = tuple(item(v) for v in text.split(",") if v.strip())
+        values = _listed(item, what, text)
         if not values:
             raise argparse.ArgumentTypeError(f"must list at least one {what}, got {text!r}")
         return values

@@ -247,15 +247,23 @@ class TensorPMF:
         class_of = np.asarray(class_of, dtype=int)
         if class_of.shape != (self.p.shape[src],):
             raise ValueError("class map length must match the source axis size")
-        n_cls = int(class_of.max()) + 1 if class_of.size else 0
-        ind = np.zeros((self.p.shape[src], n_cls))
-        ind[np.arange(class_of.size), class_of] = 1.0
+        n_cls = int(class_of.max()) + 1
+        ind = one_hot(class_of, n_cls)
         shape = [1] * self.arity + [n_cls]
         shape[src] = self.p.shape[src]
         new_p = self.p[..., None] * ind.reshape(shape)
         alpha = FiniteAlphabet(tuple(labels) if labels is not None
                                else tuple(str(i) for i in range(n_cls)))
         return TensorPMF(self.names + (name,), self.alphabets + (alpha,), new_p)
+
+
+def one_hot(table: np.ndarray, size: int) -> np.ndarray:
+    """Indicator array of shape `table.shape + (size,)`: 1 at [i..., v]
+    exactly where `table[i...] == v`, 0 elsewhere."""
+    table = np.asarray(table, dtype=int)
+    out = np.zeros(table.shape + (size,))
+    out[(*np.indices(table.shape), table)] = 1.0
+    return out
 
 
 def plogp_sum(arr: np.ndarray) -> float:
@@ -269,6 +277,20 @@ def marginal_entropy(p: np.ndarray, drop: tuple[int, ...] = ()) -> float:
     axes `drop` (ascending; none leaves `p` itself). Every entropy below is
     a sum of these."""
     return -plogp_sum(p.sum(axis=drop) if drop else p)
+
+
+def objective_residual(q: np.ndarray) -> tuple[float, float]:
+    """(I(X,Y; U), I(X; Y | U)) in bits, each clamped at 0, of a dense law
+    `q` whose axes are X, Y, then U's parts. Five entropies give both, taken
+    and summed as the named functions below take them, so a normalized law
+    scores bit for bit as `mutual_information` and its conditional would."""
+    u_axes = tuple(range(2, q.ndim))
+    h_q = -plogp_sum(q)
+    h_xy = -plogp_sum(q.sum(axis=u_axes))
+    h_u = -plogp_sum(q.sum(axis=(0, 1)))
+    h_xu = -plogp_sum(q.sum(axis=1))
+    h_yu = -plogp_sum(q.sum(axis=0))
+    return max(h_xy + h_u - h_q, 0.0), max(h_xu + h_yu - h_u - h_q, 0.0)
 
 
 def _h(t: TensorPMF, keep: tuple[int, ...]) -> float:

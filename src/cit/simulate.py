@@ -47,7 +47,7 @@ import numpy as np
 from .chains import DeterministicChain, _copy_chain, chain_tensor, speaker_of
 from .errors import RateInfeasible, RateOutOfRange, SizeBudgetExceeded
 from .hashing import AffineGf2Hash, coset_words, pack_digits, sample_null_spaces, unpack_digits
-from .pmf import JointPMF, conditional_entropy, entropy
+from .pmf import JointPMF, conditional_entropy, entropy, plogp_sum
 
 LOG_FLOOR = -1e30
 COSET_CAP = 4096
@@ -64,8 +64,7 @@ def _safe_log(p: np.ndarray) -> np.ndarray:
 
 def _plugin_entropy(masses: np.ndarray) -> float:
     masses = masses[masses > 0]
-    masses = masses / masses.sum()
-    return float(-(masses * np.log2(masses)).sum()) + 0.0
+    return -plogp_sum(masses / masses.sum()) + 0.0
 
 
 def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -68,17 +68,10 @@ class Labeling:
         return Labeling(alphabet, class_of, max(class_of) + 1)
 
 
-def _group_rows(rows: np.ndarray, active: np.ndarray, tol: float) -> tuple[list[int], int]:
-    """Group `active` rows into the connected components of entrywise
-    equality within `tol`, numbered in order of first appearance.
-
-    Rows chain: a and c share a class when a is within `tol` of b and b of c,
-    so the classes do not depend on the order of the rows. Returns a
-    full-length class vector (inactive rows get fresh trailing classes) and
-    the number of active classes.
-    """
-    n = rows.shape[0]
-    idx = np.flatnonzero(active)
+def _components(n: int, links) -> list[int]:
+    """A representative for each of `n` nodes once the node pairs `links`
+    are merged: equal exactly for nodes that a chain of links connects
+    (union-find)."""
     parent = list(range(n))
 
     def find(i: int) -> int:
@@ -87,20 +80,22 @@ def _group_rows(rows: np.ndarray, active: np.ndarray, tol: float) -> tuple[list[
             i = parent[i]
         return i
 
-    for a, i in enumerate(idx):
-        later = idx[a + 1:]
-        for j in later[np.max(np.abs(rows[later] - rows[i]), axis=1) <= tol]:
-            parent[find(int(j))] = find(int(i))
-    class_of = [-1] * n
-    ids: dict[int, int] = {}
-    for i in idx:
-        class_of[i] = ids.setdefault(find(int(i)), len(ids))
-    next_id = len(ids)
-    for i in range(n):
-        if class_of[i] < 0:
-            class_of[i] = next_id
-            next_id += 1
-    return class_of, len(ids)
+    for i, j in links:
+        parent[find(int(j))] = find(int(i))
+    return [find(i) for i in range(n)]
+
+
+def _labeling(alphabet: FiniteAlphabet, keys, active, ids: dict) -> Labeling:
+    """The labeling of `alphabet` whose active symbols share a class exactly
+    when their keys agree. A key's class is `ids[key]`; a key not yet in
+    `ids` is added under the next id, so new classes are numbered in order
+    of first appearance. Each inactive symbol gets a fresh trailing class
+    and is listed in `zero_mass_symbols`."""
+    labels = iter([ids.setdefault(k, len(ids)) for k, a in zip(keys, active) if a])
+    fresh = iter(range(len(ids), len(ids) + alphabet.size))
+    class_of = tuple(next(labels) if a else next(fresh) for a in active)
+    zero = tuple(s for s, a in zip(alphabet.symbols, active) if not a)
+    return Labeling(alphabet, class_of, max(class_of) + 1, zero)
 
 
 def minimal_sufficient_statistic(pmf: JointPMF, side: str = "x") -> Labeling:
@@ -120,61 +115,33 @@ def minimal_sufficient_statistic(pmf: JointPMF, side: str = "x") -> Labeling:
     active = mass > 0
     if not np.any(active):
         raise DegenerateMarginal(f"marginal on {side!r} carries no mass")
-    class_of, _ = _group_rows(rows, active, ROW_TOL)
-    zero = tuple(s for s, a in zip(alphabet.symbols, active) if not a)
-    return Labeling(alphabet, tuple(class_of), max(class_of) + 1, zero)
+    idx = np.flatnonzero(active)
+    links = []
+    for a, i in enumerate(idx):
+        later = idx[a + 1:]
+        links += [(i, j) for j in later[np.max(np.abs(rows[later] - rows[i]), axis=1) <= ROW_TOL]]
+    return _labeling(alphabet, _components(len(rows), links), active, {})
 
 
 def gk_common_function(pmf: JointPMF) -> tuple[Labeling, Labeling]:
     """Connected components of the bipartite support graph, on both sides.
 
     The two labelings agree almost surely and realize the maximal random
-    variable computable exactly from either source alone.
+    variable computable exactly from either source alone. Components are
+    numbered in order of their first X symbol.
     """
     nx, ny = pmf.shape
     support = pmf.p > 0
-    comp_x = [-1] * nx
-    comp_y = [-1] * ny
-    n_comp = 0
-    for start in range(nx):
-        if comp_x[start] >= 0 or not support[start].any():
-            continue
-        stack_x = [start]
-        stack_y: list[int] = []
-        comp_x[start] = n_comp
-        while stack_x or stack_y:
-            if stack_x:
-                x = stack_x.pop()
-                for y in np.nonzero(support[x])[0]:
-                    if comp_y[y] < 0:
-                        comp_y[y] = n_comp
-                        stack_y.append(int(y))
-            else:
-                y = stack_y.pop()
-                for x in np.nonzero(support[:, y])[0]:
-                    if comp_x[x] < 0:
-                        comp_x[x] = n_comp
-                        stack_x.append(int(x))
-        n_comp += 1
-
-    def finish(comp: list[int], alphabet: FiniteAlphabet, mass: np.ndarray) -> Labeling:
-        nxt = n_comp
-        out = list(comp)
-        for i in range(len(out)):
-            if out[i] < 0:
-                out[i] = nxt
-                nxt += 1
-        zero = tuple(s for s, m in zip(alphabet.symbols, mass) if m == 0.0)
-        return Labeling(alphabet, tuple(out), nxt, zero)
-
-    return (finish(comp_x, pmf.alphabet_x, pmf.marginal_x),
-            finish(comp_y, pmf.alphabet_y, pmf.marginal_y))
+    comp = _components(nx + ny, ((x, nx + y) for x, y in np.argwhere(support)))
+    ids: dict[int, int] = {}
+    return (_labeling(pmf.alphabet_x, comp[:nx], support.any(axis=1), ids),
+            _labeling(pmf.alphabet_y, comp[nx:], support.any(axis=0), ids))
 
 
 def gk_ci(pmf: JointPMF) -> float:
     """Entropy in bits of the common-component distribution."""
     lab_x, _ = gk_common_function(pmf)
-    return -plogp_sum(lab_x.class_masses(pmf.marginal_x)) + 0.0
+    return labeling_entropy(lab_x, pmf.marginal_x)
 
 
 def double_markov_extract(t: TensorPMF) -> tuple[Labeling, Labeling]:
@@ -204,25 +171,18 @@ def double_markov_extract(t: TensorPMF) -> tuple[Labeling, Labeling]:
     if t.axis("u") > t.axis("x"):
         p_ux = p_ux.T
     au = t.alphabets[t.axis("u")]
-    f_of: list[int] = [-1] * au.size
-    for u in range(au.size):
-        linked = np.nonzero(p_ux[u] > 0)[0]
-        if linked.size == 0:
-            continue
-        g_vals = {g.class_of[x] for x in linked}
-        if len(g_vals) != 1:
+    keys = []
+    for u, linked in enumerate(p_ux > 0):
+        g_vals = {g.class_of[x] for x in np.flatnonzero(linked)}
+        if len(g_vals) > 1:
             raise ExtractionFailure(
                 f"u index {u} links to several g-classes {sorted(g_vals)}"
             )
-        f_of[u] = g_vals.pop()
-    nxt = g.num_classes
-    zero_u = []
-    for u in range(au.size):
-        if f_of[u] < 0:
-            f_of[u] = nxt
-            nxt += 1
-            zero_u.append(au.symbols[u])
-    f = Labeling(au, tuple(f_of), nxt, tuple(zero_u))
+        keys.append(g_vals.pop() if g_vals else None)
+    # f(u) is the id of the g-class u links to; u's without mass follow g's
+    # classes with mass, not g's own zero-mass classes
+    g_ids = {c: c for c in range(g.num_classes - len(g.zero_mass_symbols))}
+    f = _labeling(au, keys, [k is not None for k in keys], g_ids)
 
     mismatch = float(sum(
         p_ux[u, x]

@@ -21,13 +21,7 @@ from . import structure
 from .errors import KernelInvalid
 from .optim import (FEASIBILITY_TOL, PenaltyConfig, PenaltyOutcome, descent_starts, fixed_xy,
                     penalized_information, penalized_minimize, renormalize)
-from .pmf import (
-    FiniteAlphabet,
-    JointPMF,
-    TensorPMF,
-    conditional_mutual_information,
-    mutual_information,
-)
+from .pmf import JointPMF, normalized, objective_residual, one_hot
 
 WYNER_CONFIG = PenaltyConfig(restarts=32, max_iter=5000)
 
@@ -90,26 +84,14 @@ class WynerResult:
         }
 
 
-def joint_tensor(pmf: JointPMF, kernel: AuxKernel) -> TensorPMF:
-    """Joint law of (X, Y, W) under p(x, y) * k(w | x, y)."""
+def wyner_objective(pmf: JointPMF, kernel: AuxKernel) -> tuple[float, float]:
+    """(I(X,Y; W), I(X; Y | W)) in bits for one kernel, scored on the
+    normalized law p(x, y) * k(w | x, y)."""
     if kernel.k.shape[:2] != pmf.shape:
         raise KernelInvalid(
             f"kernel source shape {kernel.k.shape[:2]} does not match pmf {pmf.shape}"
         )
-    q = pmf.p[:, :, None] * kernel.k
-    return TensorPMF(
-        ("x", "y", "w"),
-        (pmf.alphabet_x, pmf.alphabet_y, FiniteAlphabet.of_size(kernel.w_size, "w")),
-        q,
-    )
-
-
-def wyner_objective(pmf: JointPMF, kernel: AuxKernel) -> tuple[float, float]:
-    """(I(X,Y; W), I(X; Y | W)) in bits for one kernel."""
-    t = joint_tensor(pmf, kernel)
-    objective = mutual_information(t, ("x", "y"), "w")
-    residual = conditional_mutual_information(t, "x", "y", "w")
-    return objective, residual
+    return objective_residual(normalized(pmf.p[:, :, None] * kernel.k))
 
 
 def _value_and_grad_factory(p: np.ndarray):
@@ -133,10 +115,8 @@ def _value_and_grad_factory(p: np.ndarray):
 
 
 def deterministic_kernel(pmf: JointPMF, w_size: int, w_of_xy: np.ndarray) -> np.ndarray:
-    """One-hot kernel from a map (x, y) -> w."""
-    k = np.zeros(pmf.shape + (w_size,))
-    k[(*np.indices(pmf.shape), np.asarray(w_of_xy, dtype=int))] = 1.0
-    return k
+    """One-hot kernel from a map (x, y) -> w, broadcast to the pmf's shape."""
+    return one_hot(np.broadcast_to(w_of_xy, pmf.shape), w_size)
 
 
 def _seed_kernels(pmf: JointPMF, w_size: int) -> list[tuple[str, np.ndarray]]:
@@ -145,15 +125,14 @@ def _seed_kernels(pmf: JointPMF, w_size: int) -> list[tuple[str, np.ndarray]]:
     if w_size >= nx * ny:
         pair_id = np.arange(nx * ny).reshape(nx, ny)
         seeds.append(("copy", deterministic_kernel(pmf, w_size, pair_id)))
-    seeds.append(("constant", deterministic_kernel(pmf, w_size, np.zeros((nx, ny), dtype=int))))
+    seeds.append(("constant", deterministic_kernel(pmf, w_size, 0)))
     g1 = structure.minimal_sufficient_statistic(pmf, "x")
     if g1.num_classes <= w_size:
-        w_of = np.tile(np.asarray(g1.class_of)[:, None], (1, ny))
+        w_of = np.asarray(g1.class_of)[:, None]
         seeds.append(("suffstat-x", deterministic_kernel(pmf, w_size, w_of)))
     g2 = structure.minimal_sufficient_statistic(pmf, "y")
     if g2.num_classes <= w_size:
-        w_of = np.tile(np.asarray(g2.class_of)[None, :], (nx, 1))
-        seeds.append(("suffstat-y", deterministic_kernel(pmf, w_size, w_of)))
+        seeds.append(("suffstat-y", deterministic_kernel(pmf, w_size, g2.class_of)))
     return seeds
 
 
@@ -192,7 +171,7 @@ def wyner_minimize(
     vag = _value_and_grad_factory(pmf.p)
 
     def evaluate(kernels):
-        return wyner_objective(pmf, AuxKernel(w_size, renormalize(kernels[0])))
+        return objective_residual(normalized(pmf.p[:, :, None] * renormalize(kernels[0])))
 
     outcome = penalized_minimize(starts, exact, vag, evaluate, config, keep_traces=keep_traces)
     best = outcome.best

@@ -60,6 +60,21 @@ def random_full_pmf(rng: np.random.Generator, max_side: int = 4):
     return sources.random_pmf(rng, nx, ny)
 
 
+def random_sparse_pmf(rng: np.random.Generator, max_side: int = 5):
+    """A random pmf with zero cells, and often a zero row or a zero column
+    (or both) somewhere inside it."""
+    nx = int(rng.integers(2, max_side + 1))
+    ny = int(rng.integers(2, max_side + 1))
+    p = sources.random_pmf(rng, nx, ny, zeros=float(rng.random() * 0.6)).p.copy()
+    if rng.random() < 0.5:
+        p[int(rng.integers(nx))] = 0.0
+    if rng.random() < 0.5:
+        p[:, int(rng.integers(ny))] = 0.0
+    if not p.any():
+        p[0, 0] = 1.0
+    return validate_pmf(p / p.sum())
+
+
 def cli_reports_across_threads(argv, monkeypatch) -> list[str]:
     """The printed report of `cit argv` under `--threads 1`, under
     `--threads 4` and under `CIT_THREADS=4`, in that order."""

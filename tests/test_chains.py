@@ -24,6 +24,7 @@ from cit import (
     validate_pmf,
 )
 from cit.chains import chain_from_json, effective_caps, iter_canonical_chains
+from cit.optim import FEASIBILITY_TOL
 from cit.pmf import save_pmf
 from cit.sources import bss_pmf, gain_pmf, random_pmf
 from workloads import random_base
@@ -136,6 +137,16 @@ class TestChainObjective:
         monkeypatch.setattr(chains, "_joint_array", counted)
         chain_objective(gain, gain_two_round_chain())
         assert len(calls) == 1
+
+    def test_a_deterministic_chain_is_feasible_at_the_det_threshold(self):
+        # the constant chain leaves I(X;Y) of about 1.15e-5 bits: within the
+        # randomized threshold 1e-4, not within the deterministic one 1e-9
+        near = validate_pmf([[0.251, 0.249], [0.249, 0.251]])
+        det = chain_objective(near, constant_chain_r1())
+        aux = chain_objective(near, constant_chain_r1().as_auxiliary())
+        assert det.residual == aux.residual
+        assert chains.DET_FEASIBILITY_TOL < det.residual <= FEASIBILITY_TOL
+        assert (det.feasible, aux.feasible) == (False, True)
 
     def test_per_round_identity_random_chains(self):
         rng = np.random.default_rng(31)
@@ -458,6 +469,18 @@ class TestBinaryStopClassify:
     def test_infeasible_chain_rejected(self, bss25):
         with pytest.raises(LemmaViolation):
             binary_stop_classify(bss25, constant_chain_r1())
+
+    def test_builds_the_chain_law_once(self, bss25, monkeypatch):
+        calls = []
+        build = chains._joint_array
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(chains, "_joint_array", counted)
+        binary_stop_classify(bss25, copy_chain_r1(bss25))
+        assert len(calls) == 1
 
     def test_requires_dependence(self, independent):
         with pytest.raises(ValueError):

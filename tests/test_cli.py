@@ -372,6 +372,16 @@ class TestErrorsAndIO:
         assert f"argument --n: must list at least one integer, got {value!r}" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["rates"], "--caps", "2,a"),
+        (["ici", "--rounds", "2"], "--sizes", "2,x"),
+        (["simulate", "crsk"], "--n", "3,a"),
+    ], ids=["rates-caps", "ici-sizes", "crsk-n"])
+    def test_integer_lists_name_the_rule(self, pmf_file, argv, flag, value, capsys):
+        code, out = run_cli(argv + ["--pmf", pmf_file, flag, value])
+        assert (code, out) == (2, "")
+        assert f"argument {flag}: must list integers, got {value!r}" in capsys.readouterr().err
+
     def test_simulate_crsk_names_the_slack_that_empties_a_stage(self, pmf_file):
         code, out = run_cli(["simulate", "crsk", "--pmf", pmf_file, "--slack", "-1"])
         assert code == 2

@@ -19,13 +19,9 @@ import math
 import numpy as np
 import pytest
 
-from cit.chains import (
-    _chain_value_and_grad_factory,
-    _kernel_shapes,
-    _objective_residual,
-    _product_law,
-)
+from cit.chains import _chain_value_and_grad_factory, _kernel_shapes, _product_law
 from cit.optim import dirichlet_starts, fixed_xy, penalized_information
+from cit.pmf import objective_residual
 from cit.sources import random_pmf
 from cit.wyner import AuxKernel, _value_and_grad_factory, wyner_objective
 
@@ -114,5 +110,5 @@ class TestPenalizedInformation:
         [(_, kernels)] = dirichlet_starts(19, 1, _kernel_shapes(2, 3, sizes, initiator))
         q = _product_law(pmf.p, [k[None] for k in kernels], initiator)
         (value,), _ = penalized_information(q, lam)
-        objective, residual = _objective_residual(q[0])
+        objective, residual = objective_residual(q[0])
         assert abs(value - (objective + lam * residual)) <= 1e-12

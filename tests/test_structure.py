@@ -21,7 +21,7 @@ from cit import (
 )
 from cit.sources import random_pmf
 
-from conftest import random_full_pmf
+from conftest import random_full_pmf, random_sparse_pmf
 
 
 def is_identity(lab: Labeling) -> bool:
@@ -114,6 +114,50 @@ class TestMinimalSufficientStatistic:
             assert refines(g, g_star)
 
 
+def search_components(pmf) -> tuple[Labeling, Labeling]:
+    """Reference for `gk_common_function`: a depth-first search from each X
+    symbol with mass in turn, so components are numbered in order of their
+    first X symbol; each zero-mass symbol then takes a fresh trailing class."""
+    nx, ny = pmf.shape
+    support = pmf.p > 0
+    comp_x = [-1] * nx
+    comp_y = [-1] * ny
+    n_comp = 0
+    for start in range(nx):
+        if comp_x[start] >= 0 or not support[start].any():
+            continue
+        stack_x = [start]
+        stack_y: list[int] = []
+        comp_x[start] = n_comp
+        while stack_x or stack_y:
+            if stack_x:
+                x = stack_x.pop()
+                for y in np.nonzero(support[x])[0]:
+                    if comp_y[y] < 0:
+                        comp_y[y] = n_comp
+                        stack_y.append(int(y))
+            else:
+                y = stack_y.pop()
+                for x in np.nonzero(support[:, y])[0]:
+                    if comp_x[x] < 0:
+                        comp_x[x] = n_comp
+                        stack_x.append(int(x))
+        n_comp += 1
+
+    def finish(comp, alphabet, mass):
+        nxt = n_comp
+        out = list(comp)
+        for i in range(len(out)):
+            if out[i] < 0:
+                out[i] = nxt
+                nxt += 1
+        zero = tuple(s for s, m in zip(alphabet.symbols, mass) if m == 0.0)
+        return Labeling(alphabet, tuple(out), nxt, zero)
+
+    return (finish(comp_x, pmf.alphabet_x, pmf.marginal_x),
+            finish(comp_y, pmf.alphabet_y, pmf.marginal_y))
+
+
 class TestGkCommonFunction:
     def test_block_diagonal(self):
         pmf = validate_pmf([[0.5, 0.0], [0.0, 0.5]])
@@ -143,6 +187,12 @@ class TestGkCommonFunction:
             cy = np.asarray(lab_y.class_of)
             mism = pmf.p[cx[:, None] != cy[None, :]].sum()
             assert mism == 0.0
+
+    def test_matches_the_search_reference(self):
+        rng = np.random.default_rng(29)
+        for _ in range(400):
+            pmf = random_sparse_pmf(rng)
+            assert gk_common_function(pmf) == search_components(pmf)
 
     def test_gk_below_mi(self):
         rng = np.random.default_rng(19)
@@ -186,6 +236,28 @@ class TestDoubleMarkov:
         f, g = double_markov_extract(t)
         assert g.class_of == g_star.class_of
         assert f.num_classes == g_star.num_classes
+
+    def test_zero_mass_x_symbol(self):
+        # U copies the two X symbols that carry mass; X's third symbol has none
+        pmf = validate_pmf([[0.4, 0.1], [0.1, 0.4], [0.0, 0.0]])
+        p = np.zeros((2, 3, 2))
+        p[0, 0], p[1, 1] = pmf.p[0], pmf.p[1]
+        t = TensorPMF(("u", "x", "y"),
+                      (FiniteAlphabet.of_size(2, "u"),) + pmf.to_tensor().alphabets, p)
+        f, g = double_markov_extract(t)
+        assert (f.class_of, f.zero_mass_symbols) == ((0, 1), ())
+        assert (g.class_of, g.zero_mass_symbols) == ((0, 1, 2), ("2",))
+
+    def test_zero_mass_symbols_on_both_sides(self):
+        # zero-mass U symbols follow the classes with mass, not g's zero-mass ones
+        pmf = validate_pmf([[0.4, 0.1], [0.0, 0.0], [0.1, 0.4]])
+        p = np.zeros((3, 3, 2))
+        p[2, 0], p[0, 2] = pmf.p[0], pmf.p[2]
+        t = TensorPMF(("u", "x", "y"),
+                      (FiniteAlphabet.of_size(3, "u"),) + pmf.to_tensor().alphabets, p)
+        f, g = double_markov_extract(t)
+        assert (g.class_of, g.zero_mass_symbols) == ((0, 2, 1), ("1",))
+        assert (f.class_of, f.zero_mass_symbols) == ((1, 2, 0), ("u1",))
 
     def test_markov_violation_detected(self, bss25):
         # u = y breaks the chain u - x - y for a dependent source

@@ -5,8 +5,11 @@ import pytest
 
 from cit import (
     AuxKernel,
+    FiniteAlphabet,
     KernelInvalid,
     PenaltyConfig,
+    TensorPMF,
+    conditional_mutual_information,
     entropy,
     mutual_information,
     wyner_minimize,
@@ -14,6 +17,8 @@ from cit import (
 )
 from cit.chains import chain_to_aux_kernel, det_chain_search
 from cit.wyner import _seed_kernels, deterministic_kernel
+
+from conftest import random_sparse_pmf
 
 LIGHT = PenaltyConfig(restarts=6, max_iter=1500, seed=0)
 
@@ -41,6 +46,24 @@ class TestObjective:
         obj, res = wyner_objective(gain, k)
         assert res <= 1e-12
         assert obj == pytest.approx(entropy(gain.to_tensor(), "x"), abs=1e-12)
+
+    def test_matches_the_named_tensor_route(self):
+        # bit for bit: I(X,Y; W) and I(X; Y | W) of the tensor over (x, y, w)
+        rng = np.random.default_rng(37)
+        for _ in range(300):
+            pmf = random_sparse_pmf(rng, max_side=4)
+            nx, ny = pmf.shape
+            w_size = int(rng.integers(1, nx * ny + 1))
+            k = rng.dirichlet(np.ones(w_size), size=(nx, ny))
+            k[rng.random(k.shape) < 0.3] = 0.0
+            k[k.sum(axis=2) == 0, 0] = 1.0
+            k /= k.sum(axis=2, keepdims=True)
+            t = TensorPMF(("x", "y", "w"), (pmf.alphabet_x, pmf.alphabet_y,
+                                            FiniteAlphabet.of_size(w_size, "w")),
+                          pmf.p[:, :, None] * k)
+            assert wyner_objective(pmf, AuxKernel(w_size, k)) == (
+                mutual_information(t, ("x", "y"), "w"),
+                conditional_mutual_information(t, "x", "y", "w"))
 
     def test_kernel_validation(self):
         with pytest.raises(KernelInvalid):
