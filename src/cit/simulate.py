@@ -9,7 +9,9 @@ likelihood over the bin (realized as a best-first search in likelihood
 order), and the final key is a seeded universal hash of the accumulated
 common randomness. Leakage (1/n) I(K; F) is computed exactly when the
 support of the block law is enumerable, otherwise plug-in estimated and
-flagged.
+flagged. The exact computation enumerates the support's blocks
+EXACT_BLOCK_CELLS cells at a time and keeps only a running mass per
+distinct (K, F) pair, so its memory does not grow with |supp P|^n.
 
 Randomness layout, so that results do not depend on execution order. The
 trial streams [seed, k, t] are those of `np.random.default_rng([seed, k, t])`,
@@ -52,9 +54,13 @@ from .pmf import JointPMF, conditional_entropy, entropy, plogp_sum
 LOG_FLOOR = -1e30
 COSET_CAP = 4096
 POP_BUDGET = 4096
+# The three budgets choose exact or estimated leakage, and so the reported
+# basis. The enumeration streams in blocks, so they bound its time, not its
+# memory; the KF budget also keeps a (K, F) pair within one 64-bit word.
 EXACT_ROWS_BUDGET = 2 ** 22
 EXACT_CELLS_BUDGET = 2 ** 25
 KF_TABLE_BUDGET = 2 ** 22
+EXACT_BLOCK_CELLS = 2 ** 16  # enumerated rows x n per block, about 0.5 MB per int64 array
 SW_BLOCK = 256  # binary trials drawn and eliminated together; a generator holds ~5 KB
 
 
@@ -79,18 +85,24 @@ def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows[new], inv
 
 
+def _group_entropies(groups: np.ndarray, masses: np.ndarray) -> tuple[float, float, float]:
+    """(H(K), H(F), H(K, F)) in bits from the distinct (K, F) rows in
+    lexicographic order, F in one or more columns, and their unnormalized
+    masses."""
+    joint = masses / masses.sum()
+    h_k = _plugin_entropy(np.bincount(_distinct_rows(groups[:, :1])[1], weights=joint))
+    h_f = _plugin_entropy(np.bincount(_distinct_rows(groups[:, 1:])[1], weights=joint))
+    h_kf = _plugin_entropy(joint)
+    return h_k, h_f, h_kf
+
+
 def _key_transcript_entropies(
     keys: np.ndarray, synds: np.ndarray, weights: np.ndarray
 ) -> tuple[float, float, float]:
     """(H(K), H(F), H(K, F)) in bits from (possibly weighted) rows."""
     pairs = np.concatenate([keys[:, None].astype(np.uint64), synds.astype(np.uint64)], axis=1)
-    uniq, inv = _distinct_rows(pairs)
-    joint = np.bincount(inv, weights=weights)
-    joint = joint / joint.sum()
-    h_k = _plugin_entropy(np.bincount(_distinct_rows(uniq[:, :1])[1], weights=joint))
-    h_f = _plugin_entropy(np.bincount(_distinct_rows(uniq[:, 1:])[1], weights=joint))
-    h_kf = _plugin_entropy(joint)
-    return h_k, h_f, h_kf
+    groups, inv = _distinct_rows(pairs)
+    return _group_entropies(groups, np.bincount(inv, weights=weights))
 
 
 class _PresetState(np.random.bit_generator.ISeedSequence):
@@ -104,8 +116,9 @@ class _PresetState(np.random.bit_generator.ISeedSequence):
         return self.words
 
 
-def _trial_rngs(prefix: tuple[int, ...], ts: range) -> list[np.random.Generator]:
-    """`np.random.default_rng(list(prefix) + [t])` for every t of `ts`.
+def _trial_states(prefix: tuple[int, ...], ts: range) -> np.ndarray:
+    """The PCG64 state words of `np.random.default_rng(list(prefix) + [t])`
+    for every t of `ts`, one row of 4 uint64 words per t.
 
     `SeedSequence` hashes its entropy words into a pool of 4 and the pool
     into PCG64's state with fixed uint32 arithmetic. With t < 2^32 every
@@ -115,7 +128,7 @@ def _trial_rngs(prefix: tuple[int, ...], ts: range) -> list[np.random.Generator]
     if ts.start < 0 or ts.stop > 1 << 32:
         raise ValueError(f"trial indices must lie in [0, 2^32), got {ts}")
     if not ts:
-        return []
+        return np.empty((0, 4), dtype=np.uint64)
     mask = 0xFFFFFFFF
     entropy = []
     for v in prefix:  # uint32 words, least significant first; 0 is one word 0
@@ -154,8 +167,17 @@ def _trial_rngs(prefix: tuple[int, ...], ts: range) -> list[np.random.Generator]
         value = value * const
         state[:, i] = value ^ value >> 16
     # pairs of uint32 words, the first least significant, as generate_state's uint64 view
-    words = state[:, 0::2] | state[:, 1::2] << np.uint64(32)
+    return state[:, 0::2] | state[:, 1::2] << np.uint64(32)
+
+
+def _generators(words: np.ndarray) -> list[np.random.Generator]:
+    """One generator per row of `_trial_states` words."""
     return [np.random.Generator(np.random.PCG64(_PresetState(row))) for row in words]
+
+
+def _trial_rngs(prefix: tuple[int, ...], ts: range) -> list[np.random.Generator]:
+    """`np.random.default_rng(list(prefix) + [t])` for every t of `ts`."""
+    return _generators(_trial_states(prefix, ts))
 
 
 @dataclass(frozen=True)
@@ -242,8 +264,10 @@ def sw_binning_simulate(
             raise SizeBudgetExceeded(
                 f"bins of size 2^{n - k_bits} exceed the decoder cap {COSET_CAP}"
             )
+        # the seed hash runs once; a block's generators (~5 KB each) live with the block
+        words = _trial_states((seed, 1), range(trials))
         for first in range(0, trials, SW_BLOCK):
-            rngs = _trial_rngs((seed, 1), range(first, min(first + SW_BLOCK, trials)))
+            rngs = _generators(words[first:first + SW_BLOCK])
             xd, yd = _draw_blocks(pmf, n, rngs)
             null = sample_null_spaces(rngs, n, k_bits)
             errors += _bin_errors(pack_digits(xd, 1), null, yd, ll)
@@ -464,6 +488,91 @@ def default_copy_chain(pmf: JointPMF) -> DeterministicChain:
     return _copy_chain(nx, ny, (nx,), "x")
 
 
+def _run_rows(stages: list[_Stage], key_hash: AffineGf2Hash, xd: np.ndarray, yd: np.ndarray):
+    """The staged scheme on the (rows, n) blocks xd, yd, all stages vectorized
+    over the rows; returns (error flags, K values, F rows, failures)."""
+    rows, n = xd.shape
+    true_u: list[np.ndarray] = []
+    ver = {"x": [], "y": []}
+    synds = np.zeros((rows, len(stages)), dtype=np.uint64)
+    failures = 0
+    for st in stages:
+        sd = xd if st.speaker == "x" else yd
+        ld = yd if st.speaker == "x" else xd
+        u_true = st.table[(sd,) + tuple(true_u)]
+        true_u.append(u_true)
+        u_sent = st.send(sd, ver[st.speaker])
+        words = pack_digits(u_sent, st.bits_per) if st.bits_per else np.zeros(rows, dtype=np.uint64)
+        synds[:, st.j - 1] = st.syndrome(words)
+        decoded, fail = st.decode(words, ld, ver[st.listener])
+        failures += fail
+        ver[st.speaker].append(u_sent)
+        ver[st.listener].append(decoded)
+
+    def pack_cr(parts):
+        cr = np.zeros(rows, dtype=np.uint64)
+        offset = 0
+        for st, part in zip(stages, parts):
+            if st.bits_per:
+                cr |= pack_digits(part, st.bits_per) << np.uint64(offset)
+            offset += n * st.bits_per
+        return cr
+
+    cr_true = pack_cr(true_u)
+    cr_x = pack_cr(ver["x"])
+    cr_y = pack_cr(ver["y"])
+    err = (cr_x != cr_true) | (cr_y != cr_true)
+    keys = key_hash.apply(cr_x) if key_hash.k else np.zeros(rows, dtype=np.uint64)
+    return err, keys, synds, failures
+
+
+def _exact_entropies(
+    pmf: JointPMF, cells: np.ndarray, n: int, stages: list[_Stage], key_hash: AffineGf2Hash
+) -> tuple[float, float, float]:
+    """(H(K), H(F), H(K, F)) in bits over every block of the support `cells`
+    of P, each weighted by its probability.
+
+    Row c of the enumeration picks cell c // s^t % s at position t, s the
+    support size; its weight multiplies the cells' masses in position order.
+    The rows go through `_run_rows` about EXACT_BLOCK_CELLS cells at a
+    time, so memory does not grow with s^n. A (K, F) row packs into one
+    word, its fields from the top in row order, so words sort as rows do.
+    Each word's mass is added up row by row in row order, the order of one
+    `np.bincount` over all rows, so the masses keep their bits.
+    """
+    support = len(cells)
+    n_rows = support ** n
+    f_bits = [st.m if st.identity else st.k_bits for st in stages]
+    # the KF budget keeps K and F within 44 bits: an identity stage's word is
+    # at most twice its k_bits wide
+    assert key_hash.k + sum(f_bits) <= 64
+    probs = pmf.p[cells[:, 0], cells[:, 1]]
+    block = max(1, EXACT_BLOCK_CELLS // n)
+    # the words seen, ascending, then a sentinel above every word
+    words = np.array([np.iinfo(np.uint64).max], dtype=np.uint64)
+    mass = np.zeros(1)
+    for lo in range(0, n_rows, block):
+        idx = np.arange(lo, min(lo + block, n_rows))
+        sel = np.empty((len(idx), n), dtype=np.int64)
+        w = np.ones(len(idx))
+        for t in range(n):
+            sel[:, t] = (idx // support ** t) % support
+            w *= probs[sel[:, t]]
+        _, kf, synds, _ = _run_rows(stages, key_hash, cells[sel, 0], cells[sel, 1])
+        for j, width in enumerate(f_bits):
+            kf = kf << np.uint64(width) | synds[:, j]
+        seen, inv = np.unique(kf, return_inverse=True)
+        at = np.searchsorted(words, seen)
+        fresh = words[at] != seen  # a row of zero weight opens its group too
+        words = np.insert(words, at[fresh], seen[fresh])
+        mass = np.insert(mass, at[fresh], 0.0)
+        np.add.at(mass, np.searchsorted(words, seen)[inv], w)
+    f_width = np.uint64(sum(f_bits))
+    words = words[:-1]
+    groups = np.stack([words >> f_width, words & ((np.uint64(1) << f_width) - np.uint64(1))], axis=1)
+    return _group_entropies(groups, mass[:-1])
+
+
 def cr_sk_simulate(
     pmf: JointPMF,
     chain: DeterministicChain,
@@ -474,6 +583,12 @@ def cr_sk_simulate(
     slack: float = 0.25,
 ) -> SimReport:
     """Run the staged common-randomness and key generation scheme blockwise.
+
+    The leakage and uniformity gap are exact when the support of P^n fits
+    the budgets: every block of the support goes through the scheme,
+    weighted by its probability, EXACT_BLOCK_CELLS cells at a time, so
+    memory is bounded by that and by the distinct (K, F) pairs. Otherwise
+    they are plug-in estimates from the trials.
 
     Raises RateInfeasible when `key_rate` exceeds the chain's net
     extractable rate H(U^r) - sum_j H(U_j | listener_j, U^{j-1}), which for
@@ -506,46 +621,10 @@ def cr_sk_simulate(
     key_hash = AffineGf2Hash.sample(np.random.default_rng([seed, 1]), max(total_bits, 1), key_bits)
     comm_bits = sum(st.k_bits for st in stages)
 
-    def run_rows(xd: np.ndarray, yd: np.ndarray):
-        """Vectorized pipeline; returns (error flags, K values, F rows, failures)."""
-        rows = xd.shape[0]
-        true_u: list[np.ndarray] = []
-        ver = {"x": [], "y": []}
-        synds = np.zeros((rows, rounds), dtype=np.uint64)
-        failures = 0
-        for st in stages:
-            sd = xd if st.speaker == "x" else yd
-            ld = yd if st.speaker == "x" else xd
-            u_true = st.table[(sd,) + tuple(true_u)]
-            true_u.append(u_true)
-            u_sent = st.send(sd, ver[st.speaker])
-            words = pack_digits(u_sent, st.bits_per) if st.bits_per else np.zeros(rows, dtype=np.uint64)
-            synds[:, st.j - 1] = st.syndrome(words)
-            decoded, fail = st.decode(words, ld, ver[st.listener])
-            failures += fail
-            ver[st.speaker].append(u_sent)
-            ver[st.listener].append(decoded)
-
-        def pack_cr(parts):
-            cr = np.zeros(rows, dtype=np.uint64)
-            offset = 0
-            for st, part in zip(stages, parts):
-                if st.bits_per:
-                    cr |= pack_digits(part, st.bits_per) << np.uint64(offset)
-                offset += n * st.bits_per
-            return cr
-
-        cr_true = pack_cr(true_u)
-        cr_x = pack_cr(ver["x"])
-        cr_y = pack_cr(ver["y"])
-        err = (cr_x != cr_true) | (cr_y != cr_true)
-        keys = key_hash.apply(cr_x) if key_bits else np.zeros(rows, dtype=np.uint64)
-        return err, keys, synds, failures
-
     # Monte Carlo trials, one seeded stream per trial index
     xd, yd = _draw_blocks(pmf, n, _trial_rngs((seed, 2), range(trials)))
-    err, keys, synds, failures = run_rows(xd, yd)
-    cr_error_rate = float(err.mean()) if trials else 0.0
+    err, keys, synds, failures = _run_rows(stages, key_hash, xd, yd)
+    cr_error_rate = float(err.mean())
 
     # leakage and uniformity: exact by support enumeration when affordable
     cells = np.argwhere(pmf.p > 0)
@@ -557,18 +636,7 @@ def cr_sk_simulate(
         and (1 << key_bits) * (1 << min(comm_bits, 40)) <= KF_TABLE_BUDGET
     )
     if exact:
-        idx = np.arange(n_rows)
-        sel = np.empty((n_rows, n), dtype=np.int64)
-        for t in range(n):
-            sel[:, t] = (idx // support ** t) % support
-        ex_xd = cells[sel, 0]
-        ex_yd = cells[sel, 1]
-        w = np.ones(n_rows)
-        probs = pmf.p[cells[:, 0], cells[:, 1]]
-        for t in range(n):
-            w *= probs[sel[:, t]]
-        _, ex_keys, ex_synds, _ = run_rows(ex_xd, ex_yd)
-        h_k, h_f, h_kf = _key_transcript_entropies(ex_keys, ex_synds, w)
+        h_k, h_f, h_kf = _exact_entropies(pmf, cells, n, stages, key_hash)
     else:
         h_k, h_f, h_kf = _key_transcript_entropies(keys, synds, np.ones(trials))
     leakage = max(h_k + h_f - h_kf, 0.0) / n

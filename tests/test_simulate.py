@@ -662,3 +662,112 @@ def test_sw_nonbinary_memory_without_digit_table(gain):
     assert peak <= 35_000_000
     golden = json.loads((Path(__file__).parent / "golden_lab.json").read_text())
     assert rep.to_json() == golden["sw:gain-n12@0"]["report"]
+
+
+def reference_exact_leakage(pmf, chain, n, key_rate, trials, seed, slack=0.25):
+    """The one-shot exact enumeration: all |supp P|^n block rows go through
+    the pipeline at once and are grouped by (K, F) in one pass. Returns the
+    leakage, the uniformity gap, and the per-stage stragglers and pops over
+    the trial rows and the enumerated rows, as `cr_sk_simulate` counts them."""
+    tensor = chain_tensor(pmf, chain)
+    stages = [_Stage(tensor, chain, j, n, slack, seed) for j in range(1, chain.rounds + 1)]
+    total_bits = sum(n * st.bits_per for st in stages)
+    key_bits = min(math.ceil(n * key_rate - 1e-12), total_bits) if key_rate > 0 else 0
+    key_hash = AffineGf2Hash.sample(np.random.default_rng([seed, 1]), max(total_bits, 1), key_bits)
+    simulate._run_rows(stages, key_hash,
+                       *_draw_blocks(pmf, n, simulate._trial_rngs((seed, 2), range(trials))))
+    cells = np.argwhere(pmf.p > 0)
+    support = cells.shape[0]
+    n_rows = support ** n if support > 1 else 1
+    idx = np.arange(n_rows)
+    sel = np.empty((n_rows, n), dtype=np.int64)
+    for t in range(n):
+        sel[:, t] = (idx // support ** t) % support
+    w = np.ones(n_rows)
+    probs = pmf.p[cells[:, 0], cells[:, 1]]
+    for t in range(n):
+        w *= probs[sel[:, t]]
+    _, keys, synds, _ = simulate._run_rows(stages, key_hash, cells[sel, 0], cells[sel, 1])
+    h_k, h_f, h_kf = reference_key_transcript_entropies(keys, synds, w)
+    return (max(h_k + h_f - h_kf, 0.0) / n, max(key_bits - h_k, 0.0) / n,
+            tuple(st.stragglers for st in stages), tuple(st.pops for st in stages))
+
+
+def _assert_exact_matches_reference(pmf, chain, n, key_rate, trials, seed, slack=0.25):
+    rep = cr_sk_simulate(pmf, chain, n=n, key_rate=key_rate, trials=trials, seed=seed, slack=slack)
+    assert rep.leakage_exact
+    leakage, gap, stragglers, pops = reference_exact_leakage(pmf, chain, n, key_rate,
+                                                             trials, seed, slack)
+    assert rep.leakage.hex() == leakage.hex()
+    assert rep.uniformity_gap.hex() == gap.hex()
+    assert rep.stragglers == stragglers and rep.pops == pops
+    return rep
+
+
+# bss at crossover 0.1 carries I(X;Y) = 0.53 bits, so each key rate is
+# feasible. At slack 0.6 the copy stage sends X's block as it is; at slack
+# 0.25 it hashes it, and every row whose likeliest block misses the bin is
+# searched, thousands of rows from n = 7 on.
+@pytest.mark.parametrize("key_rate", [0.0, 0.1, 0.5])
+@pytest.mark.parametrize("n, slack", [(n, 0.6) for n in range(1, 11)]
+                         + [(n, 0.25) for n in range(1, 6)])
+def test_exact_leakage_matches_one_shot_bss(n, slack, key_rate):
+    bss = bss_pmf(0.1)
+    _assert_exact_matches_reference(bss, default_copy_chain(bss), n, key_rate, 7, n, slack)
+
+
+@pytest.mark.parametrize("initiator", ["x", "y"])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_exact_leakage_matches_one_shot_gain(gain, initiator, n):
+    rep = _assert_exact_matches_reference(gain, _gain_chain(initiator), n, 0.001, 30, 3, 0.1)
+    if n >= 4:
+        assert sum(rep.pops)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_exact_leakage_matches_one_shot_zero_cell(n):
+    pmf = validate_pmf([[0.4, 0.1, 0.0], [0.1, 0.3, 0.1]])
+    _assert_exact_matches_reference(pmf, default_copy_chain(pmf), n, 0.1, 9, 2)
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_exact_leakage_matches_one_shot_underflow(n):
+    """Blocks with four or more 1e-100 cells weigh 0 in float64; they still
+    open their (K, F) groups."""
+    pmf = validate_pmf([[1 - 3e-100, 1e-100], [1e-100, 1e-100]])
+    probs = pmf.p[pmf.p > 0]
+    assert np.prod(np.full(4, probs.min())) == 0.0
+    _assert_exact_matches_reference(pmf, default_copy_chain(pmf), n, 0.0, 5, 1)
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_exact_leakage_block_sizes(gain, bss25, monkeypatch, rows):
+    """Blocks of one row, and of 7 rows, which divides no 4^n or 9^n."""
+    for pmf, chain, n, key_rate in ((bss25, default_copy_chain(bss25), 5, 0.1),
+                                    (gain, _gain_chain("x"), 3, 0.001),
+                                    (gain, _gain_chain("y"), 3, 0.001)):
+        monkeypatch.setattr(simulate, "EXACT_BLOCK_CELLS", rows * n)
+        _assert_exact_matches_reference(pmf, chain, n, key_rate, 20, 4, 0.1)
+
+
+def test_crsk_exact_memory_is_bounded(bss25):
+    """The exact leakage streams bss's 4^n support rows in blocks: the traced
+    peak stays flat from n = 8 to n = 10 (29 MB and 561 MB with all rows in
+    one table)."""
+    peaks = {}
+    for n in (8, 10):
+        tracemalloc.start()
+        try:
+            rep = cr_sk_simulate(bss25, default_copy_chain(bss25), n=n, key_rate=0.1,
+                                 trials=5, seed=0)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.leakage_exact
+        if n == 8:
+            golden = json.loads((Path(__file__).parent / "golden_lab.json").read_text())
+            want = golden["crsk:bss-n8-exact@0"]
+            assert rep.to_json() == want["report"]
+            assert list(rep.pops) == want["pops"] and list(rep.stragglers) == want["stragglers"]
+    assert peaks[8] <= 8_000_000 and peaks[10] <= 16_000_000
+    assert peaks[10] <= 2 * peaks[8]
