@@ -21,7 +21,7 @@ is an upper bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -632,7 +632,7 @@ class BssClosedForm:
     r_sk: float
 
     def to_json(self) -> dict:
-        return {"ci_i": self.ci_i, "sk_capacity": self.sk_capacity, "r_sk": self.r_sk}
+        return asdict(self)
 
 
 def bss_closed_form(delta: float) -> BssClosedForm:

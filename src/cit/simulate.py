@@ -9,9 +9,12 @@ likelihood over the bin (realized as a best-first search in likelihood
 order), and the final key is a seeded universal hash of the accumulated
 common randomness. Leakage (1/n) I(K; F) is computed exactly when the
 support of the block law is enumerable, otherwise plug-in estimated and
-flagged. The exact computation enumerates the support's blocks
-EXACT_BLOCK_CELLS cells at a time and keeps only a running mass per
-distinct (K, F) pair, so its memory does not grow with |supp P|^n.
+flagged. The transcript F is one word, each stage's bits in stage order
+from the top: a hashed stage's syndrome, or an identity stage's block
+index. Each sent block is hashed once. The exact computation enumerates
+the support's blocks EXACT_BLOCK_CELLS cells at a time and adds their
+masses into a dense table over every (K, F) pair, so its memory does not
+grow with |supp P|^n.
 
 Randomness layout, so that results do not depend on execution order. The
 trial streams [seed, k, t] are those of `np.random.default_rng([seed, k, t])`,
@@ -42,7 +45,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -56,7 +59,7 @@ COSET_CAP = 4096
 POP_BUDGET = 4096
 # The three budgets choose exact or estimated leakage, and so the reported
 # basis. The enumeration streams in blocks, so they bound its time, not its
-# memory; the KF budget also keeps a (K, F) pair within one 64-bit word.
+# memory; the KF budget also sizes the exact path's dense (K, F) table.
 EXACT_ROWS_BUDGET = 2 ** 22
 EXACT_CELLS_BUDGET = 2 ** 25
 KF_TABLE_BUDGET = 2 ** 22
@@ -86,8 +89,8 @@ def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _group_entropies(groups: np.ndarray, masses: np.ndarray) -> tuple[float, float, float]:
-    """(H(K), H(F), H(K, F)) in bits from the distinct (K, F) rows in
-    lexicographic order, F in one or more columns, and their unnormalized
+    """(H(K), H(F), H(K, F)) in bits from the distinct (K, F) word pairs in
+    lexicographic order, as the rows of `groups`, and their unnormalized
     masses."""
     joint = masses / masses.sum()
     h_k = _plugin_entropy(np.bincount(_distinct_rows(groups[:, :1])[1], weights=joint))
@@ -97,11 +100,10 @@ def _group_entropies(groups: np.ndarray, masses: np.ndarray) -> tuple[float, flo
 
 
 def _key_transcript_entropies(
-    keys: np.ndarray, synds: np.ndarray, weights: np.ndarray
+    keys: np.ndarray, transcript: np.ndarray, weights: np.ndarray
 ) -> tuple[float, float, float]:
-    """(H(K), H(F), H(K, F)) in bits from (possibly weighted) rows."""
-    pairs = np.concatenate([keys[:, None].astype(np.uint64), synds.astype(np.uint64)], axis=1)
-    groups, inv = _distinct_rows(pairs)
+    """(H(K), H(F), H(K, F)) in bits from (possibly weighted) rows of K and F words."""
+    groups, inv = _distinct_rows(np.stack([keys, transcript], axis=1))
     return _group_entropies(groups, np.bincount(inv, weights=weights))
 
 
@@ -191,11 +193,7 @@ class SwBinningReport:
     error_rate: float
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n, "rate": self.rate, "bins_log2": self.bins_log2,
-            "trials": self.trials, "seed": self.seed,
-            "errors": self.errors, "error_rate": self.error_rate,
-        }
+        return asdict(self)
 
 
 def _draw_blocks(pmf: JointPMF, n: int, rngs) -> tuple[np.ndarray, np.ndarray]:
@@ -349,10 +347,13 @@ class SimReport:
 
 
 class _Stage:
-    """Per-round tables, hash, and decoder for the staged scheme."""
+    """Per-round tables, hash, and decoder for the staged scheme.
+
+    An identity stage sends the speaker's block as it is; the transcript
+    holds its index among the size^n blocks, which fits its k_bits. A
+    hashed stage sends the k_bits syndrome of the packed block."""
 
     def __init__(self, tensor, chain, j, n, slack, seed):
-        self.j = j
         self.size = chain.sizes[j - 1]
         self.table = np.asarray(chain.tables[j - 1])
         side = speaker_of(j, chain.initiator)
@@ -360,25 +361,22 @@ class _Stage:
         self.listener = "y" if side == "x" else "x"
         prior = tuple(f"u{i}" for i in range(1, j))
         self.cond_entropy = conditional_entropy(tensor, f"u{j}", (self.listener,) + prior)
-        self.bits_per = max(1, math.ceil(math.log2(self.size))) if self.size > 1 else 0
+        self.bits_per = (self.size - 1).bit_length()
         self.m = n * self.bits_per
-        raw_bits = math.ceil(n * math.log2(self.size) - 1e-12) if self.size > 1 else 0
+        raw_bits = math.ceil(n * math.log2(self.size) - 1e-12)
         want = math.ceil(n * (self.cond_entropy + slack) - 1e-12)
-        if self.bits_per and self.m > 63:
+        if self.m > 63:
             raise SizeBudgetExceeded(f"stage {j} packs into {self.m} > 63 bits")
-        if self.size == 1:
-            self.identity = True
-            self.k_bits = 0
-            self.hash = None
-        elif want >= raw_bits:
-            self.identity = True
+        # a size-1 stage has 0 raw bits and sends nothing, whatever the slack
+        self.identity = self.size == 1 or want >= raw_bits
+        if self.identity:
             self.k_bits = raw_bits
             self.hash = None
+            self.powers = self.size ** np.arange(n, dtype=np.int64)  # of the block index
         elif want < 0:
             raise ValueError(f"stage {j}: slack {slack} would leave its hash {want} "
                              "output bits; it needs at least 0")
         else:
-            self.identity = False
             self.k_bits = want
             self.hash = AffineGf2Hash.sample(np.random.default_rng([seed, 0, j]), self.m, want)
             # linear hash part of digit d at position t, an (n, size) array
@@ -394,34 +392,21 @@ class _Stage:
         tot = marg.sum(axis=-1, keepdims=True)
         cond = np.where(tot > 0, marg / np.where(tot > 0, tot, 1.0), 1.0 / self.size)
         self.ll = _safe_log(cond)
-        self.amax = np.argmax(self.ll, axis=-1)
         self.like_order = np.argsort(-self.ll, axis=-1, kind="stable")
         self.sorted_ll = np.take_along_axis(self.ll, self.like_order, axis=-1)
 
-    def send(self, speaker_digits, prior_versions):
-        """Chain values computed by the speaker from its own information."""
-        return self.table[(speaker_digits,) + tuple(prior_versions)]
+    def decode(self, synd, listener_digits, prior_versions):
+        """Listener estimates of a hashed stage from the sent syndromes;
+        returns (digits, failures).
 
-    def syndrome(self, words):
-        return words if self.identity else self.hash.apply(words)
-
-    def decode(self, words_sent, listener_digits, prior_versions):
-        """Listener estimates; returns (digits, failures).
-
-        A row whose most likely sequence misses the sent syndrome is a
+        A row whose most likely sequence misses its syndrome is a
         straggler; all of them go to `_search` at once, at POP_BUDGET pops
         each. Adds the stragglers and the best-first pops to the stage
         counters.
         """
-        n = listener_digits.shape[1]
-        if self.identity:
-            return unpack_digits(words_sent, n, self.bits_per) if self.bits_per else np.zeros_like(listener_digits), 0
-        synd = self.hash.apply(words_sent)
         ctx = (listener_digits,) + tuple(prior_versions)
-        first = self.amax[ctx]
-        ok = self.hash.apply(pack_digits(first, self.bits_per)) == synd
-        out = first.copy()
-        stragglers = np.flatnonzero(~ok)
+        out = self.like_order[ctx + (0,)]
+        stragglers = np.flatnonzero(self.hash.apply(pack_digits(out, self.bits_per)) != synd)
         self.stragglers += int(stragglers.size)
         digits, found = self._search(tuple(c[stragglers] for c in ctx), synd[stragglers], POP_BUDGET)
         out[stragglers[found]] = digits[found]
@@ -490,32 +475,39 @@ def default_copy_chain(pmf: JointPMF) -> DeterministicChain:
 
 def _run_rows(stages: list[_Stage], key_hash: AffineGf2Hash, xd: np.ndarray, yd: np.ndarray):
     """The staged scheme on the (rows, n) blocks xd, yd, all stages vectorized
-    over the rows; returns (error flags, K values, F rows, failures)."""
-    rows, n = xd.shape
+    over the rows; returns (error flags, K values, F values, failures).
+
+    F is one word: each stage's k_bits in stage order from the top, a hashed
+    stage's syndrome or an identity stage's block index. Its listener takes
+    an identity stage's block as sent.
+    """
+    rows = len(xd)
     true_u: list[np.ndarray] = []
     ver = {"x": [], "y": []}
-    synds = np.zeros((rows, len(stages)), dtype=np.uint64)
+    transcript = np.zeros(rows, dtype=np.uint64)
     failures = 0
     for st in stages:
         sd = xd if st.speaker == "x" else yd
         ld = yd if st.speaker == "x" else xd
-        u_true = st.table[(sd,) + tuple(true_u)]
-        true_u.append(u_true)
-        u_sent = st.send(sd, ver[st.speaker])
-        words = pack_digits(u_sent, st.bits_per) if st.bits_per else np.zeros(rows, dtype=np.uint64)
-        synds[:, st.j - 1] = st.syndrome(words)
-        decoded, fail = st.decode(words, ld, ver[st.listener])
-        failures += fail
-        ver[st.speaker].append(u_sent)
+        true_u.append(st.table[(sd,) + tuple(true_u)])
+        sent = st.table[(sd,) + tuple(ver[st.speaker])]
+        if st.identity:
+            part = (sent @ st.powers).astype(np.uint64)
+            decoded = sent
+        else:
+            part = st.hash.apply(pack_digits(sent, st.bits_per))
+            decoded, fail = st.decode(part, ld, ver[st.listener])
+            failures += fail
+        transcript = transcript << np.uint64(st.k_bits) | part
+        ver[st.speaker].append(sent)
         ver[st.listener].append(decoded)
 
     def pack_cr(parts):
         cr = np.zeros(rows, dtype=np.uint64)
         offset = 0
         for st, part in zip(stages, parts):
-            if st.bits_per:
-                cr |= pack_digits(part, st.bits_per) << np.uint64(offset)
-            offset += n * st.bits_per
+            cr |= pack_digits(part, st.bits_per) << np.uint64(offset)
+            offset += st.m
         return cr
 
     cr_true = pack_cr(true_u)
@@ -523,7 +515,7 @@ def _run_rows(stages: list[_Stage], key_hash: AffineGf2Hash, xd: np.ndarray, yd:
     cr_y = pack_cr(ver["y"])
     err = (cr_x != cr_true) | (cr_y != cr_true)
     keys = key_hash.apply(cr_x) if key_hash.k else np.zeros(rows, dtype=np.uint64)
-    return err, keys, synds, failures
+    return err, keys, transcript, failures
 
 
 def _exact_entropies(
@@ -535,22 +527,19 @@ def _exact_entropies(
     Row c of the enumeration picks cell c // s^t % s at position t, s the
     support size; its weight multiplies the cells' masses in position order.
     The rows go through `_run_rows` about EXACT_BLOCK_CELLS cells at a
-    time, so memory does not grow with s^n. A (K, F) row packs into one
-    word, its fields from the top in row order, so words sort as rows do.
-    Each word's mass is added up row by row in row order, the order of one
-    `np.bincount` over all rows, so the masses keep their bits.
+    time, so the enumeration does not grow with s^n. Each row's weight is
+    added into a dense table of every (K, F) word, K above F, in row order,
+    the order of one `np.bincount` over all rows, so the masses keep their
+    bits; `seen` marks the words the rows reach, so a row of zero weight
+    opens its pair too. The KF budget caps the table at 2^22 cells.
     """
     support = len(cells)
     n_rows = support ** n
-    f_bits = [st.m if st.identity else st.k_bits for st in stages]
-    # the KF budget keeps K and F within 44 bits: an identity stage's word is
-    # at most twice its k_bits wide
-    assert key_hash.k + sum(f_bits) <= 64
+    f_bits = sum(st.k_bits for st in stages)
     probs = pmf.p[cells[:, 0], cells[:, 1]]
     block = max(1, EXACT_BLOCK_CELLS // n)
-    # the words seen, ascending, then a sentinel above every word
-    words = np.array([np.iinfo(np.uint64).max], dtype=np.uint64)
-    mass = np.zeros(1)
+    mass = np.zeros(1 << (key_hash.k + f_bits))
+    seen = np.zeros(mass.shape, dtype=bool)
     for lo in range(0, n_rows, block):
         idx = np.arange(lo, min(lo + block, n_rows))
         sel = np.empty((len(idx), n), dtype=np.int64)
@@ -558,19 +547,14 @@ def _exact_entropies(
         for t in range(n):
             sel[:, t] = (idx // support ** t) % support
             w *= probs[sel[:, t]]
-        _, kf, synds, _ = _run_rows(stages, key_hash, cells[sel, 0], cells[sel, 1])
-        for j, width in enumerate(f_bits):
-            kf = kf << np.uint64(width) | synds[:, j]
-        seen, inv = np.unique(kf, return_inverse=True)
-        at = np.searchsorted(words, seen)
-        fresh = words[at] != seen  # a row of zero weight opens its group too
-        words = np.insert(words, at[fresh], seen[fresh])
-        mass = np.insert(mass, at[fresh], 0.0)
-        np.add.at(mass, np.searchsorted(words, seen)[inv], w)
-    f_width = np.uint64(sum(f_bits))
-    words = words[:-1]
-    groups = np.stack([words >> f_width, words & ((np.uint64(1) << f_width) - np.uint64(1))], axis=1)
-    return _group_entropies(groups, mass[:-1])
+        _, keys, transcript, _ = _run_rows(stages, key_hash, cells[sel, 0], cells[sel, 1])
+        kf = keys << np.uint64(f_bits) | transcript
+        np.add.at(mass, kf, w)
+        seen[kf] = True
+    words = np.flatnonzero(seen)
+    del seen
+    mass = mass[words]  # releases the dense table before the grouping
+    return _group_entropies(np.stack([words >> f_bits, words & ((1 << f_bits) - 1)], axis=1), mass)
 
 
 def cr_sk_simulate(
@@ -587,8 +571,8 @@ def cr_sk_simulate(
     The leakage and uniformity gap are exact when the support of P^n fits
     the budgets: every block of the support goes through the scheme,
     weighted by its probability, EXACT_BLOCK_CELLS cells at a time, so
-    memory is bounded by that and by the distinct (K, F) pairs. Otherwise
-    they are plug-in estimates from the trials.
+    memory is bounded by that and by the dense (K, F) table, which the KF
+    budget caps. Otherwise they are plug-in estimates from the trials.
 
     Raises RateInfeasible when `key_rate` exceeds the chain's net
     extractable rate H(U^r) - sum_j H(U_j | listener_j, U^{j-1}), which for
@@ -623,7 +607,7 @@ def cr_sk_simulate(
 
     # Monte Carlo trials, one seeded stream per trial index
     xd, yd = _draw_blocks(pmf, n, _trial_rngs((seed, 2), range(trials)))
-    err, keys, synds, failures = _run_rows(stages, key_hash, xd, yd)
+    err, keys, transcript, failures = _run_rows(stages, key_hash, xd, yd)
     cr_error_rate = float(err.mean())
 
     # leakage and uniformity: exact by support enumeration when affordable
@@ -638,7 +622,7 @@ def cr_sk_simulate(
     if exact:
         h_k, h_f, h_kf = _exact_entropies(pmf, cells, n, stages, key_hash)
     else:
-        h_k, h_f, h_kf = _key_transcript_entropies(keys, synds, np.ones(trials))
+        h_k, h_f, h_kf = _key_transcript_entropies(keys, transcript, np.ones(trials))
     leakage = max(h_k + h_f - h_kf, 0.0) / n
     uniformity_gap = max(key_bits - h_k, 0.0) / n
 

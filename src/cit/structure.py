@@ -12,7 +12,7 @@ gets a dedicated trailing class and is reported in `zero_mass_symbols`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -209,7 +209,7 @@ class NoninteractiveRate:
     mi: float
 
     def to_json(self) -> dict:
-        return {"r_ni": self.r_ni, "h_g1": self.h_g1, "h_g2": self.h_g2, "mi": self.mi}
+        return asdict(self)
 
 
 def labeling_entropy(labeling: Labeling, marginal: np.ndarray) -> float:

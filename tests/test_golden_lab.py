@@ -8,7 +8,12 @@
   and n = 12 with 10 trials), and on a random 4x3 source with a zero cell at
   n = 6, with 300 trials, which crosses a `SW_BLOCK` boundary;
 - `crsk` on the bench's three staged-scheme commands and the warm-up's exact
-  bss n = 8.
+  bss n = 8;
+- `crsk` on stages whose size is not a power of two, where a block's index
+  among the size^n blocks differs from its packed word: the copy chain of a
+  3x3 and of a 5x3 source sent as they are (slack 2.0), exact and, at
+  n = 20, estimated, and a two-round chain of two size-3 stages, hashed with
+  pops at slack 0.2 and sent as they are at slack 3.0.
 
 The values were recorded before the trial generators were built in one
 batched seed expansion; they change only with a change that means to move a
@@ -31,6 +36,8 @@ GOLDEN_PATH = Path(__file__).parent / "golden_lab.json"
 SEEDS = (0, 5, 2 ** 32 + 1, 2 ** 64 + 3)
 LAB_CHAIN = {"kind": "deterministic", "initiator": "x", "sizes": [2, 2],
              "tables": [[0, 0, 1], [[0, 0], [1, 0], [1, 0]]]}
+TERNARY_CHAIN = {"kind": "deterministic", "initiator": "x", "sizes": [3, 3],
+                 "tables": [[0, 1, 2], [[0, 1, 2], [1, 2, 0], [2, 0, 1]]]}
 
 
 def zero_cell_4x3():
@@ -51,6 +58,8 @@ def _crsk(pmf, chain, n, key_rate, trials, slack):
 
 def cases() -> dict:
     bss, gain = bss_pmf(0.25), gain_pmf(0.1, 0.15, 0.15)
+    tri = validate_pmf(0.8 * np.eye(3) / 3 + 0.2 / 9)
+    five = validate_pmf(0.7 * np.eye(5, 3) / 3 + 0.3 / 15)
     copy = default_copy_chain(bss)
     return {
         "sw:bss-n16": _sw(bss, 16, 0.72, 300),
@@ -62,6 +71,11 @@ def cases() -> dict:
         "crsk:bss-n12": _crsk(bss, copy, 12, 0.1, 20, 0.1),
         "crsk:gain-n4": _crsk(gain, chain_from_json(LAB_CHAIN), 4, 0.01, 200, 0.1),
         "crsk:bss-n8-exact": _crsk(bss, copy, 8, 0.1, 5, 0.25),
+        "crsk:3x3-n4-exact": _crsk(tri, default_copy_chain(tri), 4, 0.4, 200, 2.0),
+        "crsk:3x3-n20": _crsk(tri, default_copy_chain(tri), 20, 0.4, 200, 2.0),
+        "crsk:5x3-n3-exact": _crsk(five, default_copy_chain(five), 3, 0.4, 200, 2.0),
+        "crsk:3x3-ternary-n2": _crsk(tri, chain_from_json(TERNARY_CHAIN), 2, 0.1, 200, 0.2),
+        "crsk:3x3-ternary-n4": _crsk(tri, chain_from_json(TERNARY_CHAIN), 4, 0.1, 200, 3.0),
     }
 
 

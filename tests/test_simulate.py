@@ -443,7 +443,7 @@ class TestDecoderOracles:
         from cit.hashing import AffineGf2Hash
         key_hash = AffineGf2Hash.sample(np.random.default_rng([31, 1]), n, rep.key_bits)
         words = np.arange(1 << n, dtype=np.uint64)
-        f_vals = stage.syndrome(words)
+        f_vals = stage.hash.apply(words)
         k_vals = key_hash.apply(words)
         joint = {}
         for f, kk in zip(f_vals.tolist(), k_vals.tolist()):
@@ -626,28 +626,28 @@ def test_distinct_rows_match_unique(cols):
         assert np.array_equal(got_inv, want_inv.reshape(-1))
 
 
-def reference_key_transcript_entropies(keys, synds, weights):
+def reference_key_transcript_entropies(keys, transcript, weights):
     """The entropies as taken with `np.unique(axis=0)`, the reference for the
-    lexsort helper."""
-    pairs = np.concatenate([keys[:, None].astype(np.uint64), synds.astype(np.uint64)], axis=1)
+    lexsort helper; K and F are one word each."""
+    pairs = np.stack([keys.astype(np.uint64), transcript.astype(np.uint64)], axis=1)
     uniq, inv = np.unique(pairs, axis=0, return_inverse=True)
     joint = np.bincount(inv.reshape(-1), weights=weights)
     joint = joint / joint.sum()
     _, k_inv = np.unique(uniq[:, 0], return_inverse=True)
-    _, f_inv = np.unique(uniq[:, 1:], axis=0, return_inverse=True)
+    _, f_inv = np.unique(uniq[:, 1], return_inverse=True)
     return tuple(simulate._plugin_entropy(m) for m in (
-        np.bincount(k_inv, weights=joint), np.bincount(f_inv.reshape(-1), weights=joint), joint))
+        np.bincount(k_inv, weights=joint), np.bincount(f_inv, weights=joint), joint))
 
 
 def test_key_transcript_entropies_bits():
     rng = np.random.default_rng(17)
-    for rows, stages in ((1, 1), (40, 1), (2000, 2), (6561, 3)):
+    for rows, f_bits in ((1, 4), (40, 4), (2000, 8), (6561, 12)):
         keys = rng.integers(0, 4, rows, dtype=np.uint64)
-        synds = rng.integers(0, 1 << 4, (rows, stages), dtype=np.uint64)
-        synds[:, 0] |= np.uint64(1 << 63) * rng.integers(0, 2, rows, dtype=np.uint64)
+        transcript = rng.integers(0, 1 << f_bits, rows, dtype=np.uint64)
+        transcript |= np.uint64(1 << 63) * rng.integers(0, 2, rows, dtype=np.uint64)
         for weights in (np.ones(rows), rng.dirichlet(np.ones(rows))):
-            got = simulate._key_transcript_entropies(keys, synds, weights)
-            assert got == reference_key_transcript_entropies(keys, synds, weights)
+            got = simulate._key_transcript_entropies(keys, transcript, weights)
+            assert got == reference_key_transcript_entropies(keys, transcript, weights)
 
 
 def test_sw_nonbinary_memory_without_digit_table(gain):
@@ -687,8 +687,8 @@ def reference_exact_leakage(pmf, chain, n, key_rate, trials, seed, slack=0.25):
     probs = pmf.p[cells[:, 0], cells[:, 1]]
     for t in range(n):
         w *= probs[sel[:, t]]
-    _, keys, synds, _ = simulate._run_rows(stages, key_hash, cells[sel, 0], cells[sel, 1])
-    h_k, h_f, h_kf = reference_key_transcript_entropies(keys, synds, w)
+    _, keys, transcript, _ = simulate._run_rows(stages, key_hash, cells[sel, 0], cells[sel, 1])
+    h_k, h_f, h_kf = reference_key_transcript_entropies(keys, transcript, w)
     return (max(h_k + h_f - h_kf, 0.0) / n, max(key_bits - h_k, 0.0) / n,
             tuple(st.stragglers for st in stages), tuple(st.pops for st in stages))
 
@@ -748,6 +748,37 @@ def test_exact_leakage_block_sizes(gain, bss25, monkeypatch, rows):
                                     (gain, _gain_chain("y"), 3, 0.001)):
         monkeypatch.setattr(simulate, "EXACT_BLOCK_CELLS", rows * n)
         _assert_exact_matches_reference(pmf, chain, n, key_rate, 20, 4, 0.1)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_exact_leakage_many_fresh_pairs_per_block(monkeypatch, n):
+    """X = Y uniform on 4 symbols at key rate 1.9: the key hash spreads the
+    blocks over 2^12 and 2^14 (K, F) pairs, most of them new in each block
+    of 3 rows."""
+    pmf = validate_pmf(np.eye(4) / 4)
+    monkeypatch.setattr(simulate, "EXACT_BLOCK_CELLS", 3 * n)
+    _assert_exact_matches_reference(pmf, default_copy_chain(pmf), n, 1.9, 10, n)
+
+
+def test_one_hash_per_sent_block(gain, monkeypatch):
+    """On the bench's `crsk:gain-n4` inputs each hashed block is hashed once
+    when sent and once for the listener's first guess: the one hashed stage
+    applies its hash for its digit table and twice per run (trials, then the
+    one exact block), and the key hash once per run. Hashing the sent words
+    again in the decoder made 9 calls over 27,052 words."""
+    calls = []
+    apply = AffineGf2Hash.apply
+
+    def counted(self, words):
+        calls.append(np.size(words))
+        return apply(self, words)
+
+    monkeypatch.setattr(AffineGf2Hash, "apply", counted)
+    chain = chain_from_json({"kind": "deterministic", "initiator": "x", "sizes": [2, 2],
+                             "tables": [[0, 0, 1], [[0, 0], [1, 0], [1, 0]]]})
+    rep = cr_sk_simulate(gain, chain, n=4, key_rate=0.01, trials=200, seed=0, slack=0.1)
+    assert rep.leakage_exact
+    assert len(calls) == 7 and sum(calls) == 20_291
 
 
 def test_crsk_exact_memory_is_bounded(bss25):
