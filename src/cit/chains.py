@@ -33,6 +33,7 @@ from .errors import (
     DeltaOutOfRange,
     LemmaViolation,
     NoFeasibleChain,
+    NoFeasiblePoint,
     SizeBudgetExceeded,
 )
 from .optim import (FEASIBILITY_TOL, PenaltyConfig, PenaltyOutcome, descent_starts,
@@ -583,7 +584,7 @@ def continuous_chain_minimize(
     one round per size.
 
     Mandatory start points: `start` padded to `sizes` (labelled "det-best";
-    callers hand it the winner of a `det_chain_search` at caps `sizes`),
+    `chain_routes` hands it the winner of a `det_chain_search` at `sizes`),
     the copy chain and the constant chain; each is also scored exactly as a
     candidate, and a chain whose kernels equal an earlier one's, byte for
     byte, is skipped. Feasibility threshold: `optim.FEASIBILITY_TOL` bits.
@@ -619,6 +620,44 @@ def continuous_chain_minimize(
     chain = AuxiliaryChain(initiator, tuple(renormalize(k) for k in outcome.best.kernels))
     return replace(chain_objective(pmf, chain), outcome=outcome,
                    candidates=tuple((c.label, c.objective, c.residual) for c in outcome.candidates))
+
+
+def chain_routes(
+    pmf: JointPMF, rounds: int, caps: Sequence[int] | None, budget: int, descent: PenaltyConfig,
+    *, det: bool = True, cont: bool = True, sizes: Sequence[int] | None = None, initiator: str = "x",
+) -> dict[str, ChainResult | BudgetExceeded | NoFeasibleChain | NoFeasiblePoint]:
+    """Each requested route by name, "det" then "cont": its ChainResult, or
+    the error that left it out. "det" searches at `caps`. "cont" descends
+    at `sizes` (default `effective_caps` of `caps`) from the "det" winner,
+    or, given `sizes` or without "det", from a search of its own at `sizes`;
+    a failed search hands it no start. `rounds`, `caps` and `sizes` are
+    checked before any route runs; a ValueError is raised, never returned."""
+    if rounds < 1:
+        raise ValueError("rounds must be at least 1")
+    nx, ny = pmf.shape
+    own_search = sizes is not None or not det
+    at_caps = effective_caps(nx, ny, rounds, caps, initiator)
+    sizes = at_caps if sizes is None else sizes
+    effective_caps(nx, ny, rounds, sizes, initiator)  # raises on a bad count or entry
+
+    def search(size_caps):
+        try:
+            return det_chain_search(pmf, rounds, size_caps, budget=budget, initiator=initiator)
+        except (BudgetExceeded, NoFeasibleChain) as exc:
+            return exc
+
+    routes = {}
+    if det:
+        routes["det"] = search(caps)
+    if cont:
+        searched = search(sizes) if own_search else routes["det"]
+        try:
+            routes["cont"] = continuous_chain_minimize(
+                pmf, sizes, descent, initiator=initiator,
+                start=searched.chain if isinstance(searched, ChainResult) else None)
+        except NoFeasiblePoint as exc:
+            routes["cont"] = exc
+    return routes
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=float, default=0.15)
     p.add_argument("--c", type=float, default=0.15)
     p.add_argument("--rounds", type=int, default=rates.RateConfig.rounds)
+    # the rates options an example leaves at their defaults
+    p.set_defaults(caps=None, budget=rates.RateConfig.det_budget, no_continuous=False)
 
     return parser
 
@@ -334,44 +336,42 @@ def _dispatch(args) -> int:
 
     if cmd == "ici":
         pmf = load_pmf(args.pmf)
-        result = {}
         config = {
             "pmf": args.pmf, "rounds": args.rounds, "mode": args.mode,
             "initiator": args.initiator, "caps": list(args.caps) if args.caps else None,
             "sizes": list(args.sizes) if args.sizes else None, "budget": args.budget,
             "restarts": args.restarts,
         }
+        # checks the flags in every mode before any route runs
+        routes = chains.chain_routes(
+            pmf, args.rounds, args.caps, args.budget,
+            replace(chains.CONT_CONFIG, restarts=args.restarts, seed=args.seed),
+            det=args.mode in ("det", "all"), cont=args.mode in ("cont", "all"),
+            sizes=args.sizes, initiator=args.initiator)
+        result = {}
         if args.mode in ("exact1", "all"):
             result["exact1"] = {
                 "initiator": args.initiator,
                 "value": chains.ci1_exact(pmf, args.initiator),
             }
-        det = None
-        if args.mode in ("det", "all"):
-            det = chains.det_chain_search(pmf, args.rounds, args.caps, budget=args.budget,
-                                          initiator=args.initiator)
-            result["det"] = det.to_json()
-        if args.mode in ("cont", "all"):
-            nx, ny = pmf.shape
-            sizes = args.sizes if args.sizes is not None else chains.effective_caps(
-                nx, ny, args.rounds, args.caps, args.initiator)
-            # without --sizes the det route searched these very caps
-            if det is None or args.sizes is not None:
-                try:
-                    det = chains.det_chain_search(pmf, args.rounds, sizes, budget=args.budget,
-                                                  initiator=args.initiator)
-                except (chains.BudgetExceeded, chains.NoFeasibleChain):
-                    det = None
-            cont = chains.continuous_chain_minimize(
-                pmf, sizes, replace(chains.CONT_CONFIG, restarts=args.restarts, seed=args.seed),
-                start=det.chain if det else None, initiator=args.initiator,
-            )
-            result["cont"] = cont.to_json()
+        for name, res in routes.items():
+            if isinstance(res, CitError):
+                raise res
+            result[name] = res.to_json()
         _emit(_envelope(args, config, result), args)
         return 0
 
-    if cmd == "rates":
-        pmf = load_pmf(args.pmf)
+    if cmd in ("rates", "example"):
+        echo, closed = {}, None
+        if cmd == "rates":
+            pmf = load_pmf(args.pmf)
+        elif args.which == "bss":
+            pmf = sources.bss_pmf(args.delta)
+            closed = chains.bss_closed_form(args.delta).to_json()
+            echo = {"which": "bss", "delta": args.delta}
+        else:
+            pmf = sources.gain_pmf(args.a, args.b, args.c)
+            echo = {"which": "gain", "a": args.a, "b": args.b, "c": args.c}
         config = rates.RateConfig(
             rounds=args.rounds, det_caps=args.caps, det_budget=args.budget,
             include_continuous=not args.no_continuous,
@@ -379,7 +379,9 @@ def _dispatch(args) -> int:
         )
         rep = rates.rate_report(pmf, config)
         result = {**rep.to_json(), "pmf": pmf.to_json()}
-        _emit(_envelope(args, config.to_json(), result), args)
+        if closed is not None:
+            result["closed_form"] = closed
+        _emit(_envelope(args, {**echo, **config.to_json()}, result), args)
         return 0
 
     if cmd == "check":
@@ -415,24 +417,6 @@ def _dispatch(args) -> int:
         config = {"pmf": args.pmf, "chain": args.chain, "key_rate": args.key_rate,
                   "trials": args.trials, "slack": args.slack, "n": list(args.n)}
         _emit(_envelope(args, config, reports if len(reports) > 1 else reports[0]), args)
-        return 0
-
-    if cmd == "example":
-        if args.which == "bss":
-            pmf = sources.bss_pmf(args.delta)
-            closed = chains.bss_closed_form(args.delta).to_json()
-            echo = {"which": "bss", "delta": args.delta}
-        else:
-            pmf = sources.gain_pmf(args.a, args.b, args.c)
-            closed = None
-            echo = {"which": "gain", "a": args.a, "b": args.b, "c": args.c}
-        config = rates.RateConfig(rounds=args.rounds,
-                                  descent=replace(rates.REPORT_DESCENT, seed=args.seed))
-        rep = rates.rate_report(pmf, config)
-        result = {**rep.to_json(), "pmf": pmf.to_json()}
-        if closed is not None:
-            result["closed_form"] = closed
-        _emit(_envelope(args, {**echo, **config.to_json()}, result), args)
         return 0
 
     raise ValueError(f"unknown command {cmd!r}")

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 
 from . import chains, structure, wyner
-from .errors import NoFeasiblePoint
 from .optim import PenaltyConfig
 from .pmf import JointPMF, entropy, mutual_information
 from .sources import binary_symmetric_delta
@@ -64,8 +63,6 @@ def rate_report(pmf: JointPMF, config: RateConfig | None = None) -> RateReport:
     """Compute the full quantity family for one source."""
     config = config or RateConfig()
     r = config.rounds
-    if r < 1:
-        raise ValueError("rounds must be at least 1")
     t = pmf.to_tensor()
     h_x = entropy(t, "x")
     h_y = entropy(t, "y")
@@ -80,34 +77,14 @@ def rate_report(pmf: JointPMF, config: RateConfig | None = None) -> RateReport:
         "wyner_ub": "upper bound",
     }
 
-    seed_chains = []
-    candidates: list[float] = [ci1_x]
-    if r >= 2:
-        candidates.append(ci1_y)
     nx, ny = pmf.shape
-    caps = chains.effective_caps(nx, ny, r, config.det_caps, "x")
     delta = binary_symmetric_delta(pmf)
-    run_continuous = config.include_continuous and delta is None
-    # one search per report, whose winner the continuous route starts from
-    try:
-        searched = chains.det_chain_search(pmf, r, config.det_caps, budget=config.det_budget)
-    except (chains.BudgetExceeded, chains.NoFeasibleChain):
-        # search over its budget or caps too tight for an exactly splitting
-        # chain; the one-round values still bound the report
-        searched = None
-    else:
-        candidates.append(searched.objective)
-        seed_chains.append(searched.chain)
-
-    if run_continuous:
-        try:
-            cont = chains.continuous_chain_minimize(
-                pmf, caps, config.descent, start=searched.chain if searched else None)
-        except NoFeasiblePoint:
-            cont = None
-        if cont is not None and cont.feasible:
-            candidates.append(cont.objective)
-            seed_chains.append(cont.chain)
+    routes = chains.chain_routes(pmf, r, config.det_caps, config.det_budget, config.descent,
+                                 cont=config.include_continuous and delta is None)
+    # a failed route, or one whose chain is infeasible, is left out; the
+    # one-round values still bound the report
+    found = [res for res in routes.values()
+             if isinstance(res, chains.ChainResult) and res.feasible]
 
     if delta is not None:
         # doubly symmetric binary: the r-round optimum is exactly min{H(X), H(Y)}
@@ -117,13 +94,13 @@ def rate_report(pmf: JointPMF, config: RateConfig | None = None) -> RateReport:
         cir_ub = ci1_x
         provenance["cir_ub"] = "exact (sufficient statistic)"
     else:
-        cir_ub = min(candidates)
+        cir_ub = min([ci1_x, ci1_y] + [res.objective for res in found])
         provenance["cir_ub"] = "upper bound"
     provenance["r_sk_r"] = provenance["cir_ub"]
 
     extra = []
-    for i, ch in enumerate(seed_chains):
-        k = chains.chain_to_aux_kernel(pmf, ch, nx * ny)
+    for i, res in enumerate(found):
+        k = chains.chain_to_aux_kernel(pmf, res.chain, nx * ny)
         if k is not None:
             extra.append((f"chain-induced-{i}", k))
     wr = wyner.wyner_minimize(pmf, config.descent, extra_kernels=extra)

@@ -426,6 +426,87 @@ class TestContinuous:
                 assert obj >= mi - 1e-6
 
 
+class TestChainRoutes:
+    LIGHT = PenaltyConfig(restarts=1, max_iter=50)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Every det search and descent a route runs: its name, the caps or
+        sizes it ran at, and what it returned or raised."""
+        calls = []
+
+        def spy(name, fn):
+            def counted(pmf, rounds_or_sizes, *args, **kwargs):
+                at = args[0] if name == "det" else rounds_or_sizes
+                try:
+                    out = fn(pmf, rounds_or_sizes, *args, **kwargs)
+                except Exception as exc:
+                    calls.append((name, at, exc))
+                    raise
+                calls.append((name, at, out))
+                return out
+            return counted
+
+        monkeypatch.setattr(chains, "det_chain_search", spy("det", chains.det_chain_search))
+        monkeypatch.setattr(chains, "continuous_chain_minimize",
+                            spy("cont", chains.continuous_chain_minimize))
+        return calls
+
+    def test_an_over_budget_search_hands_no_start(self, gain, calls):
+        routes = chains.chain_routes(gain, 2, None, 0, self.LIGHT)
+        assert list(routes) == ["det", "cont"]
+        assert isinstance(routes["det"], BudgetExceeded)
+        assert isinstance(routes["cont"], chains.ChainResult)
+        labels = [label for label, _, _ in routes["cont"].candidates]
+        assert "copy" in labels and "det-best" not in labels
+        assert [name for name, _, _ in calls] == ["det", "cont"]
+
+    def test_failed_routes_are_returned(self, gain):
+        from cit import NoFeasibleChain, NoFeasiblePoint
+
+        routes = chains.chain_routes(gain, 2, (1, 2), 2_000_000, self.LIGHT)
+        assert isinstance(routes["det"], NoFeasibleChain)
+        assert isinstance(routes["cont"], NoFeasiblePoint)
+
+    def test_the_det_winner_starts_the_descent(self, gain, calls):
+        routes = chains.chain_routes(gain, 2, None, 2_000_000, self.LIGHT)
+        assert [(name, at) for name, at, _ in calls] == [("det", None), ("cont", (4, 4))]
+        scored = chain_objective(gain, routes["det"].chain.padded((4, 4)))
+        assert routes["cont"].candidates[0] == ("det-best", scored.objective, scored.residual)
+
+    def test_given_sizes_search_once_more(self, gain, calls):
+        routes = chains.chain_routes(gain, 2, (2, 3), 2_000_000, self.LIGHT, sizes=(3, 3))
+        assert [(name, at) for name, at, _ in calls] == \
+            [("det", (2, 3)), ("det", (3, 3)), ("cont", (3, 3))]
+        assert calls[0][2] is routes["det"]
+        scored = chain_objective(gain, calls[1][2].chain.padded((3, 3)))
+        assert routes["cont"].candidates[0] == ("det-best", scored.objective, scored.residual)
+
+    @pytest.mark.parametrize("det, cont, want", [
+        (False, True, [("det", (4, 4)), ("cont", (4, 4))]),
+        (True, False, [("det", None)]),
+        (False, False, []),
+    ])
+    def test_only_the_requested_routes_run(self, gain, calls, det, cont, want):
+        routes = chains.chain_routes(gain, 2, None, 2_000_000, self.LIGHT, det=det, cont=cont)
+        assert [(name, at) for name, at, _ in calls] == want
+        assert list(routes) == [name for name, on in (("det", det), ("cont", cont)) if on]
+
+    @pytest.mark.parametrize("rounds, caps, sizes, message", [
+        (0, None, None, "rounds must be at least 1"),
+        (2, (3,), None, "need one size cap per round: 1 given for 2 rounds"),
+        (2, None, (3, 3, 3), "need one size cap per round: 3 given for 2 rounds"),
+        (2, (3, 3), (0, 3), "round 1 cap must be at least 1"),
+    ])
+    @pytest.mark.parametrize("det, cont", [(True, True), (False, False)])
+    def test_bad_rounds_or_caps_raise_before_any_route(self, gain, calls, rounds, caps, sizes,
+                                                       message, det, cont):
+        with pytest.raises(ValueError, match=message):
+            chains.chain_routes(gain, rounds, caps, 2_000_000, self.LIGHT, sizes=sizes,
+                                det=det, cont=cont)
+        assert calls == []
+
+
 class TestBssClosedForm:
     def test_quarter(self):
         cf = bss_closed_form(0.25)

@@ -87,7 +87,10 @@ class TestBasicCommands:
         ["rates", "--caps"],
         ["ici", "--mode", "det", "--caps"],
         ["ici", "--mode", "cont", "--sizes"],
-    ], ids=["rates", "ici-det", "ici-cont"])
+        ["ici", "--mode", "exact1", "--caps"],
+        ["ici", "--mode", "det", "--sizes"],
+        ["ici", "--mode", "cont", "--sizes", "3,3", "--caps"],
+    ], ids=["rates", "ici-det", "ici-cont", "ici-exact1", "ici-det-sizes", "ici-cont-caps"])
     @pytest.mark.parametrize("count", [0, 1, 3])
     def test_caps_need_one_entry_per_round(self, gain_file, argv, count):
         code, out = run_cli(argv[:1] + ["--pmf", gain_file, "--rounds", "2"] + argv[1:]
@@ -444,7 +447,7 @@ class TestErrorsAndIO:
         assert code == 2
         assert json.loads(out)["error"]["type"] == "BudgetExceeded"
 
-    @pytest.mark.parametrize("mode", ["all", "det", "cont"])
+    @pytest.mark.parametrize("mode", ["all", "det", "cont", "exact1"])
     def test_ici_needs_a_round(self, pmf_file, mode):
         code, out = run_cli(["ici", "--pmf", pmf_file, "--rounds", "0", "--mode", mode])
         assert code == 2
