@@ -211,7 +211,8 @@ class ChainResult:
     # and set partitions scored, the rebuild's included
     states: int | None = None
     moves: int | None = None
-    # penalty descent only: the descent itself, its traces filled only when asked for
+    # penalty descent only: the descent itself, every candidate's kernels,
+    # iterations and stop reasons
     outcome: PenaltyOutcome | None = field(default=None, compare=False, repr=False)
 
     def to_json(self) -> dict:
@@ -578,19 +579,19 @@ def continuous_chain_minimize(
     *,
     start: DeterministicChain | None = None,
     initiator: str = "x",
-    keep_traces: bool = False,
 ) -> ChainResult:
     """Penalty-method upper bound over randomized chains of the given sizes,
     one round per size.
 
     Mandatory start points: `start` padded to `sizes` (labelled "det-best";
-    `chain_routes` hands it the winner of a `det_chain_search` at `sizes`),
-    the copy chain and the constant chain; each is also scored exactly as a
+    `chain_routes` hands it the winner of a `det_chain_search` at `sizes`,
+    the det route's own when that searched at the same caps), the copy
+    chain and the constant chain; each is also scored exactly as a
     candidate, and a chain whose kernels equal an earlier one's, byte for
     byte, is skipped. Feasibility threshold: `optim.FEASIBILITY_TOL` bits.
-    `keep_traces` records the descent's value traces in the result's
-    `outcome`. Raises ValueError for empty `sizes` and for a `start` spoken
-    first by another side than `initiator`.
+    The result's `outcome` holds every candidate of the descent. Raises
+    ValueError for empty `sizes` and for a `start` spoken first by another
+    side than `initiator`.
     """
     sizes = tuple(int(s) for s in sizes)
     if not sizes:
@@ -616,7 +617,7 @@ def continuous_chain_minimize(
     def evaluate(kernels):
         return objective_residual(_product_law(pmf.p, [k[None] for k in kernels], initiator)[0])
 
-    outcome = penalized_minimize(starts, exact, vag, evaluate, config, keep_traces=keep_traces)
+    outcome = penalized_minimize(starts, exact, vag, evaluate, config)
     chain = AuxiliaryChain(initiator, tuple(renormalize(k) for k in outcome.best.kernels))
     return replace(chain_objective(pmf, chain), outcome=outcome,
                    candidates=tuple((c.label, c.objective, c.residual) for c in outcome.candidates))
@@ -625,20 +626,22 @@ def continuous_chain_minimize(
 def chain_routes(
     pmf: JointPMF, rounds: int, caps: Sequence[int] | None, budget: int, descent: PenaltyConfig,
     *, det: bool = True, cont: bool = True, sizes: Sequence[int] | None = None, initiator: str = "x",
-) -> dict[str, ChainResult | BudgetExceeded | NoFeasibleChain | NoFeasiblePoint]:
-    """Each requested route by name, "det" then "cont": its ChainResult, or
-    the error that left it out. "det" searches at `caps`. "cont" descends
-    at `sizes` (default `effective_caps` of `caps`) from the "det" winner,
-    or, given `sizes` or without "det", from a search of its own at `sizes`;
-    a failed search hands it no start. `rounds`, `caps` and `sizes` are
-    checked before any route runs; a ValueError is raised, never returned."""
+) -> Iterator[tuple[str, ChainResult | BudgetExceeded | NoFeasibleChain | NoFeasiblePoint]]:
+    """Each requested route, "det" then "cont", as a (name, result) pair
+    computed only when read: its ChainResult, or the error that left it
+    out. "det" searches at `caps`. "cont" descends at `sizes` (default
+    `effective_caps` of `caps`) from the "det" winner when "det" searched
+    at those caps, and otherwise from one search at `sizes`; a failed
+    search hands it no start. `rounds`, `caps` and `sizes` (its count,
+    entries and cardinality ceilings) are checked before this returns; a
+    ValueError is raised, never returned."""
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
     nx, ny = pmf.shape
-    own_search = sizes is not None or not det
     at_caps = effective_caps(nx, ny, rounds, caps, initiator)
-    sizes = at_caps if sizes is None else sizes
+    sizes = at_caps if sizes is None else tuple(int(s) for s in sizes)
     effective_caps(nx, ny, rounds, sizes, initiator)  # raises on a bad count or entry
+    _check_p3(sizes, [speaker_size(j, initiator, nx, ny) for j in range(1, rounds + 1)])
 
     def search(size_caps):
         try:
@@ -646,18 +649,22 @@ def chain_routes(
         except (BudgetExceeded, NoFeasibleChain) as exc:
             return exc
 
-    routes = {}
-    if det:
-        routes["det"] = search(caps)
-    if cont:
-        searched = search(sizes) if own_search else routes["det"]
-        try:
-            routes["cont"] = continuous_chain_minimize(
-                pmf, sizes, descent, initiator=initiator,
-                start=searched.chain if isinstance(searched, ChainResult) else None)
-        except NoFeasiblePoint as exc:
-            routes["cont"] = exc
-    return routes
+    def run():
+        if det:
+            searched = search(caps)
+            yield "det", searched
+        if cont:
+            if not det or sizes != at_caps:
+                searched = search(sizes)
+            try:
+                res = continuous_chain_minimize(
+                    pmf, sizes, descent, initiator=initiator,
+                    start=searched.chain if isinstance(searched, ChainResult) else None)
+            except NoFeasiblePoint as exc:
+                res = exc
+            yield "cont", res
+
+    return run()
 
 
 # ---------------------------------------------------------------------------

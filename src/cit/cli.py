@@ -114,7 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("wyner", help="upper bound on the splitting-variable rate")
     common(p)
     p.add_argument("--w-size", type=int, default=None)
-    p.add_argument("--restarts", type=int, default=wyner.WYNER_CONFIG.restarts)
+    p.add_argument("--restarts", type=_nonnegative, default=wyner.WYNER_CONFIG.restarts)
     p.add_argument("--max-iter", type=_nonnegative, default=wyner.WYNER_CONFIG.max_iter)
     p.add_argument("--penalty", type=_finite_list, default=optim.PENALTY_SCHEDULE,
                    help="penalty schedule, comma-separated finite numbers")
@@ -130,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="most set partitions a det search may score, its rebuild "
                         "included: the det mode stops with BudgetExceeded, the cont "
                         "mode starts without the det chain")
-    p.add_argument("--restarts", type=int, default=chains.CONT_CONFIG.restarts)
+    p.add_argument("--restarts", type=_nonnegative, default=chains.CONT_CONFIG.restarts)
 
     p = sub.add_parser("rates", help="assembled rate report")
     common(p)
@@ -354,7 +354,8 @@ def _dispatch(args) -> int:
                 "initiator": args.initiator,
                 "value": chains.ci1_exact(pmf, args.initiator),
             }
-        for name, res in routes.items():
+        # the first failed route ends the run before a later one starts
+        for name, res in routes:
             if isinstance(res, CitError):
                 raise res
             result[name] = res.to_json()

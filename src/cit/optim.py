@@ -23,7 +23,7 @@ interactive chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, ClassVar, Iterable, Sequence
 
 import numpy as np
@@ -72,11 +72,13 @@ class Candidate:
 
 @dataclass
 class PenaltyOutcome:
+    """One descent's candidates, exact ones first, and its best feasible one.
+    It keeps each candidate's final kernels, iterations and stop reasons,
+    not the values along the way."""
+
     best: Candidate
     candidates: list[Candidate]
     iterations: int
-    # per optimized start, one value trace per penalty stage
-    descent_traces: list[list[np.ndarray]] = field(default_factory=list)
     # value-and-grad calls per penalty stage: its slowest start's iterations + 1
     calls: tuple[int, ...] = ()
 
@@ -161,7 +163,6 @@ def _eg_stage(
     lam: float,
     value_and_grad: Callable,
     cfg: PenaltyConfig,
-    traces: list[list[float]] | None,
 ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, int]:
     """Run one penalty stage for every start on the kernels' leading axis.
 
@@ -181,9 +182,6 @@ def _eg_stage(
     rows = np.arange(n)
     val, grads = value_and_grad(kernels, lam)
     calls = 1
-    if traces is not None:
-        for trace, v in zip(traces, val):
-            trace.append(v)
     step = np.full(n, STEP_SIZE)
     stall = np.zeros(n, dtype=int)
     for it in range(1, cfg.max_iter + 1):
@@ -197,9 +195,6 @@ def _eg_stage(
             step = np.minimum(step * 1.25, 64.0)
             stall = np.where(small, stall + 1, 0)
             done = stall >= PATIENCE
-            if traces is not None:
-                for r, v in zip(rows, val):
-                    traces[r].append(v)
         else:
             kernels = [np.where(_per_start(accept, k.ndim), p, k)
                        for p, k in zip(proposal, kernels)]
@@ -208,9 +203,6 @@ def _eg_stage(
             step = np.where(accept, np.minimum(step * 1.25, 64.0), step * 0.5)
             stall = np.where(accept, np.where(small, stall + 1, 0), stall)
             done = (stall >= PATIENCE) | (step < 1e-9)
-            if traces is not None:
-                for r, v in zip(rows[accept], val[accept]):
-                    traces[r].append(v)
         if not done.any():
             continue
         stalled = stall >= PATIENCE
@@ -237,7 +229,6 @@ def penalized_minimize(
     value_and_grad: Callable,
     evaluate: Callable,
     cfg: PenaltyConfig,
-    keep_traces: bool = False,
 ) -> PenaltyOutcome:
     """Optimize from every start, add exact candidates, reduce deterministically.
 
@@ -255,7 +246,6 @@ def penalized_minimize(
                                      tuple(np.asarray(k, dtype=float) for k in kernels),
                                      label, order))
 
-    traces: list[list[np.ndarray]] = []
     iterations = 0
     calls: list[int] = []
     if seeded_starts:
@@ -264,18 +254,12 @@ def penalized_minimize(
                    for ks in zip(*(start for _, start in seeded_starts))]
         used = np.zeros(n, dtype=int)
         stops = []
-        traces = [[] for _ in range(n)] if keep_traces else []
         for lam in cfg.penalty_schedule:
-            stage: list[list[float]] | None = [[] for _ in range(n)] if keep_traces else None
             kernels, stage_used, stage_stops, stage_calls = _eg_stage(
-                kernels, lam, value_and_grad, cfg, stage)
+                kernels, lam, value_and_grad, cfg)
             used += stage_used
             calls.append(stage_calls)
             stops.append(stage_stops)
-            if keep_traces:
-                # one trace per stage; monotonicity holds within a stage only
-                for trace, values in zip(traces, stage):
-                    trace.append(np.array(values))
         for i, (label, _) in enumerate(seeded_starts):
             final = [k[i] for k in kernels]
             objective, residual = evaluate(final)
@@ -288,7 +272,7 @@ def penalized_minimize(
     if not feasible:
         raise NoFeasiblePoint(f"no candidate reached residual <= {FEASIBILITY_TOL}")
     best = min(feasible, key=lambda c: c.sort_key)
-    return PenaltyOutcome(best, candidates, iterations, traces, tuple(calls))
+    return PenaltyOutcome(best, candidates, iterations, tuple(calls))
 
 
 def descent_starts(

@@ -52,12 +52,6 @@ class FiniteAlphabet:
     def size(self) -> int:
         return len(self.symbols)
 
-    def index(self, symbol: str) -> int:
-        try:
-            return self.symbols.index(symbol)
-        except ValueError:
-            raise KeyError(f"symbol {symbol!r} not in alphabet") from None
-
     @staticmethod
     def of_size(n: int, prefix: str = "") -> "FiniteAlphabet":
         return FiniteAlphabet(tuple(f"{prefix}{i}" for i in range(n)))
@@ -238,10 +232,7 @@ class TensorPMF:
         drop = tuple(i for i in range(self.arity) if i not in keep)
         return self.p.sum(axis=drop) if drop else self.p
 
-    def with_function_axis(
-        self, source_axis: str, class_of: Sequence[int], name: str,
-        labels: Sequence[str] | None = None,
-    ) -> "TensorPMF":
+    def with_function_axis(self, source_axis: str, class_of: Sequence[int], name: str) -> "TensorPMF":
         """Append a deterministic axis computed symbolwise from `source_axis`."""
         src = self.axis(source_axis)
         class_of = np.asarray(class_of, dtype=int)
@@ -252,9 +243,8 @@ class TensorPMF:
         shape = [1] * self.arity + [n_cls]
         shape[src] = self.p.shape[src]
         new_p = self.p[..., None] * ind.reshape(shape)
-        alpha = FiniteAlphabet(tuple(labels) if labels is not None
-                               else tuple(str(i) for i in range(n_cls)))
-        return TensorPMF(self.names + (name,), self.alphabets + (alpha,), new_p)
+        return TensorPMF(self.names + (name,), self.alphabets + (FiniteAlphabet.of_size(n_cls),),
+                         new_p)
 
 
 def one_hot(table: np.ndarray, size: int) -> np.ndarray:

@@ -83,8 +83,7 @@ def rate_report(pmf: JointPMF, config: RateConfig | None = None) -> RateReport:
                                  cont=config.include_continuous and delta is None)
     # a failed route, or one whose chain is infeasible, is left out; the
     # one-round values still bound the report
-    found = [res for res in routes.values()
-             if isinstance(res, chains.ChainResult) and res.feasible]
+    found = [res for _, res in routes if isinstance(res, chains.ChainResult) and res.feasible]
 
     if delta is not None:
         # doubly symmetric binary: the r-round optimum is exactly min{H(X), H(Y)}

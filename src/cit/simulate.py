@@ -253,7 +253,7 @@ def sw_binning_simulate(
         raise RateOutOfRange(f"rate must lie in (0, log2 |X|] = (0, {log_alpha:.4f}], got {rate}")
     k_bits = min(math.ceil(n * rate - 1e-12), math.ceil(n * log_alpha - 1e-12))
     # log P(x | y) per (x value, y value)
-    cond = np.where(pmf.marginal_y[None, :] > 0, pmf.p / np.where(pmf.marginal_y[None, :] > 0, pmf.marginal_y[None, :], 1.0), 0.0)
+    cond = pmf.conditional_rows("y").T
     ll = _safe_log(cond)
 
     errors = 0
@@ -519,10 +519,11 @@ def _run_rows(stages: list[_Stage], key_hash: AffineGf2Hash, xd: np.ndarray, yd:
 
 
 def _exact_entropies(
-    pmf: JointPMF, cells: np.ndarray, n: int, stages: list[_Stage], key_hash: AffineGf2Hash
+    pmf: JointPMF, cells: np.ndarray, n: int, n_rows: int, stages: list[_Stage],
+    key_hash: AffineGf2Hash,
 ) -> tuple[float, float, float]:
     """(H(K), H(F), H(K, F)) in bits over every block of the support `cells`
-    of P, each weighted by its probability.
+    of P, each weighted by its probability; `n_rows` = s^n blocks.
 
     Row c of the enumeration picks cell c // s^t % s at position t, s the
     support size; its weight multiplies the cells' masses in position order.
@@ -534,7 +535,6 @@ def _exact_entropies(
     opens its pair too. The KF budget caps the table at 2^22 cells.
     """
     support = len(cells)
-    n_rows = support ** n
     f_bits = sum(st.k_bits for st in stages)
     probs = pmf.p[cells[:, 0], cells[:, 1]]
     block = max(1, EXACT_BLOCK_CELLS // n)
@@ -613,14 +613,14 @@ def cr_sk_simulate(
     # leakage and uniformity: exact by support enumeration when affordable
     cells = np.argwhere(pmf.p > 0)
     support = cells.shape[0]
-    n_rows = support ** n if support > 1 else 1
+    n_rows = support ** n
     exact = (
         n_rows <= EXACT_ROWS_BUDGET
         and n_rows * n <= EXACT_CELLS_BUDGET
-        and (1 << key_bits) * (1 << min(comm_bits, 40)) <= KF_TABLE_BUDGET
+        and 1 << (key_bits + comm_bits) <= KF_TABLE_BUDGET
     )
     if exact:
-        h_k, h_f, h_kf = _exact_entropies(pmf, cells, n, stages, key_hash)
+        h_k, h_f, h_kf = _exact_entropies(pmf, cells, n, n_rows, stages, key_hash)
     else:
         h_k, h_f, h_kf = _key_transcript_entropies(keys, transcript, np.ones(trials))
     leakage = max(h_k + h_f - h_kf, 0.0) / n

@@ -61,12 +61,6 @@ class Labeling:
     def to_json(self) -> dict:
         return {"classes": self.classes()}
 
-    @staticmethod
-    def from_json(obj: dict, alphabet: FiniteAlphabet) -> "Labeling":
-        classes = obj["classes"]
-        class_of = tuple(int(classes[s]) for s in alphabet.symbols)
-        return Labeling(alphabet, class_of, max(class_of) + 1)
-
 
 def _components(n: int, links) -> list[int]:
     """A representative for each of `n` nodes once the node pairs `links`

@@ -65,7 +65,7 @@ class WynerResult:
     iterations: int
     feasible: bool
     candidates: tuple[tuple[str, float, float], ...] = field(default=())
-    # the descent itself, its traces filled only when asked for
+    # the descent itself: every candidate's kernels, iterations and stop reasons
     outcome: PenaltyOutcome | None = field(default=None, compare=False, repr=False)
 
     def to_json(self) -> dict:
@@ -142,7 +142,6 @@ def wyner_minimize(
     *,
     w_size: int | None = None,
     extra_kernels: Sequence[tuple[str, np.ndarray]] = (),
-    keep_traces: bool = False,
 ) -> WynerResult:
     """Penalty-method upper bound on the splitting rate over |W| = `w_size`,
     by default |X||Y|.
@@ -153,7 +152,6 @@ def wyner_minimize(
     (|X|, |Y|, `w_size`) or KernelInvalid is raised. Each is evaluated
     exactly as a candidate and also used, slightly smoothed, as a start;
     a kernel equal to an earlier one, byte for byte, is skipped.
-    `keep_traces` records the descent's value traces in `outcome`.
     """
     nx, ny = pmf.shape
     w_size = w_size if w_size is not None else nx * ny
@@ -173,7 +171,7 @@ def wyner_minimize(
     def evaluate(kernels):
         return objective_residual(normalized(pmf.p[:, :, None] * renormalize(kernels[0])))
 
-    outcome = penalized_minimize(starts, exact, vag, evaluate, config, keep_traces=keep_traces)
+    outcome = penalized_minimize(starts, exact, vag, evaluate, config)
     best = outcome.best
     return WynerResult(
         value=best.objective,

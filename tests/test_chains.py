@@ -1,4 +1,7 @@
+import contextlib
+import io
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from cit import (
     chain_objective,
     chains,
     ci1_exact,
+    cli,
     continuous_chain_minimize,
     det_chain_search,
     entropy,
@@ -453,7 +457,7 @@ class TestChainRoutes:
         return calls
 
     def test_an_over_budget_search_hands_no_start(self, gain, calls):
-        routes = chains.chain_routes(gain, 2, None, 0, self.LIGHT)
+        routes = dict(chains.chain_routes(gain, 2, None, 0, self.LIGHT))
         assert list(routes) == ["det", "cont"]
         assert isinstance(routes["det"], BudgetExceeded)
         assert isinstance(routes["cont"], chains.ChainResult)
@@ -464,18 +468,25 @@ class TestChainRoutes:
     def test_failed_routes_are_returned(self, gain):
         from cit import NoFeasibleChain, NoFeasiblePoint
 
-        routes = chains.chain_routes(gain, 2, (1, 2), 2_000_000, self.LIGHT)
+        routes = dict(chains.chain_routes(gain, 2, (1, 2), 2_000_000, self.LIGHT))
         assert isinstance(routes["det"], NoFeasibleChain)
         assert isinstance(routes["cont"], NoFeasiblePoint)
 
     def test_the_det_winner_starts_the_descent(self, gain, calls):
-        routes = chains.chain_routes(gain, 2, None, 2_000_000, self.LIGHT)
+        routes = dict(chains.chain_routes(gain, 2, None, 2_000_000, self.LIGHT))
         assert [(name, at) for name, at, _ in calls] == [("det", None), ("cont", (4, 4))]
         scored = chain_objective(gain, routes["det"].chain.padded((4, 4)))
         assert routes["cont"].candidates[0] == ("det-best", scored.objective, scored.residual)
 
+    @pytest.mark.parametrize("caps, sizes", [(None, (4, 4)), ((2, 3), (2, 3)), ((9, 9), (4, 9))])
+    def test_sizes_at_the_det_caps_reuse_its_search(self, gain, calls, caps, sizes):
+        routes = dict(chains.chain_routes(gain, 2, caps, 2_000_000, self.LIGHT, sizes=sizes))
+        assert [(name, at) for name, at, _ in calls] == [("det", caps), ("cont", sizes)]
+        scored = chain_objective(gain, routes["det"].chain.padded(sizes))
+        assert routes["cont"].candidates[0] == ("det-best", scored.objective, scored.residual)
+
     def test_given_sizes_search_once_more(self, gain, calls):
-        routes = chains.chain_routes(gain, 2, (2, 3), 2_000_000, self.LIGHT, sizes=(3, 3))
+        routes = dict(chains.chain_routes(gain, 2, (2, 3), 2_000_000, self.LIGHT, sizes=(3, 3)))
         assert [(name, at) for name, at, _ in calls] == \
             [("det", (2, 3)), ("det", (3, 3)), ("cont", (3, 3))]
         assert calls[0][2] is routes["det"]
@@ -488,7 +499,8 @@ class TestChainRoutes:
         (False, False, []),
     ])
     def test_only_the_requested_routes_run(self, gain, calls, det, cont, want):
-        routes = chains.chain_routes(gain, 2, None, 2_000_000, self.LIGHT, det=det, cont=cont)
+        routes = dict(chains.chain_routes(gain, 2, None, 2_000_000, self.LIGHT, det=det,
+                                          cont=cont))
         assert [(name, at) for name, at, _ in calls] == want
         assert list(routes) == [name for name, on in (("det", det), ("cont", cont)) if on]
 
@@ -497,6 +509,8 @@ class TestChainRoutes:
         (2, (3,), None, "need one size cap per round: 1 given for 2 rounds"),
         (2, None, (3, 3, 3), "need one size cap per round: 3 given for 2 rounds"),
         (2, (3, 3), (0, 3), "round 1 cap must be at least 1"),
+        (2, None, (9, 9), "round 1: |U|=9 exceeds the cardinality ceiling 4"),
+        (2, None, (4, 14), "round 2: |U|=14 exceeds the cardinality ceiling 13"),
     ])
     @pytest.mark.parametrize("det, cont", [(True, True), (False, False)])
     def test_bad_rounds_or_caps_raise_before_any_route(self, gain, calls, rounds, caps, sizes,
@@ -505,6 +519,49 @@ class TestChainRoutes:
             chains.chain_routes(gain, rounds, caps, 2_000_000, self.LIGHT, sizes=sizes,
                                 det=det, cont=cont)
         assert calls == []
+
+    def test_routes_run_as_they_are_read(self, gain, calls):
+        routes = chains.chain_routes(gain, 2, None, 0, self.LIGHT)
+        assert calls == []
+        name, det = next(routes)
+        assert (name, [n for n, _, _ in calls]) == ("det", ["det"])
+        assert isinstance(det, BudgetExceeded)
+        assert next(routes)[0] == "cont"
+        assert [n for n, _, _ in calls] == ["det", "cont"]
+        assert next(routes, None) is None
+
+    def _ici(self, gain, tmp_path, *flags):
+        path = tmp_path / "gain.json"
+        save_pmf(gain, str(path))
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.run(["ici", "--pmf", str(path), "--rounds", "2", "--restarts", "1",
+                            *flags])
+        return code, json.loads(buf.getvalue())
+
+    def test_ici_stops_at_a_failed_det_route(self, gain, tmp_path, calls):
+        code, out = self._ici(gain, tmp_path, "--mode", "all", "--budget", "0")
+        assert [name for name, _, _ in calls] == ["det"]
+        det_alone = self._ici(gain, tmp_path, "--mode", "det", "--budget", "0")
+        assert (code, out) == det_alone
+        assert out["error"] == {"type": "BudgetExceeded",
+                                "message": "1 set partitions scored exceed the budget 0"}
+
+    @pytest.mark.parametrize("flags, want", [
+        (["--sizes", "4,4"], [("det", None), ("cont", (4, 4))]),
+        (["--caps", "2,3", "--sizes", "2,3"], [("det", (2, 3)), ("cont", (2, 3))]),
+    ])
+    def test_ici_sizes_at_the_det_caps_search_once(self, gain, tmp_path, calls, flags, want):
+        code, out = self._ici(gain, tmp_path, "--mode", "all", *flags)
+        assert code == 0, out
+        assert [(name, at) for name, at, _ in calls] == want
+
+    @pytest.mark.parametrize("mode", ["exact1", "det", "cont", "all"])
+    def test_ici_sizes_above_the_ceiling_run_no_route(self, gain, tmp_path, calls, mode):
+        code, out = self._ici(gain, tmp_path, "--mode", mode, "--sizes", "9,9")
+        assert calls == []
+        assert (code, out) == (2, {"error": {
+            "type": "ValueError", "message": "round 1: |U|=9 exceeds the cardinality ceiling 4"}})
 
 
 class TestBssClosedForm:

@@ -2,6 +2,8 @@ import contextlib
 import csv
 import io
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -455,13 +457,14 @@ class TestErrorsAndIO:
                                             "message": "rounds must be at least 1"}
 
     @pytest.mark.parametrize("argv, restarts", [(["wyner", "--max-iter", "50"], "-1"),
-                                                (["ici", "--rounds", "1", "--mode", "cont"], "-2")])
-    def test_negative_restarts_are_an_error(self, pmf_file, argv, restarts):
+                                                (["ici", "--rounds", "2", "--mode", "cont"], "-2")])
+    def test_negative_restarts_are_an_error(self, pmf_file, argv, restarts, capsys):
+        # a usage error: argparse rejects it before any route runs
         argv = argv[:1] + ["--pmf", pmf_file] + argv[1:]
         code, out = run_cli(argv + ["--restarts", restarts])
-        assert code == 2
-        assert json.loads(out)["error"] == {
-            "type": "ValueError", "message": f"restarts must be at least 0, got {restarts}"}
+        assert (code, out) == (2, "")
+        assert f"argument --restarts: must be a nonnegative integer, got {restarts!r}" in \
+            capsys.readouterr().err
         # no random starts is still a valid run
         code, out = run_cli(argv + ["--restarts", "0"])
         assert code == 0, out
@@ -491,3 +494,13 @@ class TestErrorsAndIO:
         monkeypatch.setenv("CIT_THREADS", "abc")
         code, _ = run_cli(["gk", "--pmf", pmf_file, "--threads", "1"])
         assert code == 0
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    lines = [line for line in block.splitlines() if line.startswith("cit ")]
+    assert len(lines) == 13
+    parser = cli._build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])

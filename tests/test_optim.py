@@ -4,12 +4,16 @@
 reference below is the loop it replaced: one start, one stage at a time,
 built on the same value-and-grad routines and `_eg_step` called with a
 batch of one. Both must give the same bits: every candidate's objective and
-residual, its kernels, its iteration count, its stop reasons and its traces.
+residual, its kernels, its iteration count and its stop reasons. The
+engine keeps no values along the way; the reference records them, one
+trace per start and stage, and the checks on traces read those, which the
+engine's steps match bit for bit.
 
 Because the reference shares those routines, it cannot see a change inside
 them. `golden_descent.json` pins their bits independently: values recorded
 from the descent before its iteration was trimmed to fewer array calls, to
-be re-recorded only by a change that means to move a bound.
+be re-recorded only by a change that means to move a bound. Its digests
+cover the candidates' kernels and the reference's traces.
 """
 
 import contextlib
@@ -90,9 +94,9 @@ def _captured(module, monkeypatch, run):
     seen = {}
     minimize = module.penalized_minimize
 
-    def capture(starts, exact, vag, evaluate, cfg, keep_traces=False):
+    def capture(starts, exact, vag, evaluate, cfg):
         seen.update(starts=starts, exact=exact, vag=vag, evaluate=evaluate, cfg=cfg)
-        seen["outcome"] = minimize(starts, exact, vag, evaluate, cfg, keep_traces=keep_traces)
+        seen["outcome"] = minimize(starts, exact, vag, evaluate, cfg)
         return seen["outcome"]
 
     monkeypatch.setattr(module, "penalized_minimize", capture)
@@ -100,22 +104,25 @@ def _captured(module, monkeypatch, run):
     return seen
 
 
+def _references(seen) -> list[Reference]:
+    """The reference descent of every start handed to `penalized_minimize`."""
+    return [_reference_start(start, seen["vag"], seen["evaluate"], seen["cfg"])
+            for _, start in seen["starts"]]
+
+
 def _assert_matches_reference(seen):
     outcome = seen["outcome"]
     optimized = outcome.candidates[len(seen["exact"]):]
     assert len(optimized) == len(seen["starts"])
     assert all(c.stops == () for c in outcome.candidates[:len(seen["exact"])])
-    refs = []
-    for cand, trace, (label, start) in zip(optimized, outcome.descent_traces, seen["starts"]):
-        ref = _reference_start(start, seen["vag"], seen["evaluate"], seen["cfg"])
+    refs = _references(seen)
+    for cand, ref, (label, _) in zip(optimized, refs, seen["starts"]):
         assert cand.label == label
         assert float(cand.objective).hex() == float(ref.objective).hex()
         assert float(cand.residual).hex() == float(ref.residual).hex()
         assert [k.tobytes() for k in cand.kernels] == [k.tobytes() for k in ref.kernels]
         assert cand.iterations == sum(used for used, _ in ref.stages)
         assert cand.stops == tuple(reason for _, reason in ref.stages)
-        assert [t.tobytes() for t in trace] == [t.tobytes() for t in ref.traces]
-        refs.append(ref)
     assert outcome.iterations == sum(c.iterations for c in optimized)
     # one value-and-grad call per iteration of the stage's slowest start, plus the first
     assert outcome.calls == tuple(max(ref.stages[s][0] for ref in refs) + 1
@@ -140,8 +147,7 @@ WYNER_CASES = {
 def test_wyner_matches_reference(case, monkeypatch):
     make, config = WYNER_CASES[case]
     pmf = make()
-    seen = _captured(wyner, monkeypatch,
-                     lambda: wyner_minimize(pmf, config, keep_traces=True))
+    seen = _captured(wyner, monkeypatch, lambda: wyner_minimize(pmf, config))
     _assert_matches_reference(seen)
 
 
@@ -154,26 +160,28 @@ def test_chains_match_reference(pmf, sizes, initiator, monkeypatch):
     config = PenaltyConfig(restarts=3, max_iter=300)
     start = det_start(pmf, sizes, initiator)
     seen = _captured(chains, monkeypatch, lambda: continuous_chain_minimize(
-        pmf, sizes, config, start=start, initiator=initiator, keep_traces=True))
+        pmf, sizes, config, start=start, initiator=initiator))
     _assert_matches_reference(seen)
 
 
-def test_one_monotone_trace_per_start_and_stage(bss25):
-    config = PenaltyConfig(restarts=4, max_iter=300, seed=2)
-    outcome = wyner_minimize(bss25, config, keep_traces=True).outcome
-    optimized = len(outcome.candidates) - len(wyner._seed_kernels(bss25, 4))
-    assert len(outcome.descent_traces) == optimized
-    for stage_traces in outcome.descent_traces:
-        assert len(stage_traces) == len(config.penalty_schedule)
-        for trace in stage_traces:
-            assert trace.size >= 1
-            assert np.all(np.diff(trace) <= 0.0)
+def test_one_monotone_trace_per_start_and_stage(bss25, monkeypatch):
+    # accepted values never rise within a stage; across stages the penalty grows
+    for config in (PenaltyConfig(restarts=4, max_iter=300, seed=2),
+                   PenaltyConfig(restarts=2, max_iter=500, seed=1)):
+        seen = _captured(wyner, monkeypatch, lambda: wyner_minimize(bss25, config))
+        refs = _assert_matches_reference(seen)
+        optimized = len(seen["outcome"].candidates) - len(wyner._seed_kernels(bss25, 4))
+        assert len(refs) == optimized
+        for ref in refs:
+            assert len(ref.traces) == len(config.penalty_schedule)
+            for trace in ref.traces:
+                assert trace.size >= 1
+                assert np.all(np.diff(trace) <= 0.0)
 
 
 def test_stop_reasons_name_stages_cut_at_max_iter(bss25, monkeypatch):
     config = PenaltyConfig(restarts=4, max_iter=50)
-    seen = _captured(wyner, monkeypatch,
-                     lambda: wyner_minimize(bss25, config, keep_traces=True))
+    seen = _captured(wyner, monkeypatch, lambda: wyner_minimize(bss25, config))
     refs = _assert_matches_reference(seen)
     stops = [c.stops for c in seen["outcome"].candidates if c.stops]
     assert any("max_iter" in s for s in stops)
@@ -185,13 +193,16 @@ def test_stop_reasons_name_stages_cut_at_max_iter(bss25, monkeypatch):
 GOLDEN = json.loads((Path(__file__).parent / "golden_descent.json").read_text())
 
 
-def _golden_summary(outcome) -> dict:
+def _golden_summary(seen) -> dict:
+    """The descent's calls and candidates, with one digest of every
+    candidate's kernels followed by each start's reference traces."""
+    outcome = seen["outcome"]
     digest = hashlib.sha256()
     for cand in outcome.candidates:
         for k in cand.kernels:
             digest.update(np.ascontiguousarray(k, dtype=float).tobytes())
-    for stage_traces in outcome.descent_traces:
-        for trace in stage_traces:
+    for ref in _references(seen):
+        for trace in ref.traces:
             digest.update(trace.tobytes())
     return {
         "calls": list(outcome.calls),
@@ -202,19 +213,19 @@ def _golden_summary(outcome) -> dict:
 
 
 @pytest.mark.parametrize("case", sorted(WYNER_CASES))
-def test_wyner_golden_bits(case):
+def test_wyner_golden_bits(case, monkeypatch):
     make, config = WYNER_CASES[case]
-    outcome = wyner_minimize(make(), config, keep_traces=True).outcome
-    assert _golden_summary(outcome) == GOLDEN["descents"][f"wyner-{case}"]
+    seen = _captured(wyner, monkeypatch, lambda: wyner_minimize(make(), config))
+    assert _golden_summary(seen) == GOLDEN["descents"][f"wyner-{case}"]
 
 
 @pytest.mark.parametrize("initiator", ["x", "y"])
-def test_chain_golden_bits(initiator):
+def test_chain_golden_bits(initiator, monkeypatch):
     gain = gain_pmf(0.1, 0.15, 0.15)
-    outcome = continuous_chain_minimize(
+    seen = _captured(chains, monkeypatch, lambda: continuous_chain_minimize(
         gain, (2, 3), PenaltyConfig(restarts=3, max_iter=300),
-        start=det_start(gain, (2, 3), initiator), initiator=initiator, keep_traces=True).outcome
-    assert _golden_summary(outcome) == GOLDEN["descents"][f"chain-gain-{initiator}"]
+        start=det_start(gain, (2, 3), initiator), initiator=initiator))
+    assert _golden_summary(seen) == GOLDEN["descents"][f"chain-gain-{initiator}"]
 
 
 def _bench_source(name: str) -> np.ndarray:

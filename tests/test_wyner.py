@@ -99,14 +99,6 @@ class TestMinimize:
                 if resid <= 1e-4:
                     assert obj >= mi - 1e-6
 
-    def test_monotone_descent_within_stages(self, bss25):
-        outcome = wyner_minimize(bss25, PenaltyConfig(restarts=2, max_iter=500, seed=1),
-                                 keep_traces=True).outcome
-        assert outcome.descent_traces
-        for stage_list in outcome.descent_traces:
-            for trace in stage_list:
-                assert np.all(np.diff(trace) <= 1e-12)
-
     def test_determinism_same_seed(self, bss25):
         r1 = wyner_minimize(bss25, LIGHT)
         r2 = wyner_minimize(bss25, LIGHT)
