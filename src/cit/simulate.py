@@ -6,15 +6,17 @@ staged scheme blockwise: per round the speaker computes its chain values
 symbolwise, communicates a universal-hash bin index at roughly the
 conditional-entropy rate plus a slack, the listener decodes by maximum
 likelihood over the bin (realized as a best-first search in likelihood
-order), and the final key is a seeded universal hash of the accumulated
-common randomness. Leakage (1/n) I(K; F) is computed exactly when the
-support of the block law is enumerable, otherwise plug-in estimated and
-flagged. The transcript F is one word, each stage's bits in stage order
-from the top: a hashed stage's syndrome, or an identity stage's block
-index. Each sent block is hashed once. The exact computation enumerates
-the support's blocks EXACT_BLOCK_CELLS cells at a time and adds their
-masses into a dense table over every (K, F) pair, so its memory does not
-grow with |supp P|^n.
+order, run once per distinct context and syndrome, on rank tuples coded as
+mixed-radix ints), and the final key is a seeded universal hash of the
+accumulated common randomness. Leakage (1/n) I(K; F) is computed exactly
+when the support of the block law is enumerable, otherwise plug-in
+estimated and flagged. The transcript F is one word, each stage's bits in
+stage order from the top: a hashed stage's syndrome, or an identity stage's
+block index. Each sent block is hashed once. The exact computation
+enumerates the support's blocks EXACT_BLOCK_CELLS cells at a time and adds
+their masses into a dense table over every (K, F) pair, so its memory does
+not grow with |supp P|^n. It decodes only what K or F reads: a hashed stage
+after y's last word is not decoded there, since K hashes x's versions.
 
 Randomness layout, so that results do not depend on execution order. The
 trial streams [seed, k, t] are those of `np.random.default_rng([seed, k, t])`,
@@ -327,7 +329,8 @@ class SimReport:
     uniformity_gap: float
     stage_bits: tuple[int, ...]
     decode_failures: int
-    # per stage, over the trial rows and the exact-leakage rows; not in to_json
+    # per stage: the trials' decodes and the exact leakage's decodes that K or
+    # F reads, each straggler row with the pops of its search; not in to_json
     stragglers: tuple[int, ...] = ()
     pops: tuple[int, ...] = ()
 
@@ -400,22 +403,33 @@ class _Stage:
         returns (digits, failures).
 
         A row whose most likely sequence misses its syndrome is a
-        straggler; all of them go to `_search` at once, at POP_BUDGET pops
-        each. Adds the stragglers and the best-first pops to the stage
-        counters.
+        straggler. The stragglers go to `_search` at once, at POP_BUDGET
+        pops each, one search per distinct (context, syndrome); every row
+        takes the digits and verdict of its search. The stage counters add
+        every straggler row and, for each, the pops of its search, as if
+        each row were searched alone. `_run_rows` with `read_only` skips the
+        decodes nothing reads, so they count nowhere.
         """
         ctx = (listener_digits,) + tuple(prior_versions)
         out = self.like_order[ctx + (0,)]
         stragglers = np.flatnonzero(self.hash.apply(pack_digits(out, self.bits_per)) != synd)
-        self.stragglers += int(stragglers.size)
-        digits, found = self._search(tuple(c[stragglers] for c in ctx), synd[stragglers], POP_BUDGET)
-        out[stragglers[found]] = digits[found]
+        rows = tuple(c[stragglers] for c in ctx) + (synd[stragglers],)
+        distinct, inv = _distinct_rows(np.column_stack([r.astype(np.uint64) for r in rows]))
+        first = np.zeros(len(distinct), dtype=np.intp)
+        first[inv] = np.arange(len(inv))
+        digits, found, pops = self._search(tuple(r[first] for r in rows[:-1]), rows[-1][first],
+                                           POP_BUDGET)
+        found = found[inv]
+        self.stragglers += len(inv)
+        self.pops += int(pops[inv].sum())
+        out[stragglers[found]] = digits[inv[found]]
         return out, int(np.count_nonzero(~found))
 
     def _search(self, ctx, syndromes, pop_budget):
         """Best-first decode of rows with contexts `ctx` ((rows, n) arrays of
-        listener digits and prior values); returns the (rows, n) digits and
-        the found flags. One gather builds every row's `_best_first` tables.
+        listener digits and prior values); returns the (rows, n) digits, the
+        found flags and each row's pops. One gather builds every row's
+        `_best_first` tables.
         """
         order = self.like_order[ctx]                      # (rows, n, size)
         sorted_ll = self.sorted_ll[ctx]
@@ -427,44 +441,49 @@ class _Stage:
         scores = np.ascontiguousarray(sorted_ll[..., 0]).sum(axis=-1).tolist()
         ranks = np.zeros(order.shape[:2], dtype=np.intp)
         found = np.zeros(len(order), dtype=bool)
+        pops = np.zeros(len(order), dtype=np.int64)
         for i, syndrome in enumerate(syndromes.tolist()):
-            got = self._best_first(steps[i], flips[i], scores[i], syns[i], syndrome, pop_budget)
+            got, pops[i] = _best_first(steps[i], flips[i], scores[i], syns[i], syndrome,
+                                       pop_budget)
             if got is not None:
                 ranks[i] = got
                 found[i] = True
-        return np.take_along_axis(order, ranks[..., None], axis=-1)[..., 0], found
+        return np.take_along_axis(order, ranks[..., None], axis=-1)[..., 0], found, pops
 
-    def _best_first(self, steps, flips, score, syn, syndrome, pop_budget):
-        """ML over the bin: walk rank tuples in decreasing likelihood until
-        the syndrome matches. Returns the ranks, or None when the pop budget
-        runs out.
 
-        The tables are plain lists: raising position t from rank r adds
-        `steps[t][r]` to the log-likelihood and XORs `flips[t][r]` into the
-        syndrome; `score` and `syn` are those of the all-zero ranks. So a
-        pop is pure Python.
-        """
-        n = len(steps)
-        last = len(steps[0])
-        start = (0,) * n
-        heap = [(-score, start, syn)]
-        seen = {start}
-        pops = 0
-        while heap and pops < pop_budget:
-            neg, ranks, syn = heapq.heappop(heap)
-            pops += 1
-            if syn == syndrome:
-                self.pops += pops
-                return ranks
-            for t in range(n):
-                r = ranks[t]
-                if r < last:
-                    nxt = ranks[:t] + (r + 1,) + ranks[t + 1:]
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        heapq.heappush(heap, (neg - steps[t][r], nxt, syn ^ flips[t][r]))
-        self.pops += pops
-        return None
+def _best_first(steps, flips, score, syn, syndrome, pop_budget):
+    """ML over the bin: walk rank tuples in decreasing likelihood until the
+    syndrome matches. Returns (ranks or None, pops): None when the pop
+    budget runs out.
+
+    The tables are plain lists: raising position t from rank r adds
+    `steps[t][r]` to the log-likelihood and XORs `flips[t][r]` into the
+    syndrome; `score` and `syn` are those of the all-zero ranks. A rank
+    tuple is one mixed-radix int, position t at place radix^(n-1-t), so
+    ints order as the tuples do and the heap pops the same nodes in the
+    same order; a pop is pure Python on ints.
+    """
+    n = len(steps)
+    last = len(steps[0])
+    radix = last + 1
+    places = [radix ** (n - 1 - t) for t in range(n)]
+    moves = list(zip(places, steps, flips))
+    heap = [(-score, 0, syn)]
+    seen = {0}
+    pops = 0
+    while heap and pops < pop_budget:
+        neg, code, syn = heapq.heappop(heap)
+        pops += 1
+        if syn == syndrome:
+            return [code // place % radix for place in places], pops
+        for place, step, flip in moves:
+            r = code // place % radix
+            if r < last:
+                nxt = code + place
+                if nxt not in seen:
+                    seen.add(nxt)
+                    heapq.heappush(heap, (neg - step[r], nxt, syn ^ flip[r]))
+    return None, pops
 
 
 def default_copy_chain(pmf: JointPMF) -> DeterministicChain:
@@ -473,29 +492,39 @@ def default_copy_chain(pmf: JointPMF) -> DeterministicChain:
     return _copy_chain(nx, ny, (nx,), "x")
 
 
-def _run_rows(stages: list[_Stage], key_hash: AffineGf2Hash, xd: np.ndarray, yd: np.ndarray):
+def _run_rows(stages: list[_Stage], key_hash: AffineGf2Hash, xd: np.ndarray, yd: np.ndarray,
+              read_only: bool = False):
     """The staged scheme on the (rows, n) blocks xd, yd, all stages vectorized
     over the rows; returns (error flags, K values, F values, failures).
 
     F is one word: each stage's k_bits in stage order from the top, a hashed
     stage's syndrome or an identity stage's block index. Its listener takes
     an identity stage's block as sent.
+
+    With `read_only`, for callers that read only K and F, a hashed stage
+    after y's last word is not decoded: y takes the sent block. y's versions
+    of those stages feed no later word, K hashes x's versions and F holds
+    what was sent, so K and F are unchanged; the error flags and failures
+    no longer count those stages.
     """
     rows = len(xd)
     true_u: list[np.ndarray] = []
     ver = {"x": [], "y": []}
     transcript = np.zeros(rows, dtype=np.uint64)
     failures = 0
-    for st in stages:
+    last_y = max((j for j, st in enumerate(stages) if st.speaker == "y"), default=-1)
+    for j, st in enumerate(stages):
         sd = xd if st.speaker == "x" else yd
         ld = yd if st.speaker == "x" else xd
         true_u.append(st.table[(sd,) + tuple(true_u)])
         sent = st.table[(sd,) + tuple(ver[st.speaker])]
         if st.identity:
             part = (sent @ st.powers).astype(np.uint64)
-            decoded = sent
         else:
             part = st.hash.apply(pack_digits(sent, st.bits_per))
+        if st.identity or (read_only and j > last_y):
+            decoded = sent
+        else:
             decoded, fail = st.decode(part, ld, ver[st.listener])
             failures += fail
         transcript = transcript << np.uint64(st.k_bits) | part
@@ -547,7 +576,8 @@ def _exact_entropies(
         for t in range(n):
             sel[:, t] = (idx // support ** t) % support
             w *= probs[sel[:, t]]
-        _, keys, transcript, _ = _run_rows(stages, key_hash, cells[sel, 0], cells[sel, 1])
+        _, keys, transcript, _ = _run_rows(stages, key_hash, cells[sel, 0], cells[sel, 1],
+                                           read_only=True)
         kf = keys << np.uint64(f_bits) | transcript
         np.add.at(mass, kf, w)
         seen[kf] = True

@@ -413,7 +413,8 @@ class TestDecoderOracles:
             yd = rng.integers(0, 2, 7)
             syndrome = int(rng.integers(0, 1 << stage.k_bits))
             ll_row = stage.ll[yd]
-            digits, found = stage._search((yd[None],), np.array([syndrome], dtype=np.uint64), 4096)
+            digits, found, _ = stage._search((yd[None],), np.array([syndrome], dtype=np.uint64),
+                                              4096)
             assert found[0]
             got = digits[0]
             got_ll = sum(ll_row[t, got[t]] for t in range(7))
@@ -525,10 +526,9 @@ class TestBestFirstReference:
                     budget = int(rng.choice([1, 4, 30, 4096]))
                     want, want_pops = reference_best_first(stage, ll_row, order_row,
                                                            syndrome, budget)
-                    before = stage.pops
-                    got, hit = stage._search(tuple(c[None] for c in ctx),
-                                             np.array([syndrome], dtype=np.uint64), budget)
-                    assert stage.pops - before == want_pops
+                    got, hit, pops = stage._search(tuple(c[None] for c in ctx),
+                                                   np.array([syndrome], dtype=np.uint64), budget)
+                    assert pops[0] == want_pops
                     if want is None:
                         exhausted += 1
                         assert not hit[0]
@@ -536,6 +536,43 @@ class TestBestFirstReference:
                         found += 1
                         assert hit[0] and np.array_equal(got[0], want)
         assert found and exhausted
+
+    @pytest.mark.parametrize("initiator", ["x", "y"])
+    def test_size_three_stages_match_reference(self, initiator):
+        """Stages of size 3, where a rank tuple's code has radix 3: the copy
+        chain of a 3x3 source and a two-round chain of two size-3 stages, at
+        every budget. Some found searches end on a rank of 2."""
+        tri = validate_pmf(0.8 * np.eye(3) / 3 + 0.2 / 9)
+        chains = (DeterministicChain(initiator, (3,), (np.arange(3),)),
+                  DeterministicChain(initiator, (3, 3),
+                                     (np.arange(3), (np.arange(3)[:, None] + np.arange(3)) % 3)))
+        rng = np.random.default_rng([11, initiator == "y"])
+        found = exhausted = top_rank = 0
+        for chain in chains:
+            tensor = chain_tensor(tri, chain)
+            for n in (3, 5, 7):
+                for j in range(1, chain.rounds + 1):
+                    stage = _Stage(tensor, chain, j, n, 0.1, seed=n)
+                    assert stage.size == 3 and not stage.identity
+                    for _ in range(6):
+                        ctx = tuple(rng.integers(0, dim, n) for dim in stage.ll.shape[:-1])
+                        order_row = stage.like_order[ctx]
+                        syndrome = int(rng.integers(0, 1 << stage.k_bits))
+                        for budget in (1, 4, 30, 4096):
+                            want, want_pops = reference_best_first(stage, stage.ll[ctx], order_row,
+                                                                   syndrome, budget)
+                            got, hit, pops = stage._search(tuple(c[None] for c in ctx),
+                                                           np.array([syndrome], dtype=np.uint64),
+                                                           budget)
+                            assert pops[0] == want_pops
+                            if want is None:
+                                exhausted += 1
+                                assert not hit[0]
+                            else:
+                                found += 1
+                                assert hit[0] and np.array_equal(got[0], want)
+                                top_rank += int((order_row == want[:, None]).argmax(axis=1).max() == 2)
+        assert found and exhausted and top_rank
 
     def test_bench_pop_totals(self):
         """Seed-0 decoder totals of the staged-scheme bench commands; the pops
@@ -570,12 +607,12 @@ def test_batched_search_matches_single_rows():
                 continue
             ctx = tuple(rng.integers(0, dim, (40, n)) for dim in stage.ll.shape[:-1])
             synd = rng.integers(0, 1 << stage.k_bits, 40, dtype=np.uint64)
-            digits, found = stage._search(ctx, synd, 300)
-            pops, stage.pops = stage.pops, 0
+            digits, found, pops = stage._search(ctx, synd, 300)
             for i in range(40):
-                one, hit = stage._search(tuple(c[i:i + 1] for c in ctx), synd[i:i + 1], 300)
+                one, hit, one_pops = stage._search(tuple(c[i:i + 1] for c in ctx),
+                                                   synd[i:i + 1], 300)
                 assert hit[0] == found[i] and np.array_equal(one[0], digits[i])
-            assert stage.pops == pops
+                assert one_pops[0] == pops[i]
             hits += int(found.sum())
             misses += int((~found).sum())
     assert hits and misses
@@ -664,18 +701,22 @@ def test_sw_nonbinary_memory_without_digit_table(gain):
     assert rep.to_json() == golden["sw:gain-n12@0"]["report"]
 
 
-def reference_exact_leakage(pmf, chain, n, key_rate, trials, seed, slack=0.25):
-    """The one-shot exact enumeration: all |supp P|^n block rows go through
-    the pipeline at once and are grouped by (K, F) in one pass. Returns the
-    leakage, the uniformity gap, and the per-stage stragglers and pops over
-    the trial rows and the enumerated rows, as `cr_sk_simulate` counts them."""
+def _scheme(pmf, chain, n, key_rate, seed, slack):
+    """The stages and the key hash that `cr_sk_simulate` builds, and the key bits."""
     tensor = chain_tensor(pmf, chain)
     stages = [_Stage(tensor, chain, j, n, slack, seed) for j in range(1, chain.rounds + 1)]
     total_bits = sum(n * st.bits_per for st in stages)
     key_bits = min(math.ceil(n * key_rate - 1e-12), total_bits) if key_rate > 0 else 0
     key_hash = AffineGf2Hash.sample(np.random.default_rng([seed, 1]), max(total_bits, 1), key_bits)
-    simulate._run_rows(stages, key_hash,
-                       *_draw_blocks(pmf, n, simulate._trial_rngs((seed, 2), range(trials))))
+    return stages, key_hash, key_bits
+
+
+def _trial_blocks(pmf, n, trials, seed):
+    return _draw_blocks(pmf, n, simulate._trial_rngs((seed, 2), range(trials)))
+
+
+def _support_blocks(pmf, n):
+    """Every block of the support of P^n as (x, y) rows, and its probability."""
     cells = np.argwhere(pmf.p > 0)
     support = cells.shape[0]
     n_rows = support ** n if support > 1 else 1
@@ -687,10 +728,27 @@ def reference_exact_leakage(pmf, chain, n, key_rate, trials, seed, slack=0.25):
     probs = pmf.p[cells[:, 0], cells[:, 1]]
     for t in range(n):
         w *= probs[sel[:, t]]
-    _, keys, transcript, _ = simulate._run_rows(stages, key_hash, cells[sel, 0], cells[sel, 1])
+    return cells[sel, 0], cells[sel, 1], w
+
+
+def reference_exact_leakage(pmf, chain, n, key_rate, trials, seed, slack=0.25):
+    """The one-shot exact enumeration: all |supp P|^n block rows go through
+    the pipeline at once, every stage decoded, and are grouped by (K, F) in
+    one pass. Returns the leakage, the uniformity gap, and the per-stage
+    stragglers and pops as `cr_sk_simulate` counts them: over the trial rows,
+    and over the enumerated rows only in the stages whose decodes K or F
+    reads, those heard by x or followed by a word from y."""
+    stages, key_hash, key_bits = _scheme(pmf, chain, n, key_rate, seed, slack)
+    simulate._run_rows(stages, key_hash, *_trial_blocks(pmf, n, trials, seed))
+    trial_counts = [(st.stragglers, st.pops) for st in stages]
+    xd, yd, w = _support_blocks(pmf, n)
+    _, keys, transcript, _ = simulate._run_rows(stages, key_hash, xd, yd)
     h_k, h_f, h_kf = reference_key_transcript_entropies(keys, transcript, w)
+    counts = [(st.stragglers, st.pops) if st.listener == "x"
+              or any(later.speaker == "y" for later in stages[j + 1:]) else trial_counts[j]
+              for j, st in enumerate(stages)]
     return (max(h_k + h_f - h_kf, 0.0) / n, max(key_bits - h_k, 0.0) / n,
-            tuple(st.stragglers for st in stages), tuple(st.pops for st in stages))
+            tuple(c[0] for c in counts), tuple(c[1] for c in counts))
 
 
 def _assert_exact_matches_reference(pmf, chain, n, key_rate, trials, seed, slack=0.25):
@@ -758,6 +816,98 @@ def test_exact_leakage_many_fresh_pairs_per_block(monkeypatch, n):
     pmf = validate_pmf(np.eye(4) / 4)
     monkeypatch.setattr(simulate, "EXACT_BLOCK_CELLS", 3 * n)
     _assert_exact_matches_reference(pmf, default_copy_chain(pmf), n, 1.9, 10, n)
+
+
+@pytest.mark.parametrize("source, n", [("bss", 6), ("gain-y", 4), ("gain-x", 4),
+                                       ("ternary-x", 3)])
+def test_read_only_rows_keep_k_and_f(gain, source, n):
+    """`_run_rows(read_only=True)` skips the decodes by y after y's last
+    word, and gives the support's blocks the K and F words of the full run.
+    With x first, gain's last listener is x, and on the two-round ternary
+    chain y hears a hashed stage before its own word: nothing is skipped."""
+    if source == "bss":
+        pmf = bss_pmf(0.1)
+        chain, key_rate, slack = default_copy_chain(pmf), 0.5, 0.25
+    elif source == "ternary-x":
+        pmf = validate_pmf(0.8 * np.eye(3) / 3 + 0.2 / 9)
+        chain = DeterministicChain("x", (3, 3), (np.arange(3),
+                                                 (np.arange(3)[:, None] + np.arange(3)) % 3))
+        key_rate, slack = 0.5, 0.2
+    else:
+        pmf, chain, key_rate, slack = gain, _gain_chain(source[-1]), 0.3, 0.1
+    xd, yd, _ = _support_blocks(pmf, n)
+    runs = []
+    for read_only in (False, True):
+        stages, key_hash, _ = _scheme(pmf, chain, n, key_rate, 3, slack)
+        _, keys, transcript, _ = simulate._run_rows(stages, key_hash, xd, yd, read_only=read_only)
+        runs.append((keys, transcript, [st.pops for st in stages]))
+    (keys, transcript, pops), (ro_keys, ro_transcript, ro_pops) = runs
+    assert np.array_equal(ro_keys, keys) and np.array_equal(ro_transcript, transcript)
+    if source.endswith("-x"):
+        assert ro_pops == pops and all(p for p, st in zip(pops, stages) if not st.identity)
+    else:
+        assert ro_pops[-1] == 0 < pops[-1] and ro_pops[:-1] == pops[:-1]
+
+
+def test_exact_leakage_reads_no_copy_chain_decode():
+    """bss 0.1 with the copy chain at n = 8: no decode of the exact path
+    feeds K or F, so its pops are the trials' pops alone (3,330,068 with the
+    65,536 support blocks decoded, against 20)."""
+    bss = bss_pmf(0.1)
+    chain = default_copy_chain(bss)
+    rep = cr_sk_simulate(bss, chain, 8, key_rate=0.1, trials=7, seed=8)
+    assert rep.leakage_exact
+    stages, key_hash, _ = _scheme(bss, chain, 8, 0.1, 8, 0.25)
+    simulate._run_rows(stages, key_hash, *_trial_blocks(bss, 8, 7, 8))
+    assert rep.pops == tuple(st.pops for st in stages) and sum(rep.pops)
+    assert rep.stragglers == tuple(st.stragglers for st in stages)
+
+
+def _decode_alone(stage, synd, ctx):
+    """`stage.decode` one row at a time; returns (digits, failures)."""
+    one = [stage.decode(synd[i:i + 1], ctx[0][i:i + 1], [c[i:i + 1] for c in ctx[1:]])
+           for i in range(len(synd))]
+    return np.concatenate([d for d, _ in one]), sum(f for _, f in one)
+
+
+@pytest.mark.parametrize("budget", [3, 4096])
+def test_decode_shares_a_search_per_distinct_context(gain, monkeypatch, budget):
+    """Rows that repeat (context, syndrome) pairs decode, count failures and
+    add stragglers and pops as each row decoded alone: rows found and rows
+    out of budget (at 3 pops), a batch with no stragglers, and one row."""
+    monkeypatch.setattr(simulate, "POP_BUDGET", budget)
+    rng = np.random.default_rng([29, budget])
+    seen_failures = seen_found = 0
+    for chain, n in ((_gain_chain("y"), 5), (_gain_chain("x"), 6)):
+        tensor = chain_tensor(gain, chain)
+        stage = next(st for st in (_Stage(tensor, chain, j, n, 0.05, seed=7) for j in (1, 2))
+                     if not st.identity)
+        pool = [tuple(rng.integers(0, dim, (4, n)) for dim in stage.ll.shape[:-1]),
+                rng.integers(0, 1 << stage.k_bits, 4, dtype=np.uint64)]
+        guess = stage.like_order[pool[0] + (0,)]
+        first = stage.hash.apply(pack_digits(guess, stage.bits_per))
+        pick = rng.integers(0, 4, 60)
+        hits = rng.integers(0, 2, 60).astype(bool)
+        batches = {
+            "repeats": (tuple(c[pick] for c in pool[0]), np.where(hits, first[pick], pool[1][pick])),
+            "no stragglers": (tuple(c[pick] for c in pool[0]), first[pick]),
+            "one row": (tuple(c[:1] for c in pool[0]), pool[1][:1]),
+        }
+        for name, (ctx, synd) in batches.items():
+            counts = []
+            for decode in (lambda: stage.decode(synd, ctx[0], list(ctx[1:])),
+                           lambda: _decode_alone(stage, synd, ctx)):
+                stage.stragglers = stage.pops = 0
+                digits, failures = decode()
+                counts.append((digits, failures, stage.stragglers, stage.pops))
+            (digits, failures, stragglers, pops), alone = counts
+            assert np.array_equal(digits, alone[0]), name
+            assert (failures, stragglers, pops) == alone[1:], name
+            if name == "no stragglers":
+                assert stragglers == 0 and np.array_equal(digits, guess[pick])
+            seen_failures += failures
+            seen_found += stragglers - failures
+    assert seen_found and (seen_failures or budget == 4096)
 
 
 def test_one_hash_per_sent_block(gain, monkeypatch):
