@@ -43,10 +43,12 @@ from .pmf import (
     JointPMF,
     TensorPMF,
     binary_entropy,
+    clamped,
     frozen_copies,
-    marginal_entropy,
-    normalized,
+    marginal_entropies,
+    normalized_each,
     objective_residual,
+    objective_residuals,
     one_hot,
     plogp_sum,
     source_information,
@@ -107,9 +109,11 @@ class AuxiliaryChain:
                 raise ValueError(f"round {j + 1} kernel must have {2 + j} axes, got {k.ndim}")
             if tuple(k.shape[1:-1]) != tuple(sizes):
                 raise ValueError(f"round {j + 1} kernel shape {k.shape} inconsistent with prior sizes {sizes}")
-            if (k < 0).any():
+            if not k.min(initial=0.0) >= 0.0 and (k < 0).any():  # a NaN minimum looks closer
                 raise ValueError(f"round {j + 1} kernel has negative entries")
-            if np.abs(k.sum(axis=-1) - 1.0).max() > 1e-9:
+            # the largest |sum - 1| is at the largest or the smallest slice sum
+            sums = k.sum(axis=-1)
+            if sums.max() - 1.0 > 1e-9 or 1.0 - sums.min() > 1e-9:
                 raise ValueError(f"round {j + 1} kernel slices must sum to 1 within 1e-9")
             parents.append(k.shape[0])
             sizes.append(k.shape[-1])
@@ -225,25 +229,38 @@ class ChainResult:
         }
 
 
+def law_shape(pmf: JointPMF, chain: "AuxiliaryChain | DeterministicChain") -> tuple[int, ...]:
+    """Shape of the dense joint law over (X, Y, U_1, ..., U_r), once it is
+    within the size budget and each round's table covers its speaker's symbols."""
+    nx, ny = pmf.shape
+    shape = (nx, ny) + tuple(chain.sizes)
+    if math.prod(shape) > TENSOR_BUDGET:
+        raise SizeBudgetExceeded(f"joint tensor would hold {math.prod(shape)} cells "
+                                 f"(budget {TENSOR_BUDGET})")
+    tables = chain.tables if isinstance(chain, DeterministicChain) else chain.kernels
+    for j, k in enumerate(tables, start=1):
+        expected = speaker_size(j, chain.initiator, nx, ny)
+        if k.shape[0] != expected:
+            raise ValueError(f"round {j} speaks {speaker_of(j, chain.initiator)!r} but its table "
+                             f"covers {k.shape[0]} symbols, not {expected}")
+    return shape
+
+
+def _kernels(chain: "AuxiliaryChain | DeterministicChain") -> tuple[np.ndarray, ...]:
+    return (chain.as_auxiliary() if isinstance(chain, DeterministicChain) else chain).kernels
+
+
 def _joint_array(pmf: JointPMF, chain: "AuxiliaryChain | DeterministicChain") -> np.ndarray:
     """Dense joint law over (X, Y, U_1, ..., U_r)."""
-    nx, ny = pmf.shape
-    cells = nx * ny * math.prod(chain.sizes)
-    if cells > TENSOR_BUDGET:
-        raise SizeBudgetExceeded(f"joint tensor would hold {cells} cells (budget {TENSOR_BUDGET})")
-    aux = chain.as_auxiliary() if isinstance(chain, DeterministicChain) else chain
-    for j, k in enumerate(aux.kernels, start=1):
-        expected = speaker_size(j, aux.initiator, nx, ny)
-        if k.shape[0] != expected:
-            raise ValueError(f"round {j} speaks {speaker_of(j, aux.initiator)!r} but its table "
-                             f"covers {k.shape[0]} symbols, not {expected}")
-    return _product_law(pmf.p, [k[None] for k in aux.kernels], aux.initiator)[0]
+    law_shape(pmf, chain)
+    return _product_law(pmf.p, [k[None] for k in _kernels(chain)], chain.initiator)[0]
 
 
 def _product_law(p: np.ndarray, kernels: Sequence[np.ndarray], initiator: str) -> np.ndarray:
     """p(x, y) * prod_j K_j(u_j | speaker_j, u^{j-1}) as a dense array, one
-    law per start on the kernels' leading axis."""
-    q = p[None]
+    law per start on the kernels' leading axis; `p` is one source matrix, or
+    one per start on a leading axis of its own."""
+    q = p.reshape((-1,) + p.shape[-2:])
     for j, k in enumerate(kernels, start=1):
         view = k[:, :, None] if speaker_of(j, initiator) == "x" else k[:, None, :]
         q = q[..., None] * view
@@ -260,6 +277,32 @@ def chain_tensor(pmf: JointPMF, chain: "AuxiliaryChain | DeterministicChain") ->
     return TensorPMF(names, alphabets, q)
 
 
+def chain_scores(pmfs: Sequence[JointPMF], chains: Sequence["AuxiliaryChain | DeterministicChain"]
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Objective, dependence residual and per-round terms (one row per case)
+    of chains of one initiator and sizes on sources of one shape, scored as
+    `chain_objective` scores each, bit for bit, on one stacked law."""
+    first = chains[0]
+    if any((c.initiator, c.sizes) != (first.initiator, first.sizes) for c in chains):
+        raise ValueError("stacked chains need one initiator and round sizes")
+    law_shape(pmfs[0], first)
+    kernels = [np.stack(ks) for ks in zip(*map(_kernels, chains))]
+    q = _product_law(np.stack([pmf.p for pmf in pmfs]), kernels, first.initiator)
+    objective, residual = objective_residuals(q)
+    p = normalized_each(q)  # axes case, X, Y, U_1, ..., U_r
+    # round j's term I(speaker; U_j | listener, U^{j-1}) is H(X,Y,U^{j-1}) +
+    # H(listener,U^j) - H(listener,U^{j-1}) - H(X,Y,U^j): axis s is the
+    # speaker, axis j + 1 is U_j, and later[j] holds the rounds after j
+    r = first.rounds
+    later = [tuple(range(j + 2, r + 2)) for j in range(r + 1)]
+    spoken = [(j, 0 if speaker_of(j, first.initiator) == "x" else 1) for j in range(1, r + 1)]
+    # rows: H(X,Y,U^j) for j = 0..r, then H(listener,U^j), then H(listener,U^{j-1})
+    h = marginal_entropies(p, *later, *((s,) + later[j] for j, s in spoken),
+                           *((s, j + 1) + later[j] for j, s in spoken))
+    terms = [clamped(h[j - 1] + h[r + j] - h[2 * r + j] - h[j]) for j in range(1, r + 1)]
+    return objective, residual, np.stack(terms, axis=1)
+
+
 def chain_objective(pmf: JointPMF, chain: "AuxiliaryChain | DeterministicChain") -> ChainResult:
     """Score a chain: objective, dependence residual, per-round terms.
 
@@ -268,27 +311,12 @@ def chain_objective(pmf: JointPMF, chain: "AuxiliaryChain | DeterministicChain")
     the identity objective - I(X;Y) + residual = sum(per_round_terms)
     holds to 1e-9.
     """
-    q = _joint_array(pmf, chain)
-    objective, residual = objective_residual(q)
-    p = normalized(q)  # axes X, Y, U_1, ..., U_r
-    # round j's term I(speaker; U_j | listener, U^{j-1}) is H(X,Y,U^{j-1}) +
-    # H(listener,U^j) - H(listener,U^{j-1}) - H(X,Y,U^j): axis s is the
-    # speaker, axis j + 1 is U_j, and `later` holds the rounds after j
-    rounds = chain.rounds
-    h_ac = marginal_entropy(p, tuple(range(2, rounds + 2)))
-    terms = []
-    for j in range(1, rounds + 1):
-        s = 0 if speaker_of(j, chain.initiator) == "x" else 1
-        later = tuple(range(j + 2, rounds + 2))
-        h_abc = marginal_entropy(p, later)
-        h_bc = marginal_entropy(p, (s,) + later)
-        h_c = marginal_entropy(p, (s, j + 1) + later)
-        terms.append(max(h_ac + h_bc - h_c - h_abc, 0.0))
-        h_ac = h_abc
+    objective, residual, terms = chain_scores([pmf], [chain])
+    residual = float(residual[0])
     return ChainResult(
-        objective=objective,
+        objective=float(objective[0]),
         residual=residual,
-        per_round_terms=tuple(terms),
+        per_round_terms=tuple(terms[0].tolist()),
         chain=chain,
         feasible=residual <= (DET_FEASIBILITY_TOL if isinstance(chain, DeterministicChain)
                               else FEASIBILITY_TOL),

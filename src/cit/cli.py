@@ -17,11 +17,9 @@ import os
 import sys
 from dataclasses import asdict, replace
 
-import numpy as np
-
-from . import __version__, chains, optim, protocols, rates, simulate, sources, structure, wyner
+from . import __version__, chains, checks, optim, rates, simulate, sources, structure, wyner
 from .errors import CitError
-from .pmf import IDENTITY_TOL, JointPMF, entropy, load_pmf, mutual_information, source_information
+from .pmf import JointPMF, entropy, load_pmf, mutual_information
 
 
 def _int_at_least(low: int, rule: str):
@@ -142,7 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-continuous", action="store_true")
 
     p = sub.add_parser("check", help="exact identity suites over seeded random instances")
-    p.add_argument("identity", choices=("lemma1", "decomp", "el5"))
+    p.add_argument("identity", choices=checks.IDENTITIES)
     common(p, pmf_required=False)
     p.add_argument("--count", type=_positive, default=100)
     p.add_argument("--n", type=_positive, default=2, help="largest blocklength for protocol checks")
@@ -229,48 +227,6 @@ def _info_result(pmf: JointPMF) -> dict:
         "zero_x_symbols": list(pmf.zero_x_symbols),
         "zero_y_symbols": list(pmf.zero_y_symbols),
         "pmf": pmf.to_json(),
-    }
-
-
-def _run_check(args) -> dict:
-    rng = np.random.default_rng(args.seed)
-    worst = 0.0
-    hi = args.alphabet
-    for _ in range(args.count):
-        nx = int(rng.integers(2, hi + 1))
-        ny = int(rng.integers(2, hi + 1))
-        pmf = sources.random_pmf(rng, nx, ny)
-        if args.identity == "el5":
-            r = int(rng.integers(1, args.rounds + 1))
-            kernels = []
-            prior: tuple[int, ...] = ()
-            for j in range(1, r + 1):
-                parent = chains.speaker_size(j, "x", nx, ny)
-                size = int(rng.integers(2, 4))
-                flat = rng.dirichlet(np.ones(size), size=parent * math.prod(prior))
-                kernels.append(flat.reshape((parent,) + prior + (size,)))
-                prior += (size,)
-            res = chains.chain_objective(pmf, chains.AuxiliaryChain("x", tuple(kernels)))
-            mi = source_information(pmf)
-            violation = abs(res.objective - mi + res.residual - sum(res.per_round_terms))
-        else:
-            n = int(rng.integers(1, args.n + 1))
-            r = int(rng.integers(1, args.rounds + 1))
-            sizes = tuple(int(rng.integers(2, 4)) for _ in range(r))
-            proto = protocols.random_protocol(int(rng.integers(1 << 31)), n, r, sizes, nx, ny)
-            if args.identity == "lemma1":
-                chk = protocols.lemma1_check(pmf, proto)
-                violation = max(0.0, -chk["slack"])
-            else:
-                j_table = protocols.random_cr_table(int(rng.integers(1 << 31)), pmf, n, 3)
-                chk = protocols.decomposition_check(pmf, proto, j_table)
-                violation = abs(chk["difference"])
-        worst = max(worst, violation)
-    return {
-        "identity": args.identity,
-        "count": args.count,
-        "max_violation": worst,
-        "pass": bool(worst <= IDENTITY_TOL),
     }
 
 
@@ -386,7 +342,8 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "check":
-        result = _run_check(args)
+        result = checks.identity_check(args.identity, args.count, args.seed, n=args.n,
+                                       alphabet=args.alphabet, rounds=args.rounds)
         config = {"identity": args.identity, "count": args.count, "n": args.n,
                   "alphabet": args.alphabet, "rounds": args.rounds}
         _emit(_envelope(args, config, result), args)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -129,14 +130,37 @@ class JointPMF:
 def normalized(p: np.ndarray) -> np.ndarray:
     """`p` divided by its total, once it passes the checks every law passes:
     no negative entry, some mass, and a total within 1e-6 of 1."""
-    if (p < 0).any():
+    if not p.min(initial=0.0) >= 0.0 and (p < 0).any():  # a NaN minimum looks closer
         raise NegativeMass(f"negative entries at {np.argwhere(p < 0).tolist()}")
-    total = float(p.sum())
+    return _divided(p, float(p.sum()))
+
+
+def _divided(p: np.ndarray, total: float) -> np.ndarray:
+    """`p / total`, once the total is some mass within 1e-6 of 1."""
     if total == 0.0:
         raise EmptyMatrix("array carries no mass")
     if abs(total - 1.0) > NORMALIZATION_TOL:
         raise NotNormalized(f"total mass {total} differs from 1 by more than {NORMALIZATION_TOL}")
     return p / total
+
+
+def normalized_each(q: np.ndarray) -> np.ndarray:
+    """`normalized` of each law on `q`'s leading axis, bit for bit: each law
+    divided by its own total. When a law may fail a check, the laws are
+    checked one by one, so the first failing law raises its own error."""
+    totals = q.reshape(len(q), -1).sum(axis=1)
+    # the largest |total - 1| is at the largest or the smallest total
+    if not (q.min(initial=0.0) >= 0.0 and totals.max() - 1.0 <= NORMALIZATION_TOL
+            and 1.0 - totals.min() <= NORMALIZATION_TOL):
+        for law in q:
+            normalized(law)
+    return q / totals.reshape((-1,) + (1,) * (q.ndim - 1))
+
+
+@lru_cache(maxsize=64)
+def _index_alphabet(size: int) -> FiniteAlphabet:
+    """The default labels "0", "1", ...: one shared alphabet per size."""
+    return FiniteAlphabet(tuple(str(i) for i in range(size)))
 
 
 def validate_pmf(
@@ -153,19 +177,20 @@ def validate_pmf(
     p = np.asarray(raw_matrix, dtype=float)
     if p.ndim != 2 or p.size == 0:
         raise EmptyMatrix(f"expected a nonempty 2-d matrix, got shape {p.shape}")
-    if not np.isfinite(p).all():
+    low, high = p.min(), p.max()
+    if not -math.inf < low <= high < math.inf:  # a NaN fails every comparison
         raise ValueError("probability entries must be finite")
-    p = normalized(p)
-    if labels_x is None:
-        labels_x = [str(i) for i in range(p.shape[0])]
-    if labels_y is None:
-        labels_y = [str(i) for i in range(p.shape[1])]
-    ax = FiniteAlphabet(tuple(labels_x))
-    ay = FiniteAlphabet(tuple(labels_y))
+    if low < 0.0:
+        normalized(p)  # raises NegativeMass, naming the cells
+    p = _divided(p, float(p.sum()))
+    ax = _index_alphabet(p.shape[0]) if labels_x is None else FiniteAlphabet(tuple(labels_x))
+    ay = _index_alphabet(p.shape[1]) if labels_y is None else FiniteAlphabet(tuple(labels_y))
     if (ax.size, ay.size) != p.shape:
         raise ValueError(f"label counts {(ax.size, ay.size)} do not match matrix shape {p.shape}")
-    zero_x = tuple(s for s, m in zip(ax.symbols, p.sum(axis=1)) if m == 0.0)
-    zero_y = tuple(s for s, m in zip(ay.symbols, p.sum(axis=0)) if m == 0.0)
+    zero_x = zero_y = ()
+    if low == 0.0:  # only a zero cell can leave a row or a column without mass
+        zero_x = tuple(s for s, m in zip(ax.symbols, p.sum(axis=1).tolist()) if m == 0.0)
+        zero_y = tuple(s for s, m in zip(ay.symbols, p.sum(axis=0).tolist()) if m == 0.0)
     p.setflags(write=False)
     return JointPMF(ax, ay, p, zero_x, zero_y)
 
@@ -262,6 +287,34 @@ def plogp_sum(arr: np.ndarray) -> float:
     return float((pos * np.log2(pos)).sum())
 
 
+def plogp_rows(*blocks: np.ndarray) -> np.ndarray:
+    """`plogp_sum` of each row of each 2-d block, bit for bit: one result row
+    per block, one column per row (the blocks share their row count).
+
+    The positives of all rows are taken and logged at once. Each row's run
+    is then summed on its own: the runs of one length as the rows of one
+    2-d array, whose row sums numpy takes pairwise, as `plogp_sum` sums a
+    run. `np.add.reduceat` would add the runs in another order. Blocks of
+    one row are each one run, which `plogp_sum` takes as it is."""
+    if len(blocks[0]) == 1:
+        return np.array([[plogp_sum(block)] for block in blocks])
+    masks = [block > 0 for block in blocks]
+    pos = np.concatenate([block[mask] for block, mask in zip(blocks, masks)])
+    terms = pos * np.log2(pos)
+    counts = np.concatenate([mask.sum(axis=1) for mask in masks])
+    starts = np.cumsum(counts) - counts
+    out = np.zeros(len(counts))
+    for length in set(counts.tolist()) - {0}:
+        runs = np.flatnonzero(counts == length)
+        out[runs] = terms[starts[runs, None] + np.arange(length)].sum(axis=1)
+    return out.reshape(len(blocks), -1)
+
+
+def clamped(a: np.ndarray) -> np.ndarray:
+    """`max(v, 0.0)` of each entry, as Python's `max` takes it: -0.0 and NaN stay."""
+    return np.where(a < 0.0, 0.0, a)
+
+
 def marginal_entropy(p: np.ndarray, drop: tuple[int, ...] = ()) -> float:
     """Entropy in bits of the marginal of `p` left after summing out the
     axes `drop` (ascending; none leaves `p` itself). Every entropy below is
@@ -269,18 +322,30 @@ def marginal_entropy(p: np.ndarray, drop: tuple[int, ...] = ()) -> float:
     return -plogp_sum(p.sum(axis=drop) if drop else p)
 
 
+def marginal_entropies(p: np.ndarray, *drops: tuple[int, ...]) -> np.ndarray:
+    """`marginal_entropy(law, drop)` of each law on `p`'s leading axis, one
+    result row per drop, bit for bit; each drop names axes of one law.
+    Summing out the same axes of a stack adds each law's cells in the order
+    one law's sum adds them."""
+    return -plogp_rows(*(
+        (p.sum(axis=tuple(a + 1 for a in drop)) if drop else p).reshape(len(p), -1)
+        for drop in drops))
+
+
 def objective_residual(q: np.ndarray) -> tuple[float, float]:
     """(I(X,Y; U), I(X; Y | U)) in bits, each clamped at 0, of a dense law
     `q` whose axes are X, Y, then U's parts. Five entropies give both, taken
     and summed as the named functions below take them, so a normalized law
     scores bit for bit as `mutual_information` and its conditional would."""
-    u_axes = tuple(range(2, q.ndim))
-    h_q = -plogp_sum(q)
-    h_xy = -plogp_sum(q.sum(axis=u_axes))
-    h_u = -plogp_sum(q.sum(axis=(0, 1)))
-    h_xu = -plogp_sum(q.sum(axis=1))
-    h_yu = -plogp_sum(q.sum(axis=0))
-    return max(h_xy + h_u - h_q, 0.0), max(h_xu + h_yu - h_u - h_q, 0.0)
+    objective, residual = objective_residuals(q[None])
+    return float(objective[0]), float(residual[0])
+
+
+def objective_residuals(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`objective_residual` of each law on `q`'s leading axis."""
+    h_q, h_xy, h_u, h_xu, h_yu = marginal_entropies(
+        q, (), tuple(range(2, q.ndim - 1)), (0, 1), (1,), (0,))
+    return clamped(h_xy + h_u - h_q), clamped(h_xu + h_yu - h_u - h_q)
 
 
 def _h(t: TensorPMF, keep: tuple[int, ...]) -> float:
@@ -323,8 +388,14 @@ def mutual_information(t: TensorPMF, axes_a: AxisSpec, axes_b: AxisSpec) -> floa
 def source_information(pmf: JointPMF) -> float:
     """I(X;Y) in bits: `mutual_information(pmf.to_tensor(), "x", "y")`, bit
     for bit, without building the tensor."""
-    p = normalized(pmf.p)
-    return max(marginal_entropy(p, (1,)) + marginal_entropy(p, (0,)) - marginal_entropy(p), 0.0)
+    return float(source_informations([pmf])[0])
+
+
+def source_informations(pmfs: Sequence[JointPMF]) -> np.ndarray:
+    """`source_information` of each of `pmfs`, sources of one shape."""
+    h_x, h_y, h_xy = marginal_entropies(normalized_each(np.stack([pmf.p for pmf in pmfs])),
+                                        (1,), (0,), ())
+    return clamped(h_x + h_y - h_xy)
 
 
 def conditional_mutual_information(

@@ -13,7 +13,9 @@ machine-checkable statements:
 Each check is one pass over one dense array: the block law is scattered
 into the cells of (X^n, Y^n, F), or (X^n, Y^n, F, J), and normalized once,
 and every entropy is a marginal of that array, each distinct marginal
-taken once. `transcript_law` wraps the same law in a labelled TensorPMF.
+taken once. Cases of one shape stack on a leading axis and run as one such
+pass (`lemma1_sides`, `decomposition_sides`); a single check is a stack of
+one. `transcript_law` wraps the same law in a labelled TensorPMF.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ import numpy as np
 
 from .chains import check_initiator, speaker_of, speaker_size
 from .errors import SizeBudgetExceeded
-from .pmf import (FiniteAlphabet, JointPMF, TensorPMF, frozen_copies, marginal_entropy, normalized,
-                  source_information)
+from .pmf import (FiniteAlphabet, JointPMF, TensorPMF, clamped, frozen_copies, marginal_entropies,
+                  normalized_each, source_informations)
 from .pmf import entropy  # noqa: F401  (unused; perfbench/tracer.py wraps it here by name)
 
 ENUMERATION_BUDGET = 2 ** 22
@@ -59,7 +61,7 @@ class Protocol:
     def __post_init__(self):
         check_initiator(self.initiator)
         sizes = tuple(int(s) for s in self.message_sizes)
-        tables = tuple(np.asarray(t, dtype=int) for t in self.message_tables)
+        tables = tuple(np.asarray(t, dtype=np.int64) for t in self.message_tables)
         if len(sizes) != len(tables) or not tables:
             raise ValueError("need one message table per round")
         if any(s < 1 for s in sizes):
@@ -70,7 +72,8 @@ class Protocol:
                 raise ValueError(
                     f"round {i + 1} table must be (|own|^n, {prefix}), got {t.shape}"
                 )
-            if t.size and (t.min() < 0 or t.max() >= s):
+            # read as unsigned, a negative message wraps past every size
+            if t.size and t.view(np.uint64).max() >= s:
                 raise ValueError(f"round {i + 1} messages must lie in [0, {s})")
             prefix *= s
         object.__setattr__(self, "message_sizes", sizes)
@@ -89,58 +92,87 @@ class Protocol:
 
     def transcripts(self, x_count: int, y_count: int) -> np.ndarray:
         """Transcript index for every (x block index, y block index) pair."""
-        f = np.zeros((x_count, y_count), dtype=np.int64)
-        prefix = np.zeros((x_count, y_count), dtype=np.int64)
-        for i, (table, size) in enumerate(zip(self.message_tables, self.message_sizes), start=1):
-            if self.speaker(i) == "x":
-                m = table[np.arange(x_count)[:, None], prefix]
-            else:
-                m = table[np.arange(y_count)[None, :], prefix]
-            f = f * size + m
-            prefix = prefix * size + m
-        return f
+        return _transcripts([self], x_count, y_count)[0]
+
+
+def _transcripts(protocols: Sequence[Protocol], x_count: int, y_count: int) -> np.ndarray:
+    """Transcript index for every (case, x block index, y block index) of
+    protocols with one blocklength, message sizes and initiator. The
+    transcript so far is also the prefix the next round's table reads."""
+    first = protocols[0]
+    case = np.arange(len(protocols))[:, None, None]
+    own = {"x": np.arange(x_count)[None, :, None], "y": np.arange(y_count)[None, None, :]}
+    f = np.zeros((len(protocols), x_count, y_count), dtype=np.int64)
+    for i, size in enumerate(first.message_sizes):
+        table = np.stack([p.message_tables[i] for p in protocols])
+        f = f * size + table[case, own[first.speaker(i + 1)], f]
+    return f
 
 
 def iid_block_law(pmf: JointPMF, n: int) -> np.ndarray:
     """Joint law of (X^n, Y^n) as a (|X|^n, |Y|^n) matrix, big-endian indexing:
     the n-th Kronecker power of p, each step one outer product (np.kron's products)."""
-    out = np.ones((1, 1))
+    return _block_laws(pmf.p[None], n)[0]
+
+
+def _block_laws(p: np.ndarray, n: int) -> np.ndarray:
+    """`iid_block_law` of each source matrix on `p`'s leading axis."""
+    count = len(p)
+    out = np.ones((count, 1, 1))
     for _ in range(n):
-        out = (out[:, None, :, None] * pmf.p[None, :, None, :]).reshape(
-            len(out) * len(pmf.p), -1)
+        out = (out[:, :, None, :, None] * p[:, None, :, None, :]).reshape(
+            count, out.shape[1] * p.shape[1], -1)
     return out
 
 
-def _dense_law(pmf: JointPMF, protocol: Protocol, j_table=None) -> np.ndarray:
-    """Unnormalized joint law of (X^n, Y^n, F), or of (X^n, Y^n, F, J) for
-    a lookup table J over (X^n index, Y^n index), within the size budgets."""
+def law_shape(pmf: JointPMF, protocol: Protocol, j_table=None) -> tuple[int, ...]:
+    """Shape of the dense law of (X^n, Y^n, F), or of (X^n, Y^n, F, J) for a
+    lookup table J over (X^n index, Y^n index), once it is within the size
+    budgets and `j_table` has the shape of the block pairs."""
     nx, ny = pmf.shape
     x_count, y_count = nx ** protocol.n, ny ** protocol.n
     f_size = protocol.transcript_size
-    j_size = 1
     if j_table is None:
         if x_count * y_count > ENUMERATION_BUDGET:
             raise SizeBudgetExceeded(
                 f"{x_count * y_count} block pairs exceed the budget {ENUMERATION_BUDGET}")
-    else:
-        j_table = np.asarray(j_table, dtype=int)
-        if j_table.shape != (x_count, y_count):
-            raise ValueError(f"j_table must have shape {(x_count, y_count)}, got {j_table.shape}")
-        j_size = int(j_table.max()) + 1
-        if x_count * y_count * f_size * j_size > 4 * ENUMERATION_BUDGET:
-            raise SizeBudgetExceeded("joint law of (X^n, Y^n, F, J) exceeds the budget")
-    block = iid_block_law(pmf, protocol.n)
-    cell = protocol.transcripts(x_count, y_count)
-    if j_table is not None:
-        cell = cell * j_size + j_table
-    law = np.zeros((x_count, y_count, f_size * j_size))
-    law[np.arange(x_count)[:, None], np.arange(y_count)[None, :], cell] = block
-    return law if j_table is None else law.reshape(x_count, y_count, f_size, j_size)
+        return x_count, y_count, f_size
+    j_table = np.asarray(j_table, dtype=int)
+    if j_table.shape != (x_count, y_count):
+        raise ValueError(f"j_table must have shape {(x_count, y_count)}, got {j_table.shape}")
+    j_size = int(j_table.max()) + 1
+    if x_count * y_count * f_size * j_size > 4 * ENUMERATION_BUDGET:
+        raise SizeBudgetExceeded("joint law of (X^n, Y^n, F, J) exceeds the budget")
+    return x_count, y_count, f_size, j_size
+
+
+def _dense_laws(pmfs: Sequence[JointPMF], protocols: Sequence[Protocol],
+                j_tables=None) -> np.ndarray:
+    """Unnormalized joint laws of (X^n, Y^n, F), or of (X^n, Y^n, F, J), of
+    cases of one shape stacked on a leading axis: one source shape, one
+    blocklength, message sizes and initiator, and one J size."""
+    first = protocols[0]
+    if any((p.n, p.message_sizes, p.initiator) != (first.n, first.message_sizes, first.initiator)
+           for p in protocols):
+        raise ValueError("stacked protocols need one blocklength, message sizes and initiator")
+    shape = law_shape(pmfs[0], first, None if j_tables is None else j_tables[0])
+    count, (x_count, y_count) = len(protocols), shape[:2]
+    block = _block_laws(np.stack([pmf.p for pmf in pmfs]), first.n)
+    cell = _transcripts(protocols, x_count, y_count)
+    if j_tables is not None:
+        j = np.stack([np.asarray(t, dtype=int) for t in j_tables])
+        if (j.reshape(count, -1).max(axis=1) != shape[3] - 1).any():
+            raise ValueError("stacked lookup tables need one J size")
+        cell = cell * shape[3] + j
+    law = np.zeros((count, x_count, y_count, math.prod(shape[2:])))
+    law[np.arange(count)[:, None, None], np.arange(x_count)[None, :, None],
+        np.arange(y_count)[None, None, :], cell] = block
+    return law.reshape((count,) + shape)
 
 
 def transcript_law(pmf: JointPMF, protocol: Protocol) -> TensorPMF:
     """Exact joint law of (X^n, Y^n, F) by enumeration."""
-    law = _dense_law(pmf, protocol)
+    law = _dense_laws([pmf], [protocol])[0]
     return TensorPMF(
         ("xn", "yn", "f"),
         (
@@ -152,13 +184,41 @@ def transcript_law(pmf: JointPMF, protocol: Protocol) -> TensorPMF:
     )
 
 
+def lemma1_sides(pmfs: Sequence[JointPMF],
+                 protocols: Sequence[Protocol]) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of H(F|X^n) + H(F|Y^n) <= H(F) for each case, computed
+    exactly: `lemma1_check`'s lhs and rhs, bit for bit, for cases of one shape."""
+    p = normalized_each(_dense_laws(pmfs, protocols))  # axes case, X^n, Y^n, F
+    h_xf, h_x, h_yf, h_y, h_f = marginal_entropies(p, (1,), (1, 2), (0,), (0, 2), (0, 1))
+    lhs = clamped(h_xf - h_x) + clamped(h_yf - h_y)
+    return lhs, h_f + 0.0  # + 0.0 turns -0.0 into 0.0, as entropy() does
+
+
 def lemma1_check(pmf: JointPMF, protocol: Protocol) -> dict:
     """Both sides of H(F|X^n) + H(F|Y^n) <= H(F), computed exactly."""
-    p = normalized(_dense_law(pmf, protocol))  # axes X^n, Y^n, F
-    lhs = (max(marginal_entropy(p, (1,)) - marginal_entropy(p, (1, 2)), 0.0)
-           + max(marginal_entropy(p, (0,)) - marginal_entropy(p, (0, 2)), 0.0))
-    rhs = marginal_entropy(p, (0, 1)) + 0.0  # + 0.0 turns -0.0 into 0.0, as entropy() does
+    lhs, rhs = (float(side[0]) for side in lemma1_sides([pmf], [protocol]))
     return {"lhs": lhs, "rhs": rhs, "slack": rhs - lhs}
+
+
+def decomposition_sides(pmfs: Sequence[JointPMF], protocols: Sequence[Protocol],
+                        j_tables: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the exact transcript decomposition of n I(X;Y) for each
+    case: `decomposition_check`'s lhs and rhs, bit for bit, for cases of one
+    shape (one J size among them)."""
+    p = normalized_each(_dense_laws(pmfs, protocols, j_tables))  # axes case, X^n, Y^n, F, J
+    # marginals named by the axes they keep; each of the eight is taken once
+    h_xfj, h_yfj, h_fj, h_xf, h_yf, h_xyfj, h_x, h_y = marginal_entropies(
+        p, (1,), (0,), (0, 1), (1, 3), (0, 3), (), (1, 2, 3), (0, 2, 3))
+    lhs = protocols[0].n * source_informations(pmfs)
+    rhs = (
+        clamped(h_xfj + h_yfj - h_fj - h_xyfj)  # I(X^n; Y^n | J, F)
+        + (h_fj + 0.0)                          # H(J, F)
+        - clamped(h_xf - h_x)                   # H(F | X^n)
+        - clamped(h_yf - h_y)                   # H(F | Y^n)
+        - clamped(h_xfj - h_xf)                 # H(J | X^n, F)
+        - clamped(h_yfj - h_yf)                 # H(J | Y^n, F)
+    )
+    return lhs, rhs
 
 
 def decomposition_check(pmf: JointPMF, protocol: Protocol, j_table: np.ndarray) -> dict:
@@ -166,22 +226,7 @@ def decomposition_check(pmf: JointPMF, protocol: Protocol, j_table: np.ndarray) 
 
     `j_table` is any lookup table over (X^n index, Y^n index).
     """
-    p = normalized(_dense_law(pmf, protocol, j_table))  # axes X^n, Y^n, F, J
-    # marginals named by the axes they keep; each of the eight is taken once
-    h_xfj = marginal_entropy(p, (1,))
-    h_yfj = marginal_entropy(p, (0,))
-    h_fj = marginal_entropy(p, (0, 1))
-    h_xf = marginal_entropy(p, (1, 3))
-    h_yf = marginal_entropy(p, (0, 3))
-    lhs = protocol.n * source_information(pmf)
-    rhs = (
-        max(h_xfj + h_yfj - h_fj - marginal_entropy(p), 0.0)      # I(X^n; Y^n | J, F)
-        + (h_fj + 0.0)                                            # H(J, F)
-        - max(h_xf - marginal_entropy(p, (1, 2, 3)), 0.0)         # H(F | X^n)
-        - max(h_yf - marginal_entropy(p, (0, 2, 3)), 0.0)         # H(F | Y^n)
-        - max(h_xfj - h_xf, 0.0)                                  # H(J | X^n, F)
-        - max(h_yfj - h_yf, 0.0)                                  # H(J | Y^n, F)
-    )
+    lhs, rhs = (float(side[0]) for side in decomposition_sides([pmf], [protocol], [j_table]))
     return {"lhs": lhs, "rhs": rhs, "difference": lhs - rhs}
 
 

@@ -132,13 +132,13 @@ class TestChainObjective:
 
     def test_builds_the_chain_law_once(self, gain, monkeypatch):
         calls = []
-        build = chains._joint_array
+        build = chains._product_law
 
         def counted(*args):
             calls.append(args)
             return build(*args)
 
-        monkeypatch.setattr(chains, "_joint_array", counted)
+        monkeypatch.setattr(chains, "_product_law", counted)
         chain_objective(gain, gain_two_round_chain())
         assert len(calls) == 1
 
@@ -671,3 +671,34 @@ class TestDefensiveErrors:
             det_chain_search(bss25, rounds)
         with pytest.raises(ValueError, match="rounds must be at least 1"):
             continuous_chain_minimize(bss25, ())
+
+
+def reference_kernel_checks(kernels):
+    """The value checks `AuxiliaryChain` made on each kernel, one numpy call at a time."""
+    for j, k in enumerate(np.asarray(k, dtype=float) for k in kernels):
+        if (k < 0).any():
+            raise ValueError(f"round {j + 1} kernel has negative entries")
+        if np.abs(k.sum(axis=-1) - 1.0).max() > 1e-9:
+            raise ValueError(f"round {j + 1} kernel slices must sum to 1 within 1e-9")
+
+
+@pytest.mark.parametrize("kernel", [
+    [[0.5, 0.5], [0.25, 0.75]],
+    [[0.5, 0.5], [1.2, -0.2]],
+    [[float("nan"), 0.5], [0.25, 0.75]],
+    [[float("nan"), -0.5], [0.25, 0.75]],
+    [[0.5, 0.5 + 2e-9], [0.25, 0.75]],
+    [[0.5, 0.5 - 2e-9], [0.25, 0.75]],
+    [[0.5, 0.5 + 5e-10], [0.25, 0.75 - 5e-10]],
+    np.zeros((0, 2)),
+    np.zeros((2, 0)),
+])
+def test_lean_kernel_checks_raise_as_before(kernel):
+    """`AuxiliaryChain` takes fewer numpy calls and raises what it raised."""
+    def outcome(fn):
+        try:
+            fn()
+        except ValueError as exc:
+            return str(exc)
+    expected = outcome(lambda: reference_kernel_checks([kernel]))
+    assert outcome(lambda: AuxiliaryChain("x", (np.asarray(kernel, dtype=float),))) == expected

@@ -20,6 +20,7 @@ from cit import (
     mutual_information,
     validate_pmf,
 )
+from cit.pmf import normalized, normalized_each
 
 H_QUARTER = 0.8112781244591328  # -0.25 log2 0.25 - 0.75 log2 0.75, evaluated directly
 
@@ -204,3 +205,85 @@ class TestBinaryEntropy:
             binary_entropy(-0.1)
         with pytest.raises(ValueError):
             binary_entropy(1.1)
+
+
+def reference_normalized(raw):
+    """The checks `validate_pmf` made on the matrix one numpy call at a time."""
+    p = np.asarray(raw, dtype=float)
+    if not np.isfinite(p).all():
+        raise ValueError("probability entries must be finite")
+    if (p < 0).any():
+        raise NegativeMass(f"negative entries at {np.argwhere(p < 0).tolist()}")
+    total = float(p.sum())
+    if total == 0.0:
+        raise EmptyMatrix("array carries no mass")
+    if abs(total - 1.0) > 1e-6:
+        raise NotNormalized(f"total mass {total} differs from 1 by more than 1e-06")
+    return p / total
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestLeanValidation:
+    """`validate_pmf` takes fewer numpy calls and makes the same checks."""
+
+    @pytest.mark.parametrize("raw", [
+        [[0.5, NAN], [0.25, 0.25]],
+        [[0.5, INF], [0.25, 0.25]],
+        [[0.5, -INF], [0.25, 0.25]],
+        [[INF, -INF], [0.25, 0.25]],
+        [[NAN, -0.5], [0.75, 0.75]],
+        [[0.6, -0.1], [0.25, 0.25]],
+        [[1e308, 1e308], [0.0, 0.0]],
+        [[0.0, 0.0], [0.0, 0.0]],
+        [[0.5, 0.5], [0.5, 0.5]],
+        [[0.25, 0.25], [0.25, 0.2499999]],
+        [[0.5, 0.0], [0.5, 0.0]],
+        [[0.5, 0.5], [0.0, 0.0]],
+        [[0.0, 0.3], [0.0, 0.7]],
+        [[1.0]],
+    ])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_same_checks_and_bits(self, raw):
+        expected = outcome(reference_normalized, raw)
+        got = outcome(validate_pmf, raw)
+        if isinstance(expected, tuple):
+            assert got == expected
+            return
+        assert got.p.tobytes() == expected.tobytes()
+        labels = [str(i) for i in range(expected.shape[0])], [str(j) for j in range(expected.shape[1])]
+        assert got.zero_x_symbols == tuple(s for s, m in zip(labels[0], expected.sum(axis=1)) if m == 0)
+        assert got.zero_y_symbols == tuple(s for s, m in zip(labels[1], expected.sum(axis=0)) if m == 0)
+
+    def test_default_labels_are_shared(self):
+        a, b = validate_pmf([[0.5, 0.5]]), validate_pmf([[0.25, 0.75]])
+        assert a.alphabet_y is b.alphabet_y
+        assert a.alphabet_x.symbols == ("0",) and a.alphabet_y.symbols == ("0", "1")
+
+
+class TestNormalizedEach:
+    def test_each_law_as_normalized_takes_it(self):
+        q = np.random.default_rng(3).dirichlet(np.ones(12), size=5).reshape(5, 2, 3, 2) * 1.0000003
+        got = normalized_each(q)
+        assert got.tobytes() == np.stack([normalized(law) for law in q]).tobytes()
+
+    @pytest.mark.parametrize("laws, error", [
+        ([[0.5, 0.5], [NAN, 0.5], [0.6, -0.1], [0.0, 0.0]], NegativeMass),
+        ([[0.5, 0.5], [0.0, 0.0], [0.6, -0.1]], EmptyMatrix),
+        ([[0.5, 0.5], [0.5, 0.6], [0.0, 0.0]], NotNormalized),
+    ])
+    def test_the_first_failing_law_raises(self, laws, error):
+        with pytest.raises(error):
+            normalized_each(np.array(laws))
+
+    def test_a_nan_law_passes_as_it_did(self):
+        got = normalized_each(np.array([[0.5, 0.5], [NAN, 0.5]]))
+        assert np.isnan(got[1]).all() and got[0].tolist() == [0.5, 0.5]

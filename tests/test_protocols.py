@@ -185,3 +185,18 @@ class TestTranscriptOracle:
                         f = f * size + m
                         prefix = prefix * size + m
                     assert got[xi, yi] == f
+
+
+@pytest.mark.parametrize("table, ok", [
+    ([[0], [1], [2]], True),
+    ([[0], [3], [2]], False),
+    ([[0], [-1], [2]], False),
+    ([[0], [np.iinfo(np.int64).min], [2]], False),
+])
+def test_message_range_check(table, ok):
+    """Read as unsigned, a negative message is past every size."""
+    if ok:
+        assert Protocol(1, (3,), (np.array(table),)).message_tables[0].tolist() == table
+    else:
+        with pytest.raises(ValueError, match=r"round 1 messages must lie in \[0, 3\)"):
+            Protocol(1, (3,), (np.array(table),))
