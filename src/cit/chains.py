@@ -44,6 +44,7 @@ from .pmf import (
     TensorPMF,
     binary_entropy,
     clamped,
+    entry_fault,
     frozen_copies,
     marginal_entropies,
     normalized_each,
@@ -109,8 +110,8 @@ class AuxiliaryChain:
                 raise ValueError(f"round {j + 1} kernel must have {2 + j} axes, got {k.ndim}")
             if tuple(k.shape[1:-1]) != tuple(sizes):
                 raise ValueError(f"round {j + 1} kernel shape {k.shape} inconsistent with prior sizes {sizes}")
-            if not k.min(initial=0.0) >= 0.0 and (k < 0).any():  # a NaN minimum looks closer
-                raise ValueError(f"round {j + 1} kernel has negative entries")
+            if fault := entry_fault(k):
+                raise ValueError(f"round {j + 1} kernel has {fault} entries")
             # the largest |sum - 1| is at the largest or the smallest slice sum
             sums = k.sum(axis=-1)
             if sums.max() - 1.0 > 1e-9 or 1.0 - sums.min() > 1e-9:
@@ -229,14 +230,19 @@ class ChainResult:
         }
 
 
+def check_tensor_budget(cells: int) -> None:
+    """Raise SizeBudgetExceeded when a joint law of `cells` cells is over budget."""
+    if cells > TENSOR_BUDGET:
+        raise SizeBudgetExceeded(f"joint tensor would hold {cells} cells "
+                                 f"(budget {TENSOR_BUDGET})")
+
+
 def law_shape(pmf: JointPMF, chain: "AuxiliaryChain | DeterministicChain") -> tuple[int, ...]:
     """Shape of the dense joint law over (X, Y, U_1, ..., U_r), once it is
     within the size budget and each round's table covers its speaker's symbols."""
     nx, ny = pmf.shape
     shape = (nx, ny) + tuple(chain.sizes)
-    if math.prod(shape) > TENSOR_BUDGET:
-        raise SizeBudgetExceeded(f"joint tensor would hold {math.prod(shape)} cells "
-                                 f"(budget {TENSOR_BUDGET})")
+    check_tensor_budget(math.prod(shape))
     tables = chain.tables if isinstance(chain, DeterministicChain) else chain.kernels
     for j, k in enumerate(tables, start=1):
         expected = speaker_size(j, chain.initiator, nx, ny)
@@ -643,7 +649,7 @@ def continuous_chain_minimize(
     vag = _chain_value_and_grad_factory(pmf.p, sizes, initiator)
 
     def evaluate(kernels):
-        return objective_residual(_product_law(pmf.p, [k[None] for k in kernels], initiator)[0])
+        return objective_residuals(_product_law(pmf.p, kernels, initiator))
 
     outcome = penalized_minimize(starts, exact, vag, evaluate, config)
     chain = AuxiliaryChain(initiator, tuple(renormalize(k) for k in outcome.best.kernels))
@@ -783,21 +789,18 @@ def chain_to_aux_kernel(
     """Collapse a chain into a P(W | X, Y) table over its significant atoms.
 
     Atoms carrying at most ATOM_DUST mass are dropped and the slices
-    renormalized. Returns None when more than `w_size` atoms remain.
+    renormalized; a pair of zero probability goes to atom 0. Returns None
+    when more than `w_size` atoms remain, or when a pair of positive
+    probability keeps no mass on them, as its slice would be 0/0.
     """
     q = _joint_array(pmf, chain).reshape(pmf.shape + (-1,))
     mass = q.sum(axis=(0, 1))
     atoms = np.nonzero(mass > ATOM_DUST)[0]
     if atoms.size > w_size or atoms.size == 0:
         return None
-    nx, ny = pmf.shape
-    k = np.zeros((nx, ny, w_size))
-    p = pmf.p[:, :, None]
-    sub = q[:, :, atoms]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k[:, :, : atoms.size] = np.where(p > 0, sub / np.where(p > 0, p, 1.0), 0.0)
+    k = np.zeros(pmf.shape + (w_size,))
     zero = pmf.p <= 0
-    k[zero, :] = 0.0
-    k[zero, 0] = 1.0
+    k[:, :, : atoms.size] = q[:, :, atoms] / np.where(zero, 1.0, pmf.p)[:, :, None]
+    k[zero] = np.eye(1, w_size)  # q is 0 where p is: no pair is divided by 0
     sums = k.sum(axis=2, keepdims=True)
-    return k / sums
+    return None if sums.min() == 0.0 else k / sums

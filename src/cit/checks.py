@@ -11,7 +11,9 @@ violation of its identity over them, to 1e-9:
 
 The cases are drawn in order, one after another, and each is held to its
 size budgets as it is drawn, so a case over budget stops the suite with the
-error its single-case check raises. They are drawn in windows of at most
+error its single-case check raises; an el5 chain is held to its budget
+before each round's kernel is drawn, and its error counts the cells of the
+rounds so far. They are drawn in windows of at most
 CHECK_WINDOW cases or ENUMERATION_BUDGET law cells, and each window is
 scored one shape group at a time, at most STACK_CELLS law cells to a stack
 (or one larger case): a larger stack runs no faster and would raise the
@@ -48,6 +50,7 @@ def _draw_case(identity: str, rng: np.random.Generator, *, n: int, alphabet: int
         for j in range(1, r + 1):
             parent = chains.speaker_size(j, "x", nx, ny)
             size = int(rng.integers(2, 4))
+            chains.check_tensor_budget(nx * ny * math.prod(prior) * size)  # rounds so far
             flat = rng.dirichlet(np.ones(size), size=parent * math.prod(prior))
             kernels.append(flat.reshape((parent,) + prior + (size,)))
             prior += (size,)
@@ -93,7 +96,8 @@ def _violations(identity: str, cases: list[tuple]) -> np.ndarray:
         lhs, rhs = protocols.decomposition_sides(*columns)
         return np.abs(lhs - rhs)
     objective, residual, terms = chains.chain_scores(*columns)
-    term_sums = np.array([sum(row) for row in terms.tolist()])  # Python's sum, as of a tuple
+    # left to right, as Python's sum adds them; .sum() adds 8 or more pairwise
+    term_sums = terms.cumsum(axis=1)[:, -1]
     return np.abs(objective - source_informations(columns[0]) + residual - term_sums)
 
 

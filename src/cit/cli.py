@@ -19,7 +19,7 @@ from dataclasses import asdict, replace
 
 from . import __version__, chains, checks, optim, rates, simulate, sources, structure, wyner
 from .errors import CitError
-from .pmf import JointPMF, entropy, load_pmf, mutual_information
+from .pmf import entropy, load_pmf, mutual_information
 
 
 def _int_at_least(low: int, rule: str):
@@ -183,11 +183,14 @@ def _flatten(obj, prefix="") -> list[tuple[str, str]]:
     return rows
 
 
-def _emit(report: dict, args) -> None:
-    if getattr(args, "format", "json") == "csv":
+def _emit(args, config: dict, result) -> None:
+    """Write the report: the tool, its version, the command, the seed, the
+    echoed configuration and the result."""
+    report = {"tool": "cit", "version": __version__, "command": args.command,
+              "seed": args.seed, "config": config, "result": result}
+    if args.format == "csv":
         # every cell is a JSON value; the csv module quotes the ones holding
         # commas (lists) or quotes (strings), so each row keeps its width
-        result = report.get("result", report)
         if isinstance(result, list):
             keys = sorted({k for row in result for k in row})
             rows = [keys] + [[json.dumps(row.get(k)) for k in keys] for row in result]
@@ -198,36 +201,11 @@ def _emit(report: dict, args) -> None:
         text = buf.getvalue()
     else:
         text = json.dumps(report, indent=2) + "\n"
-    output = getattr(args, "output", None)
-    if output:
-        with open(output, "w") as fh:
+    if args.output:
+        with open(args.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _envelope(args, config: dict, result) -> dict:
-    return {
-        "tool": "cit",
-        "version": __version__,
-        "command": args.command,
-        "seed": getattr(args, "seed", None),
-        "config": config,
-        "result": result,
-    }
-
-
-def _info_result(pmf: JointPMF) -> dict:
-    t = pmf.to_tensor()
-    return {
-        "h_x": entropy(t, "x"),
-        "h_y": entropy(t, "y"),
-        "h_xy": entropy(t, ("x", "y")),
-        "mi": mutual_information(t, "x", "y"),
-        "zero_x_symbols": list(pmf.zero_x_symbols),
-        "zero_y_symbols": list(pmf.zero_y_symbols),
-        "pmf": pmf.to_json(),
-    }
 
 
 def run(argv) -> int:
@@ -243,55 +221,51 @@ def run(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _dispatch(args)
+        config, result = _dispatch(args)
+        _emit(args, config, result)
     except (CitError, ValueError, OSError, KeyError) as exc:
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         sys.stdout.write(json.dumps(error, indent=2) + "\n")
         return 2
+    return 1 if args.command == "check" and not result["pass"] else 0
 
 
-def _dispatch(args) -> int:
+def _dispatch(args) -> tuple[dict, object]:
+    """The echoed configuration and the result of one parsed command."""
     cmd = args.command
+    pmf = load_pmf(args.pmf) if hasattr(args, "pmf") else None
     if cmd == "info":
-        pmf = load_pmf(args.pmf)
-        _emit(_envelope(args, {"pmf": args.pmf}, _info_result(pmf)), args)
-        return 0
+        t = pmf.to_tensor()
+        return {"pmf": args.pmf}, {
+            "h_x": entropy(t, "x"),
+            "h_y": entropy(t, "y"),
+            "h_xy": entropy(t, ("x", "y")),
+            "mi": mutual_information(t, "x", "y"),
+            "zero_x_symbols": list(pmf.zero_x_symbols),
+            "zero_y_symbols": list(pmf.zero_y_symbols),
+            "pmf": pmf.to_json(),
+        }
 
     if cmd == "suffstat":
-        pmf = load_pmf(args.pmf)
-        g1 = structure.minimal_sufficient_statistic(pmf, "x")
-        g2 = structure.minimal_sufficient_statistic(pmf, "y")
-        result = {
-            "x": {**g1.to_json(), "entropy": structure.labeling_entropy(g1, pmf.marginal_x),
-                  "zero_mass_symbols": list(g1.zero_mass_symbols)},
-            "y": {**g2.to_json(), "entropy": structure.labeling_entropy(g2, pmf.marginal_y),
-                  "zero_mass_symbols": list(g2.zero_mass_symbols)},
-        }
-        _emit(_envelope(args, {"pmf": args.pmf}, result), args)
-        return 0
+        result = {}
+        for side, marginal in (("x", pmf.marginal_x), ("y", pmf.marginal_y)):
+            g = structure.minimal_sufficient_statistic(pmf, side)
+            result[side] = {**g.to_json(), "entropy": structure.labeling_entropy(g, marginal),
+                            "zero_mass_symbols": list(g.zero_mass_symbols)}
+        return {"pmf": args.pmf}, result
 
     if cmd == "gk":
-        pmf = load_pmf(args.pmf)
         lab_x, lab_y = structure.gk_common_function(pmf)
-        result = {
-            "x": lab_x.to_json(),
-            "y": lab_y.to_json(),
-            "h_mcf": structure.gk_ci(pmf),
-        }
-        _emit(_envelope(args, {"pmf": args.pmf}, result), args)
-        return 0
+        result = {"x": lab_x.to_json(), "y": lab_y.to_json(), "h_mcf": structure.gk_ci(pmf)}
+        return {"pmf": args.pmf}, result
 
     if cmd == "wyner":
-        pmf = load_pmf(args.pmf)
         config = optim.PenaltyConfig(restarts=args.restarts, penalty_schedule=args.penalty,
                                      max_iter=args.max_iter, seed=args.seed)
         res = wyner.wyner_minimize(pmf, config, w_size=args.w_size)
-        echo = {"pmf": args.pmf, "w_size": args.w_size, **asdict(config)}
-        _emit(_envelope(args, echo, res.to_json()), args)
-        return 0
+        return {"pmf": args.pmf, "w_size": args.w_size, **asdict(config)}, res.to_json()
 
     if cmd == "ici":
-        pmf = load_pmf(args.pmf)
         config = {
             "pmf": args.pmf, "rounds": args.rounds, "mode": args.mode,
             "initiator": args.initiator, "caps": list(args.caps) if args.caps else None,
@@ -315,18 +289,15 @@ def _dispatch(args) -> int:
             if isinstance(res, CitError):
                 raise res
             result[name] = res.to_json()
-        _emit(_envelope(args, config, result), args)
-        return 0
+        return config, result
 
     if cmd in ("rates", "example"):
         echo, closed = {}, None
-        if cmd == "rates":
-            pmf = load_pmf(args.pmf)
-        elif args.which == "bss":
+        if cmd == "example" and args.which == "bss":
             pmf = sources.bss_pmf(args.delta)
             closed = chains.bss_closed_form(args.delta).to_json()
             echo = {"which": "bss", "delta": args.delta}
-        else:
+        elif cmd == "example":  # gain; `rates` loaded its pmf above
             pmf = sources.gain_pmf(args.a, args.b, args.c)
             echo = {"which": "gain", "a": args.a, "b": args.b, "c": args.c}
         config = rates.RateConfig(
@@ -338,30 +309,25 @@ def _dispatch(args) -> int:
         result = {**rep.to_json(), "pmf": pmf.to_json()}
         if closed is not None:
             result["closed_form"] = closed
-        _emit(_envelope(args, {**echo, **config.to_json()}, result), args)
-        return 0
+        return {**echo, **config.to_json()}, result
 
     if cmd == "check":
         result = checks.identity_check(args.identity, args.count, args.seed, n=args.n,
                                        alphabet=args.alphabet, rounds=args.rounds)
-        config = {"identity": args.identity, "count": args.count, "n": args.n,
-                  "alphabet": args.alphabet, "rounds": args.rounds}
-        _emit(_envelope(args, config, result), args)
-        return 0 if result["pass"] else 1
+        return {"identity": args.identity, "count": args.count, "n": args.n,
+                "alphabet": args.alphabet, "rounds": args.rounds}, result
+
+    if cmd == "simulate" and args.kind == "sw":
+        if args.rate is None:
+            raise ValueError("simulate sw needs --rate")
+        result = [
+            simulate.sw_binning_simulate(pmf, n, args.rate, args.trials, args.seed).to_json()
+            for n in args.n
+        ]
+        return {"pmf": args.pmf, "rate": args.rate, "trials": args.trials,
+                "n": list(args.n)}, result
 
     if cmd == "simulate":
-        pmf = load_pmf(args.pmf)
-        if args.kind == "sw":
-            if args.rate is None:
-                raise ValueError("simulate sw needs --rate")
-            result = [
-                simulate.sw_binning_simulate(pmf, n, args.rate, args.trials, args.seed).to_json()
-                for n in args.n
-            ]
-            config = {"pmf": args.pmf, "rate": args.rate, "trials": args.trials,
-                      "n": list(args.n)}
-            _emit(_envelope(args, config, result), args)
-            return 0
         if args.chain == "copy":
             chain = simulate.default_copy_chain(pmf)
         else:
@@ -374,8 +340,7 @@ def _dispatch(args) -> int:
         ]
         config = {"pmf": args.pmf, "chain": args.chain, "key_rate": args.key_rate,
                   "trials": args.trials, "slack": args.slack, "n": list(args.n)}
-        _emit(_envelope(args, config, reports if len(reports) > 1 else reports[0]), args)
-        return 0
+        return config, reports if len(reports) > 1 else reports[0]
 
     raise ValueError(f"unknown command {cmd!r}")
 

@@ -235,24 +235,29 @@ def penalized_minimize(
     All starts descend together: `value_and_grad(kernels, lam) -> (penalized
     values, gradients)` takes and returns arrays with one row per start on
     the leading axis, and stages run in schedule order for all of them.
-    `evaluate(kernels) -> (objective, residual)` in bits scores one
-    candidate. Exact candidates are scored as given, without smoothing or
-    optimization.
+    `evaluate(kernels) -> (objectives, residuals)` in bits scores a stack
+    the same way, one candidate per row, each as it would score alone. It
+    is called twice: once for the exact candidates (at least one), scored
+    as given without smoothing or optimization, and once for the finished
+    starts, if any.
     """
     candidates: list[Candidate] = []
-    for order, (label, kernels) in enumerate(exact_candidates):
-        objective, residual = evaluate(list(kernels))
-        candidates.append(Candidate(objective, residual,
-                                     tuple(np.asarray(k, dtype=float) for k in kernels),
-                                     label, order))
 
+    def score(labelled, kernels, used, stops):
+        objectives, residuals = (a.tolist() for a in evaluate(kernels))
+        for i, (label, _) in enumerate(labelled):
+            candidates.append(Candidate(objectives[i], residuals[i], tuple(k[i] for k in kernels),
+                                        label, len(candidates), int(used[i]),
+                                        tuple(s[i] for s in stops)))
+
+    stacked = [np.stack(ks) for ks in zip(*(kernels for _, kernels in exact_candidates))]
+    score(exact_candidates, stacked, [0] * len(exact_candidates), [])
     iterations = 0
     calls: list[int] = []
     if seeded_starts:
-        n = len(seeded_starts)
         kernels = [_normalize_slices(np.stack(ks))
                    for ks in zip(*(start for _, start in seeded_starts))]
-        used = np.zeros(n, dtype=int)
+        used = np.zeros(len(seeded_starts), dtype=int)
         stops = []
         for lam in cfg.penalty_schedule:
             kernels, stage_used, stage_stops, stage_calls = _eg_stage(
@@ -260,12 +265,7 @@ def penalized_minimize(
             used += stage_used
             calls.append(stage_calls)
             stops.append(stage_stops)
-        for i, (label, _) in enumerate(seeded_starts):
-            final = [k[i] for k in kernels]
-            objective, residual = evaluate(final)
-            candidates.append(Candidate(objective, residual, tuple(final), label,
-                                         len(candidates), int(used[i]),
-                                         tuple(s[i] for s in stops)))
+        score(seeded_starts, kernels, used, stops)
         iterations = int(used.sum())
 
     feasible = [c for c in candidates if c.residual <= FEASIBILITY_TOL]

@@ -127,11 +127,19 @@ class JointPMF:
         return validate_pmf(obj["p"], obj["x"], obj["y"])
 
 
+def entry_fault(a: np.ndarray) -> str | None:
+    """"negative" if an entry of `a` is below 0, else "NaN" if one is NaN (a NaN
+    minimum fails the test too), else None; an infinite entry is left to the caller's sums."""
+    return None if a.min(initial=0.0) >= 0.0 else "negative" if (a < 0).any() else "NaN"
+
+
 def normalized(p: np.ndarray) -> np.ndarray:
     """`p` divided by its total, once it passes the checks every law passes:
-    no negative entry, some mass, and a total within 1e-6 of 1."""
-    if not p.min(initial=0.0) >= 0.0 and (p < 0).any():  # a NaN minimum looks closer
+    no negative or NaN entry, some mass, and a total within 1e-6 of 1."""
+    if (fault := entry_fault(p)) == "negative":
         raise NegativeMass(f"negative entries at {np.argwhere(p < 0).tolist()}")
+    if fault:
+        raise ValueError("probability entries must be finite")
     return _divided(p, float(p.sum()))
 
 
@@ -150,7 +158,7 @@ def normalized_each(q: np.ndarray) -> np.ndarray:
     checked one by one, so the first failing law raises its own error."""
     totals = q.reshape(len(q), -1).sum(axis=1)
     # the largest |total - 1| is at the largest or the smallest total
-    if not (q.min(initial=0.0) >= 0.0 and totals.max() - 1.0 <= NORMALIZATION_TOL
+    if not (entry_fault(q) is None and totals.max() - 1.0 <= NORMALIZATION_TOL
             and 1.0 - totals.min() <= NORMALIZATION_TOL):
         for law in q:
             normalized(law)
@@ -315,18 +323,13 @@ def clamped(a: np.ndarray) -> np.ndarray:
     return np.where(a < 0.0, 0.0, a)
 
 
-def marginal_entropy(p: np.ndarray, drop: tuple[int, ...] = ()) -> float:
-    """Entropy in bits of the marginal of `p` left after summing out the
-    axes `drop` (ascending; none leaves `p` itself). Every entropy below is
-    a sum of these."""
-    return -plogp_sum(p.sum(axis=drop) if drop else p)
-
-
 def marginal_entropies(p: np.ndarray, *drops: tuple[int, ...]) -> np.ndarray:
-    """`marginal_entropy(law, drop)` of each law on `p`'s leading axis, one
-    result row per drop, bit for bit; each drop names axes of one law.
-    Summing out the same axes of a stack adds each law's cells in the order
-    one law's sum adds them."""
+    """Entropy in bits of each law on `p`'s leading axis after summing out
+    the axes `drop` of the law (ascending; none leaves the law itself), one
+    result row per drop. Summing out the same axes of a stack adds each
+    law's cells in the order one law's sum adds them, so a law scores the
+    same bits in any stack, a stack of one included. Every entropy below is
+    a sum of these."""
     return -plogp_rows(*(
         (p.sum(axis=tuple(a + 1 for a in drop)) if drop else p).reshape(len(p), -1)
         for drop in drops))
@@ -349,7 +352,8 @@ def objective_residuals(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _h(t: TensorPMF, keep: tuple[int, ...]) -> float:
-    return marginal_entropy(t.p, tuple(i for i in range(t.arity) if i not in keep))
+    drop = tuple(i for i in range(t.arity) if i not in keep)
+    return float(marginal_entropies(t.p[None], drop)[0, 0])
 
 
 def entropy(t: TensorPMF, subset: AxisSpec) -> float:

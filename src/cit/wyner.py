@@ -12,6 +12,7 @@ feasible when its conditional-dependence residual is at most
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -21,7 +22,8 @@ from . import structure
 from .errors import KernelInvalid
 from .optim import (FEASIBILITY_TOL, PenaltyConfig, PenaltyOutcome, descent_starts, fixed_xy,
                     penalized_information, penalized_minimize, renormalize)
-from .pmf import JointPMF, normalized, objective_residual, one_hot
+from .pmf import (JointPMF, entry_fault, normalized, normalized_each, objective_residual,
+                  objective_residuals, one_hot)
 
 WYNER_CONFIG = PenaltyConfig(restarts=32, max_iter=5000)
 
@@ -38,13 +40,11 @@ class AuxKernel:
         if k.ndim != 3 or k.shape[2] != self.w_size:
             raise KernelInvalid(f"kernel shape {k.shape} does not end in w_size={self.w_size}")
         if self.w_size > k.shape[0] * k.shape[1]:
-            raise KernelInvalid(
-                f"w_size={self.w_size} exceeds the support bound |X||Y|={k.shape[0] * k.shape[1]}"
-            )
-        if np.any(k < 0):
-            raise KernelInvalid("kernel has negative entries")
-        sums = k.sum(axis=2)
-        if np.max(np.abs(sums - 1.0)) > 1e-9:
+            raise KernelInvalid(f"w_size={self.w_size} exceeds the support bound "
+                                f"|X||Y|={k.shape[0] * k.shape[1]}")
+        if fault := entry_fault(k):
+            raise KernelInvalid(f"kernel has {fault} entries")
+        if np.max(np.abs(k.sum(axis=2) - 1.0)) > 1e-9:
             raise KernelInvalid("kernel slices must sum to 1 within 1e-9")
         k = k.copy()
         k.setflags(write=False)
@@ -147,29 +147,35 @@ def wyner_minimize(
     by default |X||Y|.
 
     Mandatory start points: the pair-copy kernel, the constant kernel, the
-    kernels induced by both minimal sufficient statistics, and any caller
-    supplied kernels (for instance chain-induced ones), each of shape
-    (|X|, |Y|, `w_size`) or KernelInvalid is raised. Each is evaluated
-    exactly as a candidate and also used, slightly smoothed, as a start;
-    a kernel equal to an earlier one, byte for byte, is skipped.
+    kernels induced by both minimal sufficient statistics, and caller
+    supplied kernels (say chain-induced ones) of shape (|X|, |Y|, `w_size`),
+    no negative or NaN entry and slices of positive finite mass, or
+    KernelInvalid is raised. Each is scored exactly as a candidate and also
+    a start, slightly smoothed; a byte-for-byte twin of an earlier one is skipped.
     """
     nx, ny = pmf.shape
     w_size = w_size if w_size is not None else nx * ny
     if w_size < 1 or w_size > nx * ny:
         raise KernelInvalid(f"w_size must lie in [1, |X||Y|] = [1, {nx * ny}], got {w_size}")
 
+    shape = (nx, ny, w_size)
     seeds = [(label, [k]) for label, k in _seed_kernels(pmf, w_size)]
     for label, k in extra_kernels:
         k = np.asarray(k, dtype=float)
-        if k.shape != (nx, ny, w_size):
-            raise KernelInvalid(f"seed kernel {label!r} has shape {k.shape}, "
-                                f"not {(nx, ny, w_size)}")
+        if k.shape != shape:
+            raise KernelInvalid(f"seed kernel {label!r} has shape {k.shape}, not {shape}")
+        if fault := entry_fault(k):
+            raise KernelInvalid(f"seed kernel {label!r} has {fault} entries")
+        sums = k.sum(axis=2)
+        if not 0.0 < sums.min() <= sums.max() < math.inf:  # renormalize divides by each
+            raise KernelInvalid(f"seed kernel {label!r} has a slice of zero or infinite mass")
         seeds.append((label, [k]))
-    starts, exact = descent_starts(seeds, [(nx, ny, w_size)], config)
+    starts, exact = descent_starts(seeds, [shape], config)
     vag = _value_and_grad_factory(pmf.p)
 
     def evaluate(kernels):
-        return objective_residual(normalized(pmf.p[:, :, None] * renormalize(kernels[0])))
+        (k,) = kernels
+        return objective_residuals(normalized_each(pmf.p[None, :, :, None] * renormalize(k)))
 
     outcome = penalized_minimize(starts, exact, vag, evaluate, config)
     best = outcome.best

@@ -674,10 +674,14 @@ class TestDefensiveErrors:
 
 
 def reference_kernel_checks(kernels):
-    """The value checks `AuxiliaryChain` made on each kernel, one numpy call at a time."""
+    """The value checks `AuxiliaryChain` makes on each kernel, one numpy call
+    at a time. A NaN entry is refused: it once passed both checks, and a
+    chain with a NaN row scored as feasible at 0 bits."""
     for j, k in enumerate(np.asarray(k, dtype=float) for k in kernels):
         if (k < 0).any():
             raise ValueError(f"round {j + 1} kernel has negative entries")
+        if np.isnan(k).any():
+            raise ValueError(f"round {j + 1} kernel has NaN entries")
         if np.abs(k.sum(axis=-1) - 1.0).max() > 1e-9:
             raise ValueError(f"round {j + 1} kernel slices must sum to 1 within 1e-9")
 
@@ -687,6 +691,9 @@ def reference_kernel_checks(kernels):
     [[0.5, 0.5], [1.2, -0.2]],
     [[float("nan"), 0.5], [0.25, 0.75]],
     [[float("nan"), -0.5], [0.25, 0.75]],
+    [[float("nan"), float("nan")], [0.25, 0.75]],
+    [[float("inf"), 0.5], [0.25, 0.75]],
+    [[float("-inf"), 0.5], [0.25, 0.75]],
     [[0.5, 0.5 + 2e-9], [0.25, 0.75]],
     [[0.5, 0.5 - 2e-9], [0.25, 0.75]],
     [[0.5, 0.5 + 5e-10], [0.25, 0.75 - 5e-10]],
@@ -702,3 +709,5 @@ def test_lean_kernel_checks_raise_as_before(kernel):
             return str(exc)
     expected = outcome(lambda: reference_kernel_checks([kernel]))
     assert outcome(lambda: AuxiliaryChain("x", (np.asarray(kernel, dtype=float),))) == expected
+    if not np.isfinite(np.asarray(kernel, dtype=float)).all():
+        assert expected is not None

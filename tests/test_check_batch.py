@@ -49,6 +49,12 @@ def reference_violations(identity, seed, count, n, alphabet, rounds):
             for j in range(1, r + 1):
                 parent = chains.speaker_size(j, "x", nx, ny)
                 size = int(rng.integers(2, 4))
+                # the budget is checked before each round's draw, not once
+                # the whole chain is drawn: a 16-round draw would take 200 MB
+                cells = nx * ny * math.prod(prior) * size
+                if cells > chains.TENSOR_BUDGET:
+                    raise SizeBudgetExceeded(f"joint tensor would hold {cells} cells "
+                                             f"(budget {chains.TENSOR_BUDGET})")
                 flat = rng.dirichlet(np.ones(size), size=parent * math.prod(prior))
                 kernels.append(flat.reshape((parent,) + prior + (size,)))
                 prior += (size,)
@@ -145,6 +151,8 @@ def test_an_unknown_identity_is_refused():
      "joint law of (X^n, Y^n, F, J) exceeds the budget"),
     (["el5", "--rounds", "14", "--count", "20", "--seed", "0"],
      "joint tensor would hold 5668704 cells (budget 4194304)"),
+    (["el5", "--rounds", "16", "--count", "20", "--seed", "0"],
+     "joint tensor would hold 5038848 cells (budget 4194304)"),
 ])
 def test_the_first_case_over_budget_raises_its_error(argv, message):
     """Budgets are checked as each case is drawn, so the run stops at the case
@@ -156,6 +164,19 @@ def test_the_first_case_over_budget_raises_its_error(argv, message):
     code, out = run_cli(["check"] + argv)
     assert code == 2
     assert json.loads(out)["error"] == {"type": "SizeBudgetExceeded", "message": message}
+
+
+def test_an_el5_chain_over_budget_stops_before_its_next_draw():
+    """The first case over budget at 16 rounds crosses the budget at its
+    fifteenth round; drawing all sixteen rounds first peaked at 218 MB."""
+    tracemalloc.start()
+    try:
+        code, out = run_cli(["check", "el5", "--rounds", "16", "--count", "20", "--seed", "0"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and json.loads(out)["error"]["type"] == "SizeBudgetExceeded"
+    assert peak <= 2 * 8 * chains.TENSOR_BUDGET
 
 
 def test_peak_memory_is_near_the_per_case_loops():

@@ -313,6 +313,23 @@ class TestErrorsAndIO:
         rep = json.loads(target.read_text())
         assert rep["result"]["mi"] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("argv", [["info", "--pmf", "PMF"], ["check", "el5", "--count", "2"]])
+    def test_an_unwritable_output_is_an_error_report(self, pmf_file, tmp_path, argv):
+        target = tmp_path / "missing" / "out.json"
+        argv = [pmf_file if a == "PMF" else a for a in argv]
+        code, out = run_cli(argv + ["--output", str(target)])
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "FileNotFoundError" and str(target) in error["message"]
+        assert not target.parent.exists()
+
+    def test_a_failed_check_exits_1_after_its_report(self, monkeypatch):
+        failed = {"identity": "el5", "count": 1, "max_violation": 1.0, "pass": False}
+        monkeypatch.setattr(cli.checks, "identity_check", lambda *args, **kwargs: failed)
+        code, out = run_cli(["check", "el5", "--count", "1"])
+        assert code == 1
+        assert json.loads(out)["result"] == failed
+
     def test_reports_reparse_and_carry_metadata(self, pmf_file):
         code, out = run_cli(["rates", "--pmf", pmf_file, "--rounds", "1"])
         rep = json.loads(out)

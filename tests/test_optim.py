@@ -84,7 +84,7 @@ def _reference_start(start, value_and_grad, evaluate, cfg):
         kernels, used, reason = _reference_stage(kernels, lam, value_and_grad, cfg, trace)
         stages.append((used, reason))
         traces.append(np.array(trace))
-    objective, residual = evaluate(kernels)
+    (objective,), (residual,) = evaluate([k[None] for k in kernels])
     return Reference(objective, residual, kernels, stages, traces)
 
 

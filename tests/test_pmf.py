@@ -276,7 +276,8 @@ class TestNormalizedEach:
         assert got.tobytes() == np.stack([normalized(law) for law in q]).tobytes()
 
     @pytest.mark.parametrize("laws, error", [
-        ([[0.5, 0.5], [NAN, 0.5], [0.6, -0.1], [0.0, 0.0]], NegativeMass),
+        ([[0.5, 0.5], [NAN, 0.5], [0.6, -0.1], [0.0, 0.0]], ValueError),
+        ([[0.5, 0.5], [0.6, -0.1], [NAN, 0.5], [0.0, 0.0]], NegativeMass),
         ([[0.5, 0.5], [0.0, 0.0], [0.6, -0.1]], EmptyMatrix),
         ([[0.5, 0.5], [0.5, 0.6], [0.0, 0.0]], NotNormalized),
     ])
@@ -284,6 +285,16 @@ class TestNormalizedEach:
         with pytest.raises(error):
             normalized_each(np.array(laws))
 
-    def test_a_nan_law_passes_as_it_did(self):
-        got = normalized_each(np.array([[0.5, 0.5], [NAN, 0.5]]))
-        assert np.isnan(got[1]).all() and got[0].tolist() == [0.5, 0.5]
+    def test_a_nan_law_raises(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            normalized_each(np.array([[0.5, 0.5], [NAN, 0.5]]))
+
+
+@pytest.mark.parametrize("bad, error", [
+    (NAN, ValueError), (INF, NotNormalized), (-INF, NegativeMass)])
+def test_a_tensor_with_a_nonfinite_entry_is_refused(bad, error):
+    """A NaN cell once passed every check and scored as a law."""
+    p = np.full((2, 2, 2), 0.125)
+    p[0, 1, 1] = bad
+    with pytest.raises(error):
+        TensorPMF(("x", "y", "u"), tuple(FiniteAlphabet.of_size(2) for _ in range(3)), p)

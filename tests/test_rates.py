@@ -3,7 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cit import PenaltyConfig, RateConfig, binary_entropy, chains, rate_report, wyner
+from cit import (PenaltyConfig, RateConfig, binary_entropy, chains, rate_report, validate_pmf,
+                 wyner)
 from cit.sources import bss_pmf, random_pmf
 
 LIGHT = RateConfig(descent=PenaltyConfig(restarts=4, max_iter=1200))
@@ -116,3 +117,33 @@ class TestInvariants:
                     "ci1_x", "ci1_y", "cir_ub", "r_ni", "r_sk_r", "rounds",
                     "provenance"):
             assert key in blob
+
+
+class TestDustCell:
+    """A source cell lighter than `chains.ATOM_DUST`, alone in its row and
+    column: a chain that gives it an atom of its own leaves its Wyner seed
+    slice no atom mass, once 0/0 = NaN, and `cit rates` exited 2 on it."""
+
+    @pytest.fixture
+    def dusty(self):
+        return validate_pmf([[0.5, 0.0, 0.0], [0.0, 0.5 - 1e-13, 0.0], [0.0, 0.0, 1e-13]])
+
+    @pytest.fixture
+    def isolating(self):  # U_1 = X: the dust cell's atom holds 1e-13
+        return chains.DeterministicChain("x", (3, 1), (np.arange(3), np.zeros((3, 3), dtype=int)))
+
+    def test_a_pair_left_no_atom_mass_gives_no_seed(self, dusty, isolating):
+        assert chains.chain_to_aux_kernel(dusty, isolating, 9) is None
+
+    def test_rates_reports(self, dusty):
+        rep = rate_report(dusty, replace(LIGHT, rounds=2))
+        assert rep.mi <= rep.wyner_ub + 1e-6 and np.isfinite(rep.wyner_ub)
+
+    def test_rates_reports_when_a_found_chain_isolates_the_dust(self, dusty, isolating,
+                                                                monkeypatch):
+        found = chains.chain_objective(dusty, isolating)
+        assert found.feasible
+        monkeypatch.setattr(chains, "chain_routes", lambda *args, **kwargs: iter([("det", found)]))
+        rep = rate_report(dusty, replace(LIGHT, rounds=2))
+        assert rep.cir_ub == found.objective
+        assert rep.mi <= rep.wyner_ub + 1e-6 and np.isfinite(rep.wyner_ub)

@@ -75,6 +75,17 @@ class TestObjective:
         with pytest.raises(KernelInvalid):
             AuxKernel(3, -np.ones((2, 2, 3)) / 3.0)
 
+    @pytest.mark.parametrize("bad, message", [
+        (np.nan, "kernel has NaN entries"),
+        (np.inf, "kernel slices must sum to 1"),
+        (-np.inf, "kernel has negative entries"),
+    ])
+    def test_a_nonfinite_kernel_is_refused(self, bad, message):
+        k = np.ones((2, 2, 3)) / 3.0
+        k[1, 0, 2] = bad
+        with pytest.raises(KernelInvalid, match=message):
+            AuxKernel(3, k)
+
 
 class TestMinimize:
     def test_copy_source(self, uniform_copy):
@@ -130,6 +141,25 @@ class TestMinimize:
         with pytest.raises(KernelInvalid, match=re.escape(message)):
             wyner_minimize(gain, PenaltyConfig(restarts=1, max_iter=10),
                            extra_kernels=[("odd", k)])
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.nan, "has NaN entries"),
+        (-np.inf, "has negative entries"),
+        (-0.5, "has negative entries"),
+        (np.inf, "has a slice of zero or infinite mass"),
+        (None, "has a slice of zero or infinite mass"),
+    ])
+    def test_a_seed_kernel_that_is_no_kernel_raises(self, bss25, bad, message):
+        """A NaN seed once scored 0.0 bits at residual 0, below I(X;Y); an
+        all-zero slice (`None` here) renormalizes to NaN."""
+        k = np.full((2, 2, 4), 0.25)
+        if bad is None:
+            k[0, 1] = 0.0
+        else:
+            k[0, 1, 3] = bad
+        with pytest.raises(KernelInvalid, match=f"seed kernel 'bad' {message}"):
+            wyner_minimize(bss25, PenaltyConfig(restarts=1, max_iter=10),
+                           extra_kernels=[("bad", k)])
 
     def test_report_serializes(self, independent):
         res = wyner_minimize(independent, LIGHT)
