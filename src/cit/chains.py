@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -36,8 +36,8 @@ from .errors import (
     NoFeasiblePoint,
     SizeBudgetExceeded,
 )
-from .optim import (FEASIBILITY_TOL, PenaltyConfig, PenaltyOutcome, descent_starts,
-                    penalized_information, penalized_minimize, renormalize)
+from .optim import (FEASIBILITY_TOL, PenaltyConfig, descent_starts, penalized_information,
+                    penalized_minimize, renormalize)
 from .pmf import (
     FiniteAlphabet,
     JointPMF,
@@ -52,6 +52,7 @@ from .pmf import (
     objective_residuals,
     one_hot,
     plogp_sum,
+    slices_sum_to_one,
     source_information,
 )
 
@@ -112,9 +113,7 @@ class AuxiliaryChain:
                 raise ValueError(f"round {j + 1} kernel shape {k.shape} inconsistent with prior sizes {sizes}")
             if fault := entry_fault(k):
                 raise ValueError(f"round {j + 1} kernel has {fault} entries")
-            # the largest |sum - 1| is at the largest or the smallest slice sum
-            sums = k.sum(axis=-1)
-            if sums.max() - 1.0 > 1e-9 or 1.0 - sums.min() > 1e-9:
+            if not slices_sum_to_one(k):
                 raise ValueError(f"round {j + 1} kernel slices must sum to 1 within 1e-9")
             parents.append(k.shape[0])
             sizes.append(k.shape[-1])
@@ -167,9 +166,13 @@ class DeterministicChain:
     def rounds(self) -> int:
         return len(self.tables)
 
+    @cached_property
+    def kernels(self) -> tuple[np.ndarray, ...]:
+        """Each round's table as a read-only one-hot kernel, as `AuxiliaryChain` holds them."""
+        return frozen_copies(one_hot(t, s) for t, s in zip(self.tables, self.sizes))
+
     def as_auxiliary(self) -> AuxiliaryChain:
-        return AuxiliaryChain(self.initiator,
-                              tuple(one_hot(t, s) for t, s in zip(self.tables, self.sizes)))
+        return AuxiliaryChain(self.initiator, self.kernels)
 
     def padded(self, sizes: Sequence[int]) -> "DeterministicChain":
         """Same functions redeclared with (weakly larger) round sizes."""
@@ -216,9 +219,6 @@ class ChainResult:
     # and set partitions scored, the rebuild's included
     states: int | None = None
     moves: int | None = None
-    # penalty descent only: the descent itself, every candidate's kernels,
-    # iterations and stop reasons
-    outcome: PenaltyOutcome | None = field(default=None, compare=False, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -243,8 +243,7 @@ def law_shape(pmf: JointPMF, chain: "AuxiliaryChain | DeterministicChain") -> tu
     nx, ny = pmf.shape
     shape = (nx, ny) + tuple(chain.sizes)
     check_tensor_budget(math.prod(shape))
-    tables = chain.tables if isinstance(chain, DeterministicChain) else chain.kernels
-    for j, k in enumerate(tables, start=1):
+    for j, k in enumerate(chain.kernels, start=1):
         expected = speaker_size(j, chain.initiator, nx, ny)
         if k.shape[0] != expected:
             raise ValueError(f"round {j} speaks {speaker_of(j, chain.initiator)!r} but its table "
@@ -252,14 +251,10 @@ def law_shape(pmf: JointPMF, chain: "AuxiliaryChain | DeterministicChain") -> tu
     return shape
 
 
-def _kernels(chain: "AuxiliaryChain | DeterministicChain") -> tuple[np.ndarray, ...]:
-    return (chain.as_auxiliary() if isinstance(chain, DeterministicChain) else chain).kernels
-
-
 def _joint_array(pmf: JointPMF, chain: "AuxiliaryChain | DeterministicChain") -> np.ndarray:
     """Dense joint law over (X, Y, U_1, ..., U_r)."""
     law_shape(pmf, chain)
-    return _product_law(pmf.p, [k[None] for k in _kernels(chain)], chain.initiator)[0]
+    return _product_law(pmf.p, [k[None] for k in chain.kernels], chain.initiator)[0]
 
 
 def _product_law(p: np.ndarray, kernels: Sequence[np.ndarray], initiator: str) -> np.ndarray:
@@ -292,7 +287,7 @@ def chain_scores(pmfs: Sequence[JointPMF], chains: Sequence["AuxiliaryChain | De
     if any((c.initiator, c.sizes) != (first.initiator, first.sizes) for c in chains):
         raise ValueError("stacked chains need one initiator and round sizes")
     law_shape(pmfs[0], first)
-    kernels = [np.stack(ks) for ks in zip(*map(_kernels, chains))]
+    kernels = [np.stack(ks) for ks in zip(*(c.kernels for c in chains))]
     q = _product_law(np.stack([pmf.p for pmf in pmfs]), kernels, first.initiator)
     objective, residual = objective_residuals(q)
     p = normalized_each(q)  # axes case, X, Y, U_1, ..., U_r
@@ -556,16 +551,6 @@ def det_chain_search(
 # randomized chains by penalty descent
 # ---------------------------------------------------------------------------
 
-def _kernel_shapes(nx: int, ny: int, sizes: Sequence[int], initiator: str) -> list[tuple[int, ...]]:
-    shapes = []
-    prior: tuple[int, ...] = ()
-    for j, s in enumerate(sizes, start=1):
-        parent = speaker_size(j, initiator, nx, ny)
-        shapes.append((parent,) + prior + (int(s),))
-        prior += (int(s),)
-    return shapes
-
-
 def _chain_value_and_grad_factory(p: np.ndarray, sizes: Sequence[int], initiator: str):
     """Penalized values and per-slice gradients for the update rule, for a
     batch of chains on the leading axis: the mean of
@@ -592,9 +577,10 @@ def _chain_value_and_grad_factory(p: np.ndarray, sizes: Sequence[int], initiator
 
 
 def _constant_chain(nx: int, ny: int, sizes: Sequence[int], initiator: str) -> DeterministicChain:
-    shapes = _kernel_shapes(nx, ny, sizes, initiator)
-    tables = tuple(np.zeros(shape[:-1], dtype=int) for shape in shapes)
-    return DeterministicChain(initiator, tuple(shape[-1] for shape in shapes), tables)
+    sizes = tuple(int(s) for s in sizes)
+    tables = tuple(np.zeros((speaker_size(j, initiator, nx, ny),) + sizes[:j - 1], dtype=int)
+                   for j in range(1, len(sizes) + 1))
+    return DeterministicChain(initiator, sizes, tables)
 
 
 def _copy_chain(nx: int, ny: int, sizes: Sequence[int], initiator: str) -> DeterministicChain | None:
@@ -623,15 +609,14 @@ def continuous_chain_minimize(
     chain and the constant chain; each is also scored exactly as a
     candidate, and a chain whose kernels equal an earlier one's, byte for
     byte, is skipped. Feasibility threshold: `optim.FEASIBILITY_TOL` bits.
-    The result's `outcome` holds every candidate of the descent. Raises
-    ValueError for empty `sizes` and for a `start` spoken first by another
-    side than `initiator`.
+    The result's `candidates` give each candidate's label, objective and
+    residual. Raises ValueError for empty `sizes` and for a `start` spoken
+    first by another side than `initiator`.
     """
     sizes = tuple(int(s) for s in sizes)
     if not sizes:
         raise ValueError("rounds must be at least 1")
     nx, ny = pmf.shape
-    shapes = _kernel_shapes(nx, ny, sizes, initiator)
 
     seed_chains: list[tuple[str, DeterministicChain]] = []
     if start is not None:
@@ -642,10 +627,12 @@ def continuous_chain_minimize(
     copy_chain = _copy_chain(nx, ny, sizes, initiator)
     if copy_chain is not None:
         seed_chains.append(("copy", copy_chain))
-    seed_chains.append(("constant", _constant_chain(nx, ny, sizes, initiator)))
+    constant = _constant_chain(nx, ny, sizes, initiator)
+    seed_chains.append(("constant", constant))
 
-    starts, exact = descent_starts(
-        ((label, list(ch.as_auxiliary().kernels)) for label, ch in seed_chains), shapes, config)
+    # the restarts draw kernels of the constant chain's shapes
+    starts, exact = descent_starts(((label, list(ch.kernels)) for label, ch in seed_chains),
+                                   [k.shape for k in constant.kernels], config)
     vag = _chain_value_and_grad_factory(pmf.p, sizes, initiator)
 
     def evaluate(kernels):
@@ -653,7 +640,7 @@ def continuous_chain_minimize(
 
     outcome = penalized_minimize(starts, exact, vag, evaluate, config)
     chain = AuxiliaryChain(initiator, tuple(renormalize(k) for k in outcome.best.kernels))
-    return replace(chain_objective(pmf, chain), outcome=outcome,
+    return replace(chain_objective(pmf, chain),
                    candidates=tuple((c.label, c.objective, c.residual) for c in outcome.candidates))
 
 

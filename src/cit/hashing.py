@@ -171,7 +171,7 @@ class AffineGf2Hash:
             out ^= ((value & row).bit_count() & 1) << i
         return out
 
-    def coset(self, syndrome: int, cap: int | None = None) -> np.ndarray:
+    def coset(self, syndrome: int) -> np.ndarray:
         """All m-bit words hashing to `syndrome`, as a sorted uint64 array.
 
         Az = s xor b exactly when z + 2^m is a null vector of the rows with
@@ -179,9 +179,7 @@ class AffineGf2Hash:
         column m free, and its null vector is 2^m plus one solution z; the
         other null vectors are A's own null basis.
         """
-        m, k = self.m, self.k
-        if cap is not None and 1 << (m - k) > cap:
-            raise ValueError(f"coset of size {1 << (m - k)} exceeds the cap {cap}")
+        m = self.m
         s = syndrome ^ self.offset
         rows = [row | (s >> i & 1) << m for i, row in enumerate(self.rows)]
         full, null = _null_spaces(np.array([rows], dtype=np.uint64), m + 1)

@@ -65,10 +65,6 @@ class Candidate:
     # per penalty stage: "stall", "step_floor" or "max_iter"; empty for exact candidates
     stops: tuple[str, ...] = ()
 
-    @property
-    def sort_key(self):
-        return (self.objective, self.order)
-
 
 @dataclass
 class PenaltyOutcome:
@@ -271,7 +267,7 @@ def penalized_minimize(
     feasible = [c for c in candidates if c.residual <= FEASIBILITY_TOL]
     if not feasible:
         raise NoFeasiblePoint(f"no candidate reached residual <= {FEASIBILITY_TOL}")
-    best = min(feasible, key=lambda c: c.sort_key)
+    best = min(feasible, key=lambda c: (c.objective, c.order))
     return PenaltyOutcome(best, candidates, iterations, tuple(calls))
 
 

@@ -133,6 +133,12 @@ def entry_fault(a: np.ndarray) -> str | None:
     return None if a.min(initial=0.0) >= 0.0 else "negative" if (a < 0).any() else "NaN"
 
 
+def slices_sum_to_one(k: np.ndarray) -> bool:
+    """Whether every slice of `k` along its last axis sums to 1 within 1e-9."""
+    sums = k.sum(axis=-1)  # the largest |sum - 1| is at the largest or the smallest sum
+    return sums.max() - 1.0 <= 1e-9 and 1.0 - sums.min() <= 1e-9
+
+
 def normalized(p: np.ndarray) -> np.ndarray:
     """`p` divided by its total, once it passes the checks every law passes:
     no negative or NaN entry, some mass, and a total within 1e-6 of 1."""
@@ -182,7 +188,8 @@ def validate_pmf(
     1e-6 is rejected; otherwise the matrix is renormalized exactly. Zero
     rows/columns are retained and reported in the diagnostics fields.
     """
-    p = np.asarray(raw_matrix, dtype=float)
+    # C order, so that every sum over `p` adds in one order whatever the input's layout
+    p = np.asarray(raw_matrix, dtype=float, order="C")
     if p.ndim != 2 or p.size == 0:
         raise EmptyMatrix(f"expected a nonempty 2-d matrix, got shape {p.shape}")
     low, high = p.min(), p.max()

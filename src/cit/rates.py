@@ -6,7 +6,8 @@ r_sk_r = cir_ub - I(X;Y). Provenance strings mark which fields are exact
 and which are optimizer upper bounds. The r-round bound is exact for r = 1
 (sufficient-statistic entropy) and for doubly symmetric binary sources
 (closed form); otherwise it is the minimum over the one-round values, the
-deterministic-chain search, and the randomized-chain descent.
+deterministic-chain search, and the randomized-chain descent, each run at
+every round count from 2 to r, so the bound never rises with r.
 """
 
 from __future__ import annotations
@@ -79,11 +80,19 @@ def rate_report(pmf: JointPMF, config: RateConfig | None = None) -> RateReport:
 
     nx, ny = pmf.shape
     delta = binary_symmetric_delta(pmf)
-    routes = chains.chain_routes(pmf, r, config.det_caps, config.det_budget, config.descent,
-                                 cont=config.include_continuous and delta is None)
+    caps = config.det_caps
+    # an r'-round chain followed by constant rounds is an r-round chain with
+    # the same value, so the routes run at every round count from 2 to r (a
+    # one-round report runs them at 1); r's own call checks the flags first
+    counts = range(min(r, 2), r + 1)
+    routes = {k: chains.chain_routes(pmf, k, caps if k == r or caps is None else caps[:k],
+                                     config.det_budget, config.descent,
+                                     cont=config.include_continuous and delta is None)
+              for k in reversed(counts)}
     # a failed route, or one whose chain is infeasible, is left out; the
     # one-round values still bound the report
-    found = [res for _, res in routes if isinstance(res, chains.ChainResult) and res.feasible]
+    found = [res for k in counts for _, res in routes[k]
+             if isinstance(res, chains.ChainResult) and res.feasible]
 
     if delta is not None:
         # doubly symmetric binary: the r-round optimum is exactly min{H(X), H(Y)}

@@ -101,14 +101,6 @@ def _group_entropies(groups: np.ndarray, masses: np.ndarray) -> tuple[float, flo
     return h_k, h_f, h_kf
 
 
-def _key_transcript_entropies(
-    keys: np.ndarray, transcript: np.ndarray, weights: np.ndarray
-) -> tuple[float, float, float]:
-    """(H(K), H(F), H(K, F)) in bits from (possibly weighted) rows of K and F words."""
-    groups, inv = _distinct_rows(np.stack([keys, transcript], axis=1))
-    return _group_entropies(groups, np.bincount(inv, weights=weights))
-
-
 class _PresetState(np.random.bit_generator.ISeedSequence):
     """Hands `PCG64` the state words a `SeedSequence` would generate."""
 
@@ -275,9 +267,7 @@ def sw_binning_simulate(
         count = nx ** n
         if count > 2 ** 20:
             raise SizeBudgetExceeded(f"{count} sequences exceed the enumeration budget 2^20")
-        bits_per = max(1, math.ceil(math.log2(nx)))
-        if n * bits_per > 63:
-            raise SizeBudgetExceeded("packed sequences exceed the 63-bit word")
+        bits_per = max(1, math.ceil(math.log2(nx)))  # nx^n <= 2^20 leaves n * bits_per <= 32
         if count / (1 << k_bits) > COSET_CAP:
             raise SizeBudgetExceeded("average bin size exceeds the decoder cap")
         # sequence c has digit c // nx^t % nx at position t; no (count, n) table
@@ -652,7 +642,8 @@ def cr_sk_simulate(
     if exact:
         h_k, h_f, h_kf = _exact_entropies(pmf, cells, n, n_rows, stages, key_hash)
     else:
-        h_k, h_f, h_kf = _key_transcript_entropies(keys, transcript, np.ones(trials))
+        groups, inv = _distinct_rows(np.stack([keys, transcript], axis=1))
+        h_k, h_f, h_kf = _group_entropies(groups, np.bincount(inv, weights=np.ones(trials)))
     leakage = max(h_k + h_f - h_kf, 0.0) / n
     uniformity_gap = max(key_bits - h_k, 0.0) / n
 

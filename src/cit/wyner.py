@@ -20,10 +20,10 @@ import numpy as np
 
 from . import structure
 from .errors import KernelInvalid
-from .optim import (FEASIBILITY_TOL, PenaltyConfig, PenaltyOutcome, descent_starts, fixed_xy,
+from .optim import (FEASIBILITY_TOL, PenaltyConfig, descent_starts, fixed_xy,
                     penalized_information, penalized_minimize, renormalize)
-from .pmf import (JointPMF, entry_fault, normalized, normalized_each, objective_residual,
-                  objective_residuals, one_hot)
+from .pmf import (JointPMF, entry_fault, frozen_copies, normalized, normalized_each,
+                  objective_residual, objective_residuals, one_hot, slices_sum_to_one)
 
 WYNER_CONFIG = PenaltyConfig(restarts=32, max_iter=5000)
 
@@ -44,11 +44,9 @@ class AuxKernel:
                                 f"|X||Y|={k.shape[0] * k.shape[1]}")
         if fault := entry_fault(k):
             raise KernelInvalid(f"kernel has {fault} entries")
-        if np.max(np.abs(k.sum(axis=2) - 1.0)) > 1e-9:
+        if not slices_sum_to_one(k):
             raise KernelInvalid("kernel slices must sum to 1 within 1e-9")
-        k = k.copy()
-        k.setflags(write=False)
-        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "k", frozen_copies([k])[0])
 
     def to_json(self) -> dict:
         return {"w_size": self.w_size, "k": self.k.tolist()}
@@ -65,8 +63,6 @@ class WynerResult:
     iterations: int
     feasible: bool
     candidates: tuple[tuple[str, float, float], ...] = field(default=())
-    # the descent itself: every candidate's kernels, iterations and stop reasons
-    outcome: PenaltyOutcome | None = field(default=None, compare=False, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -187,6 +183,5 @@ def wyner_minimize(
         iterations=outcome.iterations,
         feasible=best.residual <= FEASIBILITY_TOL,
         candidates=tuple((c.label, c.objective, c.residual) for c in outcome.candidates),
-        outcome=outcome,
     )
 

@@ -19,7 +19,7 @@ import math
 import numpy as np
 import pytest
 
-from cit.chains import _chain_value_and_grad_factory, _kernel_shapes, _product_law
+from cit.chains import _chain_value_and_grad_factory, _constant_chain, _product_law
 from cit.optim import dirichlet_starts, fixed_xy, penalized_information
 from cit.pmf import objective_residual
 from cit.sources import random_pmf
@@ -107,7 +107,8 @@ class TestPenalizedInformation:
     @pytest.mark.parametrize("lam", [0.0, 3.0])
     def test_chain(self, initiator, sizes, lam):
         pmf = random_pmf(np.random.default_rng(19), 2, 3)
-        [(_, kernels)] = dirichlet_starts(19, 1, _kernel_shapes(2, 3, sizes, initiator))
+        shapes = [k.shape for k in _constant_chain(2, 3, sizes, initiator).kernels]
+        [(_, kernels)] = dirichlet_starts(19, 1, shapes)
         q = _product_law(pmf.p, [k[None] for k in kernels], initiator)
         (value,), _ = penalized_information(q, lam)
         objective, residual = objective_residual(q[0])

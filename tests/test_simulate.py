@@ -677,13 +677,15 @@ def reference_key_transcript_entropies(keys, transcript, weights):
 
 
 def test_key_transcript_entropies_bits():
+    """The estimate path's `_distinct_rows` and `_group_entropies` against the reference."""
     rng = np.random.default_rng(17)
     for rows, f_bits in ((1, 4), (40, 4), (2000, 8), (6561, 12)):
         keys = rng.integers(0, 4, rows, dtype=np.uint64)
         transcript = rng.integers(0, 1 << f_bits, rows, dtype=np.uint64)
         transcript |= np.uint64(1 << 63) * rng.integers(0, 2, rows, dtype=np.uint64)
         for weights in (np.ones(rows), rng.dirichlet(np.ones(rows))):
-            got = simulate._key_transcript_entropies(keys, transcript, weights)
+            groups, inv = simulate._distinct_rows(np.stack([keys, transcript], axis=1))
+            got = simulate._group_entropies(groups, np.bincount(inv, weights=weights))
             assert got == reference_key_transcript_entropies(keys, transcript, weights)
 
 

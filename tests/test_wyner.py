@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -9,13 +10,17 @@ from cit import (
     KernelInvalid,
     PenaltyConfig,
     TensorPMF,
+    binary_entropy,
     conditional_mutual_information,
     entropy,
     mutual_information,
+    rate_report,
     wyner_minimize,
     wyner_objective,
 )
 from cit.chains import chain_to_aux_kernel, det_chain_search
+from cit.rates import REPORT_DESCENT
+from cit.sources import bss_pmf
 from cit.wyner import _seed_kernels, deterministic_kernel
 
 from conftest import random_sparse_pmf
@@ -173,3 +178,26 @@ def test_no_feasible_point_with_constant_w(bss25):
 
     with pytest.raises(NoFeasiblePoint):
         wyner_minimize(bss25, PenaltyConfig(restarts=2, max_iter=200, seed=0), w_size=1)
+
+
+# Tripwires for known bound defects: each fails today, and the change that
+# mends its ROADMAP item must turn it into a plain test.
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: a randomized Wyner winner counts as "
+                   "feasible at residual 1e-4 and lands below the closed form")
+@pytest.mark.parametrize("delta", [0.1, 0.25])
+def test_wyner_bound_is_not_below_the_closed_form(delta):
+    """Wyner's closed form for the doubly symmetric binary source:
+    1 + h(d) - 2 h((1 - sqrt(1 - 2d)) / 2); the descent gives 0.872610
+    against 0.872761 at d = 0.1, and 0.608965 against 0.609526 at d = 0.25."""
+    closed = (1 + binary_entropy(delta)
+              - 2 * binary_entropy((1 - math.sqrt(1 - 2 * delta)) / 2))
+    assert wyner_minimize(bss_pmf(delta), REPORT_DESCENT).value >= closed - 1e-9
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the Wyner descent's bound lies above "
+                   "the chains' bound on gain")
+def test_wyner_bound_is_at_most_the_chain_bound_on_gain(gain):
+    """Wyner's quantity is at most CI_i^r; the report gives 1.5588718 against 1.5588674."""
+    rep = rate_report(gain)
+    assert rep.wyner_ub <= rep.cir_ub
