@@ -30,6 +30,7 @@ import numpy as np
 from . import structure
 from .errors import (
     BudgetExceeded,
+    CitError,
     DeltaOutOfRange,
     LemmaViolation,
     NoFeasibleChain,
@@ -43,6 +44,7 @@ from .pmf import (
     JointPMF,
     TensorPMF,
     binary_entropy,
+    check_law_budget,
     clamped,
     entry_fault,
     frozen_copies,
@@ -60,7 +62,6 @@ DET_FEASIBILITY_TOL = 1e-9
 PINNED_TOL = 1e-6          # bits of H(X|u) or H(Y|u) that still count as pinned
 ATOM_DUST = 1e-12          # chain atoms this light are dropped from a Wyner seed
 CONT_CONFIG = PenaltyConfig(restarts=8, max_iter=3000)
-TENSOR_BUDGET = 2 ** 22
 
 
 def check_initiator(initiator: str) -> None:
@@ -196,11 +197,17 @@ class DeterministicChain:
 
 
 def chain_from_json(obj: dict) -> "AuxiliaryChain | DeterministicChain":
-    if obj.get("kind") == "deterministic":
+    """The chain `to_json` wrote; a `kind` other than "deterministic" or
+    "randomized", or none, raises ValueError naming it."""
+    kind = obj.get("kind")
+    if kind == "deterministic":
         sizes = tuple(int(s) for s in obj["sizes"])
         return DeterministicChain(obj["initiator"], sizes,
                                   tuple(np.asarray(t, dtype=int) for t in obj["tables"]))
-    return AuxiliaryChain(obj["initiator"], tuple(np.asarray(k, dtype=float) for k in obj["kernels"]))
+    if kind == "randomized":
+        return AuxiliaryChain(obj["initiator"],
+                              tuple(np.asarray(k, dtype=float) for k in obj["kernels"]))
+    raise ValueError(f"chain kind must be 'deterministic' or 'randomized', got {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -230,19 +237,12 @@ class ChainResult:
         }
 
 
-def check_tensor_budget(cells: int) -> None:
-    """Raise SizeBudgetExceeded when a joint law of `cells` cells is over budget."""
-    if cells > TENSOR_BUDGET:
-        raise SizeBudgetExceeded(f"joint tensor would hold {cells} cells "
-                                 f"(budget {TENSOR_BUDGET})")
-
-
 def law_shape(pmf: JointPMF, chain: "AuxiliaryChain | DeterministicChain") -> tuple[int, ...]:
     """Shape of the dense joint law over (X, Y, U_1, ..., U_r), once it is
     within the size budget and each round's table covers its speaker's symbols."""
     nx, ny = pmf.shape
     shape = (nx, ny) + tuple(chain.sizes)
-    check_tensor_budget(math.prod(shape))
+    check_law_budget(math.prod(shape), "joint tensor")
     for j, k in enumerate(chain.kernels, start=1):
         expected = speaker_size(j, chain.initiator, nx, ny)
         if k.shape[0] != expected:
@@ -583,13 +583,11 @@ def _constant_chain(nx: int, ny: int, sizes: Sequence[int], initiator: str) -> D
     return DeterministicChain(initiator, sizes, tables)
 
 
-def _copy_chain(nx: int, ny: int, sizes: Sequence[int], initiator: str) -> DeterministicChain | None:
-    """Round 1 copies its speaker's symbol, later rounds are constant; None if round 1 is too small."""
-    parent = speaker_size(1, initiator, nx, ny)
-    if sizes[0] < parent:
-        return None
+def _copy_chain(nx: int, ny: int, sizes: Sequence[int], initiator: str) -> DeterministicChain:
+    """Round 1 copies its speaker's symbol (one value for each), later rounds are constant."""
     constant = _constant_chain(nx, ny, sizes, initiator)
-    return DeterministicChain(initiator, constant.sizes, (np.arange(parent),) + constant.tables[1:])
+    copy = np.arange(speaker_size(1, initiator, nx, ny))
+    return DeterministicChain(initiator, constant.sizes, (copy,) + constant.tables[1:])
 
 
 def continuous_chain_minimize(
@@ -610,23 +608,26 @@ def continuous_chain_minimize(
     candidate, and a chain whose kernels equal an earlier one's, byte for
     byte, is skipped. Feasibility threshold: `optim.FEASIBILITY_TOL` bits.
     The result's `candidates` give each candidate's label, objective and
-    residual. Raises ValueError for empty `sizes` and for a `start` spoken
-    first by another side than `initiator`.
+    residual. The stack of one law per seed chain and restart is held to the
+    size budget first. Raises ValueError for empty `sizes` and for a `start`
+    spoken first by another side than `initiator`.
     """
     sizes = tuple(int(s) for s in sizes)
     if not sizes:
         raise ValueError("rounds must be at least 1")
+    if start is not None and start.initiator != initiator:
+        raise ValueError(f"start chain has initiator {start.initiator!r}, "
+                         f"the descent {initiator!r}")
     nx, ny = pmf.shape
+    copies = sizes[0] >= speaker_size(1, initiator, nx, ny)  # round 1 can copy its speaker
+    count = (start is not None) + copies + 1 + config.restarts  # seed chains, then restarts
+    check_law_budget(count * nx * ny * math.prod(sizes), f"a descent of {count} starts")
 
     seed_chains: list[tuple[str, DeterministicChain]] = []
     if start is not None:
-        if start.initiator != initiator:
-            raise ValueError(f"start chain has initiator {start.initiator!r}, "
-                             f"the descent {initiator!r}")
         seed_chains.append(("det-best", start.padded(sizes)))
-    copy_chain = _copy_chain(nx, ny, sizes, initiator)
-    if copy_chain is not None:
-        seed_chains.append(("copy", copy_chain))
+    if copies:
+        seed_chains.append(("copy", _copy_chain(nx, ny, sizes, initiator)))
     constant = _constant_chain(nx, ny, sizes, initiator)
     seed_chains.append(("constant", constant))
 
@@ -647,13 +648,13 @@ def continuous_chain_minimize(
 def chain_routes(
     pmf: JointPMF, rounds: int, caps: Sequence[int] | None, budget: int, descent: PenaltyConfig,
     *, det: bool = True, cont: bool = True, sizes: Sequence[int] | None = None, initiator: str = "x",
-) -> Iterator[tuple[str, ChainResult | BudgetExceeded | NoFeasibleChain | NoFeasiblePoint]]:
+) -> Iterator[tuple[str, ChainResult | CitError]]:
     """Each requested route, "det" then "cont", as a (name, result) pair
     computed only when read: its ChainResult, or the error that left it
-    out. "det" searches at `caps`. "cont" descends at `sizes` (default
-    `effective_caps` of `caps`) from the "det" winner when "det" searched
-    at those caps, and otherwise from one search at `sizes`; a failed
-    search hands it no start. `rounds`, `caps` and `sizes` (its count,
+    out, SizeBudgetExceeded included. "det" searches at `caps`. "cont"
+    descends at `sizes` (default `effective_caps` of `caps`) from the "det"
+    winner when "det" searched at those caps, and otherwise from one search
+    at `sizes`; a failed search hands it no start. `rounds`, `caps` and `sizes` (its count,
     entries and cardinality ceilings) are checked before this returns; a
     ValueError is raised, never returned."""
     if rounds < 1:
@@ -667,7 +668,7 @@ def chain_routes(
     def search(size_caps):
         try:
             return det_chain_search(pmf, rounds, size_caps, budget=budget, initiator=initiator)
-        except (BudgetExceeded, NoFeasibleChain) as exc:
+        except (BudgetExceeded, NoFeasibleChain, SizeBudgetExceeded) as exc:
             return exc
 
     def run():
@@ -681,11 +682,42 @@ def chain_routes(
                 res = continuous_chain_minimize(
                     pmf, sizes, descent, initiator=initiator,
                     start=searched.chain if isinstance(searched, ChainResult) else None)
-            except NoFeasiblePoint as exc:
+            except (NoFeasiblePoint, SizeBudgetExceeded) as exc:
                 res = exc
             yield "cont", res
 
     return run()
+
+
+def chain_routes_through(
+    pmf: JointPMF, rounds: int, caps: Sequence[int] | None, budget: int, descent: PenaltyConfig,
+    *, det: bool = True, cont: bool = True, sizes: Sequence[int] | None = None, initiator: str = "x",
+) -> Iterator[tuple[int, str, ChainResult | CitError]]:
+    """`chain_routes` at every round count k from 2 to `rounds` (at 1 for one
+    round), as (k, name, result) triples in ascending k, each computed only
+    when read. A k-round chain followed by constant rounds is a `rounds`-round
+    chain of the same value, so each of them bounds the `rounds`-round
+    program. Round count k takes the first k entries of `caps` and `sizes`;
+    the call at `rounds` checks the flags first, so a bad flag raises its own
+    ValueError before this returns."""
+    counts = range(min(rounds, 2), rounds + 1)
+    runs = {k: chain_routes(pmf, k, caps if k == rounds or caps is None else caps[:k],
+                            budget, descent, det=det, cont=cont, initiator=initiator,
+                            sizes=sizes if k == rounds or sizes is None else sizes[:k])
+            for k in reversed(counts)}
+    return ((k, name, res) for k in counts for name, res in runs[k])
+
+
+def padded_rounds(pmf: JointPMF, chain: "AuxiliaryChain | DeterministicChain",
+                  rounds: int) -> "AuxiliaryChain | DeterministicChain":
+    """`chain` followed by constant rounds of one value each up to `rounds`
+    rounds: the same law of (X, Y) and the chain's values, so the same scores."""
+    constant = _constant_chain(*pmf.shape, chain.sizes + (1,) * (rounds - chain.rounds),
+                               chain.initiator)
+    if isinstance(chain, DeterministicChain):
+        return DeterministicChain(chain.initiator, constant.sizes,
+                                  chain.tables + constant.tables[chain.rounds:])
+    return AuxiliaryChain(chain.initiator, chain.kernels + constant.kernels[chain.rounds:])
 
 
 # ---------------------------------------------------------------------------
@@ -778,8 +810,10 @@ def chain_to_aux_kernel(
     Atoms carrying at most ATOM_DUST mass are dropped and the slices
     renormalized; a pair of zero probability goes to atom 0. Returns None
     when more than `w_size` atoms remain, or when a pair of positive
-    probability keeps no mass on them, as its slice would be 0/0.
+    probability keeps no mass on them, as its slice would be 0/0. The
+    (|X|, |Y|, `w_size`) table is held to the size budget first.
     """
+    check_law_budget(math.prod(pmf.shape) * w_size, "Wyner seed table")
     q = _joint_array(pmf, chain).reshape(pmf.shape + (-1,))
     mass = q.sum(axis=(0, 1))
     atoms = np.nonzero(mass > ATOM_DUST)[0]

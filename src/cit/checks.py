@@ -9,16 +9,16 @@ violation of its identity over them, to 1e-9:
   * el5: objective - I(X;Y) + residual = the sum of a random chain's
     per-round terms.
 
-The cases are drawn in order, one after another, and each is held to its
-size budgets as it is drawn, so a case over budget stops the suite with the
-error its single-case check raises; an el5 chain is held to its budget
-before each round's kernel is drawn, and its error counts the cells of the
-rounds so far. They are drawn in windows of at most
-CHECK_WINDOW cases or ENUMERATION_BUDGET law cells, and each window is
-scored one shape group at a time, at most STACK_CELLS law cells to a stack
-(or one larger case): a larger stack runs no faster and would raise the
-peak past one case's. Every case scores to the bit as `lemma1_check`,
-`decomposition_check` or `chain_objective` scores it alone.
+The cases are drawn in order, one after another, and each is held to the
+size budget before its tables are drawn, so a case over budget stops the
+suite with the error its single-case check raises: (X^n, Y^n, F) before
+the protocol, a decomp law with J before it is built, and an el5 chain
+before each round's kernel, its error counting the rounds so far. They are
+drawn in windows of at most CHECK_WINDOW cases or LAW_BUDGET law cells,
+and each window is scored one shape group at a time, at most STACK_CELLS
+law cells to a stack (or one larger case): a larger stack runs no faster
+and would raise the peak past one case's. Every case scores to the bit as
+`lemma1_check`, `decomposition_check` or `chain_objective` scores it alone.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from . import chains, protocols, sources
-from .pmf import IDENTITY_TOL, source_informations
+from .pmf import IDENTITY_TOL, LAW_BUDGET, check_law_budget, source_informations
 
 IDENTITIES = ("lemma1", "decomp", "el5")
 CHECK_WINDOW = 1024
@@ -39,7 +39,7 @@ STACK_CELLS = 2 ** 16
 def _draw_case(identity: str, rng: np.random.Generator, *, n: int, alphabet: int,
                rounds: int) -> tuple[tuple, tuple[int, ...], tuple]:
     """One case, drawn in the generator's order: its group key, its law's
-    shape (within the size budgets) and its inputs."""
+    shape (within the size budget) and its inputs."""
     nx = int(rng.integers(2, alphabet + 1))
     ny = int(rng.integers(2, alphabet + 1))
     pmf = sources.random_pmf(rng, nx, ny)
@@ -50,7 +50,7 @@ def _draw_case(identity: str, rng: np.random.Generator, *, n: int, alphabet: int
         for j in range(1, r + 1):
             parent = chains.speaker_size(j, "x", nx, ny)
             size = int(rng.integers(2, 4))
-            chains.check_tensor_budget(nx * ny * math.prod(prior) * size)  # rounds so far
+            check_law_budget(nx * ny * math.prod(prior) * size, "joint tensor")  # rounds so far
             flat = rng.dirichlet(np.ones(size), size=parent * math.prod(prior))
             kernels.append(flat.reshape((parent,) + prior + (size,)))
             prior += (size,)
@@ -60,11 +60,12 @@ def _draw_case(identity: str, rng: np.random.Generator, *, n: int, alphabet: int
     n = int(rng.integers(1, n + 1))
     r = int(rng.integers(1, rounds + 1))
     sizes = tuple(int(rng.integers(2, 4)) for _ in range(r))
+    shape = protocols.law_shape((nx, ny), n, sizes)
     proto = protocols.random_protocol(int(rng.integers(1 << 31)), n, r, sizes, nx, ny)
     if identity == "lemma1":
-        return (nx, ny, n, sizes), protocols.law_shape(pmf, proto), (pmf, proto)
+        return (nx, ny, n, sizes), shape, (pmf, proto)
     j_table = protocols.random_cr_table(int(rng.integers(1 << 31)), pmf, n, 3)
-    shape = protocols.law_shape(pmf, proto, j_table)
+    shape = protocols.law_shape((nx, ny), n, sizes, j_table)
     return (nx, ny, n, sizes, shape[3]), shape, (pmf, proto, j_table)
 
 
@@ -77,7 +78,7 @@ def _windows(draw, count: int):
         window.setdefault(key, (math.prod(shape), []))[1].append(case)
         held += 1
         cells += math.prod(shape)
-        if held == CHECK_WINDOW or cells >= protocols.ENUMERATION_BUDGET:
+        if held == CHECK_WINDOW or cells >= LAW_BUDGET:
             yield window
             window, held, cells = {}, 0, 0
     if window:

@@ -273,7 +273,7 @@ def _dispatch(args) -> tuple[dict, object]:
             "restarts": args.restarts,
         }
         # checks the flags in every mode before any route runs
-        routes = chains.chain_routes(
+        routes = chains.chain_routes_through(
             pmf, args.rounds, args.caps, args.budget,
             replace(chains.CONT_CONFIG, restarts=args.restarts, seed=args.seed),
             det=args.mode in ("det", "all"), cont=args.mode in ("cont", "all"),
@@ -284,10 +284,21 @@ def _dispatch(args) -> tuple[dict, object]:
                 "initiator": args.initiator,
                 "value": chains.ci1_exact(pmf, args.initiator),
             }
-        # the first failed route ends the run before a later one starts
-        for name, res in routes:
-            if isinstance(res, CitError):
+        # each route keeps its lowest feasible result over the round counts,
+        # the result at --rounds on a tie or when none is feasible; the first
+        # route to fail at --rounds ends the run before a later one starts
+        best: dict[str, chains.ChainResult] = {}
+        for k, name, res in routes:
+            if k == args.rounds and isinstance(res, CitError):
                 raise res
+            held = best.get(name)  # feasible, from fewer rounds
+            if (isinstance(res, chains.ChainResult) and (k == args.rounds or res.feasible)
+                    and (held is None or res.feasible and res.objective <= held.objective)):
+                best[name] = res
+        for name in sorted(best, key=("det", "cont").index):
+            res = best[name]
+            if res.chain.rounds < args.rounds:
+                res = chains.chain_objective(pmf, chains.padded_rounds(pmf, res.chain, args.rounds))
             result[name] = res.to_json()
         return config, result
 

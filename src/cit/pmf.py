@@ -26,11 +26,13 @@ from .errors import (
     NegativeMass,
     NotNormalized,
     OverlappingAxes,
+    SizeBudgetExceeded,
     UnknownAxis,
 )
 
 NORMALIZATION_TOL = 1e-6
 IDENTITY_TOL = 1e-9
+LAW_BUDGET = 2 ** 22  # most cells of a dense law, or a stack of laws, built from user input
 
 AxisSpec = "str | Iterable[str]"  # axis selectors: one name or an iterable of names
 
@@ -125,6 +127,12 @@ class JointPMF:
     @staticmethod
     def from_json(obj: dict) -> "JointPMF":
         return validate_pmf(obj["p"], obj["x"], obj["y"])
+
+
+def check_law_budget(cells: int, what: str) -> None:
+    """Raise SizeBudgetExceeded, naming `what`, if `cells` cells are over LAW_BUDGET."""
+    if cells > LAW_BUDGET:
+        raise SizeBudgetExceeded(f"{what} would hold {cells} cells (budget {LAW_BUDGET})")
 
 
 def entry_fault(a: np.ndarray) -> str | None:

@@ -27,12 +27,9 @@ from typing import Sequence
 import numpy as np
 
 from .chains import check_initiator, speaker_of, speaker_size
-from .errors import SizeBudgetExceeded
-from .pmf import (FiniteAlphabet, JointPMF, TensorPMF, clamped, frozen_copies, marginal_entropies,
-                  normalized_each, source_informations)
+from .pmf import (FiniteAlphabet, JointPMF, TensorPMF, check_law_budget, clamped, frozen_copies,
+                  marginal_entropies, normalized_each, source_informations)
 from .pmf import entropy  # noqa: F401  (unused; perfbench/tracer.py wraps it here by name)
-
-ENUMERATION_BUDGET = 2 ** 22
 
 
 def _product_alphabet(base: FiniteAlphabet, n: int) -> FiniteAlphabet:
@@ -125,25 +122,19 @@ def _block_laws(p: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def law_shape(pmf: JointPMF, protocol: Protocol, j_table=None) -> tuple[int, ...]:
+def law_shape(source_shape: tuple[int, int], n: int, message_sizes: Sequence[int],
+              j_table=None) -> tuple[int, ...]:
     """Shape of the dense law of (X^n, Y^n, F), or of (X^n, Y^n, F, J) for a
     lookup table J over (X^n index, Y^n index), once it is within the size
-    budgets and `j_table` has the shape of the block pairs."""
-    nx, ny = pmf.shape
-    x_count, y_count = nx ** protocol.n, ny ** protocol.n
-    f_size = protocol.transcript_size
-    if j_table is None:
-        if x_count * y_count > ENUMERATION_BUDGET:
-            raise SizeBudgetExceeded(
-                f"{x_count * y_count} block pairs exceed the budget {ENUMERATION_BUDGET}")
-        return x_count, y_count, f_size
-    j_table = np.asarray(j_table, dtype=int)
-    if j_table.shape != (x_count, y_count):
-        raise ValueError(f"j_table must have shape {(x_count, y_count)}, got {j_table.shape}")
-    j_size = int(j_table.max()) + 1
-    if x_count * y_count * f_size * j_size > 4 * ENUMERATION_BUDGET:
-        raise SizeBudgetExceeded("joint law of (X^n, Y^n, F, J) exceeds the budget")
-    return x_count, y_count, f_size, j_size
+    budget and `j_table` has the shape of the block pairs. Without J it is
+    known before any table is drawn."""
+    shape = (source_shape[0] ** n, source_shape[1] ** n, math.prod(message_sizes))
+    if j_table is not None:
+        if np.shape(j_table) != shape[:2]:
+            raise ValueError(f"j_table must have shape {shape[:2]}, got {np.shape(j_table)}")
+        shape += (int(np.asarray(j_table).max()) + 1,)
+    check_law_budget(math.prod(shape), "transcript law")
+    return shape
 
 
 def _dense_laws(pmfs: Sequence[JointPMF], protocols: Sequence[Protocol],
@@ -155,7 +146,8 @@ def _dense_laws(pmfs: Sequence[JointPMF], protocols: Sequence[Protocol],
     if any((p.n, p.message_sizes, p.initiator) != (first.n, first.message_sizes, first.initiator)
            for p in protocols):
         raise ValueError("stacked protocols need one blocklength, message sizes and initiator")
-    shape = law_shape(pmfs[0], first, None if j_tables is None else j_tables[0])
+    shape = law_shape(pmfs[0].shape, first.n, first.message_sizes,
+                      None if j_tables is None else j_tables[0])
     count, (x_count, y_count) = len(protocols), shape[:2]
     block = _block_laws(np.stack([pmf.p for pmf in pmfs]), first.n)
     cell = _transcripts(protocols, x_count, y_count)

@@ -80,19 +80,12 @@ def rate_report(pmf: JointPMF, config: RateConfig | None = None) -> RateReport:
 
     nx, ny = pmf.shape
     delta = binary_symmetric_delta(pmf)
-    caps = config.det_caps
-    # an r'-round chain followed by constant rounds is an r-round chain with
-    # the same value, so the routes run at every round count from 2 to r (a
-    # one-round report runs them at 1); r's own call checks the flags first
-    counts = range(min(r, 2), r + 1)
-    routes = {k: chains.chain_routes(pmf, k, caps if k == r or caps is None else caps[:k],
-                                     config.det_budget, config.descent,
-                                     cont=config.include_continuous and delta is None)
-              for k in reversed(counts)}
+    routes = chains.chain_routes_through(pmf, r, config.det_caps, config.det_budget,
+                                         config.descent,
+                                         cont=config.include_continuous and delta is None)
     # a failed route, or one whose chain is infeasible, is left out; the
     # one-round values still bound the report
-    found = [res for k in counts for _, res in routes[k]
-             if isinstance(res, chains.ChainResult) and res.feasible]
+    found = [res for _, _, res in routes if isinstance(res, chains.ChainResult) and res.feasible]
 
     if delta is not None:
         # doubly symmetric binary: the r-round optimum is exactly min{H(X), H(Y)}

@@ -51,6 +51,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import pmf as laws  # read at call time: `laws.LAW_BUDGET`
 from .chains import DeterministicChain, _copy_chain, chain_tensor, speaker_of
 from .errors import RateInfeasible, RateOutOfRange, SizeBudgetExceeded
 from .hashing import AffineGf2Hash, coset_words, pack_digits, sample_null_spaces, unpack_digits
@@ -59,12 +60,10 @@ from .pmf import JointPMF, conditional_entropy, entropy, plogp_sum
 LOG_FLOOR = -1e30
 COSET_CAP = 4096
 POP_BUDGET = 4096
-# The three budgets choose exact or estimated leakage, and so the reported
-# basis. The enumeration streams in blocks, so they bound its time, not its
-# memory; the KF budget also sizes the exact path's dense (K, F) table.
+# These and `pmf.LAW_BUDGET` on the dense (K, F) table choose exact or estimated
+# leakage; the enumeration streams in blocks, so these bound its time, not its memory.
 EXACT_ROWS_BUDGET = 2 ** 22
 EXACT_CELLS_BUDGET = 2 ** 25
-KF_TABLE_BUDGET = 2 ** 22
 EXACT_BLOCK_CELLS = 2 ** 16  # enumerated rows x n per block, about 0.5 MB per int64 array
 SW_BLOCK = 256  # binary trials drawn and eliminated together; a generator holds ~5 KB
 
@@ -550,15 +549,16 @@ def _exact_entropies(
     time, so the enumeration does not grow with s^n. Each row's weight is
     added into a dense table of every (K, F) word, K above F, in row order,
     the order of one `np.bincount` over all rows, so the masses keep their
-    bits; `seen` marks the words the rows reach, so a row of zero weight
-    opens its pair too. The KF budget caps the table at 2^22 cells.
+    bits. A row's weight is a product of support masses, so the words the
+    rows reach are the table's positive cells; a word that only rows whose
+    weight underflows to 0 reach holds no mass and is left out.
+    `pmf.LAW_BUDGET` caps the table.
     """
     support = len(cells)
     f_bits = sum(st.k_bits for st in stages)
     probs = pmf.p[cells[:, 0], cells[:, 1]]
     block = max(1, EXACT_BLOCK_CELLS // n)
     mass = np.zeros(1 << (key_hash.k + f_bits))
-    seen = np.zeros(mass.shape, dtype=bool)
     for lo in range(0, n_rows, block):
         idx = np.arange(lo, min(lo + block, n_rows))
         sel = np.empty((len(idx), n), dtype=np.int64)
@@ -570,9 +570,7 @@ def _exact_entropies(
                                            read_only=True)
         kf = keys << np.uint64(f_bits) | transcript
         np.add.at(mass, kf, w)
-        seen[kf] = True
-    words = np.flatnonzero(seen)
-    del seen
+    words = np.flatnonzero(mass)
     mass = mass[words]  # releases the dense table before the grouping
     return _group_entropies(np.stack([words >> f_bits, words & ((1 << f_bits) - 1)], axis=1), mass)
 
@@ -591,8 +589,8 @@ def cr_sk_simulate(
     The leakage and uniformity gap are exact when the support of P^n fits
     the budgets: every block of the support goes through the scheme,
     weighted by its probability, EXACT_BLOCK_CELLS cells at a time, so
-    memory is bounded by that and by the dense (K, F) table, which the KF
-    budget caps. Otherwise they are plug-in estimates from the trials.
+    memory is bounded by that and by the dense (K, F) table, which
+    `pmf.LAW_BUDGET` caps. Otherwise they are plug-in estimates from the trials.
 
     Raises RateInfeasible when `key_rate` exceeds the chain's net
     extractable rate H(U^r) - sum_j H(U_j | listener_j, U^{j-1}), which for
@@ -637,7 +635,7 @@ def cr_sk_simulate(
     exact = (
         n_rows <= EXACT_ROWS_BUDGET
         and n_rows * n <= EXACT_CELLS_BUDGET
-        and 1 << (key_bits + comm_bits) <= KF_TABLE_BUDGET
+        and 1 << (key_bits + comm_bits) <= laws.LAW_BUDGET
     )
     if exact:
         h_k, h_f, h_kf = _exact_entropies(pmf, cells, n, n_rows, stages, key_hash)

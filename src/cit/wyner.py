@@ -22,8 +22,9 @@ from . import structure
 from .errors import KernelInvalid
 from .optim import (FEASIBILITY_TOL, PenaltyConfig, descent_starts, fixed_xy,
                     penalized_information, penalized_minimize, renormalize)
-from .pmf import (JointPMF, entry_fault, frozen_copies, normalized, normalized_each,
-                  objective_residual, objective_residuals, one_hot, slices_sum_to_one)
+from .pmf import (JointPMF, check_law_budget, entry_fault, frozen_copies, normalized,
+                  normalized_each, objective_residual, objective_residuals, one_hot,
+                  slices_sum_to_one)
 
 WYNER_CONFIG = PenaltyConfig(restarts=32, max_iter=5000)
 
@@ -115,21 +116,19 @@ def deterministic_kernel(pmf: JointPMF, w_size: int, w_of_xy: np.ndarray) -> np.
     return one_hot(np.broadcast_to(w_of_xy, pmf.shape), w_size)
 
 
-def _seed_kernels(pmf: JointPMF, w_size: int) -> list[tuple[str, np.ndarray]]:
+def _seed_maps(pmf: JointPMF, w_size: int) -> list[tuple[str, np.ndarray]]:
     nx, ny = pmf.shape
-    seeds: list[tuple[str, np.ndarray]] = []
+    maps: list[tuple[str, np.ndarray]] = []
     if w_size >= nx * ny:
-        pair_id = np.arange(nx * ny).reshape(nx, ny)
-        seeds.append(("copy", deterministic_kernel(pmf, w_size, pair_id)))
-    seeds.append(("constant", deterministic_kernel(pmf, w_size, 0)))
+        maps.append(("copy", np.arange(nx * ny).reshape(nx, ny)))
+    maps.append(("constant", np.zeros((), dtype=int)))
     g1 = structure.minimal_sufficient_statistic(pmf, "x")
     if g1.num_classes <= w_size:
-        w_of = np.asarray(g1.class_of)[:, None]
-        seeds.append(("suffstat-x", deterministic_kernel(pmf, w_size, w_of)))
+        maps.append(("suffstat-x", np.asarray(g1.class_of)[:, None]))
     g2 = structure.minimal_sufficient_statistic(pmf, "y")
     if g2.num_classes <= w_size:
-        seeds.append(("suffstat-y", deterministic_kernel(pmf, w_size, g2.class_of)))
-    return seeds
+        maps.append(("suffstat-y", np.asarray(g2.class_of)))
+    return maps
 
 
 def wyner_minimize(
@@ -148,6 +147,7 @@ def wyner_minimize(
     no negative or NaN entry and slices of positive finite mass, or
     KernelInvalid is raised. Each is scored exactly as a candidate and also
     a start, slightly smoothed; a byte-for-byte twin of an earlier one is skipped.
+    The stack of one law per seed and restart is held to the size budget first.
     """
     nx, ny = pmf.shape
     w_size = w_size if w_size is not None else nx * ny
@@ -155,7 +155,10 @@ def wyner_minimize(
         raise KernelInvalid(f"w_size must lie in [1, |X||Y|] = [1, {nx * ny}], got {w_size}")
 
     shape = (nx, ny, w_size)
-    seeds = [(label, [k]) for label, k in _seed_kernels(pmf, w_size)]
+    maps = _seed_maps(pmf, w_size)
+    count = len(maps) + len(extra_kernels) + config.restarts
+    check_law_budget(count * math.prod(shape), f"a descent of {count} starts")
+    seeds = [(label, [deterministic_kernel(pmf, w_size, w_of)]) for label, w_of in maps]
     for label, k in extra_kernels:
         k = np.asarray(k, dtype=float)
         if k.shape != shape:

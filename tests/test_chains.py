@@ -98,6 +98,27 @@ class TestChainTypes:
         with pytest.raises(ValueError, match="initiator"):
             chain_from_json(obj)
 
+    @pytest.mark.parametrize("kind", ["deterministc", "Randomized", None])
+    def test_an_unknown_kind_is_refused_by_name(self, kind):
+        obj = {**gain_two_round_chain().to_json(), "kind": kind}
+        if kind is None:
+            del obj["kind"]
+        with pytest.raises(ValueError, match=f"chain kind must be 'deterministic' or "
+                                             f"'randomized', got {kind!r}"):
+            chain_from_json(obj)
+
+    def test_simulate_names_an_unknown_chain_kind(self, gain, tmp_path):
+        save_pmf(gain, str(tmp_path / "gain.json"))
+        obj = {**gain_two_round_chain().as_auxiliary().to_json(), "kind": "deterministc"}
+        (tmp_path / "chain.json").write_text(json.dumps(obj))
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.run(["simulate", "crsk", "--pmf", str(tmp_path / "gain.json"),
+                            "--chain", str(tmp_path / "chain.json"), "--n", "2"])
+        assert (code, json.loads(buf.getvalue())) == (2, {"error": {
+            "type": "ValueError",
+            "message": "chain kind must be 'deterministic' or 'randomized', got 'deterministc'"}})
+
     def test_json_round_trip(self):
         ch = gain_two_round_chain()
         again = chain_from_json(ch.to_json())
@@ -562,6 +583,53 @@ class TestChainRoutes:
         assert calls == []
         assert (code, out) == (2, {"error": {
             "type": "ValueError", "message": "round 1: |U|=9 exceeds the cardinality ceiling 4"}})
+
+
+class TestRoundCounts:
+    LIGHT = PenaltyConfig(restarts=1, max_iter=50)
+
+    def test_every_count_from_two_in_order(self, gain):
+        routes = chains.chain_routes_through(gain, 3, (2, 3, 2), 2_000_000, self.LIGHT)
+        got = [(k, name, res.chain.rounds) for k, name, res in routes]
+        assert got == [(2, "det", 2), (2, "cont", 2), (3, "det", 3), (3, "cont", 3)]
+
+    def test_one_round_runs_at_one(self, gain):
+        routes = chains.chain_routes_through(gain, 1, None, 2_000_000, self.LIGHT, cont=False)
+        assert [(k, name) for k, name, _ in routes] == [(1, "det")]
+
+    def test_the_flags_are_checked_at_the_full_count_first(self, gain):
+        with pytest.raises(ValueError, match="need one size cap per round: 2 given for 3 rounds"):
+            chains.chain_routes_through(gain, 3, (2, 3), 2_000_000, self.LIGHT)
+
+    @pytest.mark.parametrize("randomized", [False, True])
+    def test_constant_rounds_keep_the_scores(self, gain, randomized):
+        chain = gain_two_round_chain()
+        chain = chain.as_auxiliary() if randomized else chain
+        padded = chains.padded_rounds(gain, chain, 4)
+        assert type(padded) is type(chain) and padded.sizes == chain.sizes + (1, 1)
+        short, long = chain_objective(gain, chain), chain_objective(gain, padded)
+        assert (long.objective, long.residual) == (short.objective, short.residual)
+        assert long.per_round_terms[:2] == short.per_round_terms
+        assert long.per_round_terms[2:] == pytest.approx((0.0, 0.0), abs=1e-12)
+
+    def test_ici_never_reports_more_at_more_rounds(self, tmp_path):
+        """On the bench's 4x4 draw the 3-round descent ends above the 2-round
+        one; ici prints the 2-round chain with a constant third round."""
+        path = tmp_path / "rand4.json"
+        save_pmf(validate_pmf(random_base(0, 4)), str(path))
+        out = {}
+        for rounds in (2, 3):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = cli.run(["ici", "--pmf", str(path), "--rounds", str(rounds),
+                                "--mode", "all"])
+            assert code == 0
+            out[rounds] = json.loads(buf.getvalue())["result"]
+        for name in ("det", "cont"):
+            assert out[3][name]["objective"] <= out[2][name]["objective"]
+            assert len(out[3][name]["chain"]["sizes"]) == len(out[3][name]["per_round_terms"]) == 3
+        assert out[3]["cont"]["objective"] == out[2]["cont"]["objective"]
+        assert out[3]["cont"]["chain"]["sizes"] == out[2]["cont"]["chain"]["sizes"] + [1]
 
 
 class TestBssClosedForm:

@@ -17,7 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cit import SizeBudgetExceeded, chains, checks, cli, protocols, sources
+from cit import SizeBudgetExceeded, chains, checks, cli, pmf, protocols, sources
 from cit.pmf import IDENTITY_TOL, plogp_rows, plogp_sum, source_information
 
 FLAG_SETS = {
@@ -35,13 +35,19 @@ def settings(flags: list[str]) -> dict:
     return out
 
 
+def over_budget(cells, what):
+    """The law budget's refusal, as the oracle spells it out for itself."""
+    if cells > pmf.LAW_BUDGET:
+        raise SizeBudgetExceeded(f"{what} would hold {cells} cells (budget {pmf.LAW_BUDGET})")
+
+
 def reference_violations(identity, seed, count, n, alphabet, rounds):
     """Each case's violation, in case order, one case drawn and scored at a time."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
         nx = int(rng.integers(2, alphabet + 1))
         ny = int(rng.integers(2, alphabet + 1))
-        pmf = sources.random_pmf(rng, nx, ny)
+        source = sources.random_pmf(rng, nx, ny)
         if identity == "el5":
             r = int(rng.integers(1, rounds + 1))
             kernels = []
@@ -51,27 +57,26 @@ def reference_violations(identity, seed, count, n, alphabet, rounds):
                 size = int(rng.integers(2, 4))
                 # the budget is checked before each round's draw, not once
                 # the whole chain is drawn: a 16-round draw would take 200 MB
-                cells = nx * ny * math.prod(prior) * size
-                if cells > chains.TENSOR_BUDGET:
-                    raise SizeBudgetExceeded(f"joint tensor would hold {cells} cells "
-                                             f"(budget {chains.TENSOR_BUDGET})")
+                over_budget(nx * ny * math.prod(prior) * size, "joint tensor")
                 flat = rng.dirichlet(np.ones(size), size=parent * math.prod(prior))
                 kernels.append(flat.reshape((parent,) + prior + (size,)))
                 prior += (size,)
-            res = chains.chain_objective(pmf, chains.AuxiliaryChain("x", tuple(kernels)))
-            mi = source_information(pmf)
+            res = chains.chain_objective(source, chains.AuxiliaryChain("x", tuple(kernels)))
+            mi = source_information(source)
             yield abs(res.objective - mi + res.residual - sum(res.per_round_terms))
         else:
             n_case = int(rng.integers(1, n + 1))
             r = int(rng.integers(1, rounds + 1))
             sizes = tuple(int(rng.integers(2, 4)) for _ in range(r))
+            # the law of (X^n, Y^n, F) is checked before the protocol is drawn
+            over_budget((nx * ny) ** n_case * math.prod(sizes), "transcript law")
             proto = protocols.random_protocol(int(rng.integers(1 << 31)), n_case, r, sizes, nx, ny)
             if identity == "lemma1":
-                chk = protocols.lemma1_check(pmf, proto)
+                chk = protocols.lemma1_check(source, proto)
                 yield max(0.0, -chk["slack"])
             else:
-                j_table = protocols.random_cr_table(int(rng.integers(1 << 31)), pmf, n_case, 3)
-                chk = protocols.decomposition_check(pmf, proto, j_table)
+                j_table = protocols.random_cr_table(int(rng.integers(1 << 31)), source, n_case, 3)
+                chk = protocols.decomposition_check(source, proto, j_table)
                 yield abs(chk["difference"])
 
 
@@ -146,9 +151,9 @@ def test_an_unknown_identity_is_refused():
 
 @pytest.mark.parametrize("argv, message", [
     (["lemma1", "--alphabet", "8", "--n", "4", "--seed", "1"],
-     "5764801 block pairs exceed the budget 4194304"),
+     "transcript law would hold 6291456 cells (budget 4194304)"),
     (["decomp", "--alphabet", "6", "--n", "4", "--seed", "1"],
-     "joint law of (X^n, Y^n, F, J) exceeds the budget"),
+     "transcript law would hold 15116544 cells (budget 4194304)"),
     (["el5", "--rounds", "14", "--count", "20", "--seed", "0"],
      "joint tensor would hold 5668704 cells (budget 4194304)"),
     (["el5", "--rounds", "16", "--count", "20", "--seed", "0"],
@@ -176,7 +181,7 @@ def test_an_el5_chain_over_budget_stops_before_its_next_draw():
     finally:
         tracemalloc.stop()
     assert code == 2 and json.loads(out)["error"]["type"] == "SizeBudgetExceeded"
-    assert peak <= 2 * 8 * chains.TENSOR_BUDGET
+    assert peak <= 2 * 8 * pmf.LAW_BUDGET
 
 
 def test_peak_memory_is_near_the_per_case_loops():

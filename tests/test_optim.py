@@ -170,7 +170,7 @@ def test_one_monotone_trace_per_start_and_stage(bss25, monkeypatch):
                    PenaltyConfig(restarts=2, max_iter=500, seed=1)):
         seen = _captured(wyner, monkeypatch, lambda: wyner_minimize(bss25, config))
         refs = _assert_matches_reference(seen)
-        optimized = len(seen["outcome"].candidates) - len(wyner._seed_kernels(bss25, 4))
+        optimized = len(seen["outcome"].candidates) - len(wyner._seed_maps(bss25, 4))
         assert len(refs) == optimized
         for ref in refs:
             assert len(ref.traces) == len(config.penalty_schedule)

@@ -792,8 +792,8 @@ def test_exact_leakage_matches_one_shot_zero_cell(n):
 
 @pytest.mark.parametrize("n", [4, 8])
 def test_exact_leakage_matches_one_shot_underflow(n):
-    """Blocks with four or more 1e-100 cells weigh 0 in float64; they still
-    open their (K, F) groups."""
+    """Blocks with four or more 1e-100 cells weigh 0 in float64; each (K, F)
+    pair they reach is reached by a block of positive weight too."""
     pmf = validate_pmf([[1 - 3e-100, 1e-100], [1e-100, 1e-100]])
     probs = pmf.p[pmf.p > 0]
     assert np.prod(np.full(4, probs.min())) == 0.0

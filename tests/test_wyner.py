@@ -21,7 +21,7 @@ from cit import (
 from cit.chains import chain_to_aux_kernel, det_chain_search
 from cit.rates import REPORT_DESCENT
 from cit.sources import bss_pmf
-from cit.wyner import _seed_kernels, deterministic_kernel
+from cit.wyner import _seed_maps, deterministic_kernel
 
 from conftest import random_sparse_pmf
 
@@ -131,7 +131,7 @@ class TestMinimize:
 
     def test_a_kernel_that_repeats_a_seed_is_skipped(self, gain):
         config = PenaltyConfig(restarts=2, max_iter=300, seed=0)
-        suffstat_x = dict(_seed_kernels(gain, 9))["suffstat-x"]
+        suffstat_x = deterministic_kernel(gain, 9, dict(_seed_maps(gain, 9))["suffstat-x"])
         plain = wyner_minimize(gain, config)
         dup = wyner_minimize(gain, config, extra_kernels=[("dup", suffstat_x.copy())])
         assert dup.value.hex() == plain.value.hex()
