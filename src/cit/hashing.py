@@ -12,7 +12,9 @@ basis. `sample_null_spaces` draws one hash per trial for whole blocks of
 trials, `AffineGf2Hash.sample` draws one hash, and `AffineGf2Hash.coset`
 solves for a bin; all three go through it, and `coset_words` enumerates
 the bins. `apply` maps uint64 arrays; `apply_int` is the same map on one
-Python int.
+Python int. `coset` and `apply_int` run only as the scalar references the
+tests check the batched paths against: the simulators list bins with
+`coset_words` or search them best-first, and hash with `apply`.
 """
 
 from __future__ import annotations

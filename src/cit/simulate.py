@@ -24,18 +24,18 @@ built for a whole range of t from one batched `SeedSequence` expansion:
 
 - `cr_sk_simulate`: stream [seed, 0, j] fixes the stage-j binning hash,
   [seed, 1] the key hash, [seed, 2, t] drives trial t.
-- `sw_binning_simulate` on binary sources: [seed, 1, t] drives trial t. It
-  draws the block, then the k rows of the trial's hash A as one vector draw,
-  redrawn together until A has full row rank. The offset b of x -> Ax xor b
-  is not drawn: the bin of the sent word w is {v : Av = Aw} = w xor null(A)
-  whatever b is. It was each trial's last draw, so no other draw moves.
-  Trials are drawn one by one and decoded in blocks of SW_BLOCK: one
-  elimination for all hashes of a block, then bins and scores for chunks of
-  trials whose (chunk, bin size, n) arrays take about 256 KB.
-- `sw_binning_simulate` on other alphabets: [seed, 0] fixes the one hash of
-  all trials, and [seed, 1, t] draws the block of trial t. All blocks are
-  drawn first; the trials are then decoded in chunks, each bin padded to the
-  widest bin of its chunk, with (chunk, widest bin, n) arrays of about 256 KB.
+- `sw_binning_simulate`: [seed, 1, t] drives trial t. It draws the block;
+  on binary sources it then draws the k rows of the trial's hash A as one
+  vector draw, redrawn together until A has full row rank. On other
+  alphabets [seed, 0] draws the rows of the one hash of all trials the same
+  way. The offset b of x -> Ax xor b is not drawn: the bin of the sent word
+  w is {v : Av = Aw} = w xor null(A) whatever b is. It was the last draw of
+  its generator, so no other draw moves. Trials are drawn one by one and
+  decoded in blocks of SW_BLOCK: one elimination for all hashes of a block,
+  then bins and scores for chunks of trials whose (chunk, bin size, n)
+  arrays take about 256 KB. A bin lists every m-bit word of the coset; on
+  alphabets that are not a power of two, words that are no sequence score
+  -inf.
 
 Every trial's block of n cells of P is the draw `Generator.choice` makes
 with p = P, cell for cell and with the same generator state after it: the
@@ -54,7 +54,8 @@ import numpy as np
 from . import pmf as laws  # read at call time: `laws.LAW_BUDGET`
 from .chains import DeterministicChain, _copy_chain, chain_tensor, speaker_of
 from .errors import RateInfeasible, RateOutOfRange, SizeBudgetExceeded
-from .hashing import AffineGf2Hash, coset_words, pack_digits, sample_null_spaces, unpack_digits
+from .hashing import (MAX_BITS, AffineGf2Hash, coset_words, pack_digits, sample_null_spaces,
+                      unpack_digits)
 from .pmf import JointPMF, conditional_entropy, entropy, plogp_sum
 
 LOG_FLOOR = -1e30
@@ -65,7 +66,7 @@ POP_BUDGET = 4096
 EXACT_ROWS_BUDGET = 2 ** 22
 EXACT_CELLS_BUDGET = 2 ** 25
 EXACT_BLOCK_CELLS = 2 ** 16  # enumerated rows x n per block, about 0.5 MB per int64 array
-SW_BLOCK = 256  # binary trials drawn and eliminated together; a generator holds ~5 KB
+SW_BLOCK = 256  # sw trials drawn and decoded together; a generator holds ~5 KB
 
 
 def _safe_log(p: np.ndarray) -> np.ndarray:
@@ -205,21 +206,31 @@ def _chunk_rows(row_bytes: int) -> int:
     return max(1, (1 << 18) // row_bytes)
 
 
-def _bin_errors(words: np.ndarray, null: np.ndarray, yd: np.ndarray, ll: np.ndarray) -> int:
-    """Decoding errors of binary words sent as their bins word xor span(null),
-    each decoded by maximum likelihood over its bin given the side block yd."""
+def _bin_errors(words: np.ndarray, null: np.ndarray, yd: np.ndarray, ll: np.ndarray,
+                bits_per: int) -> int:
+    """Decoding errors of words of `bits_per`-bit digits sent as their bins
+    word xor span(null), each decoded by maximum likelihood over its bin
+    given the side block yd; `ll` has a row per digit value. Packed words
+    order as their sequences do, so the first best word is the smallest."""
     n = yd.shape[1]
     chunk = _chunk_rows((8 << null.shape[1]) * n)
     errors = 0
     for lo in range(0, len(words), chunk):
         sent = words[lo:lo + chunk]
+        side = yd[lo:lo + chunk]
         cands = coset_words(sent, null[lo:lo + chunk])
-        bits = unpack_digits(cands, n, 1).astype(np.float64)
-        l0 = ll[0, yd[lo:lo + chunk]]
-        l1 = ll[1, yd[lo:lo + chunk]]
-        # one trial's `bits @ (l1 - l0) + l0.sum()`, operation for operation:
-        # on symmetric sources the rounding decides many exact ties
-        scores = (bits @ (l1 - l0)[:, :, None])[:, :, 0] + l0.sum(axis=1, keepdims=True)
+        digits = unpack_digits(cands, n, bits_per)
+        if bits_per == 1:
+            l0 = ll[0, side]
+            l1 = ll[1, side]
+            # one trial's `bits @ (l1 - l0) + l0.sum()`, operation for operation:
+            # on symmetric sources the rounding decides many exact ties
+            scores = ((digits.astype(np.float64) @ (l1 - l0)[:, :, None])[:, :, 0]
+                      + l0.sum(axis=1, keepdims=True))
+        else:
+            # each word's terms summed along its own contiguous length-n row,
+            # as a loop over trials sums them
+            scores = ll[digits, side[:, None, :]].sum(axis=-1)
         best = np.take_along_axis(cands, np.argmax(scores, axis=1)[:, None], axis=1)[:, 0]
         errors += int(np.count_nonzero(best != sent))
     return errors
@@ -230,73 +241,50 @@ def sw_binning_simulate(
 ) -> SwBinningReport:
     """Estimate the block error of hash binning with an ML-over-bin decoder.
 
-    Binary sources use a fresh full-row-rank hash per trial and enumerate
-    the bin as the coset of the hash's null space that holds the sent word;
-    the module docstring gives the draws and the chunked decode. Other
-    alphabets use one fixed hash and precomputed bin lists. Ties are broken
-    toward the smallest sequence. Raises ValueError for fewer than one trial.
+    A block of n symbols is sent as the syndrome of its packed m-bit word,
+    m = n * ceil(log2 |X|), under a full-row-rank hash: a fresh one per trial
+    on binary sources, one for all trials on other alphabets. The decoder
+    enumerates the bin as the coset of the hash's null space that holds the
+    sent word and takes its most likely sequence given the side block; the
+    module docstring gives the draws and the chunked decode. Ties are broken
+    toward the smallest sequence.
+
+    Raises ValueError for a blocklength or a trial count below 1, and
+    SizeBudgetExceeded for a blocklength above 24, a word of more than 63
+    bits, or bins of more than COSET_CAP words.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    nx = pmf.shape[0]
-    if n < 1 or n > 24:
+    if n < 1:
+        raise ValueError(f"blocklength must be at least 1, got {n}")
+    if n > 24:
         raise SizeBudgetExceeded(f"blocklength must lie in [1, 24], got {n}")
+    nx = pmf.shape[0]
+    bits_per = (nx - 1).bit_length()
+    m = n * bits_per
+    if m > MAX_BITS:
+        raise SizeBudgetExceeded(f"blocks pack into {m} > {MAX_BITS} bits")
     log_alpha = math.log2(nx)
     if not 0 < rate <= log_alpha + 1e-12:   # NaN fails too
         raise RateOutOfRange(f"rate must lie in (0, log2 |X|] = (0, {log_alpha:.4f}], got {rate}")
     k_bits = min(math.ceil(n * rate - 1e-12), math.ceil(n * log_alpha - 1e-12))
-    # log P(x | y) per (x value, y value)
-    cond = pmf.conditional_rows("y").T
-    ll = _safe_log(cond)
+    if (1 << (m - k_bits)) > COSET_CAP:
+        raise SizeBudgetExceeded(f"bins of size 2^{m - k_bits} exceed the decoder cap {COSET_CAP}")
+    # log P(x | y) per (digit, y value); a digit that names no symbol never wins
+    ll = np.full((1 << bits_per, pmf.shape[1]), -np.inf)
+    ll[:nx] = _safe_log(pmf.conditional_rows("y").T)
+    # other alphabets: the rows `AffineGf2Hash.sample` draws from [seed, 0]
+    shared = None if nx == 2 else sample_null_spaces([np.random.default_rng([seed, 0])], m, k_bits)
 
     errors = 0
-    if nx == 2:
-        if (1 << (n - k_bits)) > COSET_CAP:
-            raise SizeBudgetExceeded(
-                f"bins of size 2^{n - k_bits} exceed the decoder cap {COSET_CAP}"
-            )
-        # the seed hash runs once; a block's generators (~5 KB each) live with the block
-        words = _trial_states((seed, 1), range(trials))
-        for first in range(0, trials, SW_BLOCK):
-            rngs = _generators(words[first:first + SW_BLOCK])
-            xd, yd = _draw_blocks(pmf, n, rngs)
-            null = sample_null_spaces(rngs, n, k_bits)
-            errors += _bin_errors(pack_digits(xd, 1), null, yd, ll)
-    else:
-        count = nx ** n
-        if count > 2 ** 20:
-            raise SizeBudgetExceeded(f"{count} sequences exceed the enumeration budget 2^20")
-        bits_per = max(1, math.ceil(math.log2(nx)))  # nx^n <= 2^20 leaves n * bits_per <= 32
-        if count / (1 << k_bits) > COSET_CAP:
-            raise SizeBudgetExceeded("average bin size exceeds the decoder cap")
-        # sequence c has digit c // nx^t % nx at position t; no (count, n) table
-        idx = np.arange(count)
-        powers = nx ** np.arange(n)
-        words = np.zeros(count, dtype=np.uint64)
-        for t in range(n):
-            words |= (idx // powers[t] % nx).astype(np.uint64) << np.uint64(t * bits_per)
-        h = AffineGf2Hash.sample(np.random.default_rng([seed, 0]), n * bits_per, k_bits)
-        hashes = h.apply(words)
-        # the members of each bin, in a row of `order`: by hash, and within a
-        # bin by sequence, so that the first best member is the smallest
-        order = np.argsort(hashes, kind="stable")
-        sorted_h = hashes[order]
-        xd, yd = _draw_blocks(pmf, n, _trial_rngs((seed, 1), range(trials)))
-        x_idx = xd @ powers
-        sent = hashes[x_idx]
-        lo = np.searchsorted(sorted_h, sent, side="left")
-        width = np.searchsorted(sorted_h, sent, side="right") - lo
-        chunk = _chunk_rows(8 * int(width.max()) * n)
-        for first in range(0, trials, chunk):
-            rows = slice(first, first + chunk)
-            slots = np.arange(int(width[rows].max()))
-            cand = order[np.minimum(lo[rows, None] + slots, count - 1)]
-            # one trial's scores summed over its contiguous length-n rows, as
-            # a loop over trials sums them; padded slots never win
-            scores = ll[cand[..., None] // powers % nx, yd[rows, None, :]].sum(axis=-1)
-            scores[slots >= width[rows, None]] = -np.inf
-            best = np.take_along_axis(cand, np.argmax(scores, axis=1)[:, None], axis=1)[:, 0]
-            errors += int(np.count_nonzero(best != x_idx[rows]))
+    # the seed hash runs once; a block's generators (~5 KB each) live with the block
+    words = _trial_states((seed, 1), range(trials))
+    for first in range(0, trials, SW_BLOCK):
+        rngs = _generators(words[first:first + SW_BLOCK])
+        xd, yd = _draw_blocks(pmf, n, rngs)
+        null = (sample_null_spaces(rngs, m, k_bits) if shared is None
+                else np.broadcast_to(shared, (len(rngs), m - k_bits)))
+        errors += _bin_errors(pack_digits(xd, bits_per), null, yd, ll, bits_per)
     return SwBinningReport(
         n=n, rate=rate, bins_log2=k_bits, trials=trials, seed=seed,
         errors=errors, error_rate=errors / trials,

@@ -350,7 +350,13 @@ class TestErrorsAndIO:
         assert json.loads(out)["error"] == {"type": "ValueError",
                                             "message": "blocklength must be at least 1, got 0"}
 
-    @pytest.mark.parametrize("argv", [["check", "lemma1"], ["simulate", "sw", "--rate", "0.5"],
+    def test_simulate_sw_needs_a_positive_blocklength(self, pmf_file):
+        code, out = run_cli(["simulate", "sw", "--pmf", pmf_file, "--n", "0", "--rate", "0.5"])
+        assert code == 2
+        assert json.loads(out)["error"] == {"type": "ValueError",
+                                            "message": "blocklength must be at least 1, got 0"}
+
+    @pytest.mark.parametrize("argv", [["check", "lemma1"],["simulate", "sw", "--rate", "0.5"],
                                       ["simulate", "crsk"], ["rates"], ["wyner"],
                                       ["example", "bss"]])
     def test_negative_seed_is_a_usage_error(self, pmf_file, argv, capsys):

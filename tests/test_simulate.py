@@ -59,6 +59,9 @@ class TestSwBinning:
     def test_blocklength_budget(self, bss25):
         with pytest.raises(SizeBudgetExceeded):
             sw_binning_simulate(bss25, 30, 0.9, 10, 0)
+        # below 1 the blocklength is invalid, not over a budget
+        with pytest.raises(ValueError, match=r"^blocklength must be at least 1, got 0$"):
+            sw_binning_simulate(bss25, 0, 0.9, 10, 0)
 
     def test_ternary_alphabet_path(self):
         pmf = gain_pmf(0.1, 0.15, 0.15)
@@ -219,13 +222,13 @@ NONBINARY_SOURCES = {
 @pytest.mark.parametrize("source", NONBINARY_SOURCES)
 def test_sw_nonbinary_matches_reference(source, monkeypatch):
     """Equal reports at seeds 0-1 for bins of about one sequence (full
-    rate), the bench's rate 1.3, and bins near the decoder cap, with trial
+    rate), the bench's rate 1.3, and bins at the decoder cap, with trial
     counts that span more than one chunk."""
     pmf = NONBINARY_SOURCES[source]()
     nx = pmf.shape[0]
     asked = _recorded_chunks(monkeypatch)
-    cap_n = 8 if nx == 3 else 6
-    cases = [(5, math.log2(nx), 300), (8, 1.3, 700), (6, 0.9, 400), (cap_n, 0.1, 5)]
+    cap = (8, 0.5) if nx == 3 else (7, 0.2)
+    cases = [(5, math.log2(nx), 300), (8, 1.3, 700), (6, 0.9, 400), cap + (5,)]
     errors = crossed = 0
     for seed in (0, 1):
         for n, rate, trials in cases:
@@ -233,11 +236,74 @@ def test_sw_nonbinary_matches_reference(source, monkeypatch):
             assert sw_binning_simulate(pmf, n, rate, trials, seed) == want, (seed, n, rate)
             errors += want.errors
             crossed += asked[-1][1] < trials
-            if rate == 0.1:
-                assert nx ** n >> want.bins_log2 >= COSET_CAP // 2
+            if (n, rate) == cap:
+                # two bits a symbol: the coset holds COSET_CAP words
+                assert 1 << (2 * n - want.bins_log2) == COSET_CAP
     assert errors
     # every case but the full rate spans several chunks
     assert crossed == 6
+
+
+def reference_sw_coset(pmf, n, rate, trials, seed):
+    """`sw_binning_simulate` on other alphabets as a per-trial loop on the
+    scalar hash: draw the block with `Generator.choice`, list the sent word's
+    bin with `AffineGf2Hash.coset`, keep the words whose digits all name a
+    symbol, and take the first best of them as `reference_sw_nonbinary` does.
+    It reaches the blocklengths whose |X|^n sequences that oracle cannot list."""
+    nx, ny = pmf.shape
+    bits_per = (nx - 1).bit_length()
+    k_bits = min(math.ceil(n * rate - 1e-12), math.ceil(n * math.log2(nx) - 1e-12))
+    flat = pmf.p.ravel()
+    cond = np.where(pmf.marginal_y[None, :] > 0, pmf.p / np.where(pmf.marginal_y[None, :] > 0, pmf.marginal_y[None, :], 1.0), 0.0)
+    ll = _safe_log(cond)
+    h = AffineGf2Hash.sample(np.random.default_rng([seed, 0]), n * bits_per, k_bits)
+    errors = 0
+    for t in range(trials):
+        rng = np.random.default_rng([seed, 1, t])
+        cells = rng.choice(flat.size, size=n, p=flat)
+        xd, yd = cells // ny, cells % ny
+        word = sum(int(d) << (i * bits_per) for i, d in enumerate(xd))
+        words = h.coset(h.apply_int(word))
+        digits = unpack_digits(words, n, bits_per)
+        members = (digits < nx).all(axis=1)
+        words, digits = words[members], digits[members]
+        scores = ll[digits, yd[None, :]].sum(axis=1)
+        if int(words[int(np.argmax(scores))]) != word:
+            errors += 1
+    return SwBinningReport(n=n, rate=rate, bins_log2=k_bits, trials=trials, seed=seed,
+                           errors=errors, error_rate=errors / trials)
+
+
+def test_sw_nonbinary_matches_coset_reference(gain):
+    """gain at rate 1.3 for n = 13, 16 and 18, past the full enumeration:
+    bins of 2^10, 2^11 and 2^12 words, the last at the decoder cap; the
+    first case spans two blocks of trials."""
+    errors = 0
+    for seed in (0, 1):
+        for n, trials in ((13, SW_BLOCK + 40), (16, 60), (18, 60)):
+            want = reference_sw_coset(gain, n, 1.3, trials, seed)
+            assert sw_binning_simulate(gain, n, 1.3, trials, seed) == want, (seed, n)
+            errors += want.errors
+    assert errors
+
+
+def test_sw_bin_size_rule(gain):
+    """The one size rule: bins of at most COSET_CAP words, whatever the alphabet."""
+    with pytest.raises(SizeBudgetExceeded, match=r"^bins of size 2\^13 exceed the decoder cap 4096$"):
+        sw_binning_simulate(gain, 8, 0.375, 5, 0)
+    assert sw_binning_simulate(gain, 8, 0.5, 5, 0).bins_log2 == 4
+
+
+def test_sw_word_size_is_refused_before_any_draw(monkeypatch):
+    """Five symbols take 3 bits each, so n = 22 packs into 66 bits; nothing is drawn."""
+    def no_draw(*args):
+        raise AssertionError("drew before the size check")
+
+    monkeypatch.setattr(simulate, "_trial_states", no_draw)
+    monkeypatch.setattr(simulate, "sample_null_spaces", no_draw)
+    pmf = validate_pmf(np.full((5, 2), 0.1))
+    with pytest.raises(SizeBudgetExceeded, match=r"^blocks pack into 66 > 63 bits$"):
+        sw_binning_simulate(pmf, 22, 1.0, 5, 0)
 
 
 def test_sw_nonbinary_one_trial_chunks(gain, monkeypatch):
@@ -690,15 +756,16 @@ def test_key_transcript_entropies_bits():
 
 
 def test_sw_nonbinary_memory_without_digit_table(gain):
-    """gain at n = 12 (531,441 sequences) for 10 trials builds no (|X|^n, n)
-    digit table: the traced peak stays under 35 MB (69.5 MB with the table)."""
+    """gain at n = 12 (531,441 sequences) for 10 trials lists only the
+    trials' bins: the traced peak stays under 2 MB (listing every sequence
+    took 21.9 MB)."""
     tracemalloc.start()
     try:
         rep = sw_binning_simulate(gain, 12, 1.3, 10, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 35_000_000
+    assert peak <= 2_000_000
     golden = json.loads((Path(__file__).parent / "golden_lab.json").read_text())
     assert rep.to_json() == golden["sw:gain-n12@0"]["report"]
 
