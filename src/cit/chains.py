@@ -175,18 +175,6 @@ class DeterministicChain:
     def as_auxiliary(self) -> AuxiliaryChain:
         return AuxiliaryChain(self.initiator, self.kernels)
 
-    def padded(self, sizes: Sequence[int]) -> "DeterministicChain":
-        """Same functions redeclared with (weakly larger) round sizes."""
-        sizes = tuple(int(s) for s in sizes)
-        if len(sizes) != self.rounds or any(s < t for s, t in zip(sizes, self.sizes)):
-            raise ValueError("padded sizes must dominate the current sizes")
-        tables = []
-        for j, t in enumerate(self.tables):
-            full = np.zeros((t.shape[0],) + sizes[:j], dtype=int)
-            full[(slice(None),) + tuple(slice(0, s) for s in self.sizes[:j])] = t
-            tables.append(full)
-        return DeterministicChain(self.initiator, sizes, tuple(tables))
-
     def to_json(self) -> dict:
         return {
             "kind": "deterministic",
@@ -601,11 +589,11 @@ def continuous_chain_minimize(
     """Penalty-method upper bound over randomized chains of the given sizes,
     one round per size.
 
-    Mandatory start points: `start` padded to `sizes` (labelled "det-best";
-    `chain_routes` hands it the winner of a `det_chain_search` at `sizes`,
-    the det route's own when that searched at the same caps), the copy
-    chain and the constant chain; each is also scored exactly as a
-    candidate, and a chain whose kernels equal an earlier one's, byte for
+    Mandatory start points: `start` widened to `sizes` by `padded_chain`
+    (labelled "det-best"; `chain_routes` hands it the winner of a
+    `det_chain_search` at `sizes`, the det route's own when that searched at
+    the same caps), the copy chain and the constant chain; each is also
+    scored exactly as a candidate, and a chain whose kernels equal an earlier one's, byte for
     byte, is skipped. Feasibility threshold: `optim.FEASIBILITY_TOL` bits.
     The result's `candidates` give each candidate's label, objective and
     residual. The stack of one law per seed chain and restart is held to the
@@ -625,7 +613,7 @@ def continuous_chain_minimize(
 
     seed_chains: list[tuple[str, DeterministicChain]] = []
     if start is not None:
-        seed_chains.append(("det-best", start.padded(sizes)))
+        seed_chains.append(("det-best", padded_chain(pmf, start, sizes)))
     if copies:
         seed_chains.append(("copy", _copy_chain(nx, ny, sizes, initiator)))
     constant = _constant_chain(nx, ny, sizes, initiator)
@@ -648,15 +636,21 @@ def continuous_chain_minimize(
 def chain_routes(
     pmf: JointPMF, rounds: int, caps: Sequence[int] | None, budget: int, descent: PenaltyConfig,
     *, det: bool = True, cont: bool = True, sizes: Sequence[int] | None = None, initiator: str = "x",
-) -> Iterator[tuple[str, ChainResult | CitError]]:
-    """Each requested route, "det" then "cont", as a (name, result) pair
-    computed only when read: its ChainResult, or the error that left it
-    out, SizeBudgetExceeded included. "det" searches at `caps`. "cont"
-    descends at `sizes` (default `effective_caps` of `caps`) from the "det"
-    winner when "det" searched at those caps, and otherwise from one search
-    at `sizes`; a failed search hands it no start. `rounds`, `caps` and `sizes` (its count,
-    entries and cardinality ceilings) are checked before this returns; a
-    ValueError is raised, never returned."""
+) -> Iterator[tuple[int, str, ChainResult | CitError]]:
+    """Each requested route, "det" then "cont", at every round count k from
+    2 to `rounds` (at 1 for one round) in ascending k, as (k, name, result)
+    triples computed only when read: its ChainResult, or the error that left
+    it out, SizeBudgetExceeded included. A k-round chain followed by constant
+    rounds is a `rounds`-round chain of the same value (`padded_chain`), so
+    each bounds the `rounds`-round program.
+
+    Count k takes the first k entries of `caps` and `sizes`. "det" searches
+    at `caps`. "cont" descends at `sizes` (default `effective_caps` of
+    `caps`) from the "det" winner when "det" searched at those caps, and
+    otherwise from one search at `sizes`; a failed search hands it no start.
+    `rounds`, `caps` and `sizes` (its count, entries and cardinality
+    ceilings) are checked at `rounds` before this returns, which covers
+    every smaller count; a ValueError is raised, never returned."""
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
     nx, ny = pmf.shape
@@ -665,59 +659,48 @@ def chain_routes(
     effective_caps(nx, ny, rounds, sizes, initiator)  # raises on a bad count or entry
     _check_p3(sizes, [speaker_size(j, initiator, nx, ny) for j in range(1, rounds + 1)])
 
-    def search(size_caps):
+    def search(k, size_caps):
         try:
-            return det_chain_search(pmf, rounds, size_caps, budget=budget, initiator=initiator)
+            return det_chain_search(pmf, k, size_caps, budget=budget, initiator=initiator)
         except (BudgetExceeded, NoFeasibleChain, SizeBudgetExceeded) as exc:
             return exc
 
     def run():
-        if det:
-            searched = search(caps)
-            yield "det", searched
-        if cont:
-            if not det or sizes != at_caps:
-                searched = search(sizes)
-            try:
-                res = continuous_chain_minimize(
-                    pmf, sizes, descent, initiator=initiator,
-                    start=searched.chain if isinstance(searched, ChainResult) else None)
-            except (NoFeasiblePoint, SizeBudgetExceeded) as exc:
-                res = exc
-            yield "cont", res
+        for k in range(min(rounds, 2), rounds + 1):
+            if det:
+                searched = search(k, caps if caps is None else caps[:k])
+                yield k, "det", searched
+            if cont:
+                if not det or sizes[:k] != at_caps[:k]:
+                    searched = search(k, sizes[:k])
+                try:
+                    res = continuous_chain_minimize(
+                        pmf, sizes[:k], descent, initiator=initiator,
+                        start=searched.chain if isinstance(searched, ChainResult) else None)
+                except (NoFeasiblePoint, SizeBudgetExceeded) as exc:
+                    res = exc
+                yield k, "cont", res
 
     return run()
 
 
-def chain_routes_through(
-    pmf: JointPMF, rounds: int, caps: Sequence[int] | None, budget: int, descent: PenaltyConfig,
-    *, det: bool = True, cont: bool = True, sizes: Sequence[int] | None = None, initiator: str = "x",
-) -> Iterator[tuple[int, str, ChainResult | CitError]]:
-    """`chain_routes` at every round count k from 2 to `rounds` (at 1 for one
-    round), as (k, name, result) triples in ascending k, each computed only
-    when read. A k-round chain followed by constant rounds is a `rounds`-round
-    chain of the same value, so each of them bounds the `rounds`-round
-    program. Round count k takes the first k entries of `caps` and `sizes`;
-    the call at `rounds` checks the flags first, so a bad flag raises its own
-    ValueError before this returns."""
-    counts = range(min(rounds, 2), rounds + 1)
-    runs = {k: chain_routes(pmf, k, caps if k == rounds or caps is None else caps[:k],
-                            budget, descent, det=det, cont=cont, initiator=initiator,
-                            sizes=sizes if k == rounds or sizes is None else sizes[:k])
-            for k in reversed(counts)}
-    return ((k, name, res) for k in counts for name, res in runs[k])
-
-
-def padded_rounds(pmf: JointPMF, chain: "AuxiliaryChain | DeterministicChain",
-                  rounds: int) -> "AuxiliaryChain | DeterministicChain":
-    """`chain` followed by constant rounds of one value each up to `rounds`
-    rounds: the same law of (X, Y) and the chain's values, so the same scores."""
-    constant = _constant_chain(*pmf.shape, chain.sizes + (1,) * (rounds - chain.rounds),
-                               chain.initiator)
-    if isinstance(chain, DeterministicChain):
-        return DeterministicChain(chain.initiator, constant.sizes,
-                                  chain.tables + constant.tables[chain.rounds:])
-    return AuxiliaryChain(chain.initiator, chain.kernels + constant.kernels[chain.rounds:])
+def padded_chain(pmf: JointPMF, chain: "AuxiliaryChain | DeterministicChain",
+                 sizes: Sequence[int]) -> "AuxiliaryChain | DeterministicChain":
+    """`chain` redeclared with one round per entry of `sizes`: a deterministic
+    chain's rounds widen to their (weakly larger) sizes, and the rounds after
+    the chain's are constant at value 0. The law of (X, Y) and the chain's
+    values is the same, and so are the scores. Raises ValueError for `sizes`
+    that do not dominate the chain's sizes or that widen a randomized round."""
+    sizes, r = tuple(int(s) for s in sizes), chain.rounds
+    if len(sizes) < r or any(s < t for s, t in zip(sizes, chain.sizes)) or (
+            isinstance(chain, AuxiliaryChain) and sizes[:r] != chain.sizes):
+        raise ValueError(f"sizes {sizes} cannot pad the chain's sizes {chain.sizes}")
+    constant = _constant_chain(*pmf.shape, sizes, chain.initiator)
+    if isinstance(chain, AuxiliaryChain):
+        return AuxiliaryChain(chain.initiator, chain.kernels + constant.kernels[r:])
+    widened = tuple(np.pad(t, [(0, 0)] + [(0, s - h) for s, h in zip(sizes, t.shape[1:])])
+                    for t in chain.tables)
+    return DeterministicChain(chain.initiator, sizes, widened + constant.tables[r:])
 
 
 # ---------------------------------------------------------------------------

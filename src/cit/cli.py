@@ -52,6 +52,14 @@ def _finite(text: str) -> float:
     return value
 
 
+def _penalty(text: str) -> float:
+    """Argument type: a finite float above 0, or a usage error."""
+    value = _finite(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive number, got {text!r}")
+    return value
+
+
 def _listed(item, what: str, text: str) -> tuple:
     """The comma-separated `item` values in `text`, blanks skipped; an entry
     `item` rejects with ValueError is a usage error naming `what` one entry is."""
@@ -77,7 +85,7 @@ def _nonempty_list(item, what: str):
     return parse
 
 
-_finite_list = _nonempty_list(_finite, "number")
+_penalties = _nonempty_list(_penalty, "number")
 _blocklengths = _nonempty_list(int, "integer")
 
 
@@ -114,8 +122,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w-size", type=int, default=None)
     p.add_argument("--restarts", type=_nonnegative, default=wyner.WYNER_CONFIG.restarts)
     p.add_argument("--max-iter", type=_nonnegative, default=wyner.WYNER_CONFIG.max_iter)
-    p.add_argument("--penalty", type=_finite_list, default=optim.PENALTY_SCHEDULE,
-                   help="penalty schedule, comma-separated finite numbers")
+    p.add_argument("--penalty", type=_penalties, default=optim.PENALTY_SCHEDULE,
+                   help="penalty schedule, comma-separated finite positive numbers")
 
     p = sub.add_parser("ici", help="r-round interactive common-information bounds")
     common(p)
@@ -190,10 +198,14 @@ def _emit(args, config: dict, result) -> None:
               "seed": args.seed, "config": config, "result": result}
     if args.format == "csv":
         # every cell is a JSON value; the csv module quotes the ones holding
-        # commas (lists) or quotes (strings), so each row keeps its width
+        # commas (lists) or quotes (strings), so each row keeps its width.
+        # A table row is the flattened envelope beside the row's own fields;
+        # a field both name (crsk's seed, the same value) takes one column
         if isinstance(result, list):
-            keys = sorted({k for row in result for k in row})
-            rows = [keys] + [[json.dumps(row.get(k)) for k in keys] for row in result]
+            envelope = dict(_flatten({k: v for k, v in report.items() if k != "result"}))
+            keys = list(envelope) + sorted({k for row in result for k in row} - set(envelope))
+            cells = [{**envelope, **{k: json.dumps(v) for k, v in row.items()}} for row in result]
+            rows = [keys] + [[row.get(k, "null") for k in keys] for row in cells]
         else:
             rows = _flatten(report)
         buf = io.StringIO()
@@ -273,7 +285,7 @@ def _dispatch(args) -> tuple[dict, object]:
             "restarts": args.restarts,
         }
         # checks the flags in every mode before any route runs
-        routes = chains.chain_routes_through(
+        routes = chains.chain_routes(
             pmf, args.rounds, args.caps, args.budget,
             replace(chains.CONT_CONFIG, restarts=args.restarts, seed=args.seed),
             det=args.mode in ("det", "all"), cont=args.mode in ("cont", "all"),
@@ -284,22 +296,24 @@ def _dispatch(args) -> tuple[dict, object]:
                 "initiator": args.initiator,
                 "value": chains.ci1_exact(pmf, args.initiator),
             }
-        # each route keeps its lowest feasible result over the round counts,
-        # the result at --rounds on a tie or when none is feasible; the first
-        # route to fail at --rounds ends the run before a later one starts
-        best: dict[str, chains.ChainResult] = {}
+        # the first route to fail at --rounds ends the run before a later one
+        # starts; one that fails at fewer rounds is left out
+        found: dict[str, list[chains.ChainResult]] = {}
         for k, name, res in routes:
             if k == args.rounds and isinstance(res, CitError):
                 raise res
-            held = best.get(name)  # feasible, from fewer rounds
-            if (isinstance(res, chains.ChainResult) and (k == args.rounds or res.feasible)
-                    and (held is None or res.feasible and res.objective <= held.objective)):
-                best[name] = res
-        for name in sorted(best, key=("det", "cont").index):
-            res = best[name]
-            if res.chain.rounds < args.rounds:
-                res = chains.chain_objective(pmf, chains.padded_rounds(pmf, res.chain, args.rounds))
-            result[name] = res.to_json()
+            if isinstance(res, chains.ChainResult):
+                found.setdefault(name, []).append(res)
+        for name in ("det", "cont"):
+            if name in found:
+                # the lowest feasible objective over the round counts, the
+                # most rounds on a tie or when none is feasible
+                res = min(found[name], key=lambda res: (
+                    not res.feasible, res.objective if res.feasible else 0.0, -res.chain.rounds))
+                if res.chain.rounds < args.rounds:
+                    sizes = res.chain.sizes + (1,) * (args.rounds - res.chain.rounds)
+                    res = chains.chain_objective(pmf, chains.padded_chain(pmf, res.chain, sizes))
+                result[name] = res.to_json()
         return config, result
 
     if cmd in ("rates", "example"):

@@ -17,8 +17,8 @@ candidate records why each of its stages stopped.
 Both callers, the Wyner and the interactive-chain routes, take one
 `PenaltyConfig`, build their starts with `descent_starts`, and hand both
 to `penalized_minimize`. `penalized_information` holds the entropy algebra
-they descend on: a Wyner splitting variable is the one-round case of an
-interactive chain.
+they descend on: a one-round interactive chain is a Wyner splitting
+variable drawn from one side alone.
 """
 
 from __future__ import annotations

@@ -80,9 +80,8 @@ def rate_report(pmf: JointPMF, config: RateConfig | None = None) -> RateReport:
 
     nx, ny = pmf.shape
     delta = binary_symmetric_delta(pmf)
-    routes = chains.chain_routes_through(pmf, r, config.det_caps, config.det_budget,
-                                         config.descent,
-                                         cont=config.include_continuous and delta is None)
+    routes = chains.chain_routes(pmf, r, config.det_caps, config.det_budget, config.descent,
+                                 cont=config.include_continuous and delta is None)
     # a failed route, or one whose chain is infeasible, is left out; the
     # one-round values still bound the report
     found = [res for _, _, res in routes if isinstance(res, chains.ChainResult) and res.feasible]
@@ -98,6 +97,8 @@ def rate_report(pmf: JointPMF, config: RateConfig | None = None) -> RateReport:
         cir_ub = min([ci1_x, ci1_y] + [res.objective for res in found])
         provenance["cir_ub"] = "upper bound"
     provenance["r_sk_r"] = provenance["cir_ub"]
+    # both bounds are at least I(X;Y); rounding can leave them a few ulps below
+    cir_ub = max(cir_ub, mi)
 
     extra = []
     for i, res in enumerate(found):
@@ -108,6 +109,6 @@ def rate_report(pmf: JointPMF, config: RateConfig | None = None) -> RateReport:
 
     return RateReport(
         h_x=h_x, h_y=h_y, mi=mi, sk_capacity=mi, gk_ci=gk,
-        wyner_ub=wr.value, ci1_x=ci1_x, ci1_y=ci1_y, cir_ub=cir_ub,
+        wyner_ub=max(wr.value, mi), ci1_x=ci1_x, ci1_y=ci1_y, cir_ub=cir_ub,
         r_ni=ni.r_ni, r_sk_r=cir_ub - mi, rounds=r, provenance=provenance,
     )

@@ -345,8 +345,8 @@ class _Stage:
         self.m = n * self.bits_per
         raw_bits = math.ceil(n * math.log2(self.size) - 1e-12)
         want = math.ceil(n * (self.cond_entropy + slack) - 1e-12)
-        if self.m > 63:
-            raise SizeBudgetExceeded(f"stage {j} packs into {self.m} > 63 bits")
+        if self.m > MAX_BITS:
+            raise SizeBudgetExceeded(f"stage {j} packs into {self.m} > {MAX_BITS} bits")
         # a size-1 stage has 0 raw bits and sends nothing, whatever the slack
         self.identity = self.size == 1 or want >= raw_bits
         if self.identity:
@@ -605,8 +605,8 @@ def cr_sk_simulate(
             f"key_rate {key_rate} exceeds the extractable rate {max(extractable, 0.0):.6f}"
         )
     total_bits = sum(n * st.bits_per for st in stages)
-    if total_bits > 63:
-        raise SizeBudgetExceeded(f"accumulated CR packs into {total_bits} > 63 bits")
+    if total_bits > MAX_BITS:
+        raise SizeBudgetExceeded(f"accumulated CR packs into {total_bits} > {MAX_BITS} bits")
     key_bits = min(math.ceil(n * key_rate - 1e-12), total_bits) if key_rate > 0 else 0
     key_hash = AffineGf2Hash.sample(np.random.default_rng([seed, 1]), max(total_bits, 1), key_bits)
     comm_bits = sum(st.k_bits for st in stages)

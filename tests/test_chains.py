@@ -79,7 +79,7 @@ class TestChainTypes:
 
     def test_padding_keeps_function(self, bss25):
         ch = copy_chain_r1(bss25)
-        padded = ch.padded((3,))
+        padded = chains.padded_chain(bss25, ch, (3,))
         r1 = chain_objective(bss25, ch)
         r2 = chain_objective(bss25, padded)
         assert r1.objective == pytest.approx(r2.objective, abs=1e-12)
@@ -395,7 +395,7 @@ class TestContinuous:
         config = PenaltyConfig(restarts=2, max_iter=300, seed=0)
         det = det_chain_search(gain, 2, (3, 3))
         handed = continuous_chain_minimize(gain, (3, 3), config, start=det.chain)
-        scored = chain_objective(gain, det.chain.padded((3, 3)))
+        scored = chain_objective(gain, chains.padded_chain(gain, det.chain, (3, 3)))
         assert handed.candidates[0] == ("det-best", scored.objective, scored.residual)
         # without a start the same candidates run, less the det-best ones
         alone = continuous_chain_minimize(gain, (3, 3), config)
@@ -454,6 +454,13 @@ class TestContinuous:
 class TestChainRoutes:
     LIGHT = PenaltyConfig(restarts=1, max_iter=50)
 
+    @staticmethod
+    def named(routes):
+        """The routes of a two-round run by name, each at two rounds."""
+        triples = list(routes)
+        assert all(k == 2 for k, _, _ in triples)
+        return {name: res for _, name, res in triples}
+
     @pytest.fixture
     def calls(self, monkeypatch):
         """Every det search and descent a route runs: its name, the caps or
@@ -478,7 +485,7 @@ class TestChainRoutes:
         return calls
 
     def test_an_over_budget_search_hands_no_start(self, gain, calls):
-        routes = dict(chains.chain_routes(gain, 2, None, 0, self.LIGHT))
+        routes = self.named(chains.chain_routes(gain, 2, None, 0, self.LIGHT))
         assert list(routes) == ["det", "cont"]
         assert isinstance(routes["det"], BudgetExceeded)
         assert isinstance(routes["cont"], chains.ChainResult)
@@ -489,29 +496,30 @@ class TestChainRoutes:
     def test_failed_routes_are_returned(self, gain):
         from cit import NoFeasibleChain, NoFeasiblePoint
 
-        routes = dict(chains.chain_routes(gain, 2, (1, 2), 2_000_000, self.LIGHT))
+        routes = self.named(chains.chain_routes(gain, 2, (1, 2), 2_000_000, self.LIGHT))
         assert isinstance(routes["det"], NoFeasibleChain)
         assert isinstance(routes["cont"], NoFeasiblePoint)
 
     def test_the_det_winner_starts_the_descent(self, gain, calls):
-        routes = dict(chains.chain_routes(gain, 2, None, 2_000_000, self.LIGHT))
+        routes = self.named(chains.chain_routes(gain, 2, None, 2_000_000, self.LIGHT))
         assert [(name, at) for name, at, _ in calls] == [("det", None), ("cont", (4, 4))]
-        scored = chain_objective(gain, routes["det"].chain.padded((4, 4)))
+        scored = chain_objective(gain, chains.padded_chain(gain, routes["det"].chain, (4, 4)))
         assert routes["cont"].candidates[0] == ("det-best", scored.objective, scored.residual)
 
     @pytest.mark.parametrize("caps, sizes", [(None, (4, 4)), ((2, 3), (2, 3)), ((9, 9), (4, 9))])
     def test_sizes_at_the_det_caps_reuse_its_search(self, gain, calls, caps, sizes):
-        routes = dict(chains.chain_routes(gain, 2, caps, 2_000_000, self.LIGHT, sizes=sizes))
+        routes = self.named(chains.chain_routes(gain, 2, caps, 2_000_000, self.LIGHT, sizes=sizes))
         assert [(name, at) for name, at, _ in calls] == [("det", caps), ("cont", sizes)]
-        scored = chain_objective(gain, routes["det"].chain.padded(sizes))
+        scored = chain_objective(gain, chains.padded_chain(gain, routes["det"].chain, sizes))
         assert routes["cont"].candidates[0] == ("det-best", scored.objective, scored.residual)
 
     def test_given_sizes_search_once_more(self, gain, calls):
-        routes = dict(chains.chain_routes(gain, 2, (2, 3), 2_000_000, self.LIGHT, sizes=(3, 3)))
+        routes = self.named(chains.chain_routes(gain, 2, (2, 3), 2_000_000, self.LIGHT,
+                                                sizes=(3, 3)))
         assert [(name, at) for name, at, _ in calls] == \
             [("det", (2, 3)), ("det", (3, 3)), ("cont", (3, 3))]
         assert calls[0][2] is routes["det"]
-        scored = chain_objective(gain, calls[1][2].chain.padded((3, 3)))
+        scored = chain_objective(gain, chains.padded_chain(gain, calls[1][2].chain, (3, 3)))
         assert routes["cont"].candidates[0] == ("det-best", scored.objective, scored.residual)
 
     @pytest.mark.parametrize("det, cont, want", [
@@ -520,8 +528,8 @@ class TestChainRoutes:
         (False, False, []),
     ])
     def test_only_the_requested_routes_run(self, gain, calls, det, cont, want):
-        routes = dict(chains.chain_routes(gain, 2, None, 2_000_000, self.LIGHT, det=det,
-                                          cont=cont))
+        routes = self.named(chains.chain_routes(gain, 2, None, 2_000_000, self.LIGHT, det=det,
+                                                cont=cont))
         assert [(name, at) for name, at, _ in calls] == want
         assert list(routes) == [name for name, on in (("det", det), ("cont", cont)) if on]
 
@@ -544,10 +552,10 @@ class TestChainRoutes:
     def test_routes_run_as_they_are_read(self, gain, calls):
         routes = chains.chain_routes(gain, 2, None, 0, self.LIGHT)
         assert calls == []
-        name, det = next(routes)
-        assert (name, [n for n, _, _ in calls]) == ("det", ["det"])
+        k, name, det = next(routes)
+        assert (k, name, [n for n, _, _ in calls]) == (2, "det", ["det"])
         assert isinstance(det, BudgetExceeded)
-        assert next(routes)[0] == "cont"
+        assert next(routes)[:2] == (2, "cont")
         assert [n for n, _, _ in calls] == ["det", "cont"]
         assert next(routes, None) is None
 
@@ -589,28 +597,47 @@ class TestRoundCounts:
     LIGHT = PenaltyConfig(restarts=1, max_iter=50)
 
     def test_every_count_from_two_in_order(self, gain):
-        routes = chains.chain_routes_through(gain, 3, (2, 3, 2), 2_000_000, self.LIGHT)
+        routes = chains.chain_routes(gain, 3, (2, 3, 2), 2_000_000, self.LIGHT)
         got = [(k, name, res.chain.rounds) for k, name, res in routes]
         assert got == [(2, "det", 2), (2, "cont", 2), (3, "det", 3), (3, "cont", 3)]
 
     def test_one_round_runs_at_one(self, gain):
-        routes = chains.chain_routes_through(gain, 1, None, 2_000_000, self.LIGHT, cont=False)
+        routes = chains.chain_routes(gain, 1, None, 2_000_000, self.LIGHT, cont=False)
         assert [(k, name) for k, name, _ in routes] == [(1, "det")]
 
     def test_the_flags_are_checked_at_the_full_count_first(self, gain):
         with pytest.raises(ValueError, match="need one size cap per round: 2 given for 3 rounds"):
-            chains.chain_routes_through(gain, 3, (2, 3), 2_000_000, self.LIGHT)
+            chains.chain_routes(gain, 3, (2, 3), 2_000_000, self.LIGHT)
 
     @pytest.mark.parametrize("randomized", [False, True])
     def test_constant_rounds_keep_the_scores(self, gain, randomized):
         chain = gain_two_round_chain()
         chain = chain.as_auxiliary() if randomized else chain
-        padded = chains.padded_rounds(gain, chain, 4)
+        padded = chains.padded_chain(gain, chain, chain.sizes + (1, 1))
         assert type(padded) is type(chain) and padded.sizes == chain.sizes + (1, 1)
         short, long = chain_objective(gain, chain), chain_objective(gain, padded)
         assert (long.objective, long.residual) == (short.objective, short.residual)
         assert long.per_round_terms[:2] == short.per_round_terms
         assert long.per_round_terms[2:] == pytest.approx((0.0, 0.0), abs=1e-12)
+
+    def test_widened_and_longer_keeps_the_scores(self, gain):
+        chain = gain_two_round_chain()
+        padded = chains.padded_chain(gain, chain, (3, 4, 1))
+        assert padded.sizes == (3, 4, 1)
+        short, long = chain_objective(gain, chain), chain_objective(gain, padded)
+        assert (long.objective, long.residual) == (short.objective, short.residual)
+
+    @pytest.mark.parametrize("randomized, sizes, message", [
+        (False, (2,), r"sizes \(2,\) cannot pad the chain's sizes \(2, 3\)"),
+        (False, (1, 3), "cannot pad"),
+        (True, (2, 2, 1), "cannot pad"),
+        (True, (3, 3), "cannot pad"),
+    ])
+    def test_padding_never_narrows_or_widens_a_randomized_round(self, gain, randomized, sizes,
+                                                                message):
+        chain = gain_two_round_chain()
+        with pytest.raises(ValueError, match=message):
+            chains.padded_chain(gain, chain.as_auxiliary() if randomized else chain, sizes)
 
     def test_ici_never_reports_more_at_more_rounds(self, tmp_path):
         """On the bench's 4x4 draw the 3-round descent ends above the 2-round

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cit import chains, cli, optim
+from cit import __version__, chains, cli, optim
 
 from conftest import gain_two_round_chain
 
@@ -224,6 +224,15 @@ class TestBasicCommands:
         lines = out.strip().splitlines()
         assert len(lines) == 3
         assert "error_rate" in lines[0]
+        # each row carries the envelope: tool, version, command, seed, config
+        rows = list(csv.DictReader(io.StringIO(out)))
+        for row, n in zip(rows, (8, 10)):
+            assert {k: json.loads(row[k]) for k in ("tool", "version", "command", "seed")} == \
+                {"tool": "cit", "version": __version__, "command": "simulate", "seed": 1}
+            assert {k: json.loads(v) for k, v in row.items() if k.startswith("config.")} == \
+                {"config.pmf": pmf_file, "config.rate": 0.5, "config.trials": 50,
+                 "config.n": [8, 10]}
+            assert json.loads(row["n"]) == n
 
     def test_simulate_csv_quotes_lists(self, tmp_path):
         gain = [[0.1, 0.1, 0.1], [0.15, 0.1, 0.1], [0.1, 0.15, 0.1]]
@@ -244,6 +253,10 @@ class TestBasicCommands:
         for row, rep in zip(body, reports):
             assert len(rep["stage_bits"]) == 2
             assert json.loads(row[header.index("stage_bits")]) == rep["stage_bits"]
+            assert json.loads(row[header.index("config.chain")]) == str(chain_path)
+            assert json.loads(row[header.index("config.n")]) == [3, 4]
+        # the envelope's seed and each report's own take one column
+        assert header.count("seed") == 1 and header[:4] == ["tool", "version", "command", "seed"]
         # one report: the envelope flattens to key,value rows, lists included
         code, out = run_cli(argv + ["--n", "4", "--format", "csv"])
         flat = dict(csv.reader(io.StringIO(out)))
@@ -386,6 +399,8 @@ class TestErrorsAndIO:
         ("1,inf", "must be a finite number, got 'inf'"),
         ("", "must list at least one number, got ''"),
         (" , ", "must list at least one number, got ' , '"),
+        ("0", "must be a positive number, got '0'"),
+        ("-1", "must be a positive number, got '-1'"),
     ])
     def test_wyner_needs_a_finite_penalty_schedule(self, pmf_file, value, rule, capsys):
         code, out = run_cli(["wyner", "--pmf", pmf_file, "--penalty", value])

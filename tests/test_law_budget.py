@@ -164,7 +164,7 @@ def test_exact_leakage_table(bss25, budget):
 ])
 def test_a_route_over_the_budget_is_a_route_error(gain, budget, cells, failed):
     budget(cells)
-    routes = dict(chains.chain_routes(gain, 2, None, 2_000_000, LIGHT))
+    routes = {name: res for _, name, res in chains.chain_routes(gain, 2, None, 2_000_000, LIGHT)}
     assert [name for name, res in routes.items()
             if isinstance(res, SizeBudgetExceeded)] == failed
 

@@ -143,7 +143,8 @@ class TestDustCell:
                                                                 monkeypatch):
         found = chains.chain_objective(dusty, isolating)
         assert found.feasible
-        monkeypatch.setattr(chains, "chain_routes", lambda *args, **kwargs: iter([("det", found)]))
+        monkeypatch.setattr(chains, "chain_routes",
+                            lambda *args, **kwargs: iter([(2, "det", found)]))
         rep = rate_report(dusty, replace(LIGHT, rounds=2))
         assert rep.cir_ub == found.objective
         assert rep.mi <= rep.wyner_ub + 1e-6 and np.isfinite(rep.wyner_ub)

@@ -67,6 +67,16 @@ def test_large_alphabet_degrades_gracefully():
     assert rep.cir_ub <= min(rep.ci1_x, rep.ci1_y) + 1e-9
 
 
+@pytest.mark.parametrize("diagonal", [(0.5, 0.5), (1 / 3, 1 / 3, 1 / 3), (0.7, 0.3)])
+def test_x_equal_to_y_needs_no_communication(diagonal):
+    """Both bounds are at least I(X;Y); on X = Y rounding once left them a
+    few ulps below it, and `r_sk_r` at -2.2e-16."""
+    rep = rate_report(validate_pmf(np.diag(diagonal)), FAST)
+    _check_report(rep)
+    assert rep.r_sk_r == 0.0 and rep.cir_ub == rep.mi
+    assert rep.wyner_ub >= rep.mi
+
+
 @pytest.mark.parametrize("name", ["gain", "rand4-0"])
 def test_a_third_round_never_raises_the_bounds(name):
     """At report defaults the r = 3 routes alone once gave `cir_ub` 1.5588718
