@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -89,7 +90,9 @@ _penalties = _nonempty_list(_penalty, "number")
 _blocklengths = _nonempty_list(int, "integer")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The `cit` parser, built once per process; parsing leaves it as it is."""
     parser = argparse.ArgumentParser(
         prog="cit",
         description="Common-information quantities and secret-key communication rates "
@@ -98,7 +101,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"cit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, pmf_required=True):
+    def command(parent, name, help, pmf_required=True):
+        """A leaf parser with the flags every command takes."""
+        p = parent.add_parser(name, help=help)
         if pmf_required:
             p.add_argument("--pmf", required=True, help="path to a pmf JSON file")
         p.add_argument("--output", help="write the report to this path instead of stdout")
@@ -107,26 +112,20 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=_thread_count, default=None,
                        help="a positive integer, accepted and ignored (default $CIT_THREADS, "
                             "else 1); cit runs in one thread")
+        return p
 
-    p = sub.add_parser("info", help="entropies and mutual information")
-    common(p)
+    command(sub, "info", "entropies and mutual information")
+    command(sub, "suffstat", "minimal sufficient statistics of both sides")
+    command(sub, "gk", "maximal common function and its entropy")
 
-    p = sub.add_parser("suffstat", help="minimal sufficient statistics of both sides")
-    common(p)
-
-    p = sub.add_parser("gk", help="maximal common function and its entropy")
-    common(p)
-
-    p = sub.add_parser("wyner", help="upper bound on the splitting-variable rate")
-    common(p)
+    p = command(sub, "wyner", "upper bound on the splitting-variable rate")
     p.add_argument("--w-size", type=int, default=None)
     p.add_argument("--restarts", type=_nonnegative, default=wyner.WYNER_CONFIG.restarts)
     p.add_argument("--max-iter", type=_nonnegative, default=wyner.WYNER_CONFIG.max_iter)
     p.add_argument("--penalty", type=_penalties, default=optim.PENALTY_SCHEDULE,
                    help="penalty schedule, comma-separated finite positive numbers")
 
-    p = sub.add_parser("ici", help="r-round interactive common-information bounds")
-    common(p)
+    p = command(sub, "ici", "r-round interactive common-information bounds")
     p.add_argument("--rounds", type=int, required=True)
     p.add_argument("--mode", choices=("exact1", "det", "cont", "all"), default="all")
     p.add_argument("--initiator", choices=("x", "y"), default="x")
@@ -138,8 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "mode starts without the det chain")
     p.add_argument("--restarts", type=_nonnegative, default=chains.CONT_CONFIG.restarts)
 
-    p = sub.add_parser("rates", help="assembled rate report")
-    common(p)
+    p = command(sub, "rates", "assembled rate report")
     p.add_argument("--rounds", type=int, default=rates.RateConfig.rounds)
     p.add_argument("--caps", type=_int_list, default=None)
     p.add_argument("--budget", type=_nonnegative, default=rates.RateConfig.det_budget,
@@ -147,36 +145,38 @@ def _build_parser() -> argparse.ArgumentParser:
                         "included; a search that runs out is left out of the report")
     p.add_argument("--no-continuous", action="store_true")
 
-    p = sub.add_parser("check", help="exact identity suites over seeded random instances")
+    p = command(sub, "check", "exact identity suites over seeded random instances",
+                pmf_required=False)
     p.add_argument("identity", choices=checks.IDENTITIES)
-    common(p, pmf_required=False)
     p.add_argument("--count", type=_positive, default=100)
     p.add_argument("--n", type=_positive, default=2, help="largest blocklength for protocol checks")
     p.add_argument("--alphabet", type=_int_at_least(2, "must be an integer of at least 2"),
                    default=3, help="largest alphabet size")
     p.add_argument("--rounds", type=_positive, default=2, help="largest number of rounds")
 
-    p = sub.add_parser("simulate", help="Monte Carlo binning and key-agreement runs")
-    p.add_argument("kind", choices=("sw", "crsk"))
-    common(p)
-    p.add_argument("--n", type=_blocklengths, default=(16,),
-                   help="blocklength(s), e.g. 8,16,24")
-    p.add_argument("--rate", type=float, default=None, help="binning rate for sw")
-    p.add_argument("--trials", type=int, default=2000)
-    p.add_argument("--chain", default="copy", help="chain JSON path, or 'copy'")
-    p.add_argument("--key-rate", type=_finite, default=0.1)
-    p.add_argument("--slack", type=_finite, default=0.25)
+    kinds = sub.add_parser("simulate", help="Monte Carlo binning and key-agreement runs"
+                           ).add_subparsers(dest="kind", required=True)
+    sw = command(kinds, "sw", "Slepian-Wolf hash binning with an ML-over-bin decoder")
+    crsk = command(kinds, "crsk", "staged common randomness, then a hashed key")
+    for p in (sw, crsk):
+        p.add_argument("--n", type=_blocklengths, default=(16,),
+                       help="blocklength(s), e.g. 8,16,24")
+        p.add_argument("--trials", type=int, default=2000)
+    sw.add_argument("--rate", type=float, required=True, help="binning rate, bits per symbol")
+    crsk.add_argument("--chain", default="copy", help="chain JSON path, or 'copy'")
+    crsk.add_argument("--key-rate", type=_finite, default=0.1)
+    crsk.add_argument("--slack", type=_finite, default=0.25)
 
-    p = sub.add_parser("example", help="built-in sources run through the rate report")
-    p.add_argument("which", choices=("bss", "gain"))
-    common(p, pmf_required=False)
-    p.add_argument("--delta", type=float, default=0.25)
-    p.add_argument("--a", type=float, default=0.1)
-    p.add_argument("--b", type=float, default=0.15)
-    p.add_argument("--c", type=float, default=0.15)
-    p.add_argument("--rounds", type=int, default=rates.RateConfig.rounds)
-    # the rates options an example leaves at their defaults
-    p.set_defaults(caps=None, budget=rates.RateConfig.det_budget, no_continuous=False)
+    which = sub.add_parser("example", help="built-in sources run through the rate report"
+                           ).add_subparsers(dest="which", required=True)
+    bss = command(which, "bss", "doubly symmetric binary source", pmf_required=False)
+    gain = command(which, "gain", "a 3x3 source on which interaction helps", pmf_required=False)
+    bss.add_argument("--delta", type=float, default=0.25)
+    gain.add_argument("--a", type=float, default=0.1)
+    gain.add_argument("--b", type=float, default=0.15)
+    gain.add_argument("--c", type=float, default=0.15)
+    for p in (bss, gain):
+        p.add_argument("--rounds", type=int, default=rates.RateConfig.rounds)
 
     return parser
 
@@ -317,19 +317,19 @@ def _dispatch(args) -> tuple[dict, object]:
         return config, result
 
     if cmd in ("rates", "example"):
+        config = rates.RateConfig(rounds=args.rounds,
+                                  descent=replace(rates.REPORT_DESCENT, seed=args.seed))
         echo, closed = {}, None
-        if cmd == "example" and args.which == "bss":
+        if cmd == "rates":  # an example leaves these at their defaults
+            config = replace(config, det_caps=args.caps, det_budget=args.budget,
+                             include_continuous=not args.no_continuous)
+        elif args.which == "bss":
             pmf = sources.bss_pmf(args.delta)
             closed = chains.bss_closed_form(args.delta).to_json()
             echo = {"which": "bss", "delta": args.delta}
-        elif cmd == "example":  # gain; `rates` loaded its pmf above
+        else:
             pmf = sources.gain_pmf(args.a, args.b, args.c)
             echo = {"which": "gain", "a": args.a, "b": args.b, "c": args.c}
-        config = rates.RateConfig(
-            rounds=args.rounds, det_caps=args.caps, det_budget=args.budget,
-            include_continuous=not args.no_continuous,
-            descent=replace(rates.REPORT_DESCENT, seed=args.seed),
-        )
         rep = rates.rate_report(pmf, config)
         result = {**rep.to_json(), "pmf": pmf.to_json()}
         if closed is not None:
@@ -343,13 +343,11 @@ def _dispatch(args) -> tuple[dict, object]:
                 "alphabet": args.alphabet, "rounds": args.rounds}, result
 
     if cmd == "simulate" and args.kind == "sw":
-        if args.rate is None:
-            raise ValueError("simulate sw needs --rate")
         result = [
             simulate.sw_binning_simulate(pmf, n, args.rate, args.trials, args.seed).to_json()
             for n in args.n
         ]
-        return {"pmf": args.pmf, "rate": args.rate, "trials": args.trials,
+        return {"kind": "sw", "pmf": args.pmf, "rate": args.rate, "trials": args.trials,
                 "n": list(args.n)}, result
 
     if cmd == "simulate":
@@ -363,7 +361,7 @@ def _dispatch(args) -> tuple[dict, object]:
                                     args.seed, args.slack).to_json()
             for n in args.n
         ]
-        config = {"pmf": args.pmf, "chain": args.chain, "key_rate": args.key_rate,
+        config = {"kind": "crsk", "pmf": args.pmf, "chain": args.chain, "key_rate": args.key_rate,
                   "trials": args.trials, "slack": args.slack, "n": list(args.n)}
         return config, reports if len(reports) > 1 else reports[0]
 

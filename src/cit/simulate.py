@@ -250,15 +250,13 @@ def sw_binning_simulate(
     toward the smallest sequence.
 
     Raises ValueError for a blocklength or a trial count below 1, and
-    SizeBudgetExceeded for a blocklength above 24, a word of more than 63
-    bits, or bins of more than COSET_CAP words.
+    SizeBudgetExceeded for a word of more than MAX_BITS bits or bins of more
+    than COSET_CAP words.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     if n < 1:
         raise ValueError(f"blocklength must be at least 1, got {n}")
-    if n > 24:
-        raise SizeBudgetExceeded(f"blocklength must lie in [1, 24], got {n}")
     nx = pmf.shape[0]
     bits_per = (nx - 1).bit_length()
     m = n * bits_per
@@ -345,8 +343,6 @@ class _Stage:
         self.m = n * self.bits_per
         raw_bits = math.ceil(n * math.log2(self.size) - 1e-12)
         want = math.ceil(n * (self.cond_entropy + slack) - 1e-12)
-        if self.m > MAX_BITS:
-            raise SizeBudgetExceeded(f"stage {j} packs into {self.m} > {MAX_BITS} bits")
         # a size-1 stage has 0 raw bits and sends nothing, whatever the slack
         self.identity = self.size == 1 or want >= raw_bits
         if self.identity:
@@ -584,7 +580,8 @@ def cr_sk_simulate(
     extractable rate H(U^r) - sum_j H(U_j | listener_j, U^{j-1}), which for
     a feasible chain equals I(X;Y). Raises ValueError for a blocklength or
     a trial count below 1, and for a `slack` that would leave a stage's hash
-    fewer than 0 output bits.
+    fewer than 0 output bits, and SizeBudgetExceeded, before any stage is
+    built, for common randomness of over MAX_BITS bits, n ceil(log2 |U_j|) a stage.
     """
     if not isinstance(chain, DeterministicChain):
         raise ValueError("the staged scheme needs a deterministic chain")
@@ -594,6 +591,9 @@ def cr_sk_simulate(
         raise ValueError("need at least one trial")
     if key_rate < 0:
         raise RateInfeasible("key_rate must be nonnegative")
+    total_bits = n * sum((size - 1).bit_length() for size in chain.sizes)
+    if total_bits > MAX_BITS:
+        raise SizeBudgetExceeded(f"accumulated CR packs into {total_bits} > {MAX_BITS} bits")
     tensor = chain_tensor(pmf, chain)
     rounds = chain.rounds
     u_names = tuple(f"u{j}" for j in range(1, rounds + 1))
@@ -604,9 +604,6 @@ def cr_sk_simulate(
         raise RateInfeasible(
             f"key_rate {key_rate} exceeds the extractable rate {max(extractable, 0.0):.6f}"
         )
-    total_bits = sum(n * st.bits_per for st in stages)
-    if total_bits > MAX_BITS:
-        raise SizeBudgetExceeded(f"accumulated CR packs into {total_bits} > {MAX_BITS} bits")
     key_bits = min(math.ceil(n * key_rate - 1e-12), total_bits) if key_rate > 0 else 0
     key_hash = AffineGf2Hash.sample(np.random.default_rng([seed, 1]), max(total_bits, 1), key_bits)
     comm_bits = sum(st.k_bits for st in stages)

@@ -24,17 +24,18 @@ def bss_pmf(delta: float) -> JointPMF:
 
 
 def binary_symmetric_delta(pmf: JointPMF) -> float | None:
-    """The crossover probability when the pmf is doubly symmetric binary,
-    its mirrored entries equal within SYMMETRY_TOL, else None."""
-    if pmf.shape != (2, 2):
+    """The crossover probability, in (0, 0.5), when the pmf is doubly
+    symmetric binary once its zero-mass rows and columns are dropped, either
+    diagonal holding the larger mass, its mirrored entries equal within
+    SYMMETRY_TOL; else None."""
+    p = pmf.p[pmf.p.sum(axis=1) > 0][:, pmf.p.sum(axis=0) > 0]
+    if p.shape != (2, 2):
         return None
-    p = pmf.p
     if abs(p[0, 0] - p[1, 1]) > SYMMETRY_TOL or abs(p[0, 1] - p[1, 0]) > SYMMETRY_TOL:
         return None
-    delta = float(p[0, 1] + p[1, 0])
-    if not 0.0 < delta < 0.5:
-        return None
-    return delta
+    off = float(p[0, 1] + p[1, 0])
+    delta = min(off, 1.0 - off)
+    return delta if 0.0 < delta < 0.5 else None
 
 
 def gain_pmf(a: float, b: float, c: float) -> JointPMF:

@@ -1,7 +1,9 @@
+import argparse
 import contextlib
 import csv
 import io
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -230,8 +232,8 @@ class TestBasicCommands:
             assert {k: json.loads(row[k]) for k in ("tool", "version", "command", "seed")} == \
                 {"tool": "cit", "version": __version__, "command": "simulate", "seed": 1}
             assert {k: json.loads(v) for k, v in row.items() if k.startswith("config.")} == \
-                {"config.pmf": pmf_file, "config.rate": 0.5, "config.trials": 50,
-                 "config.n": [8, 10]}
+                {"config.kind": "sw", "config.pmf": pmf_file, "config.rate": 0.5,
+                 "config.trials": 50, "config.n": [8, 10]}
             assert json.loads(row["n"]) == n
 
     def test_simulate_csv_quotes_lists(self, tmp_path):
@@ -253,6 +255,7 @@ class TestBasicCommands:
         for row, rep in zip(body, reports):
             assert len(rep["stage_bits"]) == 2
             assert json.loads(row[header.index("stage_bits")]) == rep["stage_bits"]
+            assert json.loads(row[header.index("config.kind")]) == "crsk"
             assert json.loads(row[header.index("config.chain")]) == str(chain_path)
             assert json.loads(row[header.index("config.n")]) == [3, 4]
         # the envelope's seed and each report's own take one column
@@ -262,6 +265,7 @@ class TestBasicCommands:
         flat = dict(csv.reader(io.StringIO(out)))
         assert json.loads(flat["result.stage_bits"]) == reports[1]["stage_bits"]
         assert json.loads(flat["config.n"]) == [4]
+        assert json.loads(flat["config.kind"]) == "crsk"
 
     def test_simulate_crsk(self, pmf_file):
         code, out = run_cli(["simulate", "crsk", "--pmf", pmf_file, "--n", "12",
@@ -542,3 +546,94 @@ def test_readme_command_lines_parse():
     parser = cli._build_parser()
     for line in lines:
         parser.parse_args(shlex.split(line)[1:])
+
+
+def test_readme_lists_each_commands_flags():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    listed = {}
+    for line in section.splitlines():
+        if line.startswith("* `"):
+            names, flags = line[2:].split(": ", 1)
+            for name in re.findall(r"`([^`]+)`", names):
+                path = tuple(word for word in name.split() if "|" not in word)
+                listed[path] = set(re.findall(r"`(--[\w-]+)`", flags))
+    common = {"-h", "--help", "--pmf", "--output", "--format", "--seed", "--threads"}
+    defined = {path: {flag for a in leaf._actions for flag in a.option_strings} - common
+               for path, leaf in _leaves(cli._build_parser())}
+    assert listed == defined
+
+
+def _leaves(parser, path=()):
+    """(command path, parser) for every parser that takes no sub-command."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+        return
+    for name, sub in subs[0].choices.items():
+        yield from _leaves(sub, path + (name,))
+
+
+# cheap values for every leaf; a flag is read whether or not it is given
+LEAF_ARGV = {
+    ("info",): ["--pmf", "{pmf}"],
+    ("suffstat",): ["--pmf", "{pmf}"],
+    ("gk",): ["--pmf", "{pmf}"],
+    ("wyner",): ["--pmf", "{pmf}", "--restarts", "0", "--max-iter", "0"],
+    ("ici",): ["--pmf", "{pmf}", "--rounds", "1", "--restarts", "0"],
+    ("rates",): ["--pmf", "{pmf}", "--rounds", "1"],
+    ("check",): ["lemma1", "--count", "1", "--n", "1", "--alphabet", "2", "--rounds", "1"],
+    ("simulate", "sw"): ["--pmf", "{pmf}", "--rate", "0.5", "--n", "2", "--trials", "1"],
+    ("simulate", "crsk"): ["--pmf", "{pmf}", "--n", "2", "--trials", "1", "--key-rate", "0"],
+    ("example", "bss"): ["--rounds", "1"],
+    ("example", "gain"): ["--rounds", "1"],
+}
+# read by `_emit` or `run`, not by `_dispatch`
+EMIT_ONLY = {"threads", "format", "output"}
+SEED_EMIT_ONLY = {("info",), ("suffstat",), ("gk",)}
+
+
+def test_every_leaf_reads_every_flag_it_defines(pmf_file):
+    parser = cli._build_parser()
+    assert cli._build_parser() is parser  # built once per process
+    leaves = dict(_leaves(parser))
+    assert set(leaves) == set(LEAF_ARGV)
+    for path, leaf in leaves.items():
+        argv = list(path) + [a.format(pmf=pmf_file) for a in LEAF_ARGV[path]]
+        reads = set()
+
+        class Logged(argparse.Namespace):
+            def __getattribute__(self, name):
+                reads.add(name)
+                return super().__getattribute__(name)
+
+        args = Logged(**vars(parser.parse_args(argv)))
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli._dispatch(args)
+        defined = {a.dest for a in leaf._actions if not isinstance(a, argparse._HelpAction)}
+        unread = defined - reads - EMIT_ONLY - ({"seed"} if path in SEED_EMIT_ONLY else set())
+        assert not unread, f"{' '.join(path)} never reads {sorted(unread)}"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["simulate", "sw", "--rate", "0.5"], "--chain"),
+    (["simulate", "sw", "--rate", "0.5"], "--key-rate"),
+    (["simulate", "sw", "--rate", "0.5"], "--slack"),
+    (["simulate", "crsk"], "--rate"),
+    (["example", "bss"], "--a"),
+    (["example", "bss"], "--b"),
+    (["example", "bss"], "--c"),
+    (["example", "gain"], "--delta"),
+])
+def test_a_flag_its_kind_does_not_read_is_a_usage_error(pmf_file, argv, flag, capsys):
+    if argv[0] == "simulate":
+        argv = argv + ["--pmf", pmf_file]
+    code, out = run_cli(argv + [flag, "0.1"])
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {flag} 0.1" in capsys.readouterr().err
+
+
+def test_simulate_sw_needs_a_rate(pmf_file, capsys):
+    code, out = run_cli(["simulate", "sw", "--pmf", pmf_file, "--n", "8"])
+    assert (code, out) == (2, "")
+    assert "the following arguments are required: --rate" in capsys.readouterr().err

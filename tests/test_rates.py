@@ -5,7 +5,7 @@ import pytest
 
 from cit import (PenaltyConfig, RateConfig, binary_entropy, chains, rate_report, validate_pmf,
                  wyner)
-from cit.sources import bss_pmf, random_pmf
+from cit.sources import binary_symmetric_delta, bss_pmf, random_pmf
 
 LIGHT = RateConfig(descent=PenaltyConfig(restarts=4, max_iter=1200))
 
@@ -33,6 +33,35 @@ class TestBss:
         rep = rate_report(independent, LIGHT)
         assert rep.mi == 0.0
         assert rep.cir_ub == pytest.approx(0.0, abs=1e-9)
+
+
+def _relabelled(p: np.ndarray, how: str) -> np.ndarray:
+    if how == "x-swapped":
+        return p[::-1]
+    if how == "y-swapped":
+        return p[:, ::-1]
+    if how == "zero-row":
+        return np.insert(p, 1, 0.0, axis=0)
+    if how == "zero-column":
+        return np.insert(p, 1, 0.0, axis=1)
+    return p
+
+
+@pytest.mark.parametrize("how", ["as-is", "x-swapped", "y-swapped", "zero-row", "zero-column"])
+@pytest.mark.parametrize("delta", [0.1, 0.25, 0.4])
+def test_relabelled_or_padded_bss_keeps_its_closed_form(delta, how):
+    pmf = validate_pmf(_relabelled(bss_pmf(delta).p, how))
+    assert binary_symmetric_delta(pmf) == pytest.approx(delta, abs=1e-15)
+    rep = rate_report(pmf, replace(LIGHT, rounds=1))
+    assert rep.cir_ub == 1.0
+    assert rep.provenance["cir_ub"] == "exact (binary symmetric closed form)"
+
+
+@pytest.mark.parametrize("p", [[[0.5, 0.0], [0.0, 0.5]], [[0.0, 0.5], [0.5, 0.0]],
+                               [[0.25, 0.25], [0.25, 0.25]], [[0.5, 0.0, 0.0], [0.0, 0.0, 0.5]]],
+                         ids=["x-equals-y", "x-equals-not-y", "independent", "padded-copy"])
+def test_copies_and_independent_pairs_are_not_bss(p):
+    assert binary_symmetric_delta(validate_pmf(p)) is None
 
 
 class TestGain:

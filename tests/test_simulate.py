@@ -29,6 +29,7 @@ from cit.sources import bss_pmf, gain_pmf
 from cit.chains import DeterministicChain, chain_from_json, chain_tensor, det_chain_search
 from cit import simulate
 from cit.hashing import AffineGf2Hash, pack_digits, unpack_digits
+from cit.pmf import conditional_entropy, entropy
 
 from conftest import _sample_solved, gain_two_round_chain
 
@@ -57,8 +58,11 @@ class TestSwBinning:
             sw_binning_simulate(bss25, 8, 1.2, 10, 0)
 
     def test_blocklength_budget(self, bss25):
-        with pytest.raises(SizeBudgetExceeded):
-            sw_binning_simulate(bss25, 30, 0.9, 10, 0)
+        # the word rule alone bounds n: 64 binary symbols pack into 64 bits
+        with pytest.raises(SizeBudgetExceeded, match=r"^blocks pack into 64 > 63 bits$"):
+            sw_binning_simulate(bss25, 64, 0.9, 10, 0)
+        rep = sw_binning_simulate(bss25, 30, 0.9, 10, 0)
+        assert (rep.n, rep.bins_log2, rep.trials) == (30, 27, 10)
         # below 1 the blocklength is invalid, not over a budget
         with pytest.raises(ValueError, match=r"^blocklength must be at least 1, got 0$"):
             sw_binning_simulate(bss25, 0, 0.9, 10, 0)
@@ -424,6 +428,42 @@ def test_crsk_packing_budget(bss25):
     chain = default_copy_chain(bss25)
     with pytest.raises(SizeBudgetExceeded):
         cr_sk_simulate(bss25, chain, n=70, key_rate=0.05, trials=10, seed=0)
+
+
+def test_crsk_accumulated_word_is_refused_before_any_stage(bss25, monkeypatch):
+    """Two one-bit stages at n = 40 pack into 80 bits, though each stage's
+    40-bit word fits."""
+    def no_stage(*args):
+        raise AssertionError("built a stage before the size check")
+
+    monkeypatch.setattr(simulate, "_Stage", no_stage)
+    chain = chain_from_json({"kind": "deterministic", "initiator": "x", "sizes": [2, 2],
+                             "tables": [[0, 1], [[0, 0], [1, 1]]]})
+    with pytest.raises(SizeBudgetExceeded, match=r"^accumulated CR packs into 80 > 63 bits$"):
+        cr_sk_simulate(bss25, chain, n=40, key_rate=0.05, trials=10, seed=0)
+
+
+# the bench's `crsk:gain-n4` chain
+BENCH_GAIN_CHAIN = {"kind": "deterministic", "initiator": "x", "sizes": [2, 2],
+                    "tables": [[0, 0, 1], [[0, 0], [1, 0], [1, 0]]]}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="key_bits rounds n * key_rate up, and only the "
+                   "requested rate is checked against the extractable rate")
+def test_crsk_runs_at_most_the_extractable_rate(gain):
+    """The bench's `crsk:gain-n4` asks for 0.01 and runs at 1 key bit in 4."""
+    chain = chain_from_json(BENCH_GAIN_CHAIN)
+    tensor = chain_tensor(gain, chain)
+    u = ("u1", "u2")
+    extractable = entropy(tensor, u) - conditional_entropy(tensor, "u1", ("y",)) \
+        - conditional_entropy(tensor, "u2", ("x", "u1"))
+    assert extractable == pytest.approx(0.016142, abs=1e-6)
+    try:
+        rep = cr_sk_simulate(gain, chain, n=4, key_rate=0.01, trials=20, seed=0, slack=0.1)
+    except RateInfeasible:
+        return
+    assert rep.key_rate <= extractable + 1e-12
 
 
 class TestDecoderOracles:
