@@ -36,10 +36,11 @@ CHECK_WINDOW = 1024
 STACK_CELLS = 2 ** 16
 
 
-def _draw_case(identity: str, rng: np.random.Generator, *, n: int, alphabet: int,
-               rounds: int) -> tuple[tuple, tuple[int, ...], tuple]:
+def _draw_case(identity: str, rng: np.random.Generator, *, n: int | None = None,
+               alphabet: int, rounds: int) -> tuple[tuple, tuple[int, ...], tuple]:
     """One case, drawn in the generator's order: its group key, its law's
-    shape (within the size budget) and its inputs."""
+    shape (within the size budget) and its inputs. Only a protocol case
+    draws a blocklength, up to `n`."""
     nx = int(rng.integers(2, alphabet + 1))
     ny = int(rng.integers(2, alphabet + 1))
     pmf = sources.random_pmf(rng, nx, ny)
@@ -102,13 +103,16 @@ def _violations(identity: str, cases: list[tuple]) -> np.ndarray:
     return np.abs(objective - source_informations(columns[0]) + residual - term_sums)
 
 
-def identity_check(identity: str, count: int, seed: int, *, n: int, alphabet: int,
-                   rounds: int) -> dict:
+def identity_check(identity: str, count: int, seed: int, *, n: int | None = None,
+                   alphabet: int, rounds: int) -> dict:
     """The `identity` suite over `count` cases drawn from `seed`: alphabet
-    sizes 2..`alphabet`, blocklengths 1..`n` (lemma1, decomp) and 1..`rounds`
-    rounds of 2 or 3 messages or chain values."""
+    sizes 2..`alphabet`, blocklengths 1..`n` (lemma1 and decomp, which
+    need it; el5 draws none) and 1..`rounds` rounds of 2 or 3 messages or
+    chain values."""
     if identity not in IDENTITIES:
         raise ValueError(f"identity must be one of {IDENTITIES}, got {identity!r}")
+    if n is None and identity != "el5":
+        raise ValueError(f"{identity} needs a largest blocklength n")
     draw = functools.partial(_draw_case, identity, np.random.default_rng(seed),
                              n=n, alphabet=alphabet, rounds=rounds)
     worst = 0.0

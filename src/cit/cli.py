@@ -145,14 +145,19 @@ def _build_parser() -> argparse.ArgumentParser:
                         "included; a search that runs out is left out of the report")
     p.add_argument("--no-continuous", action="store_true")
 
-    p = command(sub, "check", "exact identity suites over seeded random instances",
-                pmf_required=False)
-    p.add_argument("identity", choices=checks.IDENTITIES)
-    p.add_argument("--count", type=_positive, default=100)
-    p.add_argument("--n", type=_positive, default=2, help="largest blocklength for protocol checks")
-    p.add_argument("--alphabet", type=_int_at_least(2, "must be an integer of at least 2"),
-                   default=3, help="largest alphabet size")
-    p.add_argument("--rounds", type=_positive, default=2, help="largest number of rounds")
+    identities = sub.add_parser("check", help="exact identity suites over seeded random "
+                                "instances").add_subparsers(dest="identity", required=True)
+    for name, help in (("lemma1", "H(F|X^n) + H(F|Y^n) <= H(F) for random protocols"),
+                       ("decomp", "the transcript decomposition of n I(X;Y) for random "
+                                  "protocols and lookup tables"),
+                       ("el5", "a random chain's value against its per-round terms")):
+        p = command(identities, name, help, pmf_required=False)
+        p.add_argument("--count", type=_positive, default=100)
+        if name != "el5":  # a chain draws no blocklength
+            p.add_argument("--n", type=_positive, default=2, help="largest blocklength")
+        p.add_argument("--alphabet", type=_int_at_least(2, "must be an integer of at least 2"),
+                       default=3, help="largest alphabet size")
+        p.add_argument("--rounds", type=_positive, default=2, help="largest number of rounds")
 
     kinds = sub.add_parser("simulate", help="Monte Carlo binning and key-agreement runs"
                            ).add_subparsers(dest="kind", required=True)
@@ -337,9 +342,10 @@ def _dispatch(args) -> tuple[dict, object]:
         return {**echo, **config.to_json()}, result
 
     if cmd == "check":
-        result = checks.identity_check(args.identity, args.count, args.seed, n=args.n,
+        n = {} if args.identity == "el5" else {"n": args.n}
+        result = checks.identity_check(args.identity, args.count, args.seed, **n,
                                        alphabet=args.alphabet, rounds=args.rounds)
-        return {"identity": args.identity, "count": args.count, "n": args.n,
+        return {"identity": args.identity, "count": args.count, **n,
                 "alphabet": args.alphabet, "rounds": args.rounds}, result
 
     if cmd == "simulate" and args.kind == "sw":

@@ -9,10 +9,13 @@ then lowest start index).
 
 All starts of one minimization descend together: their kernels sit on a
 leading start axis, and each iteration makes one value-and-grad call for
-the starts still running. Each start keeps its own step size, accept test,
-stall count and stop flag, and leaves the batch when it stops, so every
-start takes the same steps, to the bit, that it would take alone. Each
-candidate records why each of its stages stopped.
+the starts still running. Each start keeps its own value, step size, stall
+count and stop flag as Python scalars, decided row by row with a lone
+start's arithmetic, and leaves the batch when it stops, so every start
+takes the same steps, to the bit, that it would take alone. The batch is
+a few starts for most of a descent, where numpy calls on arrays of a few
+floats would cost more than the arithmetic. Each candidate records why
+each of its stages stopped.
 
 Both callers, the Wyner and the interactive-chain routes, take one
 `PenaltyConfig`, build their starts with `descent_starts`, and hand both
@@ -91,11 +94,16 @@ def _per_start(v: np.ndarray, ndim: int) -> np.ndarray:
 
 
 def _eg_step(k: np.ndarray, g: np.ndarray, step: np.ndarray) -> np.ndarray:
-    """Multiplicative simplex step, one step size per start, in log space."""
-    z = np.log(np.maximum(k, KERNEL_FLOOR))
+    """Multiplicative simplex step, one step size per start, in log space,
+    on one new buffer."""
+    z = np.maximum(k, KERNEL_FLOOR)
+    np.log(z, out=z)
     z -= _per_start(step, k.ndim) * g
     z -= z.max(axis=-1, keepdims=True)
-    return _normalize_slices(np.exp(z, out=z))
+    np.exp(z, out=z)
+    np.maximum(z, KERNEL_FLOOR, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def _safe_log2(a: np.ndarray) -> np.ndarray:
@@ -127,20 +135,26 @@ def penalized_information(
     n = len(q)
     log2 = np.log2 if q.min() > 0 else _safe_log2
 
-    def plogp(a):
+    def plogp(a, spare=False):
         # sum of a log2 a per start: the entropy negated, with the same bits,
-        # since rounding is sign-symmetric; 0.0 - v keeps an exact zero +0.0
+        # since rounding is sign-symmetric; 0.0 - v keeps an exact zero +0.0.
+        # A marginal that nothing else reads (`spare`) holds its own products.
         la = log2(a)
-        return (a * la).reshape(n, -1).sum(axis=1), la
+        if spare:
+            a *= la
+        else:
+            a = a * la
+        return a.reshape(n, -1).sum(axis=1), la
 
     s_q, lq = plogp(q)
-    s_u, lu = plogp(q.sum(axis=(1, 2)))
-    s_xu, lxu = plogp(q.sum(axis=2))
-    s_yu, lyu = plogp(q.sum(axis=1))
-    s_xy, lxy = plogp(q.sum(axis=tuple(range(3, q.ndim)))) if xy is None else xy
+    s_u, lu = plogp(q.sum(axis=(1, 2)), spare=True)
+    s_xu, lxu = plogp(q.sum(axis=2), spare=True)
+    s_yu, lyu = plogp(q.sum(axis=1), spare=True)
+    s_xy, lxy = plogp(q.sum(axis=tuple(range(3, q.ndim))), spare=True) if xy is None else xy
     neg_objective = s_xy + s_u - s_q
     neg_residual = s_xu + s_yu - s_u - s_q
-    dlog = (1.0 + lam) * lq
+    dlog = lq
+    dlog *= 1.0 + lam
     dlog -= lxy.reshape(lxy.shape + (1,) * (q.ndim - 3))
     dlog -= (1.0 - lam) * lu[:, None, None]
     dlog -= lam * lxu[:, :, None]
@@ -159,61 +173,71 @@ def _eg_stage(
     lam: float,
     value_and_grad: Callable,
     cfg: PenaltyConfig,
-) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, int]:
+) -> tuple[list[np.ndarray], list[int], list[str], int]:
     """Run one penalty stage for every start on the kernels' leading axis.
 
     Each start keeps its own step size, stall count and stop flag, and
     leaves the active set when it stops: after PATIENCE accepted steps
     that each gain at most REL_TOL ("stall"), when its step falls below
     1e-9 ("step_floor"), or after `max_iter` iterations ("max_iter").
-    A step size shrinks only when its start rejects a step and a stall
-    count grows only when it accepts one, so neither test needs the accept
-    flags. Returns the kernels, the iterations each start used, its stop
-    reason, and the number of value-and-grad calls the stage made.
+    The active starts' values, steps and stall counts are Python floats
+    and ints, one per row, decided row by row with the scalar arithmetic
+    of a lone start (IEEE doubles give numpy's bits). The arrays change
+    only when rows do: a batch that all accepts takes the proposal as it
+    is, one that all rejects keeps its arrays, a mixed one selects row by
+    row into new arrays, and stopped starts leave by one fancy index. The
+    caller's kernels are never written. Returns the kernels, the
+    iterations each start used, its stop reason, and the number of
+    value-and-grad calls the stage made.
     """
     n = len(kernels[0])
-    out = [k.copy() for k in kernels]
-    used = np.full(n, cfg.max_iter)
-    stops = np.full(n, "max_iter", dtype=object)
-    rows = np.arange(n)
-    val, grads = value_and_grad(kernels, lam)
+    out = [np.empty_like(k) for k in kernels]
+    used = [cfg.max_iter] * n
+    stops = ["max_iter"] * n
+    rows = list(range(n))
+    values, grads = value_and_grad(kernels, lam)
+    values = values.tolist()
     calls = 1
-    step = np.full(n, STEP_SIZE)
-    stall = np.zeros(n, dtype=int)
+    steps = [STEP_SIZE] * n
+    stalls = [0] * n
     for it in range(1, cfg.max_iter + 1):
+        step = np.array(steps)
         proposal = [_eg_step(k, g, step) for k, g in zip(kernels, grads)]
-        new_val, new_grads = value_and_grad(proposal, lam)
+        new_values, new_grads = value_and_grad(proposal, lam)
         calls += 1
-        accept = new_val <= val
-        small = val - new_val <= REL_TOL * (1.0 + np.abs(new_val))
-        if accept.all():
-            kernels, grads, val = proposal, new_grads, new_val
-            step = np.minimum(step * 1.25, 64.0)
-            stall = np.where(small, stall + 1, 0)
-            done = stall >= PATIENCE
-        else:
-            kernels = [np.where(_per_start(accept, k.ndim), p, k)
+        accept, keep, done = [], [], []
+        for i, (old, new) in enumerate(zip(values, new_values.tolist())):
+            ok = new <= old
+            accept.append(ok)
+            if ok:
+                stalls[i] = stalls[i] + 1 if old - new <= REL_TOL * (1.0 + abs(new)) else 0
+                values[i] = new
+                steps[i] = min(steps[i] * 1.25, 64.0)
+                stop = "stall" if stalls[i] >= PATIENCE else None
+            else:
+                steps[i] *= 0.5
+                stop = "step_floor" if steps[i] < 1e-9 else None
+            if stop:
+                stops[rows[i]], used[rows[i]] = stop, it
+                done.append(i)
+            else:
+                keep.append(i)
+        if all(accept):
+            kernels, grads = proposal, new_grads
+        elif any(accept):
+            mask = np.array(accept)
+            kernels = [np.where(_per_start(mask, k.ndim), p, k)
                        for p, k in zip(proposal, kernels)]
-            grads = [np.where(_per_start(accept, g.ndim), h, g) for h, g in zip(new_grads, grads)]
-            val = np.where(accept, new_val, val)
-            step = np.where(accept, np.minimum(step * 1.25, 64.0), step * 0.5)
-            stall = np.where(accept, np.where(small, stall + 1, 0), stall)
-            done = (stall >= PATIENCE) | (step < 1e-9)
-        if not done.any():
+            grads = [np.where(_per_start(mask, g.ndim), h, g) for h, g in zip(new_grads, grads)]
+        if not done:
             continue
-        stalled = stall >= PATIENCE
-        stops[rows[stalled]] = "stall"
-        stops[rows[done & ~stalled]] = "step_floor"
-        used[rows[done]] = it
         for o, k in zip(out, kernels):
-            o[rows[done]] = k[done]
-        keep = ~done
-        rows = rows[keep]
-        if not rows.size:
+            o[[rows[i] for i in done]] = k[done]
+        if not keep:
             return out, used, stops, calls
+        rows, values, steps, stalls = ([a[i] for i in keep] for a in (rows, values, steps, stalls))
         kernels = [k[keep] for k in kernels]
         grads = [g[keep] for g in grads]
-        val, step, stall = val[keep], step[keep], stall[keep]
     for o, k in zip(out, kernels):
         o[rows] = k
     return out, used, stops, calls
@@ -243,7 +267,7 @@ def penalized_minimize(
         objectives, residuals = (a.tolist() for a in evaluate(kernels))
         for i, (label, _) in enumerate(labelled):
             candidates.append(Candidate(objectives[i], residuals[i], tuple(k[i] for k in kernels),
-                                        label, len(candidates), int(used[i]),
+                                        label, len(candidates), used[i],
                                         tuple(s[i] for s in stops)))
 
     stacked = [np.stack(ks) for ks in zip(*(kernels for _, kernels in exact_candidates))]
@@ -253,16 +277,16 @@ def penalized_minimize(
     if seeded_starts:
         kernels = [_normalize_slices(np.stack(ks))
                    for ks in zip(*(start for _, start in seeded_starts))]
-        used = np.zeros(len(seeded_starts), dtype=int)
+        used = [0] * len(seeded_starts)
         stops = []
         for lam in cfg.penalty_schedule:
             kernels, stage_used, stage_stops, stage_calls = _eg_stage(
                 kernels, lam, value_and_grad, cfg)
-            used += stage_used
+            used = [u + s for u, s in zip(used, stage_used)]
             calls.append(stage_calls)
             stops.append(stage_stops)
         score(seeded_starts, kernels, used, stops)
-        iterations = int(used.sum())
+        iterations = sum(used)
 
     feasible = [c for c in candidates if c.residual <= FEASIBILITY_TOL]
     if not feasible:

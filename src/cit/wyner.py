@@ -64,6 +64,9 @@ class WynerResult:
     iterations: int
     feasible: bool
     candidates: tuple[tuple[str, float, float], ...] = field(default=())
+    # per candidate, in the same order: its descent iterations and each
+    # penalty stage's stop reason (0 and none for an exact candidate)
+    counters: tuple[tuple[int, tuple[str, ...]], ...] = field(default=())
 
     def to_json(self) -> dict:
         return {
@@ -75,8 +78,9 @@ class WynerResult:
             "iterations": self.iterations,
             "kernel": self.kernel.to_json(),
             "candidates": [
-                {"label": lbl, "objective": o, "residual": r}
-                for lbl, o, r in self.candidates
+                {"label": lbl, "objective": o, "residual": r, "iterations": it,
+                 "stops": list(stops)}
+                for (lbl, o, r), (it, stops) in zip(self.candidates, self.counters, strict=True)
             ],
         }
 
@@ -186,5 +190,6 @@ def wyner_minimize(
         iterations=outcome.iterations,
         feasible=best.residual <= FEASIBILITY_TOL,
         candidates=tuple((c.label, c.objective, c.residual) for c in outcome.candidates),
+        counters=tuple((c.iterations, c.stops) for c in outcome.candidates),
     )
 

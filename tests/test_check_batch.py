@@ -28,6 +28,14 @@ FLAG_SETS = {
 DEFAULTS = {"count": 100, "n": 2, "alphabet": 3, "rounds": 2}
 
 
+def cli_flags(identity: str, flags: list[str]) -> list[str]:
+    """`flags` as `cit check <identity>` takes them: el5 has no --n."""
+    if identity != "el5" or "--n" not in flags:
+        return flags
+    at = flags.index("--n")
+    return flags[:at] + flags[at + 2:]
+
+
 def settings(flags: list[str]) -> dict:
     out = dict(DEFAULTS)
     for flag, value in zip(flags[::2], flags[1::2]):
@@ -99,7 +107,7 @@ def run_cli(argv):
 @pytest.mark.parametrize("identity", ["lemma1", "decomp", "el5"])
 @pytest.mark.parametrize("seed", range(5))
 def test_output_is_the_per_case_loops(seed, identity, flags):
-    code, out = run_cli(["check", identity, "--seed", str(seed)] + flags)
+    code, out = run_cli(["check", identity, "--seed", str(seed)] + cli_flags(identity, flags))
     assert code == 0, out
     report = json.loads(out)
     expected = dict(report, result=reference_check(identity, seed, **settings(flags)))
@@ -133,7 +141,7 @@ def test_small_windows_and_stacks_score_alike(identity, monkeypatch):
     monkeypatch.setattr(checks, "CHECK_WINDOW", 7)
     monkeypatch.setattr(checks, "STACK_CELLS", 2000)
     flags = FLAG_SETS["wide"] + ["--count", "60"]
-    code, out = run_cli(["check", identity, "--seed", "3"] + flags)
+    code, out = run_cli(["check", identity, "--seed", "3"] + cli_flags(identity, flags))
     assert code == 0, out
     assert json.loads(out)["result"] == reference_check(identity, 3, **settings(flags))
 
@@ -147,6 +155,14 @@ def test_groups_are_stacked_several_cases_at_a_time():
 def test_an_unknown_identity_is_refused():
     with pytest.raises(ValueError, match="identity must be one of"):
         checks.identity_check("lemma2", 1, 0, n=1, alphabet=2, rounds=1)
+
+
+def test_only_el5_runs_without_a_blocklength():
+    for identity in ("lemma1", "decomp"):
+        with pytest.raises(ValueError, match=f"{identity} needs a largest blocklength n"):
+            checks.identity_check(identity, 1, 0, alphabet=2, rounds=1)
+    assert checks.identity_check("el5", 3, 0, alphabet=3, rounds=2) == \
+        checks.identity_check("el5", 3, 0, n=5, alphabet=3, rounds=2)
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -87,6 +87,31 @@ class TestBasicCommands:
         rep = json.loads(out)
         assert (rep["result"]["starts"], rep["config"]["restarts"]) == (7, 3)
 
+    def test_wyner_lists_each_candidates_iterations_and_stops(self, tmp_path):
+        """Each candidate carries its iterations and one stop reason per
+        penalty stage. On bss, random-0's first stage hits the step floor
+        within 100 iterations and its other three are cut at `--max-iter`:
+        doubling the cap adds one cap per slot that reads max_iter."""
+        path = tmp_path / "bss.json"
+        path.write_text(json.dumps({"x": ["0", "1"], "y": ["0", "1"],
+                                    "p": [[0.375, 0.125], [0.125, 0.375]]}))
+        found = {}
+        for cap in (100, 200):
+            code, out = run_cli(["wyner", "--pmf", str(path), "--restarts", "2",
+                                 "--max-iter", str(cap)])
+            assert code == 0, out
+            res = json.loads(out)["result"]
+            exact, descended = res["candidates"][:4], res["candidates"][4:]
+            assert [(c["iterations"], c["stops"]) for c in exact] == [(0, [])] * 4
+            assert res["iterations"] == sum(c["iterations"] for c in descended)
+            for c in descended:
+                assert len(c["stops"]) == 4
+                assert set(c["stops"]) <= {"stall", "step_floor", "max_iter"}
+                assert c["iterations"] >= cap * c["stops"].count("max_iter")
+            found[cap] = {c["label"]: c for c in descended}
+            assert found[cap]["random-0"]["stops"] == ["step_floor"] + ["max_iter"] * 3
+        assert found[200]["random-0"]["iterations"] - found[100]["random-0"]["iterations"] == 300
+
     @pytest.mark.parametrize("argv", [
         ["rates", "--caps"],
         ["ici", "--mode", "det", "--caps"],
@@ -449,24 +474,31 @@ class TestErrorsAndIO:
             "type": "RateOutOfRange",
             "message": "rate must lie in (0, log2 |X|] = (0, 1.0000], got nan"}
 
-    @pytest.mark.parametrize("identity", ["lemma1", "decomp", "el5"])
-    @pytest.mark.parametrize("flag, value, rule", [
-        ("--count", "0", "must be a positive integer"),
-        ("--count", "-1", "must be a positive integer"),
-        ("--n", "0", "must be a positive integer"),
-        ("--rounds", "0", "must be a positive integer"),
-        ("--alphabet", "1", "must be an integer of at least 2"),
+    @pytest.mark.parametrize("identity, flag, value, rule", [
+        (identity, flag, value, rule)
+        for identity in ("lemma1", "decomp", "el5")
+        for flag, value, rule in [
+            ("--count", "0", "must be a positive integer"),
+            ("--count", "-1", "must be a positive integer"),
+            ("--n", "0", "must be a positive integer"),
+            ("--rounds", "0", "must be a positive integer"),
+            ("--alphabet", "1", "must be an integer of at least 2"),
+        ]
+        if (identity, flag) != ("el5", "--n")  # el5 has no --n
     ])
     def test_check_rejects_values_it_cannot_run(self, identity, flag, value, rule, capsys):
         code, out = run_cli(["check", identity, flag, value])
         assert (code, out) == (2, "")
         assert f"argument {flag}: {rule}, got {value!r}" in capsys.readouterr().err
 
-    def test_check_echoes_the_smallest_values_it_runs(self):
-        code, out = run_cli(["check", "el5", "--count", "1", "--n", "1", "--rounds", "1",
-                             "--alphabet", "2"])
+    @pytest.mark.parametrize("identity", ["lemma1", "decomp", "el5"])
+    def test_check_echoes_the_smallest_values_it_runs(self, identity):
+        n = [] if identity == "el5" else ["--n", "1"]  # a chain draws no blocklength
+        code, out = run_cli(["check", identity, "--count", "1"] + n + ["--rounds", "1",
+                                                                      "--alphabet", "2"])
         assert code == 0, out
-        assert json.loads(out)["config"] == {"identity": "el5", "count": 1, "n": 1,
+        assert json.loads(out)["config"] == {"identity": identity, "count": 1,
+                                             **({"n": 1} if n else {}),
                                              "alphabet": 2, "rounds": 1}
 
     @pytest.mark.parametrize("argv, flag, value", [
@@ -582,7 +614,9 @@ LEAF_ARGV = {
     ("wyner",): ["--pmf", "{pmf}", "--restarts", "0", "--max-iter", "0"],
     ("ici",): ["--pmf", "{pmf}", "--rounds", "1", "--restarts", "0"],
     ("rates",): ["--pmf", "{pmf}", "--rounds", "1"],
-    ("check",): ["lemma1", "--count", "1", "--n", "1", "--alphabet", "2", "--rounds", "1"],
+    ("check", "lemma1"): ["--count", "1", "--n", "1", "--alphabet", "2", "--rounds", "1"],
+    ("check", "decomp"): ["--count", "1", "--n", "1", "--alphabet", "2", "--rounds", "1"],
+    ("check", "el5"): ["--count", "1", "--alphabet", "2", "--rounds", "1"],
     ("simulate", "sw"): ["--pmf", "{pmf}", "--rate", "0.5", "--n", "2", "--trials", "1"],
     ("simulate", "crsk"): ["--pmf", "{pmf}", "--n", "2", "--trials", "1", "--key-rate", "0"],
     ("example", "bss"): ["--rounds", "1"],
@@ -624,6 +658,7 @@ def test_every_leaf_reads_every_flag_it_defines(pmf_file):
     (["example", "bss"], "--b"),
     (["example", "bss"], "--c"),
     (["example", "gain"], "--delta"),
+    (["check", "el5"], "--n"),
 ])
 def test_a_flag_its_kind_does_not_read_is_a_usage_error(pmf_file, argv, flag, capsys):
     if argv[0] == "simulate":

@@ -7,7 +7,10 @@ batch of one. Both must give the same bits: every candidate's objective and
 residual, its kernels, its iteration count and its stop reasons. The
 engine keeps no values along the way; the reference records them, one
 trace per start and stage, and the checks on traces read those, which the
-engine's steps match bit for bit.
+engine's steps match bit for bit. `_eg_stage` is also run on its own, on
+batches that all accept, all reject or mix the two, with starts leaving at
+different iterations for each stop reason, against the reference start by
+start.
 
 Because the reference shares those routines, it cannot see a change inside
 them. `golden_descent.json` pins their bits independently: values recorded
@@ -28,8 +31,8 @@ import pytest
 
 from cit import chains, cli, validate_pmf, wyner
 from cit.chains import continuous_chain_minimize
-from cit.optim import (PATIENCE, REL_TOL, STEP_SIZE, PenaltyConfig, _eg_step, _normalize_slices,
-                       dirichlet_starts)
+from cit.optim import (PATIENCE, REL_TOL, STEP_SIZE, PenaltyConfig, _eg_stage, _eg_step,
+                       _normalize_slices, descent_starts, dirichlet_starts)
 from cit.sources import bss_pmf, gain_pmf, random_pmf
 from cit.wyner import wyner_minimize
 
@@ -50,7 +53,8 @@ def _single(value_and_grad, kernels, lam):
     return values[0], [g[0] for g in grads]
 
 
-def _reference_stage(kernels, lam, value_and_grad, cfg, trace):
+def _reference_stage(kernels, lam, value_and_grad, cfg, trace, accepts=None):
+    accepts = [] if accepts is None else accepts  # one accept flag per iteration
     val, grads = _single(value_and_grad, kernels, lam)
     trace.append(val)
     step = STEP_SIZE
@@ -61,6 +65,7 @@ def _reference_stage(kernels, lam, value_and_grad, cfg, trace):
         proposal = [_eg_step(k[None], g[None], np.array([step]))[0]
                     for k, g in zip(kernels, grads)]
         new_val, new_grads = _single(value_and_grad, proposal, lam)
+        accepts.append(bool(new_val <= val))
         if new_val <= val:
             improvement = val - new_val
             kernels, val, grads = proposal, new_val, new_grads
@@ -188,6 +193,83 @@ def test_stop_reasons_name_stages_cut_at_max_iter(bss25, monkeypatch):
     for ref in refs:
         for used, reason in ref.stages:
             assert (reason == "max_iter") == (used == config.max_iter)
+
+
+def _wyner_batch(pmf, restarts=4):
+    """Wyner's seeded starts and `restarts` Dirichlet ones on one stack,
+    with its value-and-grad."""
+    w = pmf.shape[0] * pmf.shape[1]
+    seeds = [(label, [wyner.deterministic_kernel(pmf, w, w_of)])
+             for label, w_of in wyner._seed_maps(pmf, w)]
+    starts, _ = descent_starts(seeds, [pmf.shape + (w,)],
+                               PenaltyConfig(restarts=restarts, max_iter=1))
+    kernels = [_normalize_slices(np.stack([k for _, (k,) in starts]))]
+    return kernels, wyner._value_and_grad_factory(pmf.p)
+
+
+def _flat(kernels, lam):
+    """A level value: every step is accepted and gains nothing."""
+    return np.zeros(len(kernels[0])), [np.zeros_like(k) for k in kernels]
+
+
+def _stage_against_reference(kernels, lam, vag, max_iter):
+    """Run `_eg_stage` on the batch and each start alone through the
+    reference; return the batch kinds met, one per iteration: "all" accept,
+    "none" does, or "mixed"."""
+    cfg = PenaltyConfig(restarts=0, max_iter=max_iter)
+    given = [k.copy() for k in kernels]
+    out, used, stops, calls = _eg_stage(kernels, lam, vag, cfg)
+    assert [k.tobytes() for k in kernels] == [k.tobytes() for k in given]  # never written
+    flags = []
+    for i in range(len(kernels[0])):
+        accepts = []
+        ref, it, reason = _reference_stage([k[i] for k in kernels], lam, vag, cfg, [], accepts)
+        assert [o[i].tobytes() for o in out] == [k.tobytes() for k in ref]
+        assert (used[i], stops[i]) == (it, reason)
+        assert len(accepts) == it
+        flags.append(accepts)
+    assert calls == max(used) + 1
+    return {"all" if all(a) else "none" if not any(a) else "mixed"
+            for a in ([f[t] for f in flags if len(f) > t] for t in range(max(used)))}
+
+
+@pytest.mark.parametrize("max_iter", [0, 1, 40, 300])
+@pytest.mark.parametrize("lam", [1.0, 10.0, 1000.0])
+@pytest.mark.parametrize("make", [lambda: bss_pmf(0.25), lambda: gain_pmf(0.1, 0.15, 0.15)],
+                         ids=["bss", "gain"])
+def test_stage_matches_reference_start_by_start(make, lam, max_iter):
+    kernels, vag = _wyner_batch(make())
+    kinds = _stage_against_reference(kernels, lam, vag, max_iter)
+    assert (kinds == set()) == (max_iter == 0)
+
+
+def test_stage_meets_every_batch_kind_and_stop_reason():
+    """bss at lambda 10: one start hits the step floor, one stalls, others
+    run to the cap, and in between the batch all accepts, all rejects, or
+    mixes the two."""
+    kernels, vag = _wyner_batch(bss_pmf(0.25))
+    assert _stage_against_reference(kernels, 10.0, vag, 300) == {"all", "none", "mixed"}
+    _, _, stops, _ = _eg_stage(kernels, 10.0, vag, PenaltyConfig(restarts=0, max_iter=300))
+    assert set(stops) == {"stall", "step_floor", "max_iter"}
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_stage_of_starts_that_all_stall_together(count):
+    kernels = [_normalize_slices(np.stack(
+        [k for _, (k,) in dirichlet_starts(1, count, [(2, 3, 4)])]))]
+    assert _stage_against_reference(kernels, 1.0, _flat, 300) == {"all"}
+    out, used, stops, calls = _eg_stage(kernels, 1.0, _flat, PenaltyConfig(restarts=0, max_iter=300))
+    assert (used, stops, calls) == ([PATIENCE] * count, ["stall"] * count, PATIENCE + 1)
+
+
+def test_a_lone_start_that_only_rejects_hits_the_step_floor():
+    """Every step away from the constant kernel costs on bss at lambda 1:
+    thirty halvings take the step below 1e-9."""
+    kernels, vag = _wyner_batch(bss_pmf(0.25))
+    lone = [k[1:2] for k in kernels]  # the smoothed constant seed
+    assert _stage_against_reference(lone, 1.0, vag, 300) == {"none"}
+    _, used, stops, calls = _eg_stage(lone, 1.0, vag, PenaltyConfig(restarts=0, max_iter=300))
+    assert (used, stops, calls) == ([30], ["step_floor"], 31)
 
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_descent.json").read_text())
