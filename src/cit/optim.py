@@ -5,7 +5,7 @@ objective(kernels) + lambda * residual(kernels) for an increasing penalty
 schedule, with multiplicative simplex updates, backtracking so the penalized
 value never increases across accepted iterations at a fixed lambda, and
 deterministic multi-restart reduction (feasible first, then lowest value,
-then lowest start index).
+then the earliest candidate).
 
 All starts of one minimization descend together: their kernels sit on a
 leading start axis, and each iteration makes one value-and-grad call for
@@ -15,7 +15,8 @@ start's arithmetic, and leaves the batch when it stops, so every start
 takes the same steps, to the bit, that it would take alone. The batch is
 a few starts for most of a descent, where numpy calls on arrays of a few
 floats would cost more than the arithmetic. Each candidate records why
-each of its stages stopped.
+each of its stages stopped. The exact candidates and the finished starts
+are scored together, by one call on one stack.
 
 Both callers, the Wyner and the interactive-chain routes, take one
 `PenaltyConfig`, build their starts with `descent_starts`, and hand both
@@ -56,14 +57,25 @@ class PenaltyConfig:
     # not a setting: the benchmark's tracer reads the threshold off the config
     feasibility_threshold: ClassVar[float] = FEASIBILITY_TOL
 
+    def __post_init__(self):
+        for name in ("restarts", "max_iter", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be at least 0, got {getattr(self, name)}")
+        if not self.penalty_schedule:
+            raise ValueError("penalty_schedule must hold at least one penalty")
+        for lam in self.penalty_schedule:
+            if not 0.0 < lam < np.inf:
+                raise ValueError(f"penalty_schedule must hold finite penalties above 0, got {lam}")
+
 
 @dataclass(frozen=True)
 class Candidate:
+    """One scored candidate: an exact one as given, or a finished start."""
+
     objective: float
     residual: float
     kernels: tuple[np.ndarray, ...]
     label: str
-    order: int
     iterations: int = 0
     # per penalty stage: "stall", "step_floor" or "max_iter"; empty for exact candidates
     stops: tuple[str, ...] = ()
@@ -94,16 +106,11 @@ def _per_start(v: np.ndarray, ndim: int) -> np.ndarray:
 
 
 def _eg_step(k: np.ndarray, g: np.ndarray, step: np.ndarray) -> np.ndarray:
-    """Multiplicative simplex step, one step size per start, in log space,
-    on one new buffer."""
-    z = np.maximum(k, KERNEL_FLOOR)
-    np.log(z, out=z)
+    """Multiplicative simplex step, one step size per start, in log space."""
+    z = np.log(np.maximum(k, KERNEL_FLOOR))
     z -= _per_start(step, k.ndim) * g
     z -= z.max(axis=-1, keepdims=True)
-    np.exp(z, out=z)
-    np.maximum(z, KERNEL_FLOOR, out=z)
-    z /= z.sum(axis=-1, keepdims=True)
-    return z
+    return _normalize_slices(np.exp(z, out=z))
 
 
 def _safe_log2(a: np.ndarray) -> np.ndarray:
@@ -135,26 +142,20 @@ def penalized_information(
     n = len(q)
     log2 = np.log2 if q.min() > 0 else _safe_log2
 
-    def plogp(a, spare=False):
+    def plogp(a):
         # sum of a log2 a per start: the entropy negated, with the same bits,
-        # since rounding is sign-symmetric; 0.0 - v keeps an exact zero +0.0.
-        # A marginal that nothing else reads (`spare`) holds its own products.
+        # since rounding is sign-symmetric; 0.0 - v keeps an exact zero +0.0
         la = log2(a)
-        if spare:
-            a *= la
-        else:
-            a = a * la
-        return a.reshape(n, -1).sum(axis=1), la
+        return (a * la).reshape(n, -1).sum(axis=1), la
 
     s_q, lq = plogp(q)
-    s_u, lu = plogp(q.sum(axis=(1, 2)), spare=True)
-    s_xu, lxu = plogp(q.sum(axis=2), spare=True)
-    s_yu, lyu = plogp(q.sum(axis=1), spare=True)
-    s_xy, lxy = plogp(q.sum(axis=tuple(range(3, q.ndim))), spare=True) if xy is None else xy
+    s_u, lu = plogp(q.sum(axis=(1, 2)))
+    s_xu, lxu = plogp(q.sum(axis=2))
+    s_yu, lyu = plogp(q.sum(axis=1))
+    s_xy, lxy = plogp(q.sum(axis=tuple(range(3, q.ndim)))) if xy is None else xy
     neg_objective = s_xy + s_u - s_q
     neg_residual = s_xu + s_yu - s_u - s_q
-    dlog = lq
-    dlog *= 1.0 + lam
+    dlog = (1.0 + lam) * lq
     dlog -= lxy.reshape(lxy.shape + (1,) * (q.ndim - 3))
     dlog -= (1.0 - lam) * lu[:, None, None]
     dlog -= lam * lxu[:, :, None]
@@ -173,7 +174,7 @@ def _eg_stage(
     lam: float,
     value_and_grad: Callable,
     cfg: PenaltyConfig,
-) -> tuple[list[np.ndarray], list[int], list[str], int]:
+) -> tuple[list[np.ndarray], list[int], list[str]]:
     """Run one penalty stage for every start on the kernels' leading axis.
 
     Each start keeps its own step size, stall count and stop flag, and
@@ -187,8 +188,8 @@ def _eg_stage(
     is, one that all rejects keeps its arrays, a mixed one selects row by
     row into new arrays, and stopped starts leave by one fancy index. The
     caller's kernels are never written. Returns the kernels, the
-    iterations each start used, its stop reason, and the number of
-    value-and-grad calls the stage made.
+    iterations each start used and its stop reason. The stage makes one
+    value-and-grad call, then one per iteration of its slowest start.
     """
     n = len(kernels[0])
     out = [np.empty_like(k) for k in kernels]
@@ -197,14 +198,12 @@ def _eg_stage(
     rows = list(range(n))
     values, grads = value_and_grad(kernels, lam)
     values = values.tolist()
-    calls = 1
     steps = [STEP_SIZE] * n
     stalls = [0] * n
     for it in range(1, cfg.max_iter + 1):
         step = np.array(steps)
         proposal = [_eg_step(k, g, step) for k, g in zip(kernels, grads)]
         new_values, new_grads = value_and_grad(proposal, lam)
-        calls += 1
         accept, keep, done = [], [], []
         for i, (old, new) in enumerate(zip(values, new_values.tolist())):
             ok = new <= old
@@ -234,13 +233,13 @@ def _eg_stage(
         for o, k in zip(out, kernels):
             o[[rows[i] for i in done]] = k[done]
         if not keep:
-            return out, used, stops, calls
+            return out, used, stops
         rows, values, steps, stalls = ([a[i] for i in keep] for a in (rows, values, steps, stalls))
         kernels = [k[keep] for k in kernels]
         grads = [g[keep] for g in grads]
     for o, k in zip(out, kernels):
         o[rows] = k
-    return out, used, stops, calls
+    return out, used, stops
 
 
 def penalized_minimize(
@@ -257,42 +256,37 @@ def penalized_minimize(
     the leading axis, and stages run in schedule order for all of them.
     `evaluate(kernels) -> (objectives, residuals)` in bits scores a stack
     the same way, one candidate per row, each as it would score alone. It
-    is called twice: once for the exact candidates (at least one), scored
-    as given without smoothing or optimization, and once for the finished
-    starts, if any.
+    is called once, on the exact candidates (at least one), as given
+    without smoothing or optimization, followed on the leading axis by the
+    finished starts. Among the feasible candidates of lowest objective,
+    the first in that order wins.
     """
-    candidates: list[Candidate] = []
-
-    def score(labelled, kernels, used, stops):
-        objectives, residuals = (a.tolist() for a in evaluate(kernels))
-        for i, (label, _) in enumerate(labelled):
-            candidates.append(Candidate(objectives[i], residuals[i], tuple(k[i] for k in kernels),
-                                        label, len(candidates), used[i],
-                                        tuple(s[i] for s in stops)))
-
-    stacked = [np.stack(ks) for ks in zip(*(kernels for _, kernels in exact_candidates))]
-    score(exact_candidates, stacked, [0] * len(exact_candidates), [])
-    iterations = 0
+    kernels = [np.stack(ks) for ks in zip(*(kernels for _, kernels in exact_candidates))]
+    used = [0] * len(exact_candidates)
+    stops: list[tuple[str, ...]] = [()] * len(exact_candidates)
     calls: list[int] = []
     if seeded_starts:
-        kernels = [_normalize_slices(np.stack(ks))
-                   for ks in zip(*(start for _, start in seeded_starts))]
-        used = [0] * len(seeded_starts)
-        stops = []
+        descended = [_normalize_slices(np.stack(ks))
+                     for ks in zip(*(start for _, start in seeded_starts))]
+        stage_stops = []
+        descended_used = [0] * len(seeded_starts)
         for lam in cfg.penalty_schedule:
-            kernels, stage_used, stage_stops, stage_calls = _eg_stage(
-                kernels, lam, value_and_grad, cfg)
-            used = [u + s for u, s in zip(used, stage_used)]
-            calls.append(stage_calls)
-            stops.append(stage_stops)
-        score(seeded_starts, kernels, used, stops)
-        iterations = sum(used)
-
+            descended, stage_used, stage_stop = _eg_stage(descended, lam, value_and_grad, cfg)
+            descended_used = [u + s for u, s in zip(descended_used, stage_used)]
+            calls.append(max(stage_used) + 1)
+            stage_stops.append(stage_stop)
+        kernels = [np.concatenate(pair) for pair in zip(kernels, descended)]
+        used += descended_used
+        stops += zip(*stage_stops)
+    objectives, residuals = (a.tolist() for a in evaluate(kernels))
+    candidates = [Candidate(objectives[i], residuals[i], tuple(k[i] for k in kernels),
+                            label, used[i], stops[i])
+                  for i, (label, _) in enumerate([*exact_candidates, *seeded_starts])]
     feasible = [c for c in candidates if c.residual <= FEASIBILITY_TOL]
     if not feasible:
         raise NoFeasiblePoint(f"no candidate reached residual <= {FEASIBILITY_TOL}")
-    best = min(feasible, key=lambda c: (c.objective, c.order))
-    return PenaltyOutcome(best, candidates, iterations, tuple(calls))
+    best = min(feasible, key=lambda c: c.objective)
+    return PenaltyOutcome(best, candidates, sum(used), tuple(calls))
 
 
 def descent_starts(
@@ -304,9 +298,10 @@ def descent_starts(
 
     The exact candidates are the seeds in order, less each one whose
     kernels equal an earlier seed's byte for byte: a twin would descend to
-    the same bits at a higher order, so it could never win. Each is also a
-    start, mixed with the uniform kernel so multiplicative updates can
-    move; `cfg.restarts` Dirichlet starts of the given shapes follow.
+    the same bits later in the candidate list, so it could never win. Each
+    is also a start, mixed with the uniform kernel so multiplicative
+    updates can move; `cfg.restarts` Dirichlet starts of the given shapes
+    follow.
     """
     seen = set()
     exact = []

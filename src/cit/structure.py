@@ -144,8 +144,8 @@ def double_markov_extract(t: TensorPMF) -> tuple[Labeling, Labeling]:
 
     Requires both chains U - X - Y and X - U - Y to hold within 1e-9. The
     construction takes g as the minimal sufficient statistic of X for Y and
-    reads f off the almost-sure equality f(U) = g(X); postconditions
-    Pr[f(U) != g(X)] <= 1e-9 and I(X; Y | g(X)) <= 1e-6 are verified.
+    reads f off the almost-sure equality f(U) = g(X); the postcondition
+    I(X; Y | g(X)) <= 1e-6 is verified.
     """
     res_uy = conditional_mutual_information(t, "u", "y", "x")
     res_xy = conditional_mutual_information(t, "x", "y", "u")
@@ -178,18 +178,10 @@ def double_markov_extract(t: TensorPMF) -> tuple[Labeling, Labeling]:
     g_ids = {c: c for c in range(g.num_classes - len(g.zero_mass_symbols))}
     f = _labeling(au, keys, [k is not None for k in keys], g_ids)
 
-    mismatch = float(sum(
-        p_ux[u, x]
-        for u in range(au.size)
-        for x in range(ax.size)
-        if p_ux[u, x] > 0 and f.class_of[u] != g.class_of[x]
-    ))
     lifted = t.with_function_axis("x", g.class_of, "_g")
     res_g = conditional_mutual_information(lifted, "x", "y", "_g")
-    if mismatch > MARKOV_TOL or res_g > 1e-6:
-        raise ExtractionFailure(
-            f"postconditions failed: Pr[f!=g]={mismatch:.3g}, I(X;Y|g)={res_g:.3g}"
-        )
+    if res_g > 1e-6:
+        raise ExtractionFailure(f"postcondition failed: I(X;Y|g)={res_g:.3g}")
     return f, g
 
 

@@ -157,6 +157,13 @@ def test_an_unknown_identity_is_refused():
         checks.identity_check("lemma2", 1, 0, n=1, alphabet=2, rounds=1)
 
 
+@pytest.mark.parametrize("identity", checks.IDENTITIES)
+@pytest.mark.parametrize("count", [0, -4])
+def test_a_count_below_one_is_refused(identity, count):
+    with pytest.raises(ValueError, match=f"count must be at least 1, got {count}"):
+        checks.identity_check(identity, count, 0, n=2, alphabet=3, rounds=2)
+
+
 def test_only_el5_runs_without_a_blocklength():
     for identity in ("lemma1", "decomp"):
         with pytest.raises(ValueError, match=f"{identity} needs a largest blocklength n"):

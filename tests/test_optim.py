@@ -10,7 +10,8 @@ trace per start and stage, and the checks on traces read those, which the
 engine's steps match bit for bit. `_eg_stage` is also run on its own, on
 batches that all accept, all reject or mix the two, with starts leaving at
 different iterations for each stop reason, against the reference start by
-start.
+start. Every descent scores its candidates with one `evaluate` call, and
+ties on the objective go to the earlier candidate.
 
 Because the reference shares those routines, it cannot see a change inside
 them. `golden_descent.json` pins their bits independently: values recorded
@@ -23,7 +24,7 @@ import contextlib
 import hashlib
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ import pytest
 from cit import chains, cli, validate_pmf, wyner
 from cit.chains import continuous_chain_minimize
 from cit.optim import (PATIENCE, REL_TOL, STEP_SIZE, PenaltyConfig, _eg_stage, _eg_step,
-                       _normalize_slices, descent_starts, dirichlet_starts)
+                       _normalize_slices, descent_starts, dirichlet_starts, penalized_minimize)
 from cit.sources import bss_pmf, gain_pmf, random_pmf
 from cit.wyner import wyner_minimize
 
@@ -218,7 +219,7 @@ def _stage_against_reference(kernels, lam, vag, max_iter):
     "none" does, or "mixed"."""
     cfg = PenaltyConfig(restarts=0, max_iter=max_iter)
     given = [k.copy() for k in kernels]
-    out, used, stops, calls = _eg_stage(kernels, lam, vag, cfg)
+    out, used, stops = _eg_stage(kernels, lam, vag, cfg)
     assert [k.tobytes() for k in kernels] == [k.tobytes() for k in given]  # never written
     flags = []
     for i in range(len(kernels[0])):
@@ -228,7 +229,6 @@ def _stage_against_reference(kernels, lam, vag, max_iter):
         assert (used[i], stops[i]) == (it, reason)
         assert len(accepts) == it
         flags.append(accepts)
-    assert calls == max(used) + 1
     return {"all" if all(a) else "none" if not any(a) else "mixed"
             for a in ([f[t] for f in flags if len(f) > t] for t in range(max(used)))}
 
@@ -249,7 +249,7 @@ def test_stage_meets_every_batch_kind_and_stop_reason():
     mixes the two."""
     kernels, vag = _wyner_batch(bss_pmf(0.25))
     assert _stage_against_reference(kernels, 10.0, vag, 300) == {"all", "none", "mixed"}
-    _, _, stops, _ = _eg_stage(kernels, 10.0, vag, PenaltyConfig(restarts=0, max_iter=300))
+    _, _, stops = _eg_stage(kernels, 10.0, vag, PenaltyConfig(restarts=0, max_iter=300))
     assert set(stops) == {"stall", "step_floor", "max_iter"}
 
 
@@ -258,8 +258,8 @@ def test_stage_of_starts_that_all_stall_together(count):
     kernels = [_normalize_slices(np.stack(
         [k for _, (k,) in dirichlet_starts(1, count, [(2, 3, 4)])]))]
     assert _stage_against_reference(kernels, 1.0, _flat, 300) == {"all"}
-    out, used, stops, calls = _eg_stage(kernels, 1.0, _flat, PenaltyConfig(restarts=0, max_iter=300))
-    assert (used, stops, calls) == ([PATIENCE] * count, ["stall"] * count, PATIENCE + 1)
+    _, used, stops = _eg_stage(kernels, 1.0, _flat, PenaltyConfig(restarts=0, max_iter=300))
+    assert (used, stops) == ([PATIENCE] * count, ["stall"] * count)
 
 
 def test_a_lone_start_that_only_rejects_hits_the_step_floor():
@@ -268,8 +268,8 @@ def test_a_lone_start_that_only_rejects_hits_the_step_floor():
     kernels, vag = _wyner_batch(bss_pmf(0.25))
     lone = [k[1:2] for k in kernels]  # the smoothed constant seed
     assert _stage_against_reference(lone, 1.0, vag, 300) == {"none"}
-    _, used, stops, calls = _eg_stage(lone, 1.0, vag, PenaltyConfig(restarts=0, max_iter=300))
-    assert (used, stops, calls) == ([30], ["step_floor"], 31)
+    _, used, stops = _eg_stage(lone, 1.0, vag, PenaltyConfig(restarts=0, max_iter=300))
+    assert (used, stops) == ([30], ["step_floor"])
 
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_descent.json").read_text())
@@ -345,3 +345,95 @@ def test_dirichlet_starts_count():
         dirichlet_starts(0, -1, [(2, 3)])
     assert dirichlet_starts(0, 0, [(2, 3)]) == []
     assert [label for label, _ in dirichlet_starts(0, 2, [(2, 3)])] == ["random-0", "random-1"]
+
+
+def _zero_cell_3x3():
+    p = np.random.default_rng(11).dirichlet(np.ones(9)).reshape(3, 3)
+    p[0, 2] = 0.0
+    return validate_pmf((p / p.sum()).tolist())
+
+
+# each source with its chain sizes, at which a deterministic start exists
+SCORING_SOURCES = {"bss": (lambda: bss_pmf(0.25), (2, 2)), "zero-cell-3x3": (_zero_cell_3x3, (3, 2))}
+SCORING_ROUTES = {
+    "wyner": (wyner, lambda pmf, _: wyner_minimize(pmf, PenaltyConfig(restarts=2, max_iter=40))),
+    "chain": (chains, lambda pmf, sizes: continuous_chain_minimize(
+        pmf, sizes, PenaltyConfig(restarts=2, max_iter=40), start=det_start(pmf, sizes))),
+}
+
+
+@pytest.mark.parametrize("source", sorted(SCORING_SOURCES))
+@pytest.mark.parametrize("route", sorted(SCORING_ROUTES))
+def test_one_scoring_call_per_descent(route, source, monkeypatch):
+    """`evaluate` sees one stack per descent, the exact candidates' rows
+    first, and scores each row with the bits it gets alone."""
+    module, run = SCORING_ROUTES[route]
+    descents = []
+    minimize = module.penalized_minimize
+
+    def capture(starts, exact, vag, evaluate, cfg):
+        stacks = []
+
+        def counting(kernels):
+            stacks.append([k.copy() for k in kernels])
+            return evaluate(kernels)
+
+        outcome = minimize(starts, exact, vag, counting, cfg)
+        descents.append((exact, evaluate, stacks, outcome))
+        return outcome
+
+    monkeypatch.setattr(module, "penalized_minimize", capture)
+    make, sizes = SCORING_SOURCES[source]
+    run(make(), sizes)
+    assert len(descents) == 1
+    ((exact, evaluate, stacks, outcome),) = descents
+    assert len(stacks) == 1
+    (stack,) = stacks
+    assert len(stack[0]) == len(outcome.candidates)
+    for i, (_, kernels) in enumerate(exact):
+        assert [s[i].tobytes() for s in stack] == [np.asarray(k, float).tobytes() for k in kernels]
+    for i, cand in enumerate(outcome.candidates):
+        (objective,), (residual,) = evaluate([s[i:i + 1] for s in stack])
+        assert float(cand.objective).hex() == float(objective).hex()
+        assert float(cand.residual).hex() == float(residual).hex()
+        assert [k.tobytes() for k in cand.kernels] == [s[i].tobytes() for s in stack]
+
+
+def test_tied_feasible_candidates_go_to_the_earliest():
+    """Ties on the objective go to the earlier candidate: exact ones first,
+    then the starts in order; an infeasible one never wins."""
+    uniform = [np.full((2, 2, 2), 0.5)]
+    exact = [("infeasible", uniform), ("exact", uniform)]
+    starts = [("start-0", uniform), ("start-1", uniform)]
+
+    def tie(objectives, residuals):
+        return lambda kernels: (np.array(objectives), np.array(residuals))
+
+    cfg = PenaltyConfig(restarts=0, max_iter=3)
+    outcome = penalized_minimize(starts, exact, _flat,
+                                 tie([0.5, 1.0, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0]), cfg)
+    assert outcome.best.label == "exact"
+    outcome = penalized_minimize(starts, exact, _flat,
+                                 tie([0.5, 2.0, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0]), cfg)
+    assert outcome.best.label == "start-0"
+    assert [c.label for c in outcome.candidates] == ["infeasible", "exact", "start-0", "start-1"]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("restarts", -1), ("max_iter", -3), ("seed", -1),
+    ("penalty_schedule", ()), ("penalty_schedule", (float("nan"),)),
+    ("penalty_schedule", (1.0, float("inf"))), ("penalty_schedule", (0.0,)),
+    ("penalty_schedule", (10.0, -1.0)),
+])
+def test_config_refuses_bad_settings(field, value):
+    with pytest.raises(ValueError, match=field):
+        PenaltyConfig(**{"restarts": 1, "max_iter": 1, field: value})
+    with pytest.raises(ValueError, match=field):
+        replace(PenaltyConfig(restarts=1, max_iter=1), **{field: value})
+
+
+def test_config_takes_zero_counts():
+    cfg = PenaltyConfig(restarts=0, max_iter=0, seed=0, penalty_schedule=(1e-3,))
+    assert (cfg.restarts, cfg.max_iter, cfg.seed) == (0, 0, 0)
+    outcome = wyner_minimize(bss_pmf(0.25), replace(cfg, penalty_schedule=(1.0,)))
+    assert outcome.iterations == 0

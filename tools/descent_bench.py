@@ -69,7 +69,7 @@ def iteration_us(vag, kernels, rounds: int) -> float:
     def stage(max_iter: int) -> float:
         cfg = optim.PenaltyConfig(restarts=0, max_iter=max_iter)
         t = time.perf_counter()
-        _, used, _, _ = optim._eg_stage(kernels, 1.0, vag, cfg)
+        _, used, _ = optim._eg_stage(kernels, 1.0, vag, cfg)
         spent = time.perf_counter() - t
         if min(used) < max_iter:
             raise SystemExit(f"a start stopped before {max_iter} iterations")
