@@ -772,16 +772,14 @@ def binary_stop_classify(
         py = cell.sum(axis=0) / mass
         h_x = -plogp_sum(px)
         h_y = -plogp_sum(py)
+        atom = tuple(int(v) for v in np.unravel_index(a, sizes))
         vanish = tuple(s for s, h in (("x", h_x), ("y", h_y)) if h <= PINNED_TOL)
         if not vanish:
             raise LemmaViolation(
-                f"atom {np.unravel_index(a, sizes)} leaves both sides uncertain "
-                f"(H(X|u)={h_x:.3g}, H(Y|u)={h_y:.3g})"
+                f"atom {atom} leaves both sides uncertain (H(X|u)={h_x:.3g}, H(Y|u)={h_y:.3g})"
             )
-        out.append(AtomClassification(
-            atom=tuple(int(v) for v in np.unravel_index(a, sizes)),
-            probability=mass, h_x=h_x, h_y=h_y, vanishes=vanish,
-        ))
+        out.append(AtomClassification(atom=atom, probability=mass, h_x=h_x, h_y=h_y,
+                                      vanishes=vanish))
     return tuple(out)
 
 

@@ -108,14 +108,17 @@ def identity_check(identity: str, count: int, seed: int, *, n: int | None = None
     """The `identity` suite over `count` cases drawn from `seed`: alphabet
     sizes 2..`alphabet`, blocklengths 1..`n` (lemma1 and decomp, which
     need it; el5 draws none) and 1..`rounds` rounds of 2 or 3 messages or
-    chain values. Raises ValueError for an unknown identity, a count below
-    1 or a protocol suite without `n`."""
+    chain values. Raises ValueError, before any draw, for an unknown identity,
+    a protocol suite without `n`, and a setting it cannot draw, naming it."""
     if identity not in IDENTITIES:
         raise ValueError(f"identity must be one of {IDENTITIES}, got {identity!r}")
-    if count < 1:
-        raise ValueError(f"count must be at least 1, got {count}")
     if n is None and identity != "el5":
         raise ValueError(f"{identity} needs a largest blocklength n")
+    floors = {"count": (count, 1), "alphabet": (alphabet, 2), "rounds": (rounds, 1),
+              **({} if identity == "el5" else {"n": (n, 1)})}  # el5 draws no blocklength
+    for name, (value, low) in floors.items():
+        if value < low:
+            raise ValueError(f"{name} must be at least {low}, got {value}")
     draw = functools.partial(_draw_case, identity, np.random.default_rng(seed),
                              n=n, alphabet=alphabet, rounds=rounds)
     worst = 0.0

@@ -356,22 +356,20 @@ def _dispatch(args) -> tuple[dict, object]:
         return {"kind": "sw", "pmf": args.pmf, "rate": args.rate, "trials": args.trials,
                 "n": list(args.n)}, result
 
-    if cmd == "simulate":
-        if args.chain == "copy":
-            chain = simulate.default_copy_chain(pmf)
-        else:
-            with open(args.chain) as fh:
-                chain = chains.chain_from_json(json.load(fh))
-        reports = [
-            simulate.cr_sk_simulate(pmf, chain, n, args.key_rate, args.trials,
-                                    args.seed, args.slack).to_json()
-            for n in args.n
-        ]
-        config = {"kind": "crsk", "pmf": args.pmf, "chain": args.chain, "key_rate": args.key_rate,
-                  "trials": args.trials, "slack": args.slack, "n": list(args.n)}
-        return config, reports if len(reports) > 1 else reports[0]
-
-    raise ValueError(f"unknown command {cmd!r}")
+    # simulate crsk, the one command left: argparse admits no other
+    if args.chain == "copy":
+        chain = simulate.default_copy_chain(pmf)
+    else:
+        with open(args.chain) as fh:
+            chain = chains.chain_from_json(json.load(fh))
+    reports = [
+        simulate.cr_sk_simulate(pmf, chain, n, args.key_rate, args.trials,
+                                args.seed, args.slack).to_json()
+        for n in args.n
+    ]
+    config = {"kind": "crsk", "pmf": args.pmf, "chain": args.chain, "key_rate": args.key_rate,
+              "trials": args.trials, "slack": args.slack, "n": list(args.n)}
+    return config, reports if len(reports) > 1 else reports[0]
 
 
 def main() -> None:

@@ -56,6 +56,7 @@ class FiniteAlphabet:
         return len(self.symbols)
 
     @staticmethod
+    @lru_cache(maxsize=64)  # labels prefix + "0", prefix + "1", ...: one alphabet per (n, prefix)
     def of_size(n: int, prefix: str = "") -> "FiniteAlphabet":
         return FiniteAlphabet(tuple(f"{prefix}{i}" for i in range(n)))
 
@@ -179,12 +180,6 @@ def normalized_each(q: np.ndarray) -> np.ndarray:
     return q / totals.reshape((-1,) + (1,) * (q.ndim - 1))
 
 
-@lru_cache(maxsize=64)
-def _index_alphabet(size: int) -> FiniteAlphabet:
-    """The default labels "0", "1", ...: one shared alphabet per size."""
-    return FiniteAlphabet(tuple(str(i) for i in range(size)))
-
-
 def validate_pmf(
     raw_matrix: Sequence[Sequence[float]],
     labels_x: Sequence[str] | None = None,
@@ -206,8 +201,8 @@ def validate_pmf(
     if low < 0.0:
         normalized(p)  # raises NegativeMass, naming the cells
     p = _divided(p, float(p.sum()))
-    ax = _index_alphabet(p.shape[0]) if labels_x is None else FiniteAlphabet(tuple(labels_x))
-    ay = _index_alphabet(p.shape[1]) if labels_y is None else FiniteAlphabet(tuple(labels_y))
+    ax = FiniteAlphabet.of_size(p.shape[0]) if labels_x is None else FiniteAlphabet(tuple(labels_x))
+    ay = FiniteAlphabet.of_size(p.shape[1]) if labels_y is None else FiniteAlphabet(tuple(labels_y))
     if (ax.size, ay.size) != p.shape:
         raise ValueError(f"label counts {(ax.size, ay.size)} do not match matrix shape {p.shape}")
     zero_x = zero_y = ()
@@ -266,17 +261,9 @@ class TensorPMF:
         except ValueError:
             raise UnknownAxis(f"axis {name!r} not in {self.names}") from None
 
-    def axes(self, subset: AxisSpec) -> tuple[int, ...]:
-        if isinstance(subset, str):
-            subset = (subset,)
-        idx = tuple(self.axis(n) for n in subset)
-        if len(set(idx)) != len(idx):
-            raise OverlappingAxes(f"repeated axis in {tuple(subset)}")
-        return idx
-
     def marginal_array(self, subset: AxisSpec) -> np.ndarray:
         """Dense marginal on `subset`, axes ordered as in the tensor."""
-        keep = sorted(self.axes(subset))
+        keep = sorted(_axis_groups(self, subset)[0])
         drop = tuple(i for i in range(self.arity) if i not in keep)
         return self.p.sum(axis=drop) if drop else self.p
 
@@ -366,42 +353,57 @@ def objective_residuals(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return clamped(h_xy + h_u - h_q), clamped(h_xu + h_yu - h_u - h_q)
 
 
+def _axis_groups(t: TensorPMF, *groups: AxisSpec) -> tuple[tuple[int, ...], ...]:
+    """The axis indices of each group; OverlappingAxes if an axis is named twice."""
+    names = tuple((g,) if isinstance(g, str) else tuple(g) for g in groups)
+    idx = tuple(tuple(t.axis(n) for n in group) for group in names)
+    flat = sum(idx, ())
+    if len(set(flat)) != len(flat):
+        raise OverlappingAxes(f"axis groups {names} name an axis twice")
+    return idx
+
+
 def _h(t: TensorPMF, keep: tuple[int, ...]) -> float:
+    """H in bits of the marginal on the axes `keep`; H(()) = 0.0."""
+    if not keep:
+        return 0.0
     drop = tuple(i for i in range(t.arity) if i not in keep)
     return float(marginal_entropies(t.p[None], drop)[0, 0])
 
 
+def _conditional_entropy(t: TensorPMF, a: tuple[int, ...], c: tuple[int, ...]) -> float:
+    """H(A | C) = H(A, C) - H(C), clamped at 0 (and + 0.0 turns -0.0 into 0.0)."""
+    return max(_h(t, a + c) - _h(t, c), 0.0) + 0.0
+
+
+def _information(t: TensorPMF, a: tuple[int, ...], b: tuple[int, ...],
+                 c: tuple[int, ...]) -> float:
+    """I(A; B | C) = H(A, C) + H(B, C) - H(C) - H(A, B, C), clamped at 0."""
+    return max(_h(t, a + c) + _h(t, b + c) - _h(t, c) - _h(t, a + b + c), 0.0)
+
+
 def entropy(t: TensorPMF, subset: AxisSpec) -> float:
-    """Shannon entropy in bits of the marginal on `subset`."""
-    idx = t.axes(subset)
+    """Shannon entropy in bits of the marginal on `subset`, clamped at 0."""
+    (idx,) = _axis_groups(t, subset)
     if not idx:
         raise UnknownAxis("entropy needs a nonempty axis subset")
-    return _h(t, idx) + 0.0
+    return _conditional_entropy(t, idx, ())
 
 
 def conditional_entropy(t: TensorPMF, target: AxisSpec, given: AxisSpec = ()) -> float:
-    """H(target | given) = H(target, given) - H(given), clamped at 0."""
-    ti = t.axes(target)
-    gi = t.axes(given)
-    if set(ti) & set(gi):
-        raise OverlappingAxes("target and conditioning axes overlap")
+    """H(target | given) = H(target, given) - H(given) in bits, clamped at 0; H(()) = 0."""
+    ti, gi = _axis_groups(t, target, given)
     if not ti:
         raise UnknownAxis("conditional_entropy needs a nonempty target")
-    joint = _h(t, ti + gi)
-    if not gi:
-        return joint
-    return max(joint - _h(t, gi), 0.0)
+    return _conditional_entropy(t, ti, gi)
 
 
 def mutual_information(t: TensorPMF, axes_a: AxisSpec, axes_b: AxisSpec) -> float:
     """I(A; B) = H(A) + H(B) - H(A, B) in bits, clamped at 0."""
-    ai = t.axes(axes_a)
-    bi = t.axes(axes_b)
-    if set(ai) & set(bi):
-        raise OverlappingAxes("the two axis groups overlap")
+    ai, bi = _axis_groups(t, axes_a, axes_b)
     if not ai or not bi:
         raise UnknownAxis("mutual_information needs two nonempty groups")
-    return max(_h(t, ai) + _h(t, bi) - _h(t, ai + bi), 0.0)
+    return _information(t, ai, bi, ())
 
 
 def source_information(pmf: JointPMF) -> float:
@@ -420,17 +422,11 @@ def source_informations(pmfs: Sequence[JointPMF]) -> np.ndarray:
 def conditional_mutual_information(
     t: TensorPMF, axes_a: AxisSpec, axes_b: AxisSpec, given: AxisSpec = ()
 ) -> float:
-    """I(A; B | C) = H(A,C) + H(B,C) - H(C) - H(A,B,C), clamped at 0."""
-    ai = t.axes(axes_a)
-    bi = t.axes(axes_b)
-    ci = t.axes(given)
-    if len(set(ai + bi + ci)) < len(ai + bi + ci):  # each group alone has no repeats
-        raise OverlappingAxes("axis groups must be pairwise disjoint")
+    """I(A; B | C) = H(A,C) + H(B,C) - H(C) - H(A,B,C) in bits, clamped at 0; H(()) = 0."""
+    ai, bi, ci = _axis_groups(t, axes_a, axes_b, given)
     if not ai or not bi:
         raise UnknownAxis("conditional_mutual_information needs two nonempty groups")
-    if not ci:
-        return mutual_information(t, axes_a, axes_b)
-    return max(_h(t, ai + ci) + _h(t, bi + ci) - _h(t, ci) - _h(t, ai + bi + ci), 0.0)
+    return _information(t, ai, bi, ci)
 
 
 def binary_entropy(p: float) -> float:

@@ -183,7 +183,7 @@ def lemma1_sides(pmfs: Sequence[JointPMF],
     p = normalized_each(_dense_laws(pmfs, protocols))  # axes case, X^n, Y^n, F
     h_xf, h_x, h_yf, h_y, h_f = marginal_entropies(p, (1,), (1, 2), (0,), (0, 2), (0, 1))
     lhs = clamped(h_xf - h_x) + clamped(h_yf - h_y)
-    return lhs, h_f + 0.0  # + 0.0 turns -0.0 into 0.0, as entropy() does
+    return lhs, h_f + 0.0  # + 0.0 turns -0.0 into 0.0; unlike entropy(), no clamp at 0
 
 
 def lemma1_check(pmf: JointPMF, protocol: Protocol) -> dict:

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 
 from . import chains, structure, wyner
 from .optim import PenaltyConfig
-from .pmf import JointPMF, entropy, mutual_information
+from .pmf import JointPMF, entropy
 from .sources import binary_symmetric_delta
 
 
@@ -26,13 +26,17 @@ REPORT_DESCENT = PenaltyConfig(restarts=8, max_iter=2000)
 @dataclass(frozen=True)
 class RateConfig:
     """One report's settings; `descent` runs both the Wyner and the
-    randomized-chain descents."""
+    randomized-chain descents. A `det_budget` below 0 raises ValueError."""
 
     rounds: int = 2
     det_caps: tuple[int, ...] | None = None
     det_budget: int = 200_000
     include_continuous: bool = True
     descent: PenaltyConfig = REPORT_DESCENT
+
+    def __post_init__(self):
+        if self.det_budget < 0:
+            raise ValueError(f"det_budget must be at least 0, got {self.det_budget}")
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -67,10 +71,9 @@ def rate_report(pmf: JointPMF, config: RateConfig | None = None) -> RateReport:
     t = pmf.to_tensor()
     h_x = entropy(t, "x")
     h_y = entropy(t, "y")
-    mi = mutual_information(t, "x", "y")
     gk = structure.gk_ci(pmf)
     ni = structure.noninteractive_rate(pmf)
-    ci1_x, ci1_y = ni.h_g1, ni.h_g2
+    mi, ci1_x, ci1_y = ni.mi, ni.h_g1, ni.h_g2
 
     provenance = {
         "h_x": "exact", "h_y": "exact", "mi": "exact", "sk_capacity": "exact",

@@ -516,8 +516,7 @@ def _run_rows(stages: list[_Stage], key_hash: AffineGf2Hash, xd: np.ndarray, yd:
     cr_x = pack_cr(ver["x"])
     cr_y = pack_cr(ver["y"])
     err = (cr_x != cr_true) | (cr_y != cr_true)
-    keys = key_hash.apply(cr_x) if key_hash.k else np.zeros(rows, dtype=np.uint64)
-    return err, keys, transcript, failures
+    return err, key_hash.apply(cr_x), transcript, failures
 
 
 def _exact_entropies(
@@ -576,12 +575,13 @@ def cr_sk_simulate(
     memory is bounded by that and by the dense (K, F) table, which
     `pmf.LAW_BUDGET` caps. Otherwise they are plug-in estimates from the trials.
 
-    Raises RateInfeasible when `key_rate` exceeds the chain's net
-    extractable rate H(U^r) - sum_j H(U_j | listener_j, U^{j-1}), which for
-    a feasible chain equals I(X;Y). Raises ValueError for a blocklength or
-    a trial count below 1, and for a `slack` that would leave a stage's hash
-    fewer than 0 output bits, and SizeBudgetExceeded, before any stage is
-    built, for common randomness of over MAX_BITS bits, n ceil(log2 |U_j|) a stage.
+    Raises RateInfeasible when `key_rate` is NaN, below 0 or above the chain's
+    net extractable rate H(U^r) - sum_j H(U_j | listener_j, U^{j-1}), which
+    for a feasible chain equals I(X;Y). Raises ValueError for a blocklength or
+    a trial count below 1, a `slack` that is not finite (before any stage is
+    built) or would leave a stage's hash fewer than 0 output bits, and
+    SizeBudgetExceeded, before any stage is built, for common randomness of
+    over MAX_BITS bits, n ceil(log2 |U_j|) a stage.
     """
     if not isinstance(chain, DeterministicChain):
         raise ValueError("the staged scheme needs a deterministic chain")
@@ -589,8 +589,10 @@ def cr_sk_simulate(
         raise ValueError(f"blocklength must be at least 1, got {n}")
     if trials < 1:
         raise ValueError("need at least one trial")
-    if key_rate < 0:
+    if not key_rate >= 0:  # NaN fails too
         raise RateInfeasible("key_rate must be nonnegative")
+    if not math.isfinite(slack):
+        raise ValueError(f"slack must be finite, got {slack}")
     total_bits = n * sum((size - 1).bit_length() for size in chain.sizes)
     if total_bits > MAX_BITS:
         raise SizeBudgetExceeded(f"accumulated CR packs into {total_bits} > {MAX_BITS} bits")
@@ -604,7 +606,7 @@ def cr_sk_simulate(
         raise RateInfeasible(
             f"key_rate {key_rate} exceeds the extractable rate {max(extractable, 0.0):.6f}"
         )
-    key_bits = min(math.ceil(n * key_rate - 1e-12), total_bits) if key_rate > 0 else 0
+    key_bits = min(math.ceil(n * key_rate - 1e-12), total_bits)
     key_hash = AffineGf2Hash.sample(np.random.default_rng([seed, 1]), max(total_bits, 1), key_bits)
     comm_bits = sum(st.k_bits for st in stages)
 

@@ -99,13 +99,9 @@ def minimal_sufficient_statistic(pmf: JointPMF, side: str = "x") -> Labeling:
     conditional rows are linked by a chain of rows, each agreeing with the
     next entrywise within 1e-9.
     """
-    if side == "x":
-        alphabet, mass = pmf.alphabet_x, pmf.marginal_x
-    elif side == "y":
-        alphabet, mass = pmf.alphabet_y, pmf.marginal_y
-    else:
-        raise ValueError("side must be 'x' or 'y'")
-    rows = pmf.conditional_rows(side)
+    rows = pmf.conditional_rows(side)  # raises ValueError for a side other than "x" or "y"
+    alphabet, mass = ((pmf.alphabet_x, pmf.marginal_x) if side == "x"
+                      else (pmf.alphabet_y, pmf.marginal_y))
     active = mass > 0
     if not np.any(active):
         raise DegenerateMarginal(f"marginal on {side!r} carries no mass")
@@ -199,7 +195,8 @@ class NoninteractiveRate:
 
 
 def labeling_entropy(labeling: Labeling, marginal: np.ndarray) -> float:
-    return -plogp_sum(labeling.class_masses(marginal)) + 0.0
+    """Entropy in bits of the class masses of `marginal`, clamped at 0."""
+    return max(-plogp_sum(labeling.class_masses(marginal)), 0.0) + 0.0
 
 
 def noninteractive_rate(pmf: JointPMF) -> NoninteractiveRate:

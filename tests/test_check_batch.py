@@ -168,8 +168,9 @@ def test_only_el5_runs_without_a_blocklength():
     for identity in ("lemma1", "decomp"):
         with pytest.raises(ValueError, match=f"{identity} needs a largest blocklength n"):
             checks.identity_check(identity, 1, 0, alphabet=2, rounds=1)
-    assert checks.identity_check("el5", 3, 0, alphabet=3, rounds=2) == \
-        checks.identity_check("el5", 3, 0, n=5, alphabet=3, rounds=2)
+    for n in (5, 0):  # el5 reads no n, so it refuses none
+        assert checks.identity_check("el5", 3, 0, alphabet=3, rounds=2) == \
+            checks.identity_check("el5", 3, 0, n=n, alphabet=3, rounds=2)
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -259,3 +260,23 @@ class TestPlogpRows:
         rows = [np.array([[0.5, 0.0, 0.25, 0.25]]), np.array([[1.0]]), np.zeros((1, 3))]
         got = plogp_rows(*rows)
         assert [v.hex() for v in got[:, 0].tolist()] == [plogp_sum(r).hex() for r in rows]
+
+
+@pytest.mark.parametrize("identity, settings, message", [
+    ("lemma1", {"alphabet": 1}, "alphabet must be at least 2, got 1"),
+    ("decomp", {"alphabet": 0}, "alphabet must be at least 2, got 0"),
+    ("el5", {"alphabet": 1}, "alphabet must be at least 2, got 1"),
+    ("lemma1", {"rounds": 0}, "rounds must be at least 1, got 0"),
+    ("el5", {"rounds": -2}, "rounds must be at least 1, got -2"),
+    ("lemma1", {"n": 0}, "n must be at least 1, got 0"),
+    ("decomp", {"n": -1}, "n must be at least 1, got -1"),
+])
+def test_settings_it_cannot_draw_are_named_before_any_draw(identity, settings, message,
+                                                           monkeypatch):
+    """These gave numpy's bare "low >= high" from the first draw."""
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew a case before the settings check")
+
+    monkeypatch.setattr(checks, "_draw_case", no_draw)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        checks.identity_check(identity, 3, 0, **{"n": 2, "alphabet": 3, "rounds": 2, **settings})

@@ -3,8 +3,11 @@ import contextlib
 import csv
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,6 +49,18 @@ class TestBasicCommands:
         assert rep["result"]["mi"] == pytest.approx(1.0, abs=1e-12)
         # pmf echo matches the (renormalized) input
         assert rep["result"]["pmf"]["p"] == [[0.5, 0.0], [0.0, 0.5]]
+
+    @pytest.mark.parametrize("argv, code", [(["info"], 0), (["rates", "--rounds", "0"], 2)])
+    def test_the_module_runs_as_a_program(self, pmf_file, argv, code):
+        """`python -m cit.cli` goes through `main()`, which exits with `run`'s code."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = argv[:1] + ["--pmf", pmf_file] + argv[1:]
+        proc = subprocess.run([sys.executable, "-m", "cit.cli", *argv], capture_output=True,
+                              text=True, env=env, check=False)
+        assert (proc.returncode, proc.stderr) == (code, "")
+        assert proc.stdout == run_cli(argv)[1]
 
     def test_suffstat(self, pmf_file):
         code, out = run_cli(["suffstat", "--pmf", pmf_file])

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from cit import (
     mutual_information,
     validate_pmf,
 )
-from cit.pmf import normalized, normalized_each, source_information
+from cit.pmf import marginal_entropies, normalized, normalized_each, source_information
+from cit.sources import random_pmf
 
 from workloads import random_base, relabel
 
@@ -315,3 +317,70 @@ def test_a_fortran_ordered_twin_scores_the_same_bits(seed):
     assert info == source_information(c) == mutual_information(f.to_tensor(), "x", "y")
     assert [entropy(f.to_tensor(), s) for s in ("x", "y")] == [
         entropy(c.to_tensor(), s) for s in ("x", "y")]
+
+
+def _h_before(t, keep):
+    drop = tuple(i for i in range(t.arity) if i not in keep)
+    return float(marginal_entropies(t.p[None], drop)[0, 0])
+
+
+def information_before(t, fn, *groups):
+    """The four functions as they read before they shared one formula: no
+    clamp on an entropy, and a branch of their own for an empty `given`."""
+    idx = [tuple(t.axis(n) for n in ((g,) if isinstance(g, str) else g)) for g in groups]
+    if fn == "entropy":
+        return _h_before(t, idx[0]) + 0.0
+    if fn == "conditional_entropy":
+        ti, gi = idx
+        joint = _h_before(t, ti + gi)
+        return joint if not gi else max(joint - _h_before(t, gi), 0.0)
+    ai, bi, ci = idx + [()] * (3 - len(idx))
+    if not ci:
+        return max(_h_before(t, ai) + _h_before(t, bi) - _h_before(t, ai + bi), 0.0)
+    return max(_h_before(t, ai + ci) + _h_before(t, bi + ci) - _h_before(t, ci)
+               - _h_before(t, ai + bi + ci), 0.0)
+
+
+def _identity_cases():
+    rng = np.random.default_rng(33)
+    for _ in range(60):
+        shape = tuple(int(rng.integers(1, 4)) for _ in range(3))
+        p = rng.dirichlet(np.ones(math.prod(shape)))
+        p[rng.random(p.size) < 0.2] = 0.0
+        yield TensorPMF(("a", "b", "c"), tuple(FiniteAlphabet.of_size(s) for s in shape),
+                        (p / p.sum()).reshape(shape))
+    for k in range(1, 6):  # one-row sources, as drawn and as reloaded from their JSON
+        pmf = random_pmf(np.random.default_rng(60 + k), 1, k + 1)
+        yield pmf.to_tensor()
+        yield JointPMF.from_json(json.loads(json.dumps(pmf.to_json()))).to_tensor()
+
+
+def test_information_keeps_its_bits_and_clamps_only_below_zero():
+    """Every value the former forms gave at or above +0.0 comes back to the
+    bit; an entropy below 0 (or -0.0) now reads 0.0. I(A;B) and an empty
+    `given` go through the conditional formulas with H(nothing) = 0."""
+    clamped_any = False
+    for t in _identity_cases():
+        names = t.names
+        pairs = [(names[0],), (names[1],), names[:2]] + ([names[2:]] if t.arity > 2 else [])
+        for a in pairs:
+            rest = tuple(n for n in names if n not in a)
+            splits = [((), ())] + [((r,), tuple(n for n in rest if n != r)) for r in rest]
+            old = information_before(t, "entropy", a)
+            assert entropy(t, a).hex() == (max(old, 0.0) + 0.0).hex()
+            clamped_any |= old < 0.0 or math.copysign(1.0, old) < 0
+            for b, c in splits:
+                for given in (c, b + c):
+                    old = information_before(t, "conditional_entropy", a, given)
+                    assert conditional_entropy(t, a, given).hex() == (max(old, 0.0) + 0.0).hex()
+                    assert conditional_entropy(t, a, given) == \
+                        conditional_entropy(t, tuple(a), list(given))
+                if not b:
+                    continue
+                old = information_before(t, "mi", a, b)
+                assert mutual_information(t, a, b).hex() == old.hex()
+                assert conditional_mutual_information(t, a, b).hex() == old.hex()
+                assert conditional_mutual_information(t, a, b, ()).hex() == old.hex()
+                old = information_before(t, "cmi", a, b, c)
+                assert conditional_mutual_information(t, a, b, c).hex() == old.hex()
+    assert clamped_any  # the one-row sources reach the clamp

@@ -1,10 +1,11 @@
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cit import (PenaltyConfig, RateConfig, binary_entropy, chains, rate_report, validate_pmf,
-                 wyner)
+from cit import (JointPMF, PenaltyConfig, RateConfig, binary_entropy, chains, mutual_information,
+                 rate_report, structure, validate_pmf, wyner)
 from cit.sources import binary_symmetric_delta, bss_pmf, random_pmf
 
 LIGHT = RateConfig(descent=PenaltyConfig(restarts=4, max_iter=1200))
@@ -177,3 +178,51 @@ class TestDustCell:
         rep = rate_report(dusty, replace(LIGHT, rounds=2))
         assert rep.cir_ub == found.objective
         assert rep.mi <= rep.wyner_ub + 1e-6 and np.isfinite(rep.wyner_ub)
+
+
+def test_config_refuses_a_budget_below_zero():
+    """`det_budget=-1` ran, and the search gave up at its first move, so
+    gain's `cir_ub` read the one-round 1.5812909 for the two-round 1.5588674."""
+    message = "det_budget must be at least 0, got -1"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        RateConfig(det_budget=-1)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        replace(RateConfig(), det_budget=-1)
+
+
+def test_config_takes_a_zero_budget():
+    assert RateConfig(det_budget=0).det_budget == 0
+
+
+@pytest.mark.parametrize("reload", [False, True])
+def test_a_one_row_source_reports_no_negative_entropy(reload):
+    """Its one-symbol marginals carry 1 within an ulp or two, so their
+    entropies read -3.2e-16 before the clamp: `h_x` as drawn, and the
+    statistics' entropies once the source is reloaded from its JSON."""
+    pmf = random_pmf(np.random.default_rng(64), 1, 4)
+    if reload:
+        pmf = JointPMF.from_json(json.loads(json.dumps(pmf.to_json())))
+    rep = rate_report(pmf, LIGHT)
+    assert min(rep.h_x, rep.h_y, rep.mi, rep.gk_ci, rep.ci1_x, rep.ci1_y, rep.wyner_ub,
+               rep.cir_ub) >= 0.0
+
+
+def test_report_reads_the_information_of_the_law_as_stored():
+    """`mi` comes from `source_information`, which divides each cell by the
+    stored total once more; it still equals `mutual_information` on the
+    stored law to the bit, on sources whose stored total is not exactly 1."""
+    rng = np.random.default_rng(33)
+    pmfs = []
+    while len(pmfs) < 300:
+        pmf = random_pmf(rng, int(rng.integers(2, 5)), int(rng.integers(2, 5)),
+                         zeros=float(rng.choice([0.0, 0.3])))
+        pmf = JointPMF.from_json(json.loads(json.dumps(pmf.to_json())))
+        if pmf.p.sum() != 1.0:
+            pmfs.append(pmf)
+    for pmf in pmfs:
+        expected = mutual_information(pmf.to_tensor(), "x", "y").hex()
+        assert structure.noninteractive_rate(pmf).mi.hex() == expected
+    light = RateConfig(rounds=1, include_continuous=False,
+                       descent=PenaltyConfig(restarts=1, max_iter=200))
+    for pmf in pmfs[:3]:
+        assert rate_report(pmf, light).mi.hex() == mutual_information(pmf.to_tensor(), "x", "y").hex()

@@ -1061,3 +1061,23 @@ def test_crsk_exact_memory_is_bounded(bss25):
             assert list(rep.pops) == want["pops"] and list(rep.stragglers) == want["stragglers"]
     assert peaks[8] <= 8_000_000 and peaks[10] <= 16_000_000
     assert peaks[10] <= 2 * peaks[8]
+
+
+@pytest.mark.parametrize("key_rate", [math.nan, -math.inf, -1e-300])
+def test_crsk_refuses_a_key_rate_that_is_not_at_least_zero(bss25, key_rate):
+    """A NaN rate ran as 0 and reported key_rate 0.0 and key_bits 0."""
+    with pytest.raises(RateInfeasible, match=r"^key_rate must be nonnegative$"):
+        cr_sk_simulate(bss25, default_copy_chain(bss25), n=4, key_rate=key_rate, trials=5, seed=0)
+
+
+@pytest.mark.parametrize("slack", [math.nan, math.inf, -math.inf])
+def test_crsk_refuses_a_slack_that_is_not_finite_before_any_stage(bss25, slack, monkeypatch):
+    """NaN gave a bare "cannot convert float NaN to integer", and an infinite
+    slack a bare OverflowError, from a stage's hash size."""
+    def no_stage(*args):
+        raise AssertionError("built a stage before the slack check")
+
+    monkeypatch.setattr(simulate, "_Stage", no_stage)
+    with pytest.raises(ValueError, match=rf"^slack must be finite, got {slack}$"):
+        cr_sk_simulate(bss25, default_copy_chain(bss25), n=4, key_rate=0.1, trials=5, seed=0,
+                       slack=slack)
